@@ -53,6 +53,8 @@ class AssayDataError(ValueError):
 
 
 def _check_count(name: str, value, minimum: int = 0) -> int:
+    if isinstance(value, (bool, np.bool_)):
+        raise AssayDataError(f"{name} must be an integer, got {value!r}")
     try:
         ivalue = int(value)
     except (TypeError, ValueError) as exc:

@@ -2,8 +2,12 @@
 
 The first-order bias of the MLE is Sigma A(tau) vec(Sigma), where A is built
 from the derivative of the expected information and the expected third
-derivatives of the log-likelihood.  Subtracting it reduces the bias order
-from O(1/M) to O(1/M^2) while leaving the asymptotic covariance unchanged.
+derivatives of the log-likelihood (Cox & Snell 1968).  Subtracting it reduces
+the bias order from O(1/M) to O(1/M^2) while leaving the asymptotic
+covariance unchanged.  Both ingredients are closed forms: a level's
+information depends on its rates through t_i = e^{lam_i} - 1 and through
+binomial sums over the total rate, whose derivatives come from the same pass
+over the well counts as the sums themselves.
 
 Sign convention: each block is assembled as
 
@@ -24,16 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assay import MultiDilutionAssay
-from .inference import (
-    FitResult,
-    covariance,
-    expected_m,
-    expected_y,
-    fisher_information_multi,
-    fit_mle,
-    level_params,
-    wald_ci,
-)
+from .inference import FitResult, _information_derivative, fit_mle, level_params, wald_ci
 from .optimize import OptOptions
 from .poisson import ExtremeOutcome
 
@@ -56,6 +51,23 @@ class BiasComponents:
     third_common: float      # any mixed third-derivative expectation
 
 
+def _level_terms(lam, M: int, q: float):
+    """Expected third derivatives and the information derivative at one level.
+
+    Returns (third_diag, third_common, d_common, d_diag, d_self), all from
+    one pass over the well counts; the last three are those of
+    :func:`iupm.inference._information_derivative`.
+    """
+    d_common, d_diag, d_self, Em, F = _information_derivative(lam, M, q)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    Lam = float(lam.sum())
+    tL = math.expm1(Lam)
+    third_common = (M - M * math.exp(-Lam) - Em) * (tL + 1.0) * (tL + 2.0) / tL**3
+    t = np.expm1(lam)
+    third_diag = -np.expm1(-lam) * F * (t + 1.0) * (t + 2.0) / t**3 + third_common
+    return third_diag, float(third_common), d_common, d_diag, d_self
+
+
 def third_derivative_expectations(lam, M: int, q: float) -> tuple[np.ndarray, float]:
     """Expected third derivatives at one level: (pure-diagonal values, common value).
 
@@ -63,62 +75,35 @@ def third_derivative_expectations(lam, M: int, q: float) -> tuple[np.ndarray, fl
     is sequenced (q = 1), the same cancellation as the off-diagonal of the
     information matrix.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam <= 0):
-        raise ValueError("third_derivative_expectations requires strictly positive rates")
-    Lam = float(lam.sum())
-    tL = math.expm1(Lam)
-    Em = expected_m(Lam, M, q)
-    common = (M - M * math.exp(-Lam) - Em) * (tL + 1.0) * (tL + 2.0) / tL**3
-    t = np.expm1(lam)
-    diag = expected_y(lam, Lam, M, q) * (t + 1.0) * (t + 2.0) / t**3 + common
-    return diag, float(common)
-
-
-def _fd_step(value: float) -> float:
-    return max(1e-6, 1e-6 * value)
-
-
-def _information_derivatives(tau: np.ndarray, levels) -> list[np.ndarray]:
-    """Central-difference derivative of the expected information in each coordinate."""
-    blocks = []
-    for k in range(tau.size):
-        h = _fd_step(tau[k])
-        if tau[k] - h <= 0:
-            h = tau[k] / 2.0
-        if h < 1e-12:
-            raise ValueError(f"finite-difference step underflow at component {k}")
-        hi = tau.copy()
-        hi[k] += h
-        lo = tau.copy()
-        lo[k] -= h
-        blocks.append(
-            (fisher_information_multi(hi, levels).matrix - fisher_information_multi(lo, levels).matrix)
-            / (2.0 * h)
-        )
-    return blocks
+    third_diag, third_common, *_ = _level_terms(lam, M, q)
+    return third_diag, third_common
 
 
 def a_matrices(tau, levels, displayed_sign: bool = False) -> BiasComponents:
     """Assemble the A blocks for per-million rates over (u, M, q) levels.
 
     A single dilution level at u = 1 reproduces the per-well construction.
+    Both dI/dtau and the third-derivative expectations are closed forms, each
+    level scaled by u^3 from its per-well rates u * tau.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     n = tau.size
-    third_diag = np.zeros(n)
-    third_common = 0.0
+    totals = [np.zeros(n), 0.0, 0.0, np.zeros(n), np.zeros(n)]
     for u, M, q in levels:
-        diag_d, common_d = third_derivative_expectations(u * tau, M, q)
-        third_diag += u**3 * diag_d
-        third_common += u**3 * common_d
-    dI = _information_derivatives(tau, levels)
+        terms = _level_terms(u * tau, M, q)
+        totals = [total + u**3 * term for total, term in zip(totals, terms)]
+    third_diag, third_common, d_common, d_diag, d_self = totals
+    dI_shared = np.full((n, n), d_common) + np.diag(d_diag)
     sign = 1.0 if displayed_sign else -1.0
+    dI = []
     blocks = []
     for k in range(n):
+        dI_k = dI_shared.copy()
+        dI_k[k, k] -= d_self[k]
         third_block = np.full((n, n), third_common)
         third_block[k, k] = third_diag[k]
-        blocks.append(sign * dI[k] - 0.5 * third_block)
+        dI.append(dI_k)
+        blocks.append(sign * dI_k - 0.5 * third_block)
     return BiasComponents(
         a_blocks=blocks, dI_dtau=dI, third_diag=third_diag, third_common=third_common
     )

@@ -283,6 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    alpha = getattr(args, "alpha", 0.05)
+    if not 0.0 < alpha < 1.0:
+        print(f"error: --alpha must lie in (0, 1), got {alpha}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     handlers = {"fit": _cmd_fit, "lrt": _cmd_lrt, "simulate": _cmd_simulate}
     try:
         return handlers[args.command](args)

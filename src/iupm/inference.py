@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import poisson
 from .assay import MultiDilutionAssay
 from .poisson import ExtremeOutcome, classify_extreme
 from .optimize import OptOptions, maximize
-from .special import log1mexp, log_binom, nint, normal_quantile
+from .special import log1mexp, normal_quantile
 
 __all__ = [
     "SingularInformationError",
@@ -73,15 +74,47 @@ class FitResult:
     active_lower: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _binom_log_weights(M: int, log_p: float, log_1mp: float) -> np.ndarray:
-    """log Binomial(M, p) pmf over k = 0..M, with 0 * (-inf) treated as 0."""
+@lru_cache(maxsize=1)
+def _log_binom_row(M: int) -> np.ndarray:
+    """log C(M, k) for k = 0..M, each entry from lgamma.
+
+    A cumulative log-sum would be cheaper but drifts (about 4e-10 relative at
+    M = 200 000).  The cache keeps one row: rows for small M are cheap to
+    rebuild, and a longer cache would keep large-M rows (8(M+1) bytes each)
+    alive after their fit.
+    """
+    lg = np.fromiter(map(math.lgamma, range(1, M + 2)), dtype=float, count=M + 1)
+    row = (lg[M] - lg) - lg[::-1]
+    row.flags.writeable = False
+    return row
+
+
+def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
+    """(Em, F, dEm/dLambda, dF/dLambda) from one pass over the well counts.
+
+    The number of negative wells k is Binomial(M, s) with s = e^{-Lambda};
+    the j = M - k positive wells yield <q j> sequenced ones.  Em is the
+    expected sequenced count and F = sum_j C(M,j) <qj> p^{j-1} s^{M-j} =
+    Em / p (p = 1 - s) the factor behind the per-lineage expectations.  Each
+    term's Lambda-derivative is its weight times j s/p - k, and (j-1) s/p - k
+    for F.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    if Lambda <= 0.0 or q == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
     k = np.arange(M + 1, dtype=float)
-    lg = np.array([log_binom(M, int(kk)) for kk in range(M + 1)])
-    out = lg.copy()
-    if M > 0:
-        out += np.where(k > 0, k * log_p, 0.0)
-        out += np.where(M - k > 0, (M - k) * log_1mp, 0.0)
-    return out
+    pos = M - k
+    log_w = _log_binom_row(M) + k * -Lambda
+    log_w += pos * log1mexp(Lambda)
+    w = np.exp(log_w, out=log_w)
+    seq = np.rint(q * pos)
+    Em = float(w @ seq)
+    s = math.exp(-Lambda)
+    p = -math.expm1(-Lambda)
+    r = s / p
+    dEm = float((w * seq) @ (pos * r - k))
+    return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
 def expected_m(Lambda: float, M: int, q: float) -> float:
@@ -91,34 +124,13 @@ def expected_m(Lambda: float, M: int, q: float) -> float:
     count is the nearest integer to q times the positive count, so the
     expectation is a finite sum over that distribution.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    if Lambda <= 0.0 or q == 0.0:
-        return 0.0
-    log_w = _binom_log_weights(M, -Lambda, log1mexp(Lambda))
-    seq = np.array([nint(q * (M - k)) for k in range(M + 1)], dtype=float)
-    return float(np.exp(log_w) @ seq)
-
-
-def _expected_y_factor(Lambda: float, M: int, q: float) -> float:
-    """Sum over the positive-well count k of C(M,k) <qk> (1-e^-L)^{k-1} e^{-L(M-k)}."""
-    if Lambda <= 0.0 or q == 0.0:
-        return 0.0
-    l1m = log1mexp(Lambda)
-    total = 0.0
-    for k in range(1, M + 1):
-        seq = nint(q * k)
-        if seq == 0:
-            continue
-        total += seq * math.exp(log_binom(M, k) + (k - 1) * l1m - Lambda * (M - k))
-    return total
+    return _binomial_sums(Lambda, M, q)[0]
 
 
 def expected_y(lam, Lambda: float, M: int, q: float):
     """Expected per-lineage count of sequenced positive wells; vectorized in lam."""
     lam = np.asarray(lam, dtype=float)
-    factor = _expected_y_factor(Lambda, M, q)
-    return -np.expm1(-lam) * factor
+    return -np.expm1(-lam) * _binomial_sums(Lambda, M, q)[1]
 
 
 def fisher_information(lam, M: int, q: float) -> FisherInfo:
@@ -133,13 +145,39 @@ def fisher_information(lam, M: int, q: float) -> FisherInfo:
         raise ValueError("fisher_information requires strictly positive rates")
     Lam = float(lam.sum())
     tL = math.expm1(Lam)
-    Em = expected_m(Lam, M, q)
+    Em, F, _, _ = _binomial_sums(Lam, M, q)
     common = (M - M * math.exp(-Lam) - Em) * (tL + 1.0) / (tL * tL)
     t = np.expm1(lam)
-    diag = expected_y(lam, Lam, M, q) * (t + 1.0) / (t * t) + common
+    diag = -np.expm1(-lam) * F * (t + 1.0) / (t * t) + common
     matrix = np.full((lam.size, lam.size), common)
     np.fill_diagonal(matrix, diag)
     return FisherInfo(matrix=matrix, at=lam.copy())
+
+
+def _information_derivative(lam, M: int, q: float):
+    """Closed-form lam-derivative of :func:`fisher_information`, with its sums.
+
+    The information is I_ij = c + delta_ij F / t_i with t_i = e^{lam_i} - 1
+    and c = (M p - Em) (t + 1) / t^2, where t = e^Lam - 1, p = 1 - e^{-Lam}
+    and Em, F are the sums of :func:`_binomial_sums`; c, Em and F depend on
+    the rates through Lam = sum_i lam_i only.  Hence
+
+        dI_ij / dlam_k = d_common + delta_ij d_diag_i - delta_ij delta_ik d_self_i
+
+    with d_common = dc/dLam, d_diag = F' / t_i and d_self = F (t_i + 1) / t_i^2.
+    Returns (d_common, d_diag, d_self, Em, F).
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if np.any(lam <= 0):
+        raise ValueError("the information derivative requires strictly positive rates")
+    Lam = float(lam.sum())
+    tL = math.expm1(Lam)
+    s = math.exp(-Lam)
+    Em, F, dEm, dF = _binomial_sums(Lam, M, q)
+    curvature = (M - M * s - Em) * (tL + 1.0) * (tL + 2.0) / tL**3
+    d_common = (M * s - dEm) * (tL + 1.0) / (tL * tL) - curvature
+    t = np.expm1(lam)
+    return d_common, dF / t, F * (t + 1.0) / (t * t), Em, F
 
 
 def fisher_information_multi(tau, levels) -> FisherInfo:
@@ -270,8 +308,12 @@ def fit_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: fl
     if n == 0:
         return _fit_total_only(assay, opts, alpha)
 
+    # A trial step whose rates leave the float range is rejected outright; the
+    # solver evaluates the gradient only where the objective is finite.
     def objective(theta):
-        return multi_log_likelihood(np.exp(theta), assay)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = multi_log_likelihood(np.exp(theta), assay)
+        return value if math.isfinite(value) else -math.inf
 
     def grad(theta):
         tau = np.exp(theta)
@@ -338,6 +380,14 @@ def _newton_polish(theta: np.ndarray, assay: MultiDilutionAssay, tol: float, max
     return theta, gnorm <= tol
 
 
+def _expm1(x: float) -> float:
+    """e^x - 1, or inf where it passes the float range."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
 def _total_only_loglik(T: float, levels) -> float:
     total = 0.0
     for lv in levels:
@@ -351,17 +401,18 @@ def _total_only_loglik(T: float, levels) -> float:
 def _newton_polish_total(T: float, levels, tol: float, max_steps: int = 10):
     """Newton refinement of the one-parameter fit in phi = log(T)."""
     def dphi(T):
-        dT = sum(lv.u * ((lv.M - lv.M_N) / math.expm1(lv.u * T) - lv.M_N) for lv in levels)
+        dT = sum(lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels)
         return T * dT, dT
 
     g, dT = dphi(T)
     for _ in range(max_steps):
         if abs(g) <= tol:
             return T, True
-        t = [math.expm1(lv.u * T) for lv in levels]
+        t = [_expm1(lv.u * T) for lv in levels]
         d2T = -sum(
             lv.u * lv.u * (lv.M - lv.M_N) * (tk + 1.0) / (tk * tk)
             for lv, tk in zip(levels, t)
+            if tk < math.inf  # a level with e^{uT} past the float range adds 0
         )
         d2phi = T * T * d2T + g
         if d2phi >= 0:
@@ -384,12 +435,14 @@ def _fit_total_only(assay: MultiDilutionAssay, opts, alpha: float) -> FitResult:
         log_lik = _total_only_loglik(T, levels)
     else:
         def objective(phi):
-            return _total_only_loglik(float(np.exp(phi[0])), levels)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _total_only_loglik(float(np.exp(phi[0])), levels)
+            return value if math.isfinite(value) else -math.inf
 
         def grad(phi):
             T = float(np.exp(phi[0]))
             g = sum(
-                lv.u * ((lv.M - lv.M_N) / math.expm1(lv.u * T) - lv.M_N) for lv in levels
+                lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels
             )
             return np.array([T * g])
 
@@ -403,7 +456,7 @@ def _fit_total_only(assay: MultiDilutionAssay, opts, alpha: float) -> FitResult:
         T, polished = _newton_polish_total(T, levels, tol)
         iterations, converged = res.iterations, res.converged or polished
         log_lik = _total_only_loglik(T, levels)
-    info = sum(lv.u * lv.u * lv.M / math.expm1(lv.u * T) for lv in levels)
+    info = sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)
     se = 1.0 / math.sqrt(info)
     return FitResult(
         tau_hat=np.array([T]),

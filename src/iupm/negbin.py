@@ -139,7 +139,7 @@ def fit_negbin(assay: MultiDilutionAssay, opts: OptOptions | None = None) -> NBF
         raise IdentifiabilityError("the overdispersed fit needs sequencing data (n >= 1)")
     pois = fit_mle(assay, opts)
     if pois.extreme is not poisson.ExtremeOutcome.REGULAR:
-        raise ValueError(f"cannot fit an overdispersed model to a {pois.extreme.value} assay")
+        raise IdentifiabilityError(f"cannot fit an overdispersed model to a {pois.extreme.value} assay")
     theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
     n = theta0.size
 

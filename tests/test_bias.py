@@ -8,6 +8,7 @@ from iupm import (
     MultiDilutionAssay,
     a_matrices,
     bias_term,
+    fisher_information_multi,
     fit_bc_mle,
     fit_mle,
     third_derivative_expectations,
@@ -90,6 +91,37 @@ class TestAMatrices:
         displayed = a_matrices(tau, levels, displayed_sign=True).a_blocks[0][0, 0]
         dI = a_matrices(tau, levels).dI_dtau[0][0, 0]
         assert displayed - fixed == pytest.approx(2.0 * dI, rel=1e-8)
+
+
+def central_difference_dI(tau, levels):
+    """dI/dtau_k by central differences with step 1e-4 tau_k."""
+    blocks = []
+    for k in range(tau.size):
+        h = 1e-4 * tau[k]
+        hi, lo = tau.copy(), tau.copy()
+        hi[k] += h
+        lo[k] -= h
+        blocks.append(
+            (fisher_information_multi(hi, levels).matrix - fisher_information_multi(lo, levels).matrix)
+            / (2.0 * h)
+        )
+    return blocks
+
+
+class TestClosedFormInformationDerivative:
+    @pytest.mark.parametrize(
+        "tau, levels",
+        [
+            (np.array([0.2, 0.5]), [(1.0, 37, 0.25)]),
+            (np.array([0.3, 0.1, 0.6]), [(1.0, 2000, 0.5)]),
+            (np.array([0.2, 0.3, 0.1]), [(0.5, 12, 0.0), (1.0, 24, 0.5), (2.0, 36, 1.0)]),
+            (np.array([0.05, 0.4, 0.25]), [(0.5, 30, 0.75), (1.0, 60, 0.5), (3.0, 12, 0.25)]),
+        ],
+    )
+    def test_matches_central_difference(self, tau, levels):
+        closed = a_matrices(tau, levels).dI_dtau
+        for k, numeric in enumerate(central_difference_dI(tau, levels)):
+            np.testing.assert_allclose(closed[k], numeric, rtol=1e-6)
 
 
 class TestBiasTerm:

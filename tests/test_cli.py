@@ -119,6 +119,28 @@ class TestFit:
         line = next(l for l in out.splitlines() if l.startswith("estimate.iupm"))
         assert line.split()[-1] == "0.0451947"[:9]
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    @pytest.mark.parametrize("subject", ["C1", "boundary"])
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha, subject):
+        if subject == "boundary":
+            lv = DilutionLevelData(u=1.0, M=6, M_N=0, m=3, Y=(3,))
+            path = tmp_path / "boundary.json"
+            path.write_text(to_summary_json(MultiDilutionAssay((lv,), 1)))
+        else:
+            path = write_subject(tmp_path, subject)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--alpha" in err
+
+    def test_boolean_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": True, "Y": [1]}]}))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "m must be an integer" in err
+
     def test_output_file(self, tmp_path, capsys):
         path = write_subject(tmp_path, "C1")
         out_path = tmp_path / "report.json"
@@ -136,6 +158,24 @@ class TestLrt:
         code, _, err = run_cli(capsys, "lrt", "--input", str(path))
         assert code == 2
         assert "identifiable" in err
+
+    def test_boundary_assay_exits_2(self, tmp_path, capsys):
+        levels = (
+            DilutionLevelData(u=1.0, M=6, M_N=0, m=3, Y=(3,)),
+            DilutionLevelData(u=2.0, M=6, M_N=0, m=6, Y=(6,)),
+        )
+        path = tmp_path / "boundary.json"
+        path.write_text(to_summary_json(MultiDilutionAssay(levels, 1)))
+        code, out, err = run_cli(capsys, "lrt", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "all-positive-single-dvl" in err
+
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        path = write_subject(tmp_path, "C1")
+        code, _, err = run_cli(capsys, "lrt", "--input", str(path), "--alpha", "1.5")
+        assert code == 2
+        assert err.count("\n") == 1 and "--alpha" in err
 
     def test_reports_statistic_and_fits(self, tmp_path, capsys):
         scn = SimScenario(

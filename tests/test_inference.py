@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from iupm import (
     wald_ci,
 )
 from iupm.inference import level_params
+from iupm.special import log1mexp, log_binom, nint
 from helpers import (
     enumerate_expectations,
     load_subjects,
@@ -73,6 +75,54 @@ class TestExpectations:
         ey = float(expected_y(lam_i, Lam, M, q))
         em = expected_m(Lam, M, q)
         assert -1e-12 <= ey <= em + 1e-12 <= M + 1e-12
+
+
+def scalar_expected_m(Lam, M, q):
+    """Per-k reference: log weights term by term, then one dot product."""
+    if Lam <= 0.0 or q == 0.0:
+        return 0.0
+    k = np.arange(M + 1, dtype=float)
+    log_w = np.array([log_binom(M, kk) for kk in range(M + 1)])
+    log_w += np.where(k > 0, k * -Lam, 0.0)
+    log_w += np.where(M - k > 0, (M - k) * log1mexp(Lam), 0.0)
+    seq = np.array([nint(q * (M - kk)) for kk in range(M + 1)], dtype=float)
+    return float(np.exp(log_w) @ seq)
+
+
+def scalar_expected_y(lam, Lam, M, q):
+    """Per-k reference: sum over the negative-well count k < M of
+    C(M,k) <q(M-k)> e^{-Lam k} (1-e^-Lam)^{M-k-1}, scaled by 1 - e^{-lam}.
+
+    log C(M, k) is taken at the negative count, as in ``expected_m``; the
+    mirror form log C(M, M-k) rounds differently, and at M = 2000, where the
+    lgamma terms are near 1e4, the two sums part by up to 2e-13.
+    """
+    if Lam <= 0.0 or q == 0.0:
+        return 0.0 * lam
+    l1m = log1mexp(Lam)
+    total = 0.0
+    for k in range(M):
+        seq = nint(q * (M - k))
+        if seq:
+            total += seq * math.exp(log_binom(M, k) - Lam * k + (M - k - 1) * l1m)
+    return -np.expm1(-lam) * total
+
+
+class TestVectorizedExpectations:
+    @pytest.mark.parametrize("M", [1, 2, 12, 37, 2000])
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
+    def test_match_scalar_loops(self, M, q):
+        # q = 0.25 and 0.5 put positive counts on the round-half-even ties of nint
+        for Lam in (0.01, 0.3, math.log(2.0), 1.7, 6.0):
+            lam = np.array([0.2, 0.5, 0.3]) * Lam
+            assert expected_m(Lam, M, q) == scalar_expected_m(Lam, M, q)
+            np.testing.assert_allclose(
+                expected_y(lam, Lam, M, q), scalar_expected_y(lam, Lam, M, q), rtol=1e-13, atol=0.0
+            )
+
+    def test_q_outside_unit_interval_raises(self):
+        with pytest.raises(ValueError):
+            expected_y(0.2, 1.0, 12, 1.5)
 
 
 class TestFisherInformation:
@@ -289,6 +339,28 @@ class TestFitMle:
         )
         fit = fit_mle(MultiDilutionAssay(levels, 0))
         assert fit.iupm == pytest.approx(myers_mle_bisect(levels), abs=1e-9)
+
+    def test_overflowing_trial_steps_raise_no_warning(self):
+        # at M = 20000 the first BFGS trial steps push exp(theta) past the float range
+        lv = DilutionLevelData(u=1.0, M=20000, M_N=7358, m=6321, Y=(2835, 2840, 2830))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(MultiDilutionAssay((lv,), 3))
+        assert fit.converged
+        assert fit.iupm == pytest.approx(1.0, rel=1e-3)
+
+    def test_total_only_fit_with_widely_spread_dilutions(self):
+        # at u = 1000 the solver's trial steps put e^{uT} past the float range
+        levels = (
+            DilutionLevelData(u=1000.0, M=12, M_N=3, m=0, Y=(), q=0.0),
+            DilutionLevelData(u=0.001, M=12, M_N=10, m=0, Y=(), q=0.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(MultiDilutionAssay(levels, 0))
+        assert fit.converged
+        assert fit.iupm == pytest.approx(myers_mle_bisect(levels, hi=0.5), rel=1e-7)
+        assert math.isfinite(fit.se_iupm) and fit.se_iupm > 0.0
 
     def test_level_params_use_recorded_or_derived_q(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=3, Y=(3,))
