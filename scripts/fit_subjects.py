@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from iupm import DilutionLevelData, MultiDilutionAssay, fit_bc_mle, fit_mle
+from iupm import DilutionLevelData, MultiDilutionAssay, bias_correct, fit_mle
 
 
 def subject_assay(record):
@@ -39,7 +39,7 @@ def main():
     for name, record in subjects.items():
         assay = subject_assay(record)
         fit = fit_mle(assay, alpha=args.alpha)
-        bc = fit_bc_mle(assay, alpha=args.alpha)
+        bc = bias_correct(fit, assay)
         print(
             f"{name:<8} {fit.iupm:6.2f} ({fit.ci[0]:5.2f}, {fit.ci[1]:5.2f})   "
             f"{bc.iupm:6.2f} ({bc.ci[0]:5.2f}, {bc.ci[1]:5.2f})"

@@ -27,7 +27,14 @@ from .assay import (
     validate,
     wells_to_csv,
 )
-from .bias import BiasComponents, a_matrices, bias_term, fit_bc_mle, third_derivative_expectations
+from .bias import (
+    BiasComponents,
+    a_matrices,
+    bias_correct,
+    bias_term,
+    fit_bc_mle,
+    third_derivative_expectations,
+)
 from .imperfect import (
     ImperfectFitError,
     ImperfectModel,

@@ -31,12 +31,14 @@ from .assay import MultiDilutionAssay
 from .inference import FitResult, _information_derivative, fit_mle, level_params, wald_ci
 from .optimize import OptOptions
 from .poisson import ExtremeOutcome
+from .special import expm1_ratio
 
 __all__ = [
     "BiasComponents",
     "third_derivative_expectations",
     "a_matrices",
     "bias_term",
+    "bias_correct",
     "fit_bc_mle",
 ]
 
@@ -61,10 +63,8 @@ def _level_terms(lam, M: int, q: float):
     d_common, d_diag, d_self, Em, F = _information_derivative(lam, M, q)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     Lam = float(lam.sum())
-    tL = math.expm1(Lam)
-    third_common = (M - M * math.exp(-Lam) - Em) * (tL + 1.0) * (tL + 2.0) / tL**3
-    t = np.expm1(lam)
-    third_diag = -np.expm1(-lam) * F * (t + 1.0) * (t + 2.0) / t**3 + third_common
+    third_common = expm1_ratio(M - M * math.exp(-Lam) - Em, Lam, 3)
+    third_diag = expm1_ratio(-np.expm1(-lam) * F, lam, 3) + third_common
     return third_diag, float(third_common), d_common, d_diag, d_self
 
 
@@ -119,30 +119,37 @@ def bias_term(tau_hat, cov: np.ndarray, components: BiasComponents) -> np.ndarra
     return cov @ inner
 
 
-def fit_bc_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: float = 0.05) -> FitResult:
-    """Bias-corrected MLE: the plain fit minus the estimated first-order bias.
+def bias_correct(fit: FitResult, assay: MultiDilutionAssay) -> FitResult:
+    """The Poisson fit of ``assay`` minus its estimated first-order bias.
 
-    Components pushed below zero by the correction are clamped to zero (rates
-    are non-negative) and counted in ``clamped``.  The covariance consistently
-    estimates the corrected estimator's variance too, so the interval is the
-    same Wald construction recentered on the corrected total.
+    Boundary and unconverged fits come back unchanged.  Components pushed
+    below zero by the correction are clamped to zero (rates are non-negative)
+    and counted in ``clamped``.  The covariance consistently estimates the
+    corrected estimator's variance too, so the interval is the same Wald
+    construction at ``fit.alpha``, recentered on the corrected total.
     """
-    fit = fit_mle(assay, opts, alpha)
     if fit.extreme is not ExtremeOutcome.REGULAR or not fit.converged:
         return fit
-    levels = level_params(assay)
-    comps = a_matrices(fit.tau_hat, levels)
+    comps = a_matrices(fit.tau_hat, level_params(assay))
     b = bias_term(fit.tau_hat, fit.covariance, comps)
     corrected = fit.tau_hat - b
     clamped = int(np.sum(corrected < 0.0))
     corrected = np.maximum(corrected, 0.0)
     iupm = float(corrected.sum())
-    ci = wald_ci(iupm, fit.se_iupm, alpha)
     return replace(
         fit,
         tau_hat=corrected,
         iupm=iupm,
-        ci=ci,
+        ci=wald_ci(iupm, fit.se_iupm, fit.alpha),
         bias=b,
         clamped=clamped,
     )
+
+
+def fit_bc_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: float = 0.05) -> FitResult:
+    """Bias-corrected MLE: :func:`bias_correct` applied to a new :func:`fit_mle`.
+
+    A caller that already holds the Poisson fit of ``assay`` should pass it to
+    :func:`bias_correct` instead, which reuses it.
+    """
+    return bias_correct(fit_mle(assay, opts, alpha), assay)

@@ -26,7 +26,7 @@ from .assay import (
     summarize_well_assay,
     validate,
 )
-from .bias import fit_bc_mle
+from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
 from .negbin import IdentifiabilityError, fit_negbin, lrt_from_loglik
@@ -186,7 +186,7 @@ def _cmd_fit(args) -> int:
     report = {"command": "fit", "model": "poisson", "n": assay.n, "estimate": _fit_payload(fit)}
     ok = fit.converged
     if args.bias_correct:
-        bc = fit_bc_mle(assay, alpha=args.alpha)
+        bc = bias_correct(fit, assay)
         payload = _fit_payload(bc)
         payload["bias"] = [float(b) for b in bc.bias] if bc.bias is not None else None
         payload["clamped"] = bc.clamped
@@ -199,7 +199,7 @@ def _cmd_fit(args) -> int:
 def _cmd_lrt(args) -> int:
     assay = _load_perfect_assay(args)
     pois = fit_mle(assay, alpha=args.alpha)
-    nb = fit_negbin(assay)
+    nb = fit_negbin(assay, pois=pois)
     res = lrt_from_loglik(pois.log_lik, nb.log_lik)
     report = {
         "command": "lrt",

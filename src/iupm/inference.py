@@ -18,7 +18,7 @@ from . import poisson
 from .assay import MultiDilutionAssay
 from .poisson import ExtremeOutcome, classify_extreme
 from .optimize import OptOptions, maximize
-from .special import log1mexp, normal_quantile
+from .special import expm1_ratio, log1mexp, normal_quantile
 
 __all__ = [
     "SingularInformationError",
@@ -144,11 +144,9 @@ def fisher_information(lam, M: int, q: float) -> FisherInfo:
     if np.any(lam <= 0):
         raise ValueError("fisher_information requires strictly positive rates")
     Lam = float(lam.sum())
-    tL = math.expm1(Lam)
     Em, F, _, _ = _binomial_sums(Lam, M, q)
-    common = (M - M * math.exp(-Lam) - Em) * (tL + 1.0) / (tL * tL)
-    t = np.expm1(lam)
-    diag = -np.expm1(-lam) * F * (t + 1.0) / (t * t) + common
+    common = expm1_ratio(M - M * math.exp(-Lam) - Em, Lam, 2)
+    diag = expm1_ratio(-np.expm1(-lam) * F, lam, 2) + common
     matrix = np.full((lam.size, lam.size), common)
     np.fill_diagonal(matrix, diag)
     return FisherInfo(matrix=matrix, at=lam.copy())
@@ -171,13 +169,11 @@ def _information_derivative(lam, M: int, q: float):
     if np.any(lam <= 0):
         raise ValueError("the information derivative requires strictly positive rates")
     Lam = float(lam.sum())
-    tL = math.expm1(Lam)
     s = math.exp(-Lam)
     Em, F, dEm, dF = _binomial_sums(Lam, M, q)
-    curvature = (M - M * s - Em) * (tL + 1.0) * (tL + 2.0) / tL**3
-    d_common = (M * s - dEm) * (tL + 1.0) / (tL * tL) - curvature
-    t = np.expm1(lam)
-    return d_common, dF / t, F * (t + 1.0) / (t * t), Em, F
+    curvature = expm1_ratio(M - M * s - Em, Lam, 3)
+    d_common = expm1_ratio(M * s - dEm, Lam, 2) - curvature
+    return d_common, expm1_ratio(dF, lam, 1), expm1_ratio(F, lam, 2), Em, F
 
 
 def fisher_information_multi(tau, levels) -> FisherInfo:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import poisson
 from .assay import MultiDilutionAssay
-from .inference import fit_mle
+from .inference import FitResult, fit_mle
 from .optimize import OptOptions, fd_newton_polish, maximize_box
 from .special import chi2_1_upper_tail
 
@@ -123,12 +123,16 @@ def _nb_gradient(tau, gamma: float, assay: MultiDilutionAssay) -> tuple[np.ndarr
     return g_tau, g_gamma
 
 
-def fit_negbin(assay: MultiDilutionAssay, opts: OptOptions | None = None) -> NBFit:
+def fit_negbin(
+    assay: MultiDilutionAssay, opts: OptOptions | None = None, *, pois: FitResult | None = None
+) -> NBFit:
     """Joint MLE of (tau, gamma) with gamma constrained to [0, inf).
 
     Starts from the Poisson fit with gamma = 0.1; if that run stalls on the
     gamma boundary without meeting the tolerance it is retried from gamma = 1
-    and the better of the two is kept.
+    and the better of the two is kept.  ``pois`` is the Poisson fit of
+    ``assay`` when the caller already holds it; it is reused for the start,
+    the boundary check and the gamma = 0 fallback instead of being refitted.
     """
     if assay.D < 2:
         raise IdentifiabilityError(
@@ -137,7 +141,8 @@ def fit_negbin(assay: MultiDilutionAssay, opts: OptOptions | None = None) -> NBF
         )
     if assay.n == 0:
         raise IdentifiabilityError("the overdispersed fit needs sequencing data (n >= 1)")
-    pois = fit_mle(assay, opts)
+    if pois is None:
+        pois = fit_mle(assay, opts)
     if pois.extreme is not poisson.ExtremeOutcome.REGULAR:
         raise IdentifiabilityError(f"cannot fit an overdispersed model to a {pois.extreme.value} assay")
     theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
@@ -204,6 +209,11 @@ def lrt_from_loglik(log_lik_poisson: float, log_lik_negbin: float) -> LrtResult:
 
 
 def lrt_overdispersion(assay: MultiDilutionAssay, opts: OptOptions | None = None) -> LrtResult:
+    """Boundary LRT for overdispersion on one assay.
+
+    The Poisson fit is the null fit and also the start of the negative-binomial
+    fit, which reuses it.
+    """
     pois = fit_mle(assay, opts)
-    nb = fit_negbin(assay, opts)
+    nb = fit_negbin(assay, opts, pois=pois)
     return lrt_from_loglik(pois.log_lik, nb.log_lik)

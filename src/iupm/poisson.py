@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .assay import DilutionLevelData, MultiDilutionAssay
-from .special import log1mexp, log1mexp_arr
+from .special import expm1_ratio, log1mexp, log1mexp_arr
 
 __all__ = [
     "ExtremeOutcome",
@@ -88,13 +88,10 @@ def hessian(lam, level: DilutionLevelData) -> np.ndarray:
     """Second derivatives: diagonal per-lineage terms plus a shared rank-one term."""
     lam, Y = _unpack(lam, level)
     unseq = level.M - level.M_N - level.m
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.expm1(lam)
-        diag = np.where(Y > 0, -Y * (t + 1.0) / (t * t), 0.0)
+    diag = np.where(Y > 0, expm1_ratio(-Y, lam, 2), 0.0)
     H = np.diag(diag)
     if unseq != 0:
-        tL = math.expm1(float(lam.sum()))
-        H = H - unseq * (tL + 1.0) / (tL * tL)
+        H = H - expm1_ratio(unseq, float(lam.sum()), 2)
     return H
 
 

@@ -14,14 +14,15 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .assay import AssayDataError, DilutionLevelData, ErrorRates, MultiDilutionAssay, WellAssay, WellRecord, summarize_wells
-from .bias import fit_bc_mle
+from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
-from .negbin import fit_negbin, lrt_overdispersion
+from .negbin import IdentifiabilityError, fit_negbin, lrt_overdispersion
 from .poisson import ExtremeOutcome, classify_extreme
 from .special import nint
 
@@ -246,36 +247,59 @@ def _simulate_until_regular(scenario: SimScenario, rng, max_attempts: int = 10_0
     raise RuntimeError("scenario keeps producing divergent assays; refusing to loop forever")
 
 
-def _usable(fit: FitResult):
-    if fit.extreme is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL or not fit.converged:
+def _usable(fit: FitResult | None):
+    """A fit's (estimate, se, lower, upper); None excludes the replicate.
+
+    A failed shared fit (None), an unconverged one and an infinite one are
+    excluded.  An assay that is infinite only without its sequencing data is
+    excluded from the no-sequencing estimators, not redrawn.
+    """
+    if fit is None or fit.extreme is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL or not fit.converged:
         return None
     return fit.iupm, fit.se_iupm, fit.ci[0], fit.ci[1]
 
 
-def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw):
-    """One replicate's (estimate, se, lower, upper); None excludes the replicate."""
+_WITHOUT_UDSA = (MLE_WITHOUT_UDSA, BC_MLE_WITHOUT_UDSA)
+_BIAS_CORRECTED = (BC_MLE_WITH_UDSA, BC_MLE_WITHOUT_UDSA)
+
+
+def _apply_estimators(names, scenario: SimScenario, draw: SimDraw) -> dict:
+    """Each estimator's (estimate, se, lower, upper) on one replicate; None excludes it.
+
+    The assay and its strip_udsa() copy are each fitted by Poisson MLE at most
+    once, and every estimator built on that fit shares it.  A
+    SingularInformationError from a shared fit excludes all of them.
+    """
+
+    @cache
+    def poisson_fit(without_udsa: bool):
+        assay = draw.assay.strip_udsa() if without_udsa else draw.assay
+        try:
+            return assay, fit_mle(assay)
+        except SingularInformationError:
+            return assay, None
+
+    return {nm: _apply_estimator(nm, scenario, draw, poisson_fit) for nm in names}
+
+
+def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fit):
     try:
-        if name in (MLE_WITH_UDSA, PERFECT_ASSUMED_MLE):
-            return _usable(fit_mle(draw.assay))
-        if name == BC_MLE_WITH_UDSA:
-            return _usable(fit_bc_mle(draw.assay))
-        if name in (MLE_WITHOUT_UDSA, BC_MLE_WITHOUT_UDSA):
-            stripped = draw.assay.strip_udsa()
-            if classify_extreme(stripped) is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
-                return None  # infinite without sequencing data: excluded, not redrawn
-            fitter = fit_mle if name == MLE_WITHOUT_UDSA else fit_bc_mle
-            return _usable(fitter(stripped))
-        if name == NB_MLE:
-            nb = fit_negbin(draw.assay)
-            if not nb.converged:
-                return None
-            return nb.iupm, math.nan, math.nan, math.nan
         if name == IMPERFECT_MLE:
             model = ImperfectModel(rates=scenario.rates, assays=draw.well_assays)
             return _usable(fit_imperfect(model))
+        if name not in _ALL_ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r}")
+        assay, fit = poisson_fit(name in _WITHOUT_UDSA)
+        if fit is None:
+            return None
+        if name in _BIAS_CORRECTED:
+            return _usable(bias_correct(fit, assay))
+        if name == NB_MLE:
+            nb = fit_negbin(assay, pois=fit)
+            return (nb.iupm, math.nan, math.nan, math.nan) if nb.converged else None
+        return _usable(fit)
     except (ImperfectFitError, SingularInformationError):
         return None
-    raise ValueError(f"unknown estimator {name!r}")
 
 
 def _default_estimators(model: str) -> list[str]:
@@ -317,8 +341,7 @@ def run_study(
         rng = _rng_for(scenario.seed, rep)
         draw, n_discarded = _simulate_until_regular(scenario, rng)
         discards[rep] = n_discarded
-        for nm in names:
-            out = _apply_estimator(nm, scenario, draw)
+        for nm, out in _apply_estimators(names, scenario, draw).items():
             if out is not None:
                 columns[nm][:, rep] = out
 
@@ -368,7 +391,7 @@ def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05, threads:
             draw, _ = _simulate_until_regular(scn, rng)
             try:
                 res = lrt_overdispersion(draw.assay)
-            except (SingularInformationError, ValueError):
+            except (SingularInformationError, IdentifiabilityError):
                 return
             reject[rep] = 1.0 if res.p_value <= alpha else 0.0
 

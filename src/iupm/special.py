@@ -6,6 +6,7 @@ Everything here is stateless and thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -15,11 +16,13 @@ __all__ = [
     "log1mexp",
     "log1mexp_arr",
     "log_binom",
+    "expm1_ratio",
     "chi2_1_upper_tail",
     "normal_quantile",
 ]
 
 _LOG2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 _STD_NORMAL = NormalDist()
 
 
@@ -58,6 +61,33 @@ def log1mexp_arr(x) -> np.ndarray:
         big = ~small
         out[big] = np.log1p(-np.exp(-x[big]))
     return out
+
+
+def expm1_ratio(c, x, k: int):
+    """c times the k-th of 1/t, (t + 1)/t^2 and (t + 1)(t + 2)/t^3, with t = e^x - 1.
+
+    These are the magnitudes of 1/t and of its first two x-derivatives.  While
+    t^k is a float the value is computed as written (math for a scalar x, numpy
+    for an array); past that every one of them equals c e^{-x} to double
+    precision, which is returned instead, so no term overflows.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        if x > _LOG_MAX / k:
+            return c * math.exp(-x)
+        return _expm1_ratio(c, math.expm1(x), k)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        direct = _expm1_ratio(c, np.expm1(x), k)
+    return np.where(x > _LOG_MAX / k, c * np.exp(-x), direct)
+
+
+def _expm1_ratio(c, t, k: int):
+    if k == 1:
+        return c / t
+    if k == 2:
+        return c * (t + 1.0) / (t * t)
+    return c * (t + 1.0) * (t + 2.0) / t**3
 
 
 def log_binom(M: int, k: int) -> float:

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +150,40 @@ class TestFit:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["command"] == "fit"
+
+
+_LARGE_U_T = [
+    # u T passes the float range of e^x at the first level: the second level
+    # puts each lineage near log 2 / 0.001 per million, so 0.5 T is about 1040.
+    {"n": 3, "levels": [{"u": 0.5, "M": 1, "MN": 0, "m": 0, "Y": [0, 0, 0]},
+                        {"u": 0.001, "M": 2, "MN": 0, "m": 2, "Y": [1, 1, 1]}]},
+    # The same with one lineage past the range on its own (u tau_3 about 600).
+    {"n": 3, "levels": [{"u": 0.5, "M": 1, "MN": 0, "m": 0, "Y": [0, 0, 0]},
+                        {"u": 0.001, "M": 4, "MN": 0, "m": 3, "Y": [1, 1, 2]}]},
+]
+
+
+@pytest.mark.parametrize("bias_correct", [False, True])
+@pytest.mark.parametrize("doc", _LARGE_U_T)
+def test_large_u_t_gives_finite_fit_without_warnings(tmp_path, capsys, doc, bias_correct):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    args = ["fit", "--input", str(path)] + (["--bias-correct"] if bias_correct else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    report = json.loads(out)
+    fits = [report["estimate"]] + ([report["bias_corrected"]] if bias_correct else [])
+    for fit in fits:
+        assert math.isfinite(fit["iupm"]) and math.isfinite(fit["se"]) and fit["se"] > 0
+    if doc["levels"][1]["M"] == 2:
+        # The first level adds log(1 - e^{-0.5 T}), which is 0 in double
+        # precision, so each lineage sits at the fully sequenced closed form.
+        np.testing.assert_allclose(report["estimate"]["tau"], [math.log(2.0) / 0.001] * 3, rtol=1e-6)
+        if bias_correct:
+            # (e^lam - 1) / (2 M) per well at lam = log 2 and M = 2, per million.
+            np.testing.assert_allclose(report["bias_corrected"]["bias"], [250.0] * 3, rtol=1e-6)
 
 
 class TestLrt:

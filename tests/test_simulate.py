@@ -15,6 +15,7 @@ from iupm import (
     simulate_level,
     validate,
 )
+from iupm.negbin import LrtResult
 from iupm.poisson import ExtremeOutcome
 from iupm.simulate import (
     BC_MLE_WITHOUT_UDSA,
@@ -222,6 +223,35 @@ class TestLrtPowerStudy:
         assert rows[0]["gamma"] == 0.0 and rows[1]["gamma"] == 4.0
         assert rows[1]["power"] > rows[0]["power"]
         assert rows[0]["power"] <= 0.12  # near the nominal level under the null
+
+    def test_drops_only_unfittable_replicates(self, monkeypatch):
+        from iupm import IdentifiabilityError, SingularInformationError, lrt_power_study
+
+        scn = small_scenario(reps=6, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)))
+        seen = []
+
+        def lrt(assay):
+            seen.append(assay)
+            if len(seen) % 3 == 1:
+                raise IdentifiabilityError("boundary")
+            if len(seen) % 3 == 2:
+                raise SingularInformationError("singular")
+            return LrtResult(statistic=0.0, p_value=1.0)
+
+        monkeypatch.setattr("iupm.simulate.lrt_overdispersion", lrt)
+        rows = lrt_power_study(scn, [1.0])
+        assert len(seen) == 6
+        assert rows == [{"gamma": 1.0, "power": 0.0, "reps": 2}]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        from iupm import lrt_power_study
+
+        def lrt(assay):
+            raise ValueError("a bug, not a data problem")
+
+        monkeypatch.setattr("iupm.simulate.lrt_overdispersion", lrt)
+        with pytest.raises(ValueError, match="a bug"):
+            lrt_power_study(small_scenario(reps=2), [1.0])
 
 
 class TestScenarioIO:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from iupm.special import (
     chi2_1_upper_tail,
+    expm1_ratio,
     log1mexp,
     log1mexp_arr,
     log_binom,
@@ -115,3 +118,33 @@ class TestLog1mexp:
         out = log1mexp_arr(xs)
         for x, o in zip(xs, out):
             assert o == pytest.approx(log1mexp(float(x)), rel=1e-14)
+
+
+class TestExpm1Ratio:
+    @staticmethod
+    def direct(c, t, k):
+        return [c / t, c * (t + 1.0) / (t * t), c * (t + 1.0) * (t + 2.0) / t**3][k - 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bit_identical_to_the_direct_form_in_range(self, k):
+        xs = [1e-6, 0.3, 2.0, 40.0, 200.0, 236.0]
+        for x in xs:
+            assert expm1_ratio(1.7, x, k) == self.direct(1.7, math.expm1(x), k)
+        arr = np.array(xs)
+        c = np.linspace(0.5, 3.0, arr.size)
+        assert np.array_equal(expm1_ratio(c, arr, k), self.direct(c, np.expm1(arr), k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_past_the_float_range_matches_high_precision(self, k):
+        xs = [1.0, 100.0, 236.5, 236.7, 354.8, 355.0, 600.0, 709.7, 709.8, 1040.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [expm1_ratio(2.0, x, k) for x in xs]
+            vector = expm1_ratio(2.0, np.array(xs), k)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for x, got, got_v in zip(xs, scalar, vector):
+                t = Decimal(x).exp() - 1
+                want = float(2 * [1 / t, (t + 1) / t**2, (t + 1) * (t + 2) / t**3][k - 1])
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-320)
+                assert got_v == pytest.approx(want, rel=1e-13, abs=1e-320)
