@@ -25,7 +25,6 @@ def main():
     parser.add_argument("--q", type=float, default=1.0)
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=20230)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     print("M,sens,spec,estimator,bias,ase,cp,n_used")
@@ -41,9 +40,7 @@ def main():
                 reps=args.reps,
                 seed=args.seed,
             )
-            results = run_study(
-                scenario, estimators=[IMPERFECT_MLE, PERFECT_ASSUMED_MLE], threads=args.threads
-            )
+            results = run_study(scenario, estimators=[IMPERFECT_MLE, PERFECT_ASSUMED_MLE])
             for name, m in results.items():
                 ase = "" if m.ase is None else f"{m.ase:.4f}"
                 cp = "" if m.cp is None else f"{m.cp:.4f}"

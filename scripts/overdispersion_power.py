@@ -21,7 +21,6 @@ def main():
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=20230)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     print("wells,gamma,power,reps")
@@ -35,7 +34,7 @@ def main():
             reps=args.reps,
             seed=args.seed,
         )
-        for row in lrt_power_study(scenario, args.gammas, alpha=args.alpha, threads=args.threads):
+        for row in lrt_power_study(scenario, args.gammas, alpha=args.alpha):
             print(f"({M1} {M2} {M3}),{row['gamma']},{row['power']},{row['reps']}")
             sys.stdout.flush()
 

@@ -30,7 +30,6 @@ def main():
     parser.add_argument("--allocation", choices=["constant", "non-constant"], default="constant")
     parser.add_argument("--reps", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=20230)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 
@@ -50,7 +49,6 @@ def main():
                     scenario,
                     estimators=[MLE_WITH_UDSA, BC_MLE_WITH_UDSA, MLE_WITHOUT_UDSA, BC_MLE_WITHOUT_UDSA],
                     comparator=MLE_WITHOUT_UDSA,
-                    threads=args.threads,
                 )
                 name = f"n{n_dvl}_M{M}_q{q}"
                 text = metrics_csv(results, name, args.truth)

@@ -69,7 +69,6 @@ from .negbin import (
     nb_log_likelihood,
     nb_zero_prob,
 )
-from .optimize import OptOptions, OptResult, maximize, maximize_box
 from .poisson import (
     ExtremeOutcome,
     classify_extreme,

@@ -57,7 +57,7 @@ def _check_count(name: str, value, minimum: int = 0) -> int:
         raise AssayDataError(f"{name} must be an integer, got {value!r}")
     try:
         ivalue = int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AssayDataError(f"{name} must be an integer, got {value!r}") from exc
     if ivalue != value or ivalue < minimum:
         raise AssayDataError(f"{name} must be an integer >= {minimum}, got {value!r}")
@@ -93,7 +93,7 @@ class DilutionLevelData:
             self, "Y", tuple(_check_count(f"Y[{i}]", y) for i, y in enumerate(self.Y))
         )
         if self.q is not None:
-            if not (0.0 <= self.q <= 1.0):
+            if not (isinstance(self.q, (int, float)) and 0.0 <= self.q <= 1.0):
                 raise AssayDataError(f"q must lie in [0, 1], got {self.q!r}")
             object.__setattr__(self, "q", float(self.q))
 
@@ -373,10 +373,12 @@ def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
         raise AssayDataError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "levels" not in doc:
         raise AssayDataError('summary-json must be an object with "n" and "levels"')
-    if not doc["levels"]:
-        raise AssayDataError("summary-json has an empty levels list")
+    if not isinstance(doc["levels"], list) or not doc["levels"]:
+        raise AssayDataError('summary-json "levels" must be a non-empty list')
     levels = []
     for d, lv in enumerate(doc["levels"]):
+        if not isinstance(lv, dict):
+            raise AssayDataError(f"level {d}: must be an object, got {lv!r}")
         try:
             levels.append(
                 DilutionLevelData(
@@ -390,6 +392,8 @@ def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
             )
         except KeyError as exc:
             raise AssayDataError(f"level {d}: missing field {exc}") from exc
+        except TypeError as exc:
+            raise AssayDataError(f"level {d}: {exc}") from exc
     assay = MultiDilutionAssay(tuple(levels), doc["n"])
     report = validate(assay)
     if not report.ok:
@@ -440,24 +444,21 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
             continue
         if len(row) != 4 + n:
             raise AssayDataError(f"line {lineno}: expected {4 + n} cells, got {len(row)}")
+        zcells = [c.strip() for c in row[4:]]
         try:
             u = float(row[1])
             w_star = int(row[2])
             r = int(row[3])
-        except ValueError as exc:
-            raise AssayDataError(f"line {lineno}: {exc}") from exc
-        zcells = [c.strip() for c in row[4:]]
-        if r == 1:
-            if any(c == "" for c in zcells):
-                raise AssayDataError(f"line {lineno}: sequenced well has blank z cells")
-            z_star: tuple[int, ...] | None = tuple(int(c) for c in zcells)
-        else:
-            if any(c != "" for c in zcells):
-                raise AssayDataError(f"line {lineno}: unsequenced well must leave z cells blank")
-            z_star = None
-        try:
+            if r == 1:
+                if any(c == "" for c in zcells):
+                    raise AssayDataError("sequenced well has blank z cells")
+                z_star: tuple[int, ...] | None = tuple(int(c) for c in zcells)
+            else:
+                if any(c != "" for c in zcells):
+                    raise AssayDataError("unsequenced well must leave z cells blank")
+                z_star = None
             rec = WellRecord(w_star=w_star, r=r, z_star=z_star)
-        except AssayDataError as exc:
+        except ValueError as exc:
             raise AssayDataError(f"line {lineno}: {exc}") from exc
         if u not in groups:
             groups[u] = []

@@ -29,7 +29,6 @@ import numpy as np
 
 from .assay import MultiDilutionAssay
 from .inference import FitResult, _information_derivative, fit_mle, level_params, wald_ci
-from .optimize import OptOptions
 from .poisson import ExtremeOutcome
 from .special import expm1_ratio
 
@@ -146,10 +145,10 @@ def bias_correct(fit: FitResult, assay: MultiDilutionAssay) -> FitResult:
     )
 
 
-def fit_bc_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: float = 0.05) -> FitResult:
+def fit_bc_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Bias-corrected MLE: :func:`bias_correct` applied to a new :func:`fit_mle`.
 
     A caller that already holds the Poisson fit of ``assay`` should pass it to
     :func:`bias_correct` instead, which reuses it.
     """
-    return bias_correct(fit_mle(assay, opts, alpha), assay)
+    return bias_correct(fit_mle(assay, alpha), assay)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,8 +34,6 @@ from .simulate import metrics_csv, replicates_csv, run_study, scenario_from_json
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NOT_CONVERGED = 3
-
-_THREADS_ENV = "IUPM_THREADS"
 
 
 def _read_input(path: str) -> str:
@@ -222,7 +219,6 @@ def _cmd_simulate(args) -> int:
         scenario,
         estimators=estimators,
         comparator=comparator,
-        threads=args.threads,
         keep_replicates=args.estimates is not None,
     )
     if args.estimates is not None:
@@ -271,12 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--output", "-o", default=None, help="metrics CSV path (default stdout)")
     sim.add_argument("--estimates", default=None, help="also write per-replicate estimates CSV here")
     sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sim.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get(_THREADS_ENV, "1")),
-        help=f"worker threads (default ${_THREADS_ENV} or 1); results do not depend on this",
-    )
     return parser
 
 
@@ -290,10 +280,7 @@ def main(argv=None) -> int:
     handlers = {"fit": _cmd_fit, "lrt": _cmd_lrt, "simulate": _cmd_simulate}
     try:
         return handlers[args.command](args)
-    except (AssayDataError, IdentifiabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except (AssayDataError, IdentifiabilityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ImperfectFitError, SingularInformationError) as exc:

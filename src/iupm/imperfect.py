@@ -24,7 +24,7 @@ import numpy as np
 
 from .assay import AssayDataError, ErrorRates, WellAssay, summarize_well_assay
 from .inference import FitResult, SingularInformationError, covariance, wald_ci
-from .optimize import OptOptions, fd_newton_polish, maximize_box
+from .optimize import fd_newton_polish, maximize_box
 from .poisson import ExtremeOutcome
 
 __all__ = [
@@ -217,7 +217,7 @@ def _observed_information(tau: np.ndarray, free: np.ndarray, grad_full, h_rel: f
     return -H
 
 
-def fit_imperfect(model: ImperfectModel, opts: OptOptions | None = None, alpha: float = 0.05) -> FitResult:
+def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     """Bounded MLE of the per-million rates from per-well data.
 
     Standard errors use the numerical observed information at the optimum;
@@ -241,8 +241,8 @@ def fit_imperfect(model: ImperfectModel, opts: OptOptions | None = None, alpha: 
         return out
 
     tau0 = _initial_tau(model)
-    res = maximize_box(objective, grad, tau0, np.zeros(n), opts)
-    tau, polished = fd_newton_polish(grad, res.x, np.zeros(n), (opts or OptOptions()).grad_tol)
+    res = maximize_box(objective, grad, tau0, np.zeros(n))
+    tau, polished = fd_newton_polish(grad, res.x, np.zeros(n))
     if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
         converged = res.converged or polished
     else:
@@ -257,9 +257,12 @@ def fit_imperfect(model: ImperfectModel, opts: OptOptions | None = None, alpha: 
         raise ImperfectFitError(
             "observed information is singular at the optimum"
         ) from None
+    variance = float(cov_free.sum())
+    if not variance > 0.0:
+        raise ImperfectFitError("observed information is not positive definite at the optimum")
     cov = np.zeros((n, n))
     cov[np.ix_(free, free)] = cov_free
-    se = math.sqrt(float(cov_free.sum()))
+    se = math.sqrt(variance)
     iupm = float(tau.sum())
     return FitResult(
         tau_hat=tau,

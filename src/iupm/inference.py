@@ -265,7 +265,7 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
     return np.log(-np.log(inner))
 
 
-def fit_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: float = 0.05) -> FitResult:
+def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Maximum-likelihood fit of the per-million rates for one assay.
 
     Regular assays are maximized over theta = log(tau) with BFGS; the two
@@ -302,7 +302,7 @@ def fit_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: fl
             extreme=extreme,
         )
     if n == 0:
-        return _fit_total_only(assay, opts, alpha)
+        return _fit_total_only(assay, alpha)
 
     # A trial step whose rates leave the float range is rejected outright; the
     # solver evaluates the gradient only where the objective is finite.
@@ -315,8 +315,8 @@ def fit_mle(assay: MultiDilutionAssay, opts: OptOptions | None = None, alpha: fl
         tau = np.exp(theta)
         return tau * multi_gradient(tau, assay)
 
-    res = maximize(objective, grad, _initial_theta(assay), opts)
-    theta, converged = _newton_polish(res.x, assay, (opts or OptOptions()).grad_tol)
+    res = maximize(objective, grad, _initial_theta(assay))
+    theta, converged = _newton_polish(res.x, assay, OptOptions.grad_tol)
     converged = converged or res.converged
     tau = np.exp(theta)
     info = fisher_information_multi(tau, level_params(assay))
@@ -421,7 +421,7 @@ def _newton_polish_total(T: float, levels, tol: float, max_steps: int = 10):
     return T, abs(g) <= tol
 
 
-def _fit_total_only(assay: MultiDilutionAssay, opts, alpha: float) -> FitResult:
+def _fit_total_only(assay: MultiDilutionAssay, alpha: float) -> FitResult:
     """One-parameter fit of the total rate from well counts alone."""
     levels = assay.levels
     if len(levels) == 1:
@@ -446,10 +446,9 @@ def _fit_total_only(assay: MultiDilutionAssay, opts, alpha: float) -> FitResult:
             math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M
         ]
         T0 = float(np.mean(seeds)) if seeds else 0.5
-        res = maximize(objective, grad, np.array([math.log(T0)]), opts)
+        res = maximize(objective, grad, np.array([math.log(T0)]))
         T = float(np.exp(res.x[0]))
-        tol = (opts or OptOptions()).grad_tol
-        T, polished = _newton_polish_total(T, levels, tol)
+        T, polished = _newton_polish_total(T, levels, OptOptions.grad_tol)
         iterations, converged = res.iterations, res.converged or polished
         log_lik = _total_only_loglik(T, levels)
     info = sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)

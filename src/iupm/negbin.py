@@ -19,7 +19,7 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .inference import FitResult, fit_mle
-from .optimize import OptOptions, fd_newton_polish, maximize_box
+from .optimize import fd_newton_polish, maximize_box
 from .special import chi2_1_upper_tail
 
 __all__ = [
@@ -123,9 +123,7 @@ def _nb_gradient(tau, gamma: float, assay: MultiDilutionAssay) -> tuple[np.ndarr
     return g_tau, g_gamma
 
 
-def fit_negbin(
-    assay: MultiDilutionAssay, opts: OptOptions | None = None, *, pois: FitResult | None = None
-) -> NBFit:
+def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> NBFit:
     """Joint MLE of (tau, gamma) with gamma constrained to [0, inf).
 
     Starts from the Poisson fit with gamma = 0.1; if that run stalls on the
@@ -142,7 +140,7 @@ def fit_negbin(
     if assay.n == 0:
         raise IdentifiabilityError("the overdispersed fit needs sequencing data (n >= 1)")
     if pois is None:
-        pois = fit_mle(assay, opts)
+        pois = fit_mle(assay)
     if pois.extreme is not poisson.ExtremeOutcome.REGULAR:
         raise IdentifiabilityError(f"cannot fit an overdispersed model to a {pois.extreme.value} assay")
     theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
@@ -159,11 +157,10 @@ def fit_negbin(
             return np.concatenate([tau * g_tau, [g_gamma]])
 
     lower = np.concatenate([np.full(n, -math.inf), [0.0]])
-    tol = (opts or OptOptions()).grad_tol
 
     def run(gamma0):
-        res = maximize_box(objective, grad, np.concatenate([theta0, [gamma0]]), lower, opts)
-        x, polished = fd_newton_polish(grad, res.x, lower, tol)
+        res = maximize_box(objective, grad, np.concatenate([theta0, [gamma0]]), lower)
+        x, polished = fd_newton_polish(grad, res.x, lower)
         f_polished = objective(x)
         if f_polished >= res.f - 1e-9 * (abs(res.f) + 1.0):
             res.x, res.f = x, f_polished
@@ -208,12 +205,12 @@ def lrt_from_loglik(log_lik_poisson: float, log_lik_negbin: float) -> LrtResult:
     return LrtResult(statistic=statistic, p_value=0.5 * chi2_1_upper_tail(statistic))
 
 
-def lrt_overdispersion(assay: MultiDilutionAssay, opts: OptOptions | None = None) -> LrtResult:
+def lrt_overdispersion(assay: MultiDilutionAssay) -> LrtResult:
     """Boundary LRT for overdispersion on one assay.
 
     The Poisson fit is the null fit and also the start of the negative-binomial
     fit, which reuses it.
     """
-    pois = fit_mle(assay, opts)
-    nb = fit_negbin(assay, opts, pois=pois)
+    pois = fit_mle(assay)
+    nb = fit_negbin(assay, pois=pois)
     return lrt_from_loglik(pois.log_lik, nb.log_lik)

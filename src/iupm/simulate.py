@@ -1,24 +1,22 @@
 """Monte Carlo study harness: data generation, estimator loops, and metrics.
 
 Replicates use counter-based substreams keyed by (seed, replicate index), so
-results are bit-identical for any thread count and for serial vs parallel
-runs.  Generated assays that hit the divergent all-positive/single-lineage
-outcome are discarded and redrawn (the discard count is reported); replicates
-where only the no-sequencing estimator is infinite are excluded from that
-estimator's cells rather than redrawn.
+reruns of a scenario are bit-identical.  Generated assays that hit the
+divergent all-positive/single-lineage outcome are discarded and redrawn (the
+discard count is reported); replicates where only the no-sequencing estimator
+is infinite are excluded from that estimator's cells rather than redrawn.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
-from .assay import AssayDataError, DilutionLevelData, ErrorRates, MultiDilutionAssay, WellAssay, WellRecord, summarize_wells
+from .assay import AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, WellRecord, restrict_to_detected, summarize_wells
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
@@ -72,6 +70,10 @@ class SimLevel:
     M: int
     q: float
 
+    def __post_init__(self):
+        if not (0 < self.u < math.inf and self.M >= 1 and 0 <= self.q <= 1):
+            raise ValueError(f"a level needs u > 0 finite, M >= 1 and q in [0, 1], got {self}")
+
 
 @dataclass(frozen=True)
 class SimScenario:
@@ -94,18 +96,20 @@ class SimScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        if self.truth <= 0:
-            raise ValueError("truth must be positive")
+        if not 0 < self.truth < math.inf:
+            raise ValueError("truth must be positive and finite")
         if self.n_dvl < 1 or self.reps < 1:
             raise ValueError("n_dvl and reps must be at least 1")
         if self.allocation not in ("constant", "non-constant"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
+        if self.allocation == "non-constant" and self.n_dvl % 2:
+            raise ValueError("non-constant allocation needs an even number of lineages")
         if self.model not in ("poisson", "negbin", "imperfect"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "imperfect" and self.rates is None:
             raise ValueError("the imperfect model needs error rates")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
         if not self.levels:
             raise ValueError("at least one dilution level is required")
         if not 0 <= self.seed < 2**63:
@@ -213,15 +217,12 @@ def _restrict_well_assay(wa: WellAssay, keep: list[int]) -> WellAssay:
 
 
 def _assemble_draw(levels, wells) -> SimDraw:
+    assay = restrict_to_detected(levels)
+    if not wells:
+        return SimDraw(assay=assay)
     pooled = np.sum([lv.y_array() for lv in levels], axis=0)
     keep = [i for i in range(levels[0].n) if pooled[i] >= 1]
-    assay_levels = tuple(
-        DilutionLevelData(u=lv.u, M=lv.M, M_N=lv.M_N, m=lv.m, Y=tuple(lv.Y[i] for i in keep), q=lv.q)
-        for lv in levels
-    )
-    assay = MultiDilutionAssay(assay_levels, len(keep))
-    restricted = tuple(_restrict_well_assay(wa, keep) for wa in wells) if wells else None
-    return SimDraw(assay=assay, well_assays=restricted)
+    return SimDraw(assay=assay, well_assays=tuple(_restrict_well_assay(wa, keep) for wa in wells))
 
 
 def _simulate_until_regular(scenario: SimScenario, rng, max_attempts: int = 10_000):
@@ -244,7 +245,7 @@ def _simulate_until_regular(scenario: SimScenario, rng, max_attempts: int = 10_0
         draw = _assemble_draw(levels, wells)
         if classify_extreme(draw.assay) is not ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
             return draw, attempt
-    raise RuntimeError("scenario keeps producing divergent assays; refusing to loop forever")
+    raise AssayDataError(f"scenario produced {max_attempts} divergent assays in a row; refusing to loop forever")
 
 
 def _usable(fit: FitResult | None):
@@ -287,8 +288,6 @@ def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fi
         if name == IMPERFECT_MLE:
             model = ImperfectModel(rates=scenario.rates, assays=draw.well_assays)
             return _usable(fit_imperfect(model))
-        if name not in _ALL_ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}")
         assay, fit = poisson_fit(name in _WITHOUT_UDSA)
         if fit is None:
             return None
@@ -298,7 +297,7 @@ def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fi
             nb = fit_negbin(assay, pois=fit)
             return (nb.iupm, math.nan, math.nan, math.nan) if nb.converged else None
         return _usable(fit)
-    except (ImperfectFitError, SingularInformationError):
+    except (IdentifiabilityError, ImperfectFitError, SingularInformationError):
         return None
 
 
@@ -314,7 +313,6 @@ def run_study(
     scenario: SimScenario,
     estimators=None,
     comparator: str | None = None,
-    threads: int = 1,
     keep_replicates: bool = False,
 ):
     """Run the scenario and summarize each estimator.
@@ -322,37 +320,30 @@ def run_study(
     ``comparator`` names an estimator whose squared empirical SE forms the
     numerator of the relative-efficiency column for every other estimator.
     With ``keep_replicates`` the per-replicate estimate arrays are returned
-    alongside the metrics.
+    alongside the metrics.  A configuration that no replicate could satisfy
+    raises before any replicate is drawn.
     """
     estimators = list(estimators) if estimators is not None else _default_estimators(scenario.model)
-    unknown = [nm for nm in estimators if nm not in _ALL_ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimators: {unknown}")
-    if scenario.model != "imperfect" and IMPERFECT_MLE in estimators:
-        raise ValueError("the imperfect-assays estimator needs per-well data (model 'imperfect')")
     names = list(estimators)
     if comparator is not None and comparator not in names:
         names.append(comparator)
+    unknown = [nm for nm in names if nm not in _ALL_ESTIMATORS]
+    if unknown:
+        raise AssayDataError(f"unknown estimators: {unknown}")
+    if scenario.model != "imperfect" and IMPERFECT_MLE in names:
+        raise AssayDataError("the imperfect-assays estimator needs per-well data (model 'imperfect')")
+    if NB_MLE in names and len(scenario.levels) < 2:
+        raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
     reps = scenario.reps
     columns = {nm: np.full((4, reps), np.nan) for nm in names}
-    discards = np.zeros(reps, dtype=int)
-
-    def one(rep: int):
-        rng = _rng_for(scenario.seed, rep)
-        draw, n_discarded = _simulate_until_regular(scenario, rng)
-        discards[rep] = n_discarded
+    total_discarded = 0
+    for rep in range(reps):
+        draw, n_discarded = _simulate_until_regular(scenario, _rng_for(scenario.seed, rep))
+        total_discarded += n_discarded
         for nm, out in _apply_estimators(names, scenario, draw).items():
             if out is not None:
                 columns[nm][:, rep] = out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(reps)))
-    else:
-        for rep in range(reps):
-            one(rep)
-
-    total_discarded = int(discards.sum())
     T = scenario.truth
 
     def summarize(nm: str) -> SimMetrics:
@@ -379,28 +370,19 @@ def run_study(
     return metrics
 
 
-def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05, threads: int = 1):
+def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
     """Empirical rejection rate of the overdispersion LRT per dispersion value."""
     rows = []
     for gamma in gammas:
         scn = replace(scenario, model="negbin", gamma=float(gamma))
         reject = np.full(scn.reps, np.nan)
-
-        def one(rep: int):
-            rng = _rng_for(scn.seed, rep)
-            draw, _ = _simulate_until_regular(scn, rng)
+        for rep in range(scn.reps):
+            draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, rep))
             try:
                 res = lrt_overdispersion(draw.assay)
             except (SingularInformationError, IdentifiabilityError):
-                return
+                continue
             reject[rep] = 1.0 if res.p_value <= alpha else 0.0
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one, range(scn.reps)))
-        else:
-            for rep in range(scn.reps):
-                one(rep)
         used = ~np.isnan(reject)
         rows.append(
             {
@@ -438,14 +420,16 @@ def scenario_from_json(text: str | bytes):
             reps=int(doc.get("reps", 1000)),
             seed=int(doc.get("seed", 20230)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise AssayDataError(f"bad scenario: {exc}") from exc
-    estimators = doc.get("estimators")
-    if estimators is not None:
-        bad = [nm for nm in estimators if nm not in _ALL_ESTIMATORS]
-        if bad:
-            raise AssayDataError(f"bad scenario: unknown estimators {bad}")
-    return scenario, estimators, doc.get("comparator")
+    estimators, comparator = doc.get("estimators"), doc.get("comparator")
+    if estimators is not None and not isinstance(estimators, list):
+        raise AssayDataError("bad scenario: estimators must be a list of names")
+    named = (estimators or []) + ([] if comparator is None else [comparator])
+    bad = [nm for nm in named if not (isinstance(nm, str) and nm in _ALL_ESTIMATORS)]
+    if bad:
+        raise AssayDataError(f"bad scenario: unknown estimators {bad}")
+    return scenario, estimators, comparator
 
 
 def scenario_to_json(scenario: SimScenario, estimators=None, comparator=None) -> str:

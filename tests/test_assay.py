@@ -152,6 +152,9 @@ class TestFileFormats:
             parse_summary_json(json.dumps({"n": 0, "levels": []}))
         with pytest.raises(AssayDataError):
             parse_summary_json(json.dumps({"n": 1, "levels": [{"u": 1, "M": 5, "MN": -2, "m": 0, "Y": [0]}]}))
+        for level in ({"u": 1, "M": 5, "MN": 2, "m": 0, "Y": None}, {"u": 1, "M": 1e400, "MN": 2, "m": 0}):
+            with pytest.raises(AssayDataError):
+                parse_summary_json(json.dumps({"n": 0, "levels": [level]}))
 
     def test_wells_round_trip(self):
         rng = np.random.default_rng(5)
@@ -187,6 +190,11 @@ class TestFileFormats:
     def test_wells_blank_z_for_sequenced_rejected(self):
         text = "well,u,w_star,r,z_a\n0,1.0,1,1,\n"
         with pytest.raises(AssayDataError):
+            parse_wells_csv(text)
+
+    def test_wells_non_integer_z_rejected(self):
+        text = "well,u,w_star,r,z_a\n0,1.0,1,1,x\n"
+        with pytest.raises(AssayDataError, match="line 2"):
             parse_wells_csv(text)
 
     def test_wells_filled_z_for_unsequenced_rejected(self):

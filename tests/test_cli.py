@@ -143,6 +143,30 @@ class TestFit:
         assert out == ""
         assert err.count("\n") == 1 and "m must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 2, "Y": [2], "q": "x"}]}, "q must lie"),
+            ({"n": 0, "levels": [5]}, "level 0: must be an object"),
+        ],
+        ids=["string-q", "level-not-object"],
+    )
+    def test_malformed_level_exits_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "assay.json"
+        folder.mkdir()
+        code, out, err = run_cli(capsys, "fit", "--input", str(folder))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_output_file(self, tmp_path, capsys):
         path = write_subject(tmp_path, "C1")
         out_path = tmp_path / "report.json"
@@ -255,12 +279,7 @@ class TestSimulate:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert run_cli(capsys, "simulate", "--input", str(path), "--output", str(out1))[0] == 0
-        assert (
-            run_cli(
-                capsys, "simulate", "--input", str(path), "--output", str(out2), "--threads", "3"
-            )[0]
-            == 0
-        )
+        assert run_cli(capsys, "simulate", "--input", str(path), "--output", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_seed_override_changes_results(self, tmp_path, capsys):
@@ -289,3 +308,37 @@ class TestSimulate:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--input", "/nonexistent/path.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"comparator": "nope"}, "unknown estimators"),
+            ({"estimators": ["imperfect-mle"]}, "per-well data"),
+            ({"allocation": "non-constant", "n_dvl": 3}, "even number of lineages"),
+            ({"model": "negbin", "gamma": 1.0}, "two dilution levels"),
+        ],
+        ids=["unknown-comparator", "imperfect-on-poisson", "odd-non-constant", "single-level-negbin"],
+    )
+    def test_unusable_scenario_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr("iupm.simulate._simulate_until_regular", no_draws)
+        path = self.write_scenario(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_negbin_replicate_without_lineages_is_excluded(self, tmp_path, capsys):
+        # Most replicates at seed 1 detect no lineage or no positive well;
+        # fit_negbin rejects each, and it is dropped from nb-mle instead of
+        # ending the study.
+        path = self.write_scenario(
+            tmp_path, T=0.05, n_dvl=2, model="negbin", gamma=2.0, reps=30, seed=1,
+            levels=[{"u": 1.0, "M": 6, "q": 0.5}, {"u": 2.0, "M": 6, "q": 0.5}],
+        )
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert code == 0, err
+        rows = {line.split(",")[1]: line.split(",") for line in out.splitlines()[1:]}
+        assert 0 < int(rows["nb-mle"][3]) < 30

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from iupm import (
     AssayDataError,
     ErrorRates,
+    ImperfectFitError,
     ImperfectModel,
     WellAssay,
     WellRecord,
@@ -242,6 +243,23 @@ class TestFitImperfect:
         fit = fit_imperfect(ImperfectModel(rates=rates, assays=(wa,)))
         assert 1 in fit.active_lower
         assert fit.tau_hat[1] == 0.0
+
+    def test_indefinite_observed_information_is_a_fit_error(self):
+        # Replicate 0 of this design ends where the numerical observed
+        # information has a non-positive total variance.
+        rates = ErrorRates(0.5, 0.8, 0.5, 1.0)
+        scn = SimScenario(
+            truth=1.0,
+            n_dvl=3,
+            levels=(SimLevel(1.0, 5, 0.5), SimLevel(2.0, 11, 1.0)),
+            model="imperfect",
+            rates=rates,
+            reps=1,
+            seed=229,
+        )
+        draw, _ = _simulate_until_regular(scn, _rng_for(229, 0))
+        with pytest.raises(ImperfectFitError, match="not positive definite"):
+            fit_imperfect(ImperfectModel(rates=rates, assays=draw.well_assays))
 
     def test_multi_level_shares_the_rate_vector(self):
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
