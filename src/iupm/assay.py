@@ -25,12 +25,15 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "AssayDataError",
     "DilutionLevelData",
+    "LevelTerms",
     "MultiDilutionAssay",
     "WellRecord",
     "WellAssay",
@@ -62,6 +65,23 @@ def _check_count(name: str, value, minimum: int = 0) -> int:
     if ivalue != value or ivalue < minimum:
         raise AssayDataError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return ivalue
+
+
+class LevelTerms(NamedTuple):
+    """Constants of one level's Poisson likelihood, derived from its counts.
+
+    y: Y as floats.  pos / y_pos: the lineages with Y_i > 0 and their counts;
+    all_pos is true when that is every lineage.  neg: M_N + m - Y_i, the
+    complete-data wells negative for lineage i.  unseq: M - M_N - m, the
+    positive wells left unsequenced.
+    """
+
+    y: np.ndarray
+    pos: np.ndarray
+    y_pos: np.ndarray
+    all_pos: bool
+    neg: np.ndarray
+    unseq: int
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,24 @@ class DilutionLevelData:
 
     def y_array(self) -> np.ndarray:
         return np.asarray(self.Y, dtype=float)
+
+    @cached_property
+    def terms(self) -> LevelTerms:
+        """The likelihood constants, built on first use and kept with the level.
+
+        The cache lives in the instance ``__dict__``: equality and hashing see
+        only the fields, and the arrays are read-only because every
+        evaluation shares them.
+        """
+        y = self.y_array()
+        pos = y > 0
+        seq_neg = self.M_N + self.m
+        terms = LevelTerms(
+            y=y, pos=pos, y_pos=y[pos], all_pos=bool(pos.all()), neg=seq_neg - y, unseq=self.M - seq_neg
+        )
+        for a in (terms.y, terms.pos, terms.y_pos, terms.neg):
+            a.flags.writeable = False
+        return terms
 
 
 @dataclass(frozen=True)
@@ -273,6 +311,8 @@ def validate(assay: MultiDilutionAssay) -> ValidationReport:
             )
         if lv.m == 0 and any(lv.Y):
             report.violations.append(f"{tag}: nonzero Y with m = 0")
+        if lv.q == 0.0 and lv.m > 0:
+            report.violations.append(f"{tag}: q = 0 but m = {lv.m} wells were sequenced")
     us = [lv.u for lv in assay.levels]
     if len(set(us)) != len(us):
         report.violations.append("dilution levels u must be distinct")

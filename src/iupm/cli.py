@@ -197,14 +197,17 @@ def _cmd_lrt(args) -> int:
     assay = _load_perfect_assay(args)
     pois = fit_mle(assay, alpha=args.alpha)
     nb = fit_negbin(assay, pois=pois)
-    res = lrt_from_loglik(pois.log_lik, nb.log_lik)
     report = {
         "command": "lrt",
-        "statistic": res.statistic,
-        "p_value": res.p_value,
+        "statistic": None,
+        "p_value": None,
         "poisson": {"iupm": pois.iupm, "log_lik": pois.log_lik},
         "negbin": {"iupm": nb.iupm, "gamma": nb.gamma_hat, "log_lik": nb.log_lik},
     }
+    # a statistic from an unconverged alternative fit is no test result
+    if nb.converged:
+        res = lrt_from_loglik(pois.log_lik, nb.log_lik)
+        report.update(statistic=res.statistic, p_value=res.p_value)
     _emit(report, args.output_format, args.output)
     return EXIT_OK if (pois.converged and nb.converged) else EXIT_NOT_CONVERGED
 

@@ -61,8 +61,15 @@ def nb_zero_prob(lam, gamma: float):
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     lam = np.asarray(lam, dtype=float)
-    out = np.exp(-_effective_rate(lam, gamma))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-_effective_rate(lam, gamma))
     return float(out) if out.ndim == 0 else out
+
+
+# The helpers below set no error state, though gamma * lam can overflow and
+# the ratios then meet inf / inf.  nb_zero_prob, nb_log_likelihood and the two
+# callbacks of fit_negbin each set np.errstate(over="ignore", invalid="ignore")
+# once around all their calls.
 
 
 def _effective_rate(lam, gamma: float):
@@ -71,8 +78,7 @@ def _effective_rate(lam, gamma: float):
         return lam
     lam = np.asarray(lam, dtype=float)
     x = gamma * lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        eff = np.log1p(x) / gamma
+    eff = np.log1p(x) / gamma
     # below ~1e-300 the product underflows; use the exact gamma -> 0 limit
     return np.where(x < 1e-300, lam, eff)
 
@@ -87,25 +93,27 @@ def _deff_dgamma(lam, gamma: float):
     if gamma == 0.0:
         return -0.5 * lam * lam
     x = gamma * lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(
-            x < 1e-5,
-            -0.5 * lam * lam + (2.0 / 3.0) * gamma * lam**3,
-            (x / (1.0 + x) - np.log1p(x)) / (gamma * gamma),
-        )
-    return out
+    return np.where(
+        x < 1e-5,
+        -0.5 * lam * lam + (2.0 / 3.0) * gamma * lam**3,
+        (x / (1.0 + x) - np.log1p(x)) / (gamma * gamma),
+    )
 
 
 def nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:
     """Joint log-likelihood over all dilution levels, same additive constant
     convention as the Poisson form (the two agree exactly at gamma = 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _nb_log_likelihood(tau, gamma, assay)
+
+
+def _nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:
     if gamma < 0:
         return -math.inf
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lv in assay.levels:
-            total += poisson.log_likelihood(_effective_rate(lv.u * tau, gamma), lv)
+    for lv in assay.levels:
+        total += poisson.log_likelihood(_effective_rate(lv.u * tau, gamma), lv)
     return total
 
 
@@ -148,7 +156,7 @@ def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> N
 
     def objective(x):
         with np.errstate(over="ignore", invalid="ignore"):
-            return nb_log_likelihood(np.exp(x[:n]), float(x[n]), assay)
+            return _nb_log_likelihood(np.exp(x[:n]), float(x[n]), assay)
 
     def grad(x):
         with np.errstate(over="ignore", invalid="ignore"):

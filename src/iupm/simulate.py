@@ -371,7 +371,13 @@ def run_study(
 
 
 def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
-    """Empirical rejection rate of the overdispersion LRT per dispersion value."""
+    """Empirical rejection rate of the overdispersion LRT per dispersion value.
+
+    A single-level scenario raises before any replicate is drawn, since no
+    replicate could be tested.
+    """
+    if len(scenario.levels) < 2:
+        raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
     rows = []
     for gamma in gammas:
         scn = replace(scenario, model="negbin", gamma=float(gamma))

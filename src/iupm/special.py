@@ -52,14 +52,22 @@ def log1mexp(x: float) -> float:
 
 
 def log1mexp_arr(x) -> np.ndarray:
-    """Vectorized ``log1mexp``; entries of x must be >= 0."""
+    """Vectorized ``log1mexp``; entries of x must be > 0.
+
+    Each entry takes the scalar form's branch.  No error state is set: only
+    an entry of 0 would divide by zero, so callers exclude zeros first.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = x < _LOG2
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(-x[small]))
-        big = ~small
-        out[big] = np.log1p(-np.exp(-x[big]))
+    n_small = np.count_nonzero(small)
+    if n_small == x.size:
+        return np.log(-np.expm1(-x))
+    if n_small == 0:
+        return np.log1p(-np.exp(-x))
+    out = np.empty_like(x)
+    out[small] = np.log(-np.expm1(-x[small]))
+    big = ~small
+    out[big] = np.log1p(-np.exp(-x[big]))
     return out
 
 

@@ -87,6 +87,64 @@ def decimal_log_likelihood(lam, level, digits=50) -> float:
     return float(total)
 
 
+def _reference_log1mexp_arr(x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < math.log(2.0)
+    with np.errstate(divide="ignore"):
+        out[small] = np.log(-np.expm1(-x[small]))
+        big = ~small
+        out[big] = np.log1p(-np.exp(-x[big]))
+    return out
+
+
+def _reference_log1mexp(x):
+    if x < math.log(2.0):
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
+def reference_log_likelihood(lam, level) -> float:
+    """The Poisson level log-likelihood as first written, rebuilding every
+    per-level constant on each call: the oracle the cached-constant kernel
+    must match bit for bit."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    Y = np.asarray(level.Y, dtype=float)
+    if np.any(lam < 0):
+        return -math.inf
+    seq_neg = level.M_N + level.m
+    unseq = level.M - seq_neg
+    pos = Y > 0
+    if np.any(pos & (lam == 0.0)):
+        return -math.inf
+    total = -float(lam @ (seq_neg - Y))
+    if np.any(pos):
+        total += float(Y[pos] @ _reference_log1mexp_arr(lam[pos]))
+    if unseq > 0:
+        lam_total = float(lam.sum())
+        if lam_total <= 0.0:
+            return -math.inf
+        total += unseq * _reference_log1mexp(lam_total)
+    return total
+
+
+def reference_gradient(lam, level) -> np.ndarray:
+    """The Poisson level gradient as first written (see reference_log_likelihood)."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    Y = np.asarray(level.Y, dtype=float)
+    seq_neg = level.M_N + level.m
+    unseq = level.M - seq_neg
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.expm1(lam)
+        lead = np.where(Y > 0, Y / t, 0.0)
+    out = lead - (seq_neg - Y)
+    if unseq != 0:
+        lam_total = float(lam.sum())
+        with np.errstate(divide="ignore", over="ignore"):
+            out = out + unseq / np.expm1(lam_total)
+    return out
+
+
 def fd_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.size)

@@ -159,6 +159,15 @@ class TestFit:
         assert out == ""
         assert err.count("\n") == 1 and message in err
 
+    def test_sequenced_level_with_zero_q_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "q0.json"
+        doc = {"n": 3, "levels": [{"u": 1.0, "M": 5, "MN": 1, "m": 3, "Y": [1, 3, 3], "q": 0.0}]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "q = 0 but m = 3" in err
+
     def test_directory_input_exits_2(self, tmp_path, capsys):
         folder = tmp_path / "assay.json"
         folder.mkdir()
@@ -256,6 +265,19 @@ class TestLrt:
         assert report["negbin"]["gamma"] >= 0.0
         if report["statistic"] == 0.0:
             assert report["p_value"] == 1.0
+
+
+    def test_unconverged_negbin_fit_reports_no_statistic(self, tmp_path, capsys):
+        # The negbin fit runs off towards infinite rates on this assay.
+        doc = {"n": 2, "levels": [{"u": 2.0, "M": 12, "MN": 7, "m": 3, "Y": [1, 3]},
+                                  {"u": 0.5, "M": 3, "MN": 2, "m": 1, "Y": [1, 1], "q": 0.5}]}
+        path = tmp_path / "runaway.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "lrt", "--input", str(path))
+        assert code == 3
+        report = json.loads(out)
+        assert report["statistic"] is None and report["p_value"] is None
+        assert report["negbin"]["log_lik"] > report["poisson"]["log_lik"]
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestZeroProbability:
     def test_is_a_probability(self, lam, gamma):
         p = nb_zero_prob(lam, gamma)
         assert 0.0 < p < 1.0
+
+    def test_overflowing_dispersion_raises_no_warning(self):
+        assay = MultiDilutionAssay(
+            (DilutionLevelData(2.0, 12, 7, 3, (1, 3)), DilutionLevelData(0.5, 3, 2, 1, (1, 1))), 2
+        )
+        tau = np.array([1e300, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = nb_zero_prob(tau, 1e300)
+            ll = nb_log_likelihood(tau, 1e300, assay)
+        assert p[0] == 0.0 and 0.0 <= p[1] <= 1.0
+        assert ll == -math.inf
 
 
 class TestLogLikelihood:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from iupm import (
 )
 from iupm.optimize import maximize_box
 from iupm.poisson import gradient, hessian, log_likelihood
-from helpers import decimal_log_likelihood, fd_gradient, fd_hessian_of_gradient, random_level
+from helpers import (
+    decimal_log_likelihood,
+    fd_gradient,
+    fd_hessian_of_gradient,
+    random_level,
+    reference_gradient,
+    reference_log_likelihood,
+)
 
 
 def level(M, M_N, m, Y, u=1.0):
@@ -108,6 +116,66 @@ class TestDerivatives:
             lam = rng.uniform(0.02, 2.0, lv.n)
             eigs = np.linalg.eigvalsh(hessian(lam, lv))
             assert np.all(eigs <= 1e-10)
+
+
+def assert_kernels_match_reference(lam, lv):
+    ll, ref = log_likelihood(lam, lv), reference_log_likelihood(lam, lv)
+    assert ll == ref, (lam, lv)
+    assert np.array_equal(gradient(lam, lv), reference_gradient(lam, lv)), (lam, lv)
+
+
+class TestCachedConstants:
+    """The kernels reuse each level's constants and must reproduce the
+    rebuild-every-call reference exactly."""
+
+    def test_bit_identical_on_random_levels(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            lv = random_level(rng, n=int(rng.integers(1, 13)), u=float(rng.choice([0.5, 1.0, 2.0])))
+            for lam in (
+                rng.uniform(0.0, 2.0, lv.n),
+                rng.exponential(0.3, lv.n),
+                rng.uniform(0.5, 0.9, lv.n),  # both sides of log 2, the log1mexp branch point
+            ):
+                assert_kernels_match_reference(lam, lv)
+
+    @pytest.mark.parametrize(
+        "lv, lam",
+        [
+            (level(12, 6, 3, (0, 2, 0)), [0.3, 0.4, 0.0]),     # zero columns, one at rate 0
+            (level(12, 6, 3, (0, 0)), [0.3, 0.4]),             # no positive count at all
+            (level(12, 6, 6, (4, 3)), [0.3, 0.9]),             # unseq = 0
+            (level(12, 6, 3, (2, 1)), [0.0, 0.5]),             # zero rate, positive count: -inf
+            (level(12, 6, 3, (2, 1)), [-0.1, 0.5]),            # negative rate: -inf
+            (level(12, 6, 3, (2, 0)), [0.5, -1e-300]),         # tiny negative rate, zero count
+            (level(12, 0, 6, (6, 3)), [710.0, 0.2]),           # lam > 709
+            (level(12, 3, 6, (6, 3)), [800.0, 750.0]),
+            (level(12, 6, 3, (3,)), [0.4]),                    # n = 1
+            (level(12, 6, 3, (3,)), 0.4),
+            (level(12, 6, 0, (0,)), [0.0]),
+        ],
+    )
+    def test_bit_identical_on_edge_cases(self, lv, lam):
+        assert_kernels_match_reference(lam, lv)
+
+    def test_cache_is_invisible_to_equality_hash_and_pickle(self):
+        lam = np.array([0.2, 0.9, 0.1])
+        cached = level(20, 5, 8, (4, 0, 6))
+        ll, g = log_likelihood(lam, cached), gradient(lam, cached)
+        assert "terms" in vars(cached)
+        fresh = level(20, 5, 8, (4, 0, 6))
+        assert "terms" not in vars(fresh)
+        assert fresh == cached and hash(fresh) == hash(cached)
+        restored = pickle.loads(pickle.dumps(cached))
+        assert restored == cached and hash(restored) == hash(cached)
+        for other in (fresh, restored):
+            assert log_likelihood(lam, other) == ll
+            assert np.array_equal(gradient(lam, other), g)
+
+    def test_shared_constants_are_read_only(self):
+        terms = level(12, 6, 3, (2, 1)).terms
+        for arr in (terms.y, terms.pos, terms.y_pos, terms.neg):
+            assert not arr.flags.writeable
 
 
 class TestClosedForms:

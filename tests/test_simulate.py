@@ -245,8 +245,19 @@ class TestLrtPowerStudy:
             raise ValueError("a bug, not a data problem")
 
         monkeypatch.setattr("iupm.simulate.lrt_overdispersion", lrt)
+        scn = small_scenario(reps=2, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)))
         with pytest.raises(ValueError, match="a bug"):
-            lrt_power_study(small_scenario(reps=2), [1.0])
+            lrt_power_study(scn, [1.0])
+
+    def test_single_level_scenario_rejected_before_any_draw(self, monkeypatch):
+        from iupm import IdentifiabilityError, lrt_power_study
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr("iupm.simulate._simulate_until_regular", draw)
+        with pytest.raises(IdentifiabilityError, match="two dilution levels"):
+            lrt_power_study(small_scenario(reps=5, model="negbin"), [0.0, 1.0])
 
 
 class TestScenarioIO:
