@@ -74,19 +74,66 @@ class FitResult:
     active_lower: tuple[int, ...] = field(default_factory=tuple)
 
 
+_BLOCK = 4096
+
+
 @lru_cache(maxsize=1)
-def _log_binom_row(M: int) -> np.ndarray:
-    """log C(M, k) for k = 0..M, each entry from lgamma.
+def _lgamma_table(M: int) -> dict[int, np.ndarray]:
+    """lgamma(j) for j = 0..M + 1 in blocks of _BLOCK, each entry NaN until a row asks for it.
+
+    Windows at different Lambda overlap, and the levels of one assay often
+    share M, so lgamma is evaluated once per argument per M, never more often
+    than a whole row would need.  Only the blocks a window touches are
+    allocated, so a large M does not hold a table of M + 2 entries.
+    """
+    return {}
+
+
+def _lgammas(table: dict[int, np.ndarray], M: int, start: int, stop: int) -> np.ndarray:
+    """lgamma(j) for j = start..stop - 1, filling in the entries still missing."""
+    parts = []
+    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+        if b not in table:
+            table[b] = np.full(min(_BLOCK, M + 2 - b * _BLOCK), np.nan)
+        first = max(start - b * _BLOCK, 0)
+        part = table[b][first:stop - b * _BLOCK]
+        todo = np.flatnonzero(np.isnan(part))
+        args = (todo + (b * _BLOCK + first)).tolist()
+        part[todo] = np.fromiter(map(math.lgamma, args), dtype=float, count=todo.size)
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+@lru_cache(maxsize=8)
+def _log_binom_row(M: int, lo: int, hi: int) -> np.ndarray:
+    """log C(M, k) for k = lo..hi, each entry from lgamma.
 
     A cumulative log-sum would be cheaper but drifts (about 4e-10 relative at
-    M = 200 000).  The cache keeps one row: rows for small M are cheap to
-    rebuild, and a longer cache would keep large-M rows (8(M+1) bytes each)
-    alive after their fit.
+    M = 200 000).  The information and the bias terms visit the levels of an
+    assay in turn, so the cache keeps a row for each level of an assay of up
+    to eight levels; for M <= 380 the window, and so the row, does not depend
+    on Lambda.  A row has at most 2 sqrt(380 M) + 2 entries.
     """
-    lg = np.fromiter(map(math.lgamma, range(1, M + 2)), dtype=float, count=M + 1)
-    row = (lg[M] - lg) - lg[::-1]
+    table = _lgamma_table(M)
+    lg_k = _lgammas(table, M, lo + 1, hi + 2)
+    lg_rest = _lgammas(table, M, M - hi + 1, M - lo + 2)
+    row = (_lgammas(table, M, M + 1, M + 2)[0] - lg_k) - lg_rest[::-1]
     row.flags.writeable = False
     return row
+
+
+def _nonzero_window(M: int, s: float) -> tuple[int, int]:
+    """The k = lo..hi outside which every Binomial(M, s) weight is 0.0 in floats.
+
+    By Hoeffding's inequality a count k with |k - M s| > sqrt(380 M) has
+    probability at most 2 e^{-760}, below the smallest subnormal, so its
+    weight exp(log C(M, k) + ...) underflows to exactly 0.0.  For M <= 380
+    the window is the whole row 0..M.
+    """
+    mid, half = M * s, math.sqrt(380.0 * M)
+    lo = math.floor(mid - half) if mid - half > 0.0 else 0
+    hi = math.ceil(mid + half) if mid + half < M else M
+    return lo, hi
 
 
 def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
@@ -98,22 +145,33 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     Em / p (p = 1 - s) the factor behind the per-lineage expectations.  Each
     term's Lambda-derivative is its weight times j s/p - k, and (j-1) s/p - k
     for F.
+
+    Only the counts in :func:`_nonzero_window` are evaluated.  Their terms are
+    scattered back into zeros of length M + 1 before the two dot products, so
+    the BLAS sums add the same products at the same positions as a pass over
+    every count would, and the results are the same to the bit.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     if Lambda <= 0.0 or q == 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    k = np.arange(M + 1, dtype=float)
-    pos = M - k
-    log_w = _log_binom_row(M) + k * -Lambda
-    log_w += pos * log1mexp(Lambda)
-    w = np.exp(log_w, out=log_w)
-    seq = np.rint(q * pos)
-    Em = float(w @ seq)
     s = math.exp(-Lambda)
     p = -math.expm1(-Lambda)
     r = s / p
-    dEm = float((w * seq) @ (pos * r - k))
+    lo, hi = _nonzero_window(M, s)
+    k = np.arange(lo, hi + 1, dtype=float)
+    pos = M - k
+    log_w = _log_binom_row(M, lo, hi) + k * -Lambda
+    log_w += pos * log1mexp(Lambda)
+    w = np.exp(log_w, out=log_w)
+    seq = np.rint(q * pos)
+    ws = w * seq
+    slope = pos * r - k
+    a, b = np.zeros(M + 1), np.zeros(M + 1)
+    a[lo:hi + 1], b[lo:hi + 1] = w, seq
+    Em = float(a @ b)
+    a[lo:hi + 1], b[lo:hi + 1] = ws, slope
+    dEm = float(a @ b)
     return Em, Em / p, dEm, (dEm - r * Em) / p
 
 

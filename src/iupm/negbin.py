@@ -150,7 +150,7 @@ def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> N
     if pois is None:
         pois = fit_mle(assay)
     if pois.extreme is not poisson.ExtremeOutcome.REGULAR:
-        raise IdentifiabilityError(f"cannot fit an overdispersed model to a {pois.extreme.value} assay")
+        raise IdentifiabilityError(f"cannot fit an overdispersed model to an {pois.extreme.value} assay")
     theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
     n = theta0.size
 

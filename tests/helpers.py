@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from decimal import Decimal, getcontext
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,45 @@ def reference_gradient(lam, level) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
             out = out + unseq / np.expm1(lam_total)
     return out
+
+
+@lru_cache(maxsize=1)
+def _reference_log_binom_row(M: int) -> np.ndarray:
+    lg = np.fromiter(map(math.lgamma, range(1, M + 2)), dtype=float, count=M + 1)
+    row = (lg[M] - lg) - lg[::-1]
+    row.flags.writeable = False
+    return row
+
+
+def reference_binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
+    """The expected-information sums as first vectorized, over every count
+    k = 0..M: the oracle the windowed ``_binomial_sums`` must match bit for
+    bit."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    if Lambda <= 0.0 or q == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    k = np.arange(M + 1, dtype=float)
+    pos = M - k
+    log_w = _reference_log_binom_row(M) + k * -Lambda
+    log_w += pos * _reference_log1mexp(Lambda)
+    w = np.exp(log_w, out=log_w)
+    seq = np.rint(q * pos)
+    Em = float(w @ seq)
+    s = math.exp(-Lambda)
+    p = -math.expm1(-Lambda)
+    r = s / p
+    dEm = float((w * seq) @ (pos * r - k))
+    return Em, Em / p, dEm, (dEm - r * Em) / p
+
+
+def reference_binomial_weights(Lambda: float, M: int) -> np.ndarray:
+    """The Binomial(M, e^-Lambda) weights of every count, as
+    ``reference_binomial_sums`` computes them."""
+    k = np.arange(M + 1, dtype=float)
+    log_w = _reference_log_binom_row(M) + k * -Lambda
+    log_w += (M - k) * _reference_log1mexp(Lambda)
+    return np.exp(log_w, out=log_w)
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,9 @@ from iupm.cli import main
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import load_subjects, subject_assay
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALL_POSITIVE_MESSAGE = "error: cannot fit an overdispersed model to an all-positive-single-dvl assay\n"
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -27,6 +34,16 @@ def write_subject(tmp_path, name="C1"):
     assay = subject_assay(load_subjects()[name])
     path = tmp_path / f"{name.lower()}.json"
     path.write_text(to_summary_json(assay))
+    return path
+
+
+def write_all_positive_single_lineage(tmp_path):
+    levels = (
+        DilutionLevelData(u=1.0, M=6, M_N=0, m=3, Y=(3,)),
+        DilutionLevelData(u=2.0, M=6, M_N=0, m=6, Y=(6,)),
+    )
+    path = tmp_path / "boundary.json"
+    path.write_text(to_summary_json(MultiDilutionAssay(levels, 1)))
     return path
 
 
@@ -168,6 +185,13 @@ class TestFit:
         assert out == ""
         assert err.count("\n") == 1 and "q = 0 but m = 3" in err
 
+    def test_negbin_on_boundary_assay_exits_2(self, tmp_path, capsys):
+        path = write_all_positive_single_lineage(tmp_path)
+        code, out, err = run_cli(capsys, "fit", "--negbin", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ALL_POSITIVE_MESSAGE
+
     def test_directory_input_exits_2(self, tmp_path, capsys):
         folder = tmp_path / "assay.json"
         folder.mkdir()
@@ -229,16 +253,11 @@ class TestLrt:
         assert "identifiable" in err
 
     def test_boundary_assay_exits_2(self, tmp_path, capsys):
-        levels = (
-            DilutionLevelData(u=1.0, M=6, M_N=0, m=3, Y=(3,)),
-            DilutionLevelData(u=2.0, M=6, M_N=0, m=6, Y=(6,)),
-        )
-        path = tmp_path / "boundary.json"
-        path.write_text(to_summary_json(MultiDilutionAssay(levels, 1)))
+        path = write_all_positive_single_lineage(tmp_path)
         code, out, err = run_cli(capsys, "lrt", "--input", str(path))
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and "all-positive-single-dvl" in err
+        assert err == ALL_POSITIVE_MESSAGE
 
     def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys):
         path = write_subject(tmp_path, "C1")
@@ -278,6 +297,24 @@ class TestLrt:
         report = json.loads(out)
         assert report["statistic"] is None and report["p_value"] is None
         assert report["negbin"]["log_lik"] > report["poisson"]["log_lik"]
+
+
+def test_python_m_runs_the_cli(tmp_path, capsys):
+    doc = {"n": 2, "levels": [{"u": 1.0, "M": 24, "MN": 10, "m": 7, "Y": [4, 5]}]}
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(doc))
+    argv = ["fit", "--input", str(path), "--bias-correct"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "iupm", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.encode()
 
 
 class TestSimulate:

@@ -21,13 +21,21 @@ from iupm import (
     multi_log_likelihood,
     wald_ci,
 )
-from iupm.inference import level_params
+from iupm.inference import (
+    _binomial_sums,
+    _lgamma_table,
+    _log_binom_row,
+    _nonzero_window,
+    level_params,
+)
 from iupm.special import log1mexp, log_binom, nint
 from helpers import (
     enumerate_expectations,
     load_subjects,
     myers_mle_bisect,
     random_regular_assay,
+    reference_binomial_sums,
+    reference_binomial_weights,
     subject_assay,
 )
 
@@ -123,6 +131,58 @@ class TestVectorizedExpectations:
     def test_q_outside_unit_interval_raises(self):
         with pytest.raises(ValueError):
             expected_y(0.2, 1.0, 12, 1.5)
+
+
+WINDOW_M = [1, 2, 36, 379, 380, 381, 2000, 20_000, 200_000, 200_003]
+WINDOW_LAMBDA = [1e-8, 1e-4, 0.01, 0.3, math.log(2.0), 1.0, 6.0, 30.0, 700.0]
+WINDOW_Q = [0.25, 0.5, 1.0]
+
+
+class TestNonzeroWindow:
+    """The sums are evaluated only on the counts whose weight can be nonzero."""
+
+    @pytest.mark.parametrize("M", WINDOW_M)
+    def test_bit_identical_to_full_row(self, M):
+        for Lam in WINDOW_LAMBDA:
+            for q in WINDOW_Q:
+                assert _binomial_sums(Lam, M, q) == reference_binomial_sums(Lam, M, q), (Lam, q)
+
+    @pytest.mark.parametrize("M", WINDOW_M)
+    def test_weights_outside_window_are_zero(self, M):
+        for Lam in WINDOW_LAMBDA:
+            lo, hi = _nonzero_window(M, math.exp(-Lam))
+            assert 0 <= lo <= hi <= M
+            w = reference_binomial_weights(Lam, M)
+            assert np.all(w[:lo] == 0.0) and np.all(w[hi + 1:] == 0.0), Lam
+            if M >= 2000:
+                assert hi - lo < M
+
+    @pytest.mark.parametrize("M", WINDOW_M)
+    def test_cached_row_holds_only_the_window(self, M):
+        for Lam in WINDOW_LAMBDA:
+            lo, hi = _nonzero_window(M, math.exp(-Lam))
+            _binomial_sums(Lam, M, 0.5)
+            hits = _log_binom_row.cache_info().hits
+            row = _log_binom_row(M, lo, hi)
+            assert _log_binom_row.cache_info().hits == hits + 1
+            assert row.shape == (hi - lo + 1,)
+
+    def test_lgamma_runs_once_per_argument(self, monkeypatch):
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        M = 20_000
+        levels = [(u, M, 0.5) for u in (0.25, 0.5, 1.0)]
+        _lgamma_table.cache_clear()
+        _log_binom_row.cache_clear()
+        for _ in range(3):
+            fisher_information_multi(np.array([0.3, 0.3, 0.4]), levels)
+        assert calls and len(calls) == len(set(calls)) <= M + 1
+
+    def test_small_rows_are_whole(self):
+        for M in (1, 36, 380):
+            for Lam in WINDOW_LAMBDA:
+                assert _nonzero_window(M, math.exp(-Lam)) == (0, M)
 
 
 class TestFisherInformation:
