@@ -28,12 +28,10 @@ from .assay import (
     wells_to_csv,
 )
 from .bias import (
-    BiasComponents,
     a_matrices,
     bias_correct,
     bias_term,
     fit_bc_mle,
-    third_derivative_expectations,
 )
 from .imperfect import (
     ImperfectFitError,
@@ -49,14 +47,11 @@ from .inference import (
     FitResult,
     SingularInformationError,
     covariance,
-    expected_m,
-    expected_y,
     fisher_information,
     fisher_information_multi,
     fit_mle,
     multi_gradient,
     multi_log_likelihood,
-    observed_information,
     wald_ci,
 )
 from .negbin import (

@@ -15,9 +15,7 @@ Sign convention: each block is assembled as
 
 On the one-parameter no-sequencing model this yields the correction
 (e^T - 1) / (2M), which matches both the Taylor expansion of log(M/M_N) and
-simulation; the opposite sign on the information derivative produces a
-negative correction of the wrong magnitude and is kept only behind the
-``displayed_sign`` diagnostic switch.
+simulation.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .special import expm1_ratio
 
 __all__ = [
     "BiasComponents",
-    "third_derivative_expectations",
     "a_matrices",
     "bias_term",
     "bias_correct",
@@ -57,7 +54,10 @@ def _level_terms(lam, M: int, q: float):
 
     Returns (third_diag, third_common, d_common, d_diag, d_self), all from
     one pass over the well counts; the last three are those of
-    :func:`iupm.inference._information_derivative`.
+    :func:`iupm.inference._information_derivative`.  Every mixed third
+    derivative shares the value third_common; it vanishes when every positive
+    well is sequenced (q = 1), the same cancellation as the off-diagonal of
+    the information matrix.
     """
     d_common, d_diag, d_self, Em, F = _information_derivative(lam, M, q)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -67,18 +67,7 @@ def _level_terms(lam, M: int, q: float):
     return third_diag, float(third_common), d_common, d_diag, d_self
 
 
-def third_derivative_expectations(lam, M: int, q: float) -> tuple[np.ndarray, float]:
-    """Expected third derivatives at one level: (pure-diagonal values, common value).
-
-    All mixed entries share one value; it vanishes when every positive well
-    is sequenced (q = 1), the same cancellation as the off-diagonal of the
-    information matrix.
-    """
-    third_diag, third_common, *_ = _level_terms(lam, M, q)
-    return third_diag, third_common
-
-
-def a_matrices(tau, levels, displayed_sign: bool = False) -> BiasComponents:
+def a_matrices(tau, levels) -> BiasComponents:
     """Assemble the A blocks for per-million rates over (u, M, q) levels.
 
     A single dilution level at u = 1 reproduces the per-well construction.
@@ -93,7 +82,6 @@ def a_matrices(tau, levels, displayed_sign: bool = False) -> BiasComponents:
         totals = [total + u**3 * term for total, term in zip(totals, terms)]
     third_diag, third_common, d_common, d_diag, d_self = totals
     dI_shared = np.full((n, n), d_common) + np.diag(d_diag)
-    sign = 1.0 if displayed_sign else -1.0
     dI = []
     blocks = []
     for k in range(n):
@@ -102,7 +90,7 @@ def a_matrices(tau, levels, displayed_sign: bool = False) -> BiasComponents:
         third_block = np.full((n, n), third_common)
         third_block[k, k] = third_diag[k]
         dI.append(dI_k)
-        blocks.append(sign * dI_k - 0.5 * third_block)
+        blocks.append(-dI_k - 0.5 * third_block)
     return BiasComponents(
         a_blocks=blocks, dI_dtau=dI, third_diag=third_diag, third_common=third_common
     )

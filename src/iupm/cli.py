@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -215,9 +216,10 @@ def _cmd_lrt(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario, estimators, comparator = scenario_from_json(_read_input(args.input))
     if args.seed is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=args.seed)
+        try:
+            scenario = replace(scenario, seed=args.seed)
+        except ValueError as exc:
+            raise AssayDataError(f"bad --seed: {exc}") from exc
     out = run_study(
         scenario,
         estimators=estimators,

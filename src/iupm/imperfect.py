@@ -11,8 +11,9 @@ lineage is absent, the sum collapses to products:
     P(w*, z*) = P(w* | W=1) (S - T0) + P(w* | W=0) T0,
 
 which is what keeps evaluation O(M n) rather than O(M 2^n).  Rate MLEs are
-no longer guaranteed positive here, so the fit runs the bounded quasi-Newton
-over tau >= 0 directly on the rate scale.
+no longer guaranteed positive here, so the fit runs the quasi-Newton solver
+with the lower bound tau >= 0 directly on the rate scale, then a Newton polish
+on a finite-difference Hessian of the analytic gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .assay import AssayDataError, ErrorRates, WellAssay, summarize_well_assay
 from .inference import FitResult, SingularInformationError, covariance, wald_ci
-from .optimize import fd_newton_polish, maximize_box
+from .optimize import fd_hessian, maximize, newton_polish
 from .poisson import ExtremeOutcome
 
 __all__ = [
@@ -240,9 +241,9 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
             out += u * _level_gradient(u * tau, tb, model.rates)
         return out
 
-    tau0 = _initial_tau(model)
-    res = maximize_box(objective, grad, tau0, np.zeros(n))
-    tau, polished = fd_newton_polish(grad, res.x, np.zeros(n))
+    lower = np.zeros(n)
+    res = maximize(objective, grad, _initial_tau(model), lower)
+    tau, polished = newton_polish(grad, fd_hessian(grad, lower), res.x, lower)
     if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
         converged = res.converged or polished
     else:

@@ -17,15 +17,13 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .poisson import ExtremeOutcome, classify_extreme
-from .optimize import OptOptions, maximize
+from .optimize import GRAD_TOL, maximize, newton_polish
 from .special import expm1_ratio, log1mexp, normal_quantile
 
 __all__ = [
     "SingularInformationError",
     "FisherInfo",
     "FitResult",
-    "expected_m",
-    "expected_y",
     "fisher_information",
     "fisher_information_multi",
     "covariance",
@@ -175,22 +173,6 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
-def expected_m(Lambda: float, M: int, q: float) -> float:
-    """Expected number of sequenced positive wells.
-
-    The number of negative wells is Binomial(M, e^{-Lambda}); the sequenced
-    count is the nearest integer to q times the positive count, so the
-    expectation is a finite sum over that distribution.
-    """
-    return _binomial_sums(Lambda, M, q)[0]
-
-
-def expected_y(lam, Lambda: float, M: int, q: float):
-    """Expected per-lineage count of sequenced positive wells; vectorized in lam."""
-    lam = np.asarray(lam, dtype=float)
-    return -np.expm1(-lam) * _binomial_sums(Lambda, M, q)[1]
-
-
 def fisher_information(lam, M: int, q: float) -> FisherInfo:
     """Expected information for the per-well rates at one dilution level.
 
@@ -326,8 +308,10 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
 def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Maximum-likelihood fit of the per-million rates for one assay.
 
-    Regular assays are maximized over theta = log(tau) with BFGS; the two
-    boundary outcomes short-circuit to 0 and +inf with degenerate intervals.
+    Regular assays are maximized over theta = log(tau), which needs no
+    bounds: BFGS (:func:`iupm.optimize.maximize`) followed by a Newton polish
+    on the analytic theta-Hessian.  The two boundary outcomes short-circuit
+    to 0 and +inf with degenerate intervals.
     An assay without any sequencing data (n = 0) reduces to the classic
     one-parameter dilution model for the total rate.
     """
@@ -373,8 +357,15 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
         tau = np.exp(theta)
         return tau * multi_gradient(tau, assay)
 
+    def hess(theta, g, idx):
+        # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient);
+        # theta is unbounded, so idx holds every component.
+        tau = np.exp(theta)
+        H = -observed_information(tau, assay)
+        return tau[:, None] * H * tau[None, :] + np.diag(g)
+
     res = maximize(objective, grad, _initial_theta(assay))
-    theta, converged = _newton_polish(res.x, assay, OptOptions.grad_tol)
+    theta, converged = newton_polish(grad, hess, res.x, max_steps=10)
     converged = converged or res.converged
     tau = np.exp(theta)
     info = fisher_information_multi(tau, level_params(assay))
@@ -393,45 +384,6 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
         iterations=res.iterations,
         extreme=ExtremeOutcome.REGULAR,
     )
-
-
-def _newton_polish(theta: np.ndarray, assay: MultiDilutionAssay, tol: float, max_steps: int = 10):
-    """Newton refinement in theta = log(tau) using the observed information.
-
-    Line-search methods bottom out once objective differences fall below
-    float noise, which can leave the gradient a little above a tight
-    tolerance; with the analytic Hessian available the last stretch is a
-    couple of Newton steps.
-    """
-    theta = theta.copy()
-
-    def theta_grad(th):
-        tau = np.exp(th)
-        return tau * multi_gradient(tau, assay)
-
-    g = theta_grad(theta)
-    best = (theta.copy(), float(np.max(np.abs(g))))
-    for _ in range(max_steps):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
-            return theta, True
-        tau = np.exp(theta)
-        # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient)
-        H = -observed_information(tau, assay)
-        H = tau[:, None] * H * tau[None, :] + np.diag(g)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        candidate = theta + step
-        g_new = theta_grad(candidate)
-        if not np.all(np.isfinite(g_new)) or float(np.max(np.abs(g_new))) >= gnorm:
-            break
-        theta, g = candidate, g_new
-        if float(np.max(np.abs(g))) < best[1]:
-            best = (theta.copy(), float(np.max(np.abs(g))))
-    theta, gnorm = best
-    return theta, gnorm <= tol
 
 
 def _expm1(x: float) -> float:
@@ -506,7 +458,7 @@ def _fit_total_only(assay: MultiDilutionAssay, alpha: float) -> FitResult:
         T0 = float(np.mean(seeds)) if seeds else 0.5
         res = maximize(objective, grad, np.array([math.log(T0)]))
         T = float(np.exp(res.x[0]))
-        T, polished = _newton_polish_total(T, levels, OptOptions.grad_tol)
+        T, polished = _newton_polish_total(T, levels, GRAD_TOL)
         iterations, converged = res.iterations, res.converged or polished
         log_lik = _total_only_loglik(T, levels)
     info = sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)

@@ -19,7 +19,7 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .inference import FitResult, fit_mle
-from .optimize import fd_newton_polish, maximize_box
+from .optimize import fd_hessian, maximize, newton_polish
 from .special import chi2_1_upper_tail
 
 __all__ = [
@@ -165,10 +165,11 @@ def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> N
             return np.concatenate([tau * g_tau, [g_gamma]])
 
     lower = np.concatenate([np.full(n, -math.inf), [0.0]])
+    hess = fd_hessian(grad, lower)
 
     def run(gamma0):
-        res = maximize_box(objective, grad, np.concatenate([theta0, [gamma0]]), lower)
-        x, polished = fd_newton_polish(grad, res.x, lower)
+        res = maximize(objective, grad, np.concatenate([theta0, [gamma0]]), lower)
+        x, polished = newton_polish(grad, hess, res.x, lower)
         f_polished = objective(x)
         if f_polished >= res.f - 1e-9 * (abs(res.f) + 1.0):
             res.x, res.f = x, f_polished

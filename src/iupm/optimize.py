@@ -1,8 +1,11 @@
-"""Quasi-Newton maximization: unconstrained BFGS and a lower-bounded variant.
+"""Quasi-Newton maximization with optional lower bounds, and a Newton polish.
 
-Both routines maximize a smooth objective given an analytic gradient.
+:func:`maximize` runs BFGS with a strong-Wolfe line search; given lower bounds
+it projects the gradient and keeps the BFGS matrix on the free components.
 Internally the line search works on the negated objective, so the usual
-strong-Wolfe conditions for minimization apply unchanged.
+strong-Wolfe conditions for minimization apply unchanged.  Line searches stall
+once objective changes fall below float noise, so the fits finish with
+:func:`newton_polish`, whose steps compare gradients only.
 """
 
 from __future__ import annotations
@@ -12,22 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptOptions", "OptResult", "maximize", "maximize_box", "fd_newton_polish"]
+__all__ = ["OptResult", "maximize", "newton_polish", "fd_hessian"]
 
-
-@dataclass
-class OptOptions:
-    max_iter: int = 10_000
-    grad_tol: float = 1e-8          # infinity norm of the (projected) gradient
-    step_tol: float = 1e-10         # relative parameter change
-    armijo: float = 1e-4            # sufficient-decrease constant
-    curvature: float = 0.9          # strong-Wolfe curvature constant
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if min(self.grad_tol, self.step_tol, self.armijo, self.curvature) <= 0:
-            raise ValueError("tolerances and line-search constants must be positive")
+MAX_ITER = 10_000
+GRAD_TOL = 1e-8     # infinity norm of the (projected) gradient
+STEP_TOL = 1e-10    # relative parameter change
+ARMIJO = 1e-4       # sufficient-decrease constant
+CURVATURE = 0.9     # strong-Wolfe curvature constant
 
 
 @dataclass
@@ -109,149 +103,172 @@ def _bfgs_update(H, s, y):
     return H
 
 
-def maximize(f, g, x0, opts: OptOptions | None = None, callback=None) -> OptResult:
-    """Maximize a smooth function with BFGS.
-
-    Parameters
-    ----------
-    f, g : callables returning the objective value and gradient.
-    x0 : starting point; f and g must be finite there.
-    opts : tolerances and iteration limits.
-    callback : optional, called as ``callback(x, fx)`` after each accepted step.
-
-    For a concave objective the returned point is the global maximum; in
-    general it is a stationary point.  ``converged`` is set only when the
-    gradient infinity-norm meets ``grad_tol``.
-    """
-    opts = opts or OptOptions()
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    n = x.size
-    fx = float(f(x))
-    gx = np.atleast_1d(np.asarray(g(x), dtype=float))
-    if not math.isfinite(fx) or not np.all(np.isfinite(gx)):
-        raise ValueError("objective or gradient is not finite at the starting point")
-    H = np.eye(n)
-    iters = 0
-    converged = _inf_norm(gx) <= opts.grad_tol
-    while not converged and iters < opts.max_iter:
-        d = H @ gx
-        if float(d @ gx) <= 0.0:
-            H = np.eye(n)
-            d = gx.copy()
-        cache: dict = {}
-
-        def phi(a):
-            return -float(f(x + a * d))
-
-        def dphi(a):
-            ga = np.atleast_1d(np.asarray(g(x + a * d), dtype=float))
-            cache["grad"] = (a, ga)
-            return -float(ga @ d)
-
-        g0 = -float(gx @ d)
-        a, phi_a, _ = _wolfe(phi, dphi, -fx, g0, opts.armijo, opts.curvature)
-        if a <= 0.0:
-            # Objective differences are at float-noise level; keep the full
-            # quasi-Newton step if it still shrinks the gradient.
-            a, phi_a, g_new = _noise_floor_step(f, g, x, d, fx, gx)
-            if a <= 0.0:
-                break
-            x_new = x + a * d
-            f_new = -phi_a
-        else:
-            x_new = x + a * d
-            if "grad" in cache and cache["grad"][0] == a:
-                g_new = cache["grad"][1]
-            else:
-                g_new = np.atleast_1d(np.asarray(g(x_new), dtype=float))
-            f_new = -phi_a
-        s = x_new - x
-        y = gx - g_new  # gradient difference of the negated objective
-        if float(s @ y) > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            H = _bfgs_update(H, s, y)
-        else:
-            H = np.eye(n)  # curvature lost near machine precision
-        rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
-        x, fx, gx = x_new, f_new, g_new
-        iters += 1
-        if callback is not None:
-            callback(x.copy(), fx)
-        converged = np.all(np.isfinite(gx)) and _inf_norm(gx) <= opts.grad_tol
-        if not converged and rel_step <= opts.step_tol:
-            break
-    return OptResult(
-        x=x,
-        f=fx,
-        grad_norm=_inf_norm(gx),
-        iterations=iters,
-        converged=bool(converged),
-        active_lower=(),
-    )
+def _vector(v) -> np.ndarray:
+    return np.atleast_1d(np.asarray(v, dtype=float))
 
 
 def _inf_norm(v) -> float:
     return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
 
-def fd_newton_polish(grad, x, lower=None, tol=1e-8, max_steps=8):
-    """Newton refinement on a finite-difference Hessian of an analytic gradient.
+class _Bounds:
+    """Componentwise lower bounds, at least one of them finite.
 
-    Line searches cannot measure objective changes once they fall below float
-    noise, which can strand the gradient just above a tight tolerance; Newton
-    steps need no objective comparisons.  Components at a finite lower bound
-    with an outward gradient stay put and are excluded from the projected
-    norm.  Returns (x, converged).
+    A component within ``tol`` of a finite bound counts as on it.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    n = x.size
-    lo = (
-        np.full(n, -math.inf)
-        if lower is None
-        else np.broadcast_to(np.asarray(lower, dtype=float), x.shape).copy()
-    )
-    bound_tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(lo), lo, 0.0)))
 
-    def projected(xv, gv):
-        at_b = np.isfinite(lo) & (xv <= lo + bound_tol)
-        return _inf_norm(np.where(at_b & (gv <= 0.0), 0.0, gv)), at_b
+    def __init__(self, lo: np.ndarray):
+        self.lo = lo
+        self.finite = np.isfinite(lo)
+        self.tol = 1e-12 * np.maximum(1.0, np.abs(np.where(self.finite, lo, 0.0)))
 
-    g = np.atleast_1d(np.asarray(grad(x), dtype=float))
-    norm, at_b = projected(x, g)
-    for _ in range(max_steps):
-        if norm <= tol:
-            return x, True
-        free = ~(at_b & (g <= 0.0))
-        idx = np.flatnonzero(free)
-        H = np.zeros((idx.size, idx.size))
-        for col, i in enumerate(idx):
-            h = max(1e-7, 1e-7 * abs(x[i]))
-            down = x.copy()
-            down[i] -= h
-            up = x.copy()
-            up[i] += h
-            if np.isfinite(lo[i]) and down[i] < lo[i]:
-                H[:, col] = (np.asarray(grad(up), dtype=float)[idx] - g[idx]) / h
+    @classmethod
+    def of(cls, lower, shape) -> _Bounds | None:
+        """The bounds ``lower`` for vectors of ``shape``, or None when no entry is finite."""
+        if lower is None:
+            return None
+        bounds = cls(np.broadcast_to(np.asarray(lower, dtype=float), shape).copy())
+        return bounds if bounds.finite.any() else None
+
+    def project(self, x, g) -> tuple[np.ndarray, np.ndarray]:
+        """(g with the outward components on a bound zeroed, the on-bound mask)."""
+        at = self.finite & (x <= self.lo + self.tol)
+        return np.where(at & (g <= 0.0), 0.0, g), at
+
+    def snap(self, x) -> np.ndarray:
+        return np.where(self.finite & (x - self.lo <= self.tol), self.lo, x)
+
+
+def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
+    """Maximize a smooth function with BFGS, optionally under lower bounds.
+
+    Parameters
+    ----------
+    f, g : callables returning the objective value and gradient.
+    x0 : starting point; f and g must be finite there.
+    lower : optional componentwise lower bounds; ``-inf`` leaves a component
+        unconstrained.
+    callback : optional, called as ``callback(x, fx)`` after each accepted step.
+
+    With bounds this is gradient projection with BFGS updates on the free set.
+    Convergence is declared on the projected gradient: components held at
+    their bound with an outward-pointing gradient are excluded from the norm,
+    and ``converged`` is set only when that infinity-norm meets ``GRAD_TOL``.
+    For a concave objective the returned point is the global maximum; in
+    general it is a stationary point.
+    """
+    x = _vector(x0).copy()
+    if lower is not None and np.any(x < lower):
+        raise ValueError("infeasible starting point: need x0 >= lower")
+    # Without a finite bound the projection bookkeeping is skipped entirely.
+    bounds = _Bounds.of(lower, x.shape)
+    if bounds is not None:
+        x = bounds.snap(x)
+    fx = float(f(x))
+    gx = _vector(g(x))
+    if not math.isfinite(fx) or not np.all(np.isfinite(gx)):
+        raise ValueError("objective or gradient is not finite at the starting point")
+    H = np.eye(x.size)
+    prev_free = None
+    iters = 0
+    while iters < MAX_ITER:
+        pg = gx
+        if bounds is not None:
+            pg, at_bound = bounds.project(x, gx)
+        if _inf_norm(pg) <= GRAD_TOL:
+            break
+        amax = math.inf
+        if bounds is None:
+            d = H @ gx
+            if float(d @ gx) <= 0.0:
+                H = np.eye(x.size)
+                d = gx.copy()
+        else:
+            free = ~(at_bound & (gx <= 0.0))
+            key = free.tobytes()
+            if key != prev_free:
+                H = np.eye(int(free.sum()))
+                prev_free = key
+            d = _feasible(H @ gx[free], free, at_bound)
+            if float(d @ gx) <= 0.0:
+                H = np.eye(H.shape[0])
+                d = _feasible(gx[free], free, at_bound)
+            moving_down = (d < 0.0) & bounds.finite
+            if np.any(moving_down):
+                amax = float(np.min((bounds.lo[moving_down] - x[moving_down]) / d[moving_down]))
+                amax = max(amax, 0.0)
+        cache: dict = {}
+
+        def phi(a):
+            return -float(f(x + a * d))
+
+        def dphi(a):
+            ga = _vector(g(x + a * d))
+            cache["grad"] = (a, ga)
+            return -float(ga @ d)
+
+        a, phi_a, _ = _wolfe(phi, dphi, -fx, -float(gx @ d), ARMIJO, CURVATURE, amax=amax)
+        noise_step = a <= 0.0
+        if noise_step:
+            # Objective differences are at float-noise level; keep the full
+            # quasi-Newton step if it still shrinks the gradient.
+            a, phi_a, g_step = _noise_floor_step(f, g, x, d, fx, gx, amax=amax)
+            if a <= 0.0:
+                break
+            cache["grad"] = (a, g_step)
+        x_new = x + a * d
+        hit_wall = False
+        if bounds is not None:
+            x_step, x_new = x_new, bounds.snap(x_new)
+            hit_wall = bool(np.any((x_new == bounds.lo) & (x > bounds.lo)))
+            if noise_step and not np.array_equal(x_new, x_step):
+                cache.clear()  # the step's gradient was taken before the snap
+        if hit_wall:
+            f_new = float(f(x_new))
+            g_new = _vector(g(x_new))
+        else:
+            f_new = -phi_a
+            if "grad" in cache and cache["grad"][0] == a:
+                g_new = cache["grad"][1]
             else:
-                H[:, col] = (
-                    np.asarray(grad(up), dtype=float)[idx]
-                    - np.asarray(grad(down), dtype=float)[idx]
-                ) / (2.0 * h)
-        H = (H + H.T) / 2.0
-        try:
-            step = np.linalg.solve(H, -g[idx])
-        except np.linalg.LinAlgError:
+                g_new = _vector(g(x_new))
+        s = x_new - x
+        if not hit_wall:
+            sf, yf = s, gx - g_new  # gradient difference of the negated objective
+            if bounds is not None:
+                sf, yf = sf[free], yf[free]
+            if float(sf @ yf) > 1e-12 * (np.linalg.norm(sf) * np.linalg.norm(yf) + 1e-300):
+                H = _bfgs_update(H, sf, yf)
+            else:
+                H = np.eye(sf.size)  # curvature lost near machine precision
+        rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
+        x, fx, gx = x_new, f_new, g_new
+        iters += 1
+        if callback is not None:
+            callback(x.copy(), fx)
+        if rel_step <= STEP_TOL and not hit_wall:
             break
-        cand = x.copy()
-        cand[idx] += step
-        cand = np.maximum(cand, lo)
-        g_new = np.atleast_1d(np.asarray(grad(cand), dtype=float))
-        if not np.all(np.isfinite(g_new)):
-            break
-        norm_new, at_b_new = projected(cand, g_new)
-        if norm_new >= norm:
-            break
-        x, g, norm, at_b = cand, g_new, norm_new, at_b_new
-    return x, norm <= tol
+    pg, active_lower = gx, ()
+    if bounds is not None:
+        pg, at_bound = bounds.project(x, gx)
+        active_lower = tuple(int(i) for i in np.flatnonzero(at_bound))
+    grad_norm = _inf_norm(pg)
+    return OptResult(
+        x=x,
+        f=fx,
+        grad_norm=grad_norm,
+        iterations=iters,
+        converged=grad_norm <= GRAD_TOL,
+        active_lower=active_lower,
+    )
+
+
+def _feasible(df, free, at_bound) -> np.ndarray:
+    """The full-length direction with df on the free components, never into a wall."""
+    d = np.zeros(free.size)
+    d[free] = df
+    d[at_bound & (d < 0.0)] = 0.0
+    return d
 
 
 def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
@@ -267,121 +284,80 @@ def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
     f_try = float(f(x_try))
     if not math.isfinite(f_try) or f_try < fx - 1e-10 * (abs(fx) + 1.0):
         return 0.0, -fx, gx
-    g_try = np.atleast_1d(np.asarray(g(x_try), dtype=float))
+    g_try = _vector(g(x_try))
     if not np.all(np.isfinite(g_try)) or _inf_norm(g_try) >= _inf_norm(gx):
         return 0.0, -fx, gx
     return a, -f_try, g_try
 
 
-def maximize_box(f, g, x0, lower, opts: OptOptions | None = None, callback=None) -> OptResult:
-    """Maximize subject to componentwise lower bounds.
+def newton_polish(grad, hess, x, lower=None, max_steps=8):
+    """Newton refinement from x until the projected gradient meets ``GRAD_TOL``.
 
-    Gradient projection with BFGS updates on the free set; components may use
-    ``-inf`` to stay unconstrained.  Convergence is declared on the projected
-    gradient: components held at their bound with an outward-pointing gradient
-    are excluded from the norm.
+    Line searches cannot measure objective changes once they fall below float
+    noise, which can strand the gradient just above a tight tolerance; Newton
+    steps need no objective comparisons.  ``hess(x, g, idx)`` returns the
+    Hessian block on the free components ``idx`` at x, where ``g = grad(x)``;
+    without a finite bound ``idx`` holds every component.  Components at a
+    finite lower bound with an outward gradient stay put and are excluded
+    from the projected norm.  A step is kept only when it shrinks that norm.
+    Returns (x, converged).
     """
-    opts = opts or OptOptions()
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape).copy()
-    if np.any(x < lo):
-        raise ValueError("infeasible starting point: need x0 >= lower")
-    bound_tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(lo), lo, 0.0)))
+    x = _vector(x).copy()
+    bounds = _Bounds.of(lower, x.shape)
+    every = np.arange(x.size)
 
-    def snap(v):
-        hit = np.isfinite(lo) & (v - lo <= bound_tol)
-        v[hit] = lo[hit]
-        return v
+    def projected(xv, gv):
+        if bounds is None:
+            return _inf_norm(gv), every
+        pg, at = bounds.project(xv, gv)
+        return _inf_norm(pg), np.flatnonzero(~(at & (gv <= 0.0)))
 
-    x = snap(x)
-    fx = float(f(x))
-    gx = np.atleast_1d(np.asarray(g(x), dtype=float))
-    if not math.isfinite(fx) or not np.all(np.isfinite(gx)):
-        raise ValueError("objective or gradient is not finite at the starting point")
-    Hf = None
-    prev_free = None
-    iters = 0
-    converged = False
-    while iters < opts.max_iter:
-        at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
-        active = at_bound & (gx <= 0.0)
-        pg = np.where(active, 0.0, gx)
-        if _inf_norm(pg) <= opts.grad_tol:
-            converged = True
+    g = _vector(grad(x))
+    norm, idx = projected(x, g)
+    for _ in range(max_steps):
+        if norm <= GRAD_TOL:
+            return x, True
+        try:
+            step = np.linalg.solve(hess(x, g, idx), -g[idx])
+        except np.linalg.LinAlgError:
             break
-        free = ~active
-        key = free.tobytes()
-        if key != prev_free:
-            Hf = np.eye(int(free.sum()))
-            prev_free = key
-        gf = gx[free]
-        df = Hf @ gf
-        d = np.zeros_like(x)
-        d[free] = df
-        d[at_bound & (d < 0.0)] = 0.0  # never step into a wall
-        if float(d @ gx) <= 0.0:
-            Hf = np.eye(gf.size)
-            d = np.zeros_like(x)
-            d[free] = gf
-            d[at_bound & (d < 0.0)] = 0.0
-        moving_down = (d < 0.0) & np.isfinite(lo)
-        amax = math.inf
-        if np.any(moving_down):
-            amax = float(np.min((lo[moving_down] - x[moving_down]) / d[moving_down]))
-            amax = max(amax, 0.0)
-        cache: dict = {}
-
-        def phi(a):
-            return -float(f(x + a * d))
-
-        def dphi(a):
-            ga = np.atleast_1d(np.asarray(g(x + a * d), dtype=float))
-            cache["grad"] = (a, ga)
-            return -float(ga @ d)
-
-        g0 = -float(gx @ d)
-        a, phi_a, _ = _wolfe(phi, dphi, -fx, g0, opts.armijo, opts.curvature, amax=amax)
-        if a <= 0.0:
-            a, phi_a, _ = _noise_floor_step(f, g, x, d, fx, gx, amax=amax)
-            cache.pop("grad", None)
-            if a <= 0.0:
-                break
-        x_new = snap(x + a * d)
-        hit_wall = bool(np.any((x_new == lo) & (x > lo)))
-        if hit_wall:
-            f_new = float(f(x_new))
-            g_new = np.atleast_1d(np.asarray(g(x_new), dtype=float))
-        else:
-            f_new = -phi_a
-            if "grad" in cache and cache["grad"][0] == a:
-                g_new = cache["grad"][1]
-            else:
-                g_new = np.atleast_1d(np.asarray(g(x_new), dtype=float))
-        s = x_new - x
-        if not hit_wall:
-            sf = s[free]
-            yf = (gx - g_new)[free]
-            if float(sf @ yf) > 1e-12 * (np.linalg.norm(sf) * np.linalg.norm(yf) + 1e-300):
-                Hf = _bfgs_update(Hf, sf, yf)
-            else:
-                Hf = np.eye(sf.size)
-        rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
-        x, fx, gx = x_new, f_new, g_new
-        iters += 1
-        if callback is not None:
-            callback(x.copy(), fx)
-        if rel_step <= opts.step_tol and not hit_wall:
-            at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
-            pg = np.where(at_bound & (gx <= 0.0), 0.0, gx)
-            converged = _inf_norm(pg) <= opts.grad_tol
+        cand = x.copy()
+        cand[idx] += step
+        if bounds is not None:
+            cand = np.maximum(cand, bounds.lo)
+        g_new = _vector(grad(cand))
+        if not np.all(np.isfinite(g_new)):
             break
-    at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
-    pg = np.where(at_bound & (gx <= 0.0), 0.0, gx)
-    return OptResult(
-        x=x,
-        f=fx,
-        grad_norm=_inf_norm(pg),
-        iterations=iters,
-        converged=bool(converged or _inf_norm(pg) <= opts.grad_tol),
-        active_lower=tuple(int(i) for i in np.flatnonzero(at_bound)),
-    )
+        norm_new, idx_new = projected(cand, g_new)
+        if norm_new >= norm:
+            break
+        x, g, norm, idx = cand, g_new, norm_new, idx_new
+    return x, norm <= GRAD_TOL
+
+
+def fd_hessian(grad, lower):
+    """A ``hess`` for :func:`newton_polish` from finite differences of ``grad``.
+
+    Each free column is a central difference, or a forward one where the
+    backward point would cross a finite lower bound; the block is then
+    symmetrized.
+    """
+    def hess(x, g, idx):
+        lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
+        H = np.zeros((idx.size, idx.size))
+        for col, i in enumerate(idx):
+            h = max(1e-7, 1e-7 * abs(x[i]))
+            down = x.copy()
+            down[i] -= h
+            up = x.copy()
+            up[i] += h
+            if np.isfinite(lo[i]) and down[i] < lo[i]:
+                H[:, col] = (np.asarray(grad(up), dtype=float)[idx] - g[idx]) / h
+            else:
+                H[:, col] = (
+                    np.asarray(grad(up), dtype=float)[idx]
+                    - np.asarray(grad(down), dtype=float)[idx]
+                ) / (2.0 * h)
+        return (H + H.T) / 2.0
+
+    return hess

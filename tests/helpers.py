@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from iupm import DilutionLevelData, MultiDilutionAssay
+from iupm.inference import multi_gradient, observed_information
+from iupm.optimize import OptResult, _bfgs_update, _inf_norm, _noise_floor_step, _wolfe
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -183,6 +185,271 @@ def reference_binomial_weights(Lambda: float, M: int) -> np.ndarray:
     log_w = _reference_log_binom_row(M) + k * -Lambda
     log_w += (M - k) * _reference_log1mexp(Lambda)
     return np.exp(log_w, out=log_w)
+
+
+# The solver layer as it stood with two BFGS loops and three Newton polishers:
+# the oracle that the merged ``maximize`` and ``newton_polish`` must match bit
+# for bit.  The line search, noise-floor step and BFGS update they call are
+# shared with the library and unchanged.
+REF_MAX_ITER = 10_000
+REF_GRAD_TOL = 1e-8
+REF_STEP_TOL = 1e-10
+REF_ARMIJO = 1e-4
+REF_CURVATURE = 0.9
+
+
+def reference_maximize(f, g, x0, callback=None) -> OptResult:
+    """Unconstrained BFGS."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    n = x.size
+    fx = float(f(x))
+    gx = np.atleast_1d(np.asarray(g(x), dtype=float))
+    if not math.isfinite(fx) or not np.all(np.isfinite(gx)):
+        raise ValueError("objective or gradient is not finite at the starting point")
+    H = np.eye(n)
+    iters = 0
+    converged = _inf_norm(gx) <= REF_GRAD_TOL
+    while not converged and iters < REF_MAX_ITER:
+        d = H @ gx
+        if float(d @ gx) <= 0.0:
+            H = np.eye(n)
+            d = gx.copy()
+        cache: dict = {}
+
+        def phi(a):
+            return -float(f(x + a * d))
+
+        def dphi(a):
+            ga = np.atleast_1d(np.asarray(g(x + a * d), dtype=float))
+            cache["grad"] = (a, ga)
+            return -float(ga @ d)
+
+        g0 = -float(gx @ d)
+        a, phi_a, _ = _wolfe(phi, dphi, -fx, g0, REF_ARMIJO, REF_CURVATURE)
+        if a <= 0.0:
+            a, phi_a, g_new = _noise_floor_step(f, g, x, d, fx, gx)
+            if a <= 0.0:
+                break
+            x_new = x + a * d
+            f_new = -phi_a
+        else:
+            x_new = x + a * d
+            if "grad" in cache and cache["grad"][0] == a:
+                g_new = cache["grad"][1]
+            else:
+                g_new = np.atleast_1d(np.asarray(g(x_new), dtype=float))
+            f_new = -phi_a
+        s = x_new - x
+        y = gx - g_new
+        if float(s @ y) > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+            H = _bfgs_update(H, s, y)
+        else:
+            H = np.eye(n)
+        rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
+        x, fx, gx = x_new, f_new, g_new
+        iters += 1
+        if callback is not None:
+            callback(x.copy(), fx)
+        converged = np.all(np.isfinite(gx)) and _inf_norm(gx) <= REF_GRAD_TOL
+        if not converged and rel_step <= REF_STEP_TOL:
+            break
+    return OptResult(
+        x=x, f=fx, grad_norm=_inf_norm(gx), iterations=iters, converged=bool(converged), active_lower=()
+    )
+
+
+def reference_maximize_box(f, g, x0, lower, callback=None) -> OptResult:
+    """Gradient projection with BFGS updates on the free set."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape).copy()
+    if np.any(x < lo):
+        raise ValueError("infeasible starting point: need x0 >= lower")
+    bound_tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(lo), lo, 0.0)))
+
+    def snap(v):
+        hit = np.isfinite(lo) & (v - lo <= bound_tol)
+        v[hit] = lo[hit]
+        return v
+
+    x = snap(x)
+    fx = float(f(x))
+    gx = np.atleast_1d(np.asarray(g(x), dtype=float))
+    if not math.isfinite(fx) or not np.all(np.isfinite(gx)):
+        raise ValueError("objective or gradient is not finite at the starting point")
+    Hf = None
+    prev_free = None
+    iters = 0
+    converged = False
+    while iters < REF_MAX_ITER:
+        at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
+        active = at_bound & (gx <= 0.0)
+        pg = np.where(active, 0.0, gx)
+        if _inf_norm(pg) <= REF_GRAD_TOL:
+            converged = True
+            break
+        free = ~active
+        key = free.tobytes()
+        if key != prev_free:
+            Hf = np.eye(int(free.sum()))
+            prev_free = key
+        gf = gx[free]
+        df = Hf @ gf
+        d = np.zeros_like(x)
+        d[free] = df
+        d[at_bound & (d < 0.0)] = 0.0
+        if float(d @ gx) <= 0.0:
+            Hf = np.eye(gf.size)
+            d = np.zeros_like(x)
+            d[free] = gf
+            d[at_bound & (d < 0.0)] = 0.0
+        moving_down = (d < 0.0) & np.isfinite(lo)
+        amax = math.inf
+        if np.any(moving_down):
+            amax = float(np.min((lo[moving_down] - x[moving_down]) / d[moving_down]))
+            amax = max(amax, 0.0)
+        cache: dict = {}
+
+        def phi(a):
+            return -float(f(x + a * d))
+
+        def dphi(a):
+            ga = np.atleast_1d(np.asarray(g(x + a * d), dtype=float))
+            cache["grad"] = (a, ga)
+            return -float(ga @ d)
+
+        g0 = -float(gx @ d)
+        a, phi_a, _ = _wolfe(phi, dphi, -fx, g0, REF_ARMIJO, REF_CURVATURE, amax=amax)
+        if a <= 0.0:
+            a, phi_a, _ = _noise_floor_step(f, g, x, d, fx, gx, amax=amax)
+            cache.pop("grad", None)
+            if a <= 0.0:
+                break
+        x_new = snap(x + a * d)
+        hit_wall = bool(np.any((x_new == lo) & (x > lo)))
+        if hit_wall:
+            f_new = float(f(x_new))
+            g_new = np.atleast_1d(np.asarray(g(x_new), dtype=float))
+        else:
+            f_new = -phi_a
+            if "grad" in cache and cache["grad"][0] == a:
+                g_new = cache["grad"][1]
+            else:
+                g_new = np.atleast_1d(np.asarray(g(x_new), dtype=float))
+        s = x_new - x
+        if not hit_wall:
+            sf = s[free]
+            yf = (gx - g_new)[free]
+            if float(sf @ yf) > 1e-12 * (np.linalg.norm(sf) * np.linalg.norm(yf) + 1e-300):
+                Hf = _bfgs_update(Hf, sf, yf)
+            else:
+                Hf = np.eye(sf.size)
+        rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
+        x, fx, gx = x_new, f_new, g_new
+        iters += 1
+        if callback is not None:
+            callback(x.copy(), fx)
+        if rel_step <= REF_STEP_TOL and not hit_wall:
+            at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
+            pg = np.where(at_bound & (gx <= 0.0), 0.0, gx)
+            converged = _inf_norm(pg) <= REF_GRAD_TOL
+            break
+    at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
+    pg = np.where(at_bound & (gx <= 0.0), 0.0, gx)
+    return OptResult(
+        x=x,
+        f=fx,
+        grad_norm=_inf_norm(pg),
+        iterations=iters,
+        converged=bool(converged or _inf_norm(pg) <= REF_GRAD_TOL),
+        active_lower=tuple(int(i) for i in np.flatnonzero(at_bound)),
+    )
+
+
+def reference_fd_newton_polish(grad, x, lower=None, tol=1e-8, max_steps=8):
+    """Newton refinement on a finite-difference Hessian of an analytic gradient."""
+    x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+    n = x.size
+    lo = (
+        np.full(n, -math.inf)
+        if lower is None
+        else np.broadcast_to(np.asarray(lower, dtype=float), x.shape).copy()
+    )
+    bound_tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(lo), lo, 0.0)))
+
+    def projected(xv, gv):
+        at_b = np.isfinite(lo) & (xv <= lo + bound_tol)
+        return _inf_norm(np.where(at_b & (gv <= 0.0), 0.0, gv)), at_b
+
+    g = np.atleast_1d(np.asarray(grad(x), dtype=float))
+    norm, at_b = projected(x, g)
+    for _ in range(max_steps):
+        if norm <= tol:
+            return x, True
+        free = ~(at_b & (g <= 0.0))
+        idx = np.flatnonzero(free)
+        H = np.zeros((idx.size, idx.size))
+        for col, i in enumerate(idx):
+            h = max(1e-7, 1e-7 * abs(x[i]))
+            down = x.copy()
+            down[i] -= h
+            up = x.copy()
+            up[i] += h
+            if np.isfinite(lo[i]) and down[i] < lo[i]:
+                H[:, col] = (np.asarray(grad(up), dtype=float)[idx] - g[idx]) / h
+            else:
+                H[:, col] = (
+                    np.asarray(grad(up), dtype=float)[idx]
+                    - np.asarray(grad(down), dtype=float)[idx]
+                ) / (2.0 * h)
+        H = (H + H.T) / 2.0
+        try:
+            step = np.linalg.solve(H, -g[idx])
+        except np.linalg.LinAlgError:
+            break
+        cand = x.copy()
+        cand[idx] += step
+        cand = np.maximum(cand, lo)
+        g_new = np.atleast_1d(np.asarray(grad(cand), dtype=float))
+        if not np.all(np.isfinite(g_new)):
+            break
+        norm_new, at_b_new = projected(cand, g_new)
+        if norm_new >= norm:
+            break
+        x, g, norm, at_b = cand, g_new, norm_new, at_b_new
+    return x, norm <= tol
+
+
+def reference_newton_polish(theta, assay, tol=1e-8, max_steps=10):
+    """Newton refinement of the Poisson fit in theta = log(tau), on the
+    analytic theta-Hessian, keeping the best point seen."""
+    theta = theta.copy()
+
+    def theta_grad(th):
+        tau = np.exp(th)
+        return tau * multi_gradient(tau, assay)
+
+    g = theta_grad(theta)
+    best = (theta.copy(), float(np.max(np.abs(g))))
+    for _ in range(max_steps):
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm <= tol:
+            return theta, True
+        tau = np.exp(theta)
+        H = -observed_information(tau, assay)
+        H = tau[:, None] * H * tau[None, :] + np.diag(g)
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            break
+        candidate = theta + step
+        g_new = theta_grad(candidate)
+        if not np.all(np.isfinite(g_new)) or float(np.max(np.abs(g_new))) >= gnorm:
+            break
+        theta, g = candidate, g_new
+        if float(np.max(np.abs(g))) < best[1]:
+            best = (theta.copy(), float(np.max(np.abs(g))))
+    theta, gnorm = best
+    return theta, gnorm <= tol
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -29,7 +29,7 @@ from iupm import (
 from iupm.bias import a_matrices, bias_term
 from iupm.imperfect import imperfect_gradient, imperfect_log_likelihood
 from iupm.inference import covariance, fisher_information_multi
-from iupm.optimize import maximize_box
+from iupm.optimize import maximize
 from iupm.poisson import gradient, hessian, log_likelihood
 from iupm.simulate import (
     BC_MLE_WITH_UDSA,
@@ -452,13 +452,13 @@ def test_criterion_09_undetected_lineage_theorem():
         augmented = DilutionLevelData(
             u=1.0, M=lv.M, M_N=lv.M_N, m=lv.m, Y=tuple(lv.Y) + (0,)
         )
-        base = maximize_box(
+        base = maximize(
             lambda lam: log_likelihood(lam, lv),
             lambda lam: gradient(lam, lv),
             np.full(lv.n, 0.2),
             np.zeros(lv.n),
         )
-        res = maximize_box(
+        res = maximize(
             lambda lam: log_likelihood(lam, augmented),
             lambda lam: gradient(lam, augmented),
             np.full(lv.n + 1, 0.2),

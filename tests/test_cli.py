@@ -368,6 +368,14 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--input", "/nonexistent/path.json")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        path = self.write_scenario(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "seed" in err
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

@@ -12,8 +12,6 @@ from iupm import (
     SingularInformationError,
     closed_form_full_udsa,
     covariance,
-    expected_m,
-    expected_y,
     fisher_information,
     fisher_information_multi,
     fit_mle,
@@ -40,6 +38,16 @@ from helpers import (
 )
 
 Z975 = 1.959963984540054
+
+
+def expected_m(Lambda, M, q):
+    """Expected number of sequenced positive wells: Em of the binomial sums."""
+    return _binomial_sums(Lambda, M, q)[0]
+
+
+def expected_y(lam, Lambda, M, q):
+    """Expected per-lineage sequenced count, (1 - e^{-lam}) F as the information forms it."""
+    return -np.expm1(-np.asarray(lam, dtype=float)) * _binomial_sums(Lambda, M, q)[1]
 
 
 class TestExpectations:

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from iupm import DilutionLevelData
-from iupm.optimize import OptOptions, maximize, maximize_box
+from iupm import DilutionLevelData, ErrorRates, fit_imperfect, fit_mle, fit_negbin
+from iupm import imperfect, inference, negbin, optimize
+from iupm.imperfect import ImperfectModel
+from iupm.optimize import maximize
 from iupm.poisson import closed_form_full_udsa, log_likelihood, gradient
+from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
+from helpers import (
+    reference_fd_newton_polish,
+    reference_maximize,
+    reference_maximize_box,
+    reference_newton_polish,
+)
 
 
 def quad_problem(P, b):
@@ -75,7 +84,9 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize(lambda x: math.nan, lambda x: np.array([0.0]), [1.0])
 
-    def test_max_iter_flags_non_convergence(self):
+    def test_max_iter_flags_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ITER", 3)
+
         def f(x):
             return -((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
 
@@ -87,20 +98,14 @@ class TestMaximize:
                 ]
             )
 
-        res = maximize(f, g, np.array([-1.2, 1.0]), OptOptions(max_iter=3))
+        res = maximize(f, g, np.array([-1.2, 1.0]))
         assert not res.converged
         assert res.iterations == 3
-
-    def test_bad_options_rejected(self):
-        with pytest.raises(ValueError):
-            OptOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            OptOptions(grad_tol=0.0)
 
 
 class TestMaximizeBox:
     def test_active_bound(self):
-        res = maximize_box(
+        res = maximize(
             lambda x: -((x[0] + 1.0) ** 2), lambda x: np.array([-2.0 * (x[0] + 1.0)]), [1.0], [0.0]
         )
         assert res.converged
@@ -108,7 +113,7 @@ class TestMaximizeBox:
         assert res.active_lower == (0,)
 
     def test_inactive_bound(self):
-        res = maximize_box(
+        res = maximize(
             lambda x: -((x[0] - 2.0) ** 2), lambda x: np.array([-2.0 * (x[0] - 2.0)]), [0.5], [0.0]
         )
         assert res.converged
@@ -123,7 +128,7 @@ class TestMaximizeBox:
             P = A @ A.T + n * np.eye(n)
             f, g, _ = quad_problem(P, rng.normal(size=n))
             lower = rng.uniform(-0.5, 0.5, n)
-            res = maximize_box(f, g, lower + 1.0, lower)
+            res = maximize(f, g, lower + 1.0, lower)
             assert res.converged
             grad_at = g(res.x)
             for i in res.active_lower:
@@ -141,17 +146,21 @@ class TestMaximizeBox:
             P = A @ A.T + n * np.eye(n)
             f, g, xstar = quad_problem(P, rng.normal(size=n))
             x0 = rng.normal(size=n)
-            res_box = maximize_box(f, g, x0, np.full(n, -math.inf))
+            res_box = maximize(f, g, x0, np.full(n, -math.inf))
             res_unc = maximize(f, g, x0)
-            np.testing.assert_allclose(res_box.x, res_unc.x, atol=1e-7)
+            assert np.array_equal(res_box.x, res_unc.x)
+            assert (res_box.f, res_box.grad_norm, res_box.iterations, res_box.converged) == (
+                res_unc.f, res_unc.grad_norm, res_unc.iterations, res_unc.converged
+            )
+            assert res_box.active_lower == res_unc.active_lower == ()
 
     def test_infeasible_start_raises(self):
         with pytest.raises(ValueError):
-            maximize_box(lambda x: -x[0] ** 2, lambda x: np.array([-2 * x[0]]), [-1.0], [0.0])
+            maximize(lambda x: -x[0] ** 2, lambda x: np.array([-2 * x[0]]), [-1.0], [0.0])
 
     def test_monotone_ascent(self):
         values = []
-        maximize_box(
+        maximize(
             lambda x: -((x[0] + 1.0) ** 2) - (x[1] - 1.0) ** 2,
             lambda x: np.array([-2.0 * (x[0] + 1.0), -2.0 * (x[1] - 1.0)]),
             [2.0, 3.0],
@@ -159,3 +168,119 @@ class TestMaximizeBox:
             callback=lambda x, fx: values.append(fx),
         )
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def negated_rosenbrock():
+    def f(x):
+        return -((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+
+    def g(x):
+        return -np.array(
+            [-2.0 * (1 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)]
+        )
+
+    return f, g
+
+
+def outcome(res):
+    """An OptResult's fields, with x as bytes so that == compares every bit."""
+    return (res.x.tobytes(), res.f, res.grad_norm, res.iterations, res.converged, res.active_lower)
+
+
+def polished(out):
+    """A polish's (x, converged), with x as bytes."""
+    return out[0].tobytes(), out[1]
+
+
+def spy(monkeypatch, module, name):
+    """Record (args, outcome at return) of every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, outcome(out) if isinstance(out, optimize.OptResult) else polished(out)))
+        return out
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+STUDY_MULTI = SimScenario(
+    truth=1.0, n_dvl=6, levels=(SimLevel(0.5, 12, 0.0), SimLevel(1.0, 24, 0.5), SimLevel(2.0, 36, 1.0))
+)
+LRT_NEGBIN = SimScenario(
+    truth=1.0, n_dvl=12, model="negbin", gamma=4.0,
+    levels=(SimLevel(0.5, 30, 0.0), SimLevel(1.0, 60, 0.5), SimLevel(2.0, 90, 1.0)),
+)
+STUDY_IMPERFECT = SimScenario(
+    truth=1.0, n_dvl=6, levels=(SimLevel(1.0, 32, 1.0),), model="imperfect",
+    rates=ErrorRates(0.9, 0.9, 0.9, 0.9),
+)
+
+
+class TestMatchesReference:
+    """The one BFGS loop and the one Newton polish return, bit for bit, what
+    the separate unconstrained and bounded loops and the per-model polishers
+    returned (``tests/helpers.py`` keeps those as ``reference_*``)."""
+
+    def test_quadratics(self):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            n = int(rng.integers(2, 9))
+            A = rng.normal(size=(n, n))
+            P = A @ A.T + n * np.eye(n)
+            f, g, _ = quad_problem(P, rng.normal(size=n))
+            x0 = rng.normal(size=n)
+            assert outcome(maximize(f, g, x0)) == outcome(reference_maximize(f, g, x0))
+            for lower in (rng.uniform(-0.5, 0.5, n), np.full(n, -math.inf)):
+                start = np.maximum(x0, lower + 1.0) if np.isfinite(lower).all() else x0
+                assert outcome(maximize(f, g, start, lower)) == outcome(
+                    reference_maximize_box(f, g, start, lower)
+                )
+
+    def test_rosenbrock(self):
+        f, g = negated_rosenbrock()
+        for x0 in ([-1.2, 1.0], [2.0, -1.0], [0.0, 0.0]):
+            x0 = np.array(x0)
+            assert outcome(maximize(f, g, x0)) == outcome(reference_maximize(f, g, x0))
+            lower = [-math.inf, -2.0]
+            assert outcome(maximize(f, g, x0, lower)) == outcome(reference_maximize_box(f, g, x0, lower))
+
+    def test_poisson_theta_objectives(self, monkeypatch):
+        bfgs = spy(monkeypatch, inference, "maximize")
+        polish = spy(monkeypatch, inference, "newton_polish")
+        for rep in range(40):
+            draw, _ = _simulate_until_regular(STUDY_MULTI, _rng_for(STUDY_MULTI.seed, rep))
+            for assay in (draw.assay, draw.assay.strip_udsa()):
+                bfgs.clear()
+                polish.clear()
+                fit_mle(assay)
+                assert len(bfgs) == 1 and len(polish) == (1 if assay.n else 0)
+                (f, g, x0), got = bfgs[0]
+                assert got == outcome(reference_maximize(f, g, x0))
+                if polish:
+                    (_, _, x), got = polish[0]
+                    assert got == polished(reference_newton_polish(x, assay))
+
+    def test_bounded_negbin_objectives(self, monkeypatch):
+        bfgs = spy(monkeypatch, negbin, "maximize")
+        polish = spy(monkeypatch, negbin, "newton_polish")
+        for rep in range(20):
+            draw, _ = _simulate_until_regular(LRT_NEGBIN, _rng_for(LRT_NEGBIN.seed, rep))
+            fit_negbin(draw.assay)
+        assert bfgs and len(polish) == len(bfgs)
+        for ((f, g, x0, lower), got), ((grad, _, x, lower_p), got_p) in zip(bfgs, polish):
+            assert got == outcome(reference_maximize_box(f, g, x0, lower))
+            assert got_p == polished(reference_fd_newton_polish(grad, x, lower_p))
+
+    def test_bounded_imperfect_objectives(self, monkeypatch):
+        bfgs = spy(monkeypatch, imperfect, "maximize")
+        polish = spy(monkeypatch, imperfect, "newton_polish")
+        for rep in range(6):
+            draw, _ = _simulate_until_regular(STUDY_IMPERFECT, _rng_for(STUDY_IMPERFECT.seed, rep))
+            fit_imperfect(ImperfectModel(rates=STUDY_IMPERFECT.rates, assays=draw.well_assays))
+        assert len(bfgs) == len(polish) == 6
+        for ((f, g, x0, lower), got), ((grad, _, x, lower_p), got_p) in zip(bfgs, polish):
+            assert got == outcome(reference_maximize_box(f, g, x0, lower))
+            assert got_p == polished(reference_fd_newton_polish(grad, x, lower_p))

@@ -13,7 +13,7 @@ from iupm import (
     closed_form_full_udsa,
     closed_form_no_udsa,
 )
-from iupm.optimize import maximize_box
+from iupm.optimize import maximize
 from iupm.poisson import gradient, hessian, log_likelihood
 from helpers import (
     decimal_log_likelihood,
@@ -253,12 +253,12 @@ class TestAugmentedLikelihood:
         def g(lam):
             return gradient(lam, augmented)
 
-        base = maximize_box(
+        base = maximize(
             lambda lam: log_likelihood(lam, lv),
             lambda lam: gradient(lam, lv),
             np.full(lv.n, 0.2),
             np.zeros(lv.n),
         )
-        res = maximize_box(f, g, np.full(lv.n + 1, 0.2), np.zeros(lv.n + 1))
+        res = maximize(f, g, np.full(lv.n + 1, 0.2), np.zeros(lv.n + 1))
         assert res.x[-1] <= 1e-6
         assert abs(res.x.sum() - base.x.sum()) < 1e-6
