@@ -258,6 +258,8 @@ class ErrorRates:
     def __post_init__(self):
         for name in ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa"):
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise AssayDataError(f"{name} must be a number, got {value!r}")
             if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
                 raise AssayDataError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, float(value))

@@ -10,10 +10,15 @@ lineage is absent, the sum collapses to products:
     T0 = prod_i   P(z*_i | 0) e^{-lam_i}
     P(w*, z*) = P(w* | W=1) (S - T0) + P(w* | W=0) T0,
 
-which is what keeps evaluation O(M n) rather than O(M 2^n).  Rate MLEs are
-no longer guaranteed positive here, so the fit runs the quasi-Newton solver
-with the lower bound tau >= 0 directly on the rate scale, then a Newton polish
-on a finite-difference Hessian of the analytic gradient.
+which is what keeps evaluation O(M n) rather than O(M 2^n).  The per-well
+factors P(z*|.) and P(w*|.) depend on the readings and the error rates only,
+so ``_Level`` builds them once per level for a whole fit.  It also keeps the
+products S, T0 and P at the last rate vector, which the likelihood and its
+gradient share: the solver asks for the gradient at the point whose
+likelihood it has just taken.  Rate MLEs are no longer guaranteed positive
+here, so the fit runs the quasi-Newton solver with the lower bound tau >= 0
+directly on the rate scale, then a Newton polish on a finite-difference
+Hessian of the analytic gradient.
 """
 
 from __future__ import annotations
@@ -66,22 +71,48 @@ class ImperfectModel:
         return self.assays[0].n
 
 
-class _Tables:
-    """Per-level arrays extracted once from the WellRecord list."""
+class _Level:
+    """One level's per-well constants under fixed error rates, built once per
+    fit, plus the per-well products at the last rate vector evaluated.
 
-    def __init__(self, wa: WellAssay):
+    The solver asks for the gradient right after the likelihood at the same
+    point, so the products are kept for one rate vector, keyed on its exact
+    bytes: a differently signed zero can only miss, never return stale values.
+    """
+
+    def __init__(self, wa: WellAssay, rates: ErrorRates):
         seq = [(j, rec) for j, rec in enumerate(wa.wells) if rec.r == 1]
         self.seq_idx = np.array([j for j, _ in seq], dtype=int)
-        self.z = (
+        z = (
             np.array([rec.z_star for _, rec in seq], dtype=float)
             if seq
             else np.zeros((0, wa.n))
         )
-        self.w_seq = np.array([rec.w_star for _, rec in seq], dtype=float)
+        w_seq = np.array([rec.w_star for _, rec in seq], dtype=float)
         unseq = [rec for rec in wa.wells if rec.r == 0]
         self.n_unseq_pos = sum(1 for rec in unseq if rec.w_star == 1)
         self.n_unseq_neg = len(unseq) - self.n_unseq_pos
         self.n = wa.n
+        self.rates = rates
+        self.pz1 = np.where(z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
+        self.pz0 = np.where(z == 1.0, 1.0 - rates.spec_udsa, rates.spec_udsa)
+        self.dpz = self.pz1 - self.pz0
+        self.pw1 = np.where(w_seq == 1.0, rates.sens_qvoa, 1.0 - rates.sens_qvoa)
+        self.pw0 = np.where(w_seq == 1.0, 1.0 - rates.spec_qvoa, rates.spec_qvoa)
+        self._key = None
+        self._products = None
+
+    def products(self, lam: np.ndarray):
+        """(e, s, T0, pw0 T0, P) of the sequenced wells at lam."""
+        key = lam.tobytes()
+        if key != self._key:
+            e = np.exp(-lam)
+            s = self.pz0 * e + self.pz1 * (1.0 - e)
+            T0 = (self.pz0 * e).prod(axis=1)
+            pw0_T0 = self.pw0 * T0
+            P = self.pw1 * (s.prod(axis=1) - T0) + pw0_T0
+            self._key, self._products = key, (e, s, T0, pw0_T0, P)
+        return self._products
 
 
 def _leave_one_out_prod(a: np.ndarray) -> np.ndarray:
@@ -93,20 +124,6 @@ def _leave_one_out_prod(a: np.ndarray) -> np.ndarray:
         prefix[:, 1:] = np.cumprod(a[:, :-1], axis=1)
         suffix[:, :-1] = np.cumprod(a[:, ::-1][:, :-1], axis=1)[:, ::-1]
     return prefix * suffix
-
-
-def _seq_probs(lam: np.ndarray, tables: _Tables, rates: ErrorRates):
-    e = np.exp(-lam)
-    pz1 = np.where(tables.z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
-    pz0 = np.where(tables.z == 1.0, 1.0 - rates.spec_udsa, rates.spec_udsa)
-    s = pz0 * e + pz1 * (1.0 - e)
-    t0 = pz0 * e
-    S = s.prod(axis=1)
-    T0 = t0.prod(axis=1)
-    pw1 = np.where(tables.w_seq == 1.0, rates.sens_qvoa, 1.0 - rates.sens_qvoa)
-    pw0 = np.where(tables.w_seq == 1.0, 1.0 - rates.spec_qvoa, rates.spec_qvoa)
-    P = pw1 * (S - T0) + pw0 * T0
-    return e, pz1, pz0, s, S, T0, pw1, pw0, P
 
 
 def _marginals(lam_total: float, rates: ErrorRates) -> tuple[float, float]:
@@ -140,43 +157,49 @@ def well_marginal_prob(lam, w_star: int, rates: ErrorRates) -> float:
     return pos if w_star == 1 else neg
 
 
-def _level_loglik(lam: np.ndarray, tables: _Tables, rates: ErrorRates, strict: bool) -> float:
-    *_, P = _seq_probs(lam, tables, rates)
+def _zero_probability(level: _Level, P: np.ndarray, pos: float, neg: float) -> str | None:
+    """Why the data are impossible at this point, or None when they are not."""
     if np.any(P <= 0.0):
+        bad = int(level.seq_idx[int(np.argmax(P <= 0.0))])
+        return f"well {bad} has probability zero under the supplied error rates"
+    if (level.n_unseq_pos and pos <= 0.0) or (level.n_unseq_neg and neg <= 0.0):
+        return "an unsequenced well has probability zero under the supplied error rates"
+    return None
+
+
+def _level_loglik(lam: np.ndarray, level: _Level, strict: bool) -> float:
+    *_, P = level.products(lam)
+    pos, neg = _marginals(float(lam.sum()), level.rates)
+    reason = _zero_probability(level, P, pos, neg)
+    if reason is not None:
         if strict:
-            bad = int(tables.seq_idx[int(np.argmax(P <= 0.0))])
-            raise ImperfectFitError(
-                f"well {bad} has probability zero under the supplied error rates"
-            )
+            raise ImperfectFitError(reason)
         return -math.inf
     total = float(np.log(P).sum())
-    pos, neg = _marginals(float(lam.sum()), rates)
-    for count, prob in ((tables.n_unseq_pos, pos), (tables.n_unseq_neg, neg)):
+    for count, prob in ((level.n_unseq_pos, pos), (level.n_unseq_neg, neg)):
         if count:
-            if prob <= 0.0:
-                if strict:
-                    raise ImperfectFitError(
-                        "an unsequenced well has probability zero under the supplied error rates"
-                    )
-                return -math.inf
             total += count * math.log(prob)
     return total
 
 
-def _level_gradient(lam: np.ndarray, tables: _Tables, rates: ErrorRates) -> np.ndarray:
-    e, pz1, pz0, s, S, T0, pw1, pw0, P = _seq_probs(lam, tables, rates)
-    grad = np.zeros(tables.n)
-    if tables.z.shape[0]:
-        dS = _leave_one_out_prod(s) * (e * (pz1 - pz0))
-        dP = pw1[:, None] * (dS + T0[:, None]) - pw0[:, None] * T0[:, None]
-        grad += (dP / P[:, None]).sum(axis=0)
+def _level_gradient(lam: np.ndarray, level: _Level, strict: bool = False) -> np.ndarray:
+    e, s, T0, pw0_T0, P = level.products(lam)
     lam_total = float(lam.sum())
-    pos, neg = _marginals(lam_total, rates)
-    gain = (rates.sens_qvoa + rates.spec_qvoa - 1.0) * math.exp(-lam_total)
-    if tables.n_unseq_pos:
-        grad += tables.n_unseq_pos * gain / pos
-    if tables.n_unseq_neg:
-        grad -= tables.n_unseq_neg * gain / neg
+    pos, neg = _marginals(lam_total, level.rates)
+    if strict:
+        reason = _zero_probability(level, P, pos, neg)
+        if reason is not None:
+            raise ImperfectFitError(reason)
+    grad = np.zeros(level.n)
+    if P.size:
+        dS = _leave_one_out_prod(s) * (e * level.dpz)
+        dP = level.pw1[:, None] * (dS + T0[:, None]) - pw0_T0[:, None]
+        grad += (dP / P[:, None]).sum(axis=0)
+    gain = (level.rates.sens_qvoa + level.rates.spec_qvoa - 1.0) * math.exp(-lam_total)
+    if level.n_unseq_pos:
+        grad += level.n_unseq_pos * gain / pos
+    if level.n_unseq_neg:
+        grad -= level.n_unseq_neg * gain / neg
     return grad
 
 
@@ -189,14 +212,16 @@ def imperfect_log_likelihood(lam, wa: WellAssay, rates: ErrorRates) -> float:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size != wa.n:
         raise ValueError(f"rate vector has length {lam.size}, assay has n={wa.n}")
-    return _level_loglik(lam, _Tables(wa), rates, strict=True)
+    return _level_loglik(lam, _Level(wa, rates), strict=True)
 
 
 def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
+    """Gradient of ``imperfect_log_likelihood`` in the level's rates; raises
+    as it does where some well has probability zero."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size != wa.n:
         raise ValueError(f"rate vector has length {lam.size}, assay has n={wa.n}")
-    return _level_gradient(lam, _Tables(wa), rates)
+    return _level_gradient(lam, _Level(wa, rates), strict=True)
 
 
 def _observed_information(tau: np.ndarray, free: np.ndarray, grad_full, h_rel: float = 1e-5) -> np.ndarray:
@@ -227,18 +252,18 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     ``active_lower``.
     """
     model.rates.check_identifiable()
-    tables = [(wa.u, _Tables(wa)) for wa in model.assays]
+    levels = [(wa.u, _Level(wa, model.rates)) for wa in model.assays]
     n = model.n
     if n == 0:
         raise AssayDataError("the imperfect fit needs at least one lineage column")
 
     def objective(tau):
-        return sum(_level_loglik(u * tau, tb, model.rates, strict=False) for u, tb in tables)
+        return sum(_level_loglik(u * tau, level, strict=False) for u, level in levels)
 
     def grad(tau):
         out = np.zeros(n)
-        for u, tb in tables:
-            out += u * _level_gradient(u * tau, tb, model.rates)
+        for u, level in levels:
+            out += u * _level_gradient(u * tau, level)
         return out
 
     lower = np.zeros(n)

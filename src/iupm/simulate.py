@@ -205,6 +205,8 @@ class SimDraw:
 
 
 def _restrict_well_assay(wa: WellAssay, keep: list[int]) -> WellAssay:
+    if keep == list(range(wa.n)):
+        return wa
     records = tuple(
         WellRecord(
             w_star=rec.w_star,

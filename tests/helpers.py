@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from iupm import DilutionLevelData, MultiDilutionAssay
+from iupm import DilutionLevelData, ImperfectFitError, MultiDilutionAssay
 from iupm.inference import multi_gradient, observed_information
 from iupm.optimize import OptResult, _bfgs_update, _inf_norm, _noise_floor_step, _wolfe
 
@@ -521,6 +521,99 @@ def brute_force_joint_prob(lam, w_star, z_star, rates) -> float:
                 prob *= pz * math.exp(-lam[i])
         total += prob
     return total
+
+
+class ReferenceTables:
+    """The imperfect-assay per-level arrays as first written: the readings
+    only, with every rate-dependent factor rebuilt on each evaluation."""
+
+    def __init__(self, wa):
+        seq = [(j, rec) for j, rec in enumerate(wa.wells) if rec.r == 1]
+        self.seq_idx = np.array([j for j, _ in seq], dtype=int)
+        self.z = (
+            np.array([rec.z_star for _, rec in seq], dtype=float)
+            if seq
+            else np.zeros((0, wa.n))
+        )
+        self.w_seq = np.array([rec.w_star for _, rec in seq], dtype=float)
+        unseq = [rec for rec in wa.wells if rec.r == 0]
+        self.n_unseq_pos = sum(1 for rec in unseq if rec.w_star == 1)
+        self.n_unseq_neg = len(unseq) - self.n_unseq_pos
+        self.n = wa.n
+
+
+def _reference_leave_one_out_prod(a):
+    m, n = a.shape
+    prefix = np.ones((m, n))
+    suffix = np.ones((m, n))
+    if n > 1:
+        prefix[:, 1:] = np.cumprod(a[:, :-1], axis=1)
+        suffix[:, :-1] = np.cumprod(a[:, ::-1][:, :-1], axis=1)[:, ::-1]
+    return prefix * suffix
+
+
+def _reference_marginals(lam_total, rates):
+    eL = math.exp(-lam_total)
+    pos = rates.sens_qvoa * (1.0 - eL) + (1.0 - rates.spec_qvoa) * eL
+    neg = (1.0 - rates.sens_qvoa) * (1.0 - eL) + rates.spec_qvoa * eL
+    return pos, neg
+
+
+def reference_seq_probs(lam, tables, rates):
+    e = np.exp(-lam)
+    pz1 = np.where(tables.z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
+    pz0 = np.where(tables.z == 1.0, 1.0 - rates.spec_udsa, rates.spec_udsa)
+    s = pz0 * e + pz1 * (1.0 - e)
+    t0 = pz0 * e
+    S = s.prod(axis=1)
+    T0 = t0.prod(axis=1)
+    pw1 = np.where(tables.w_seq == 1.0, rates.sens_qvoa, 1.0 - rates.sens_qvoa)
+    pw0 = np.where(tables.w_seq == 1.0, 1.0 - rates.spec_qvoa, rates.spec_qvoa)
+    P = pw1 * (S - T0) + pw0 * T0
+    return e, pz1, pz0, s, S, T0, pw1, pw0, P
+
+
+def reference_level_loglik(lam, tables, rates, strict):
+    """The imperfect-assay level log-likelihood as first written: the oracle
+    the shared-product kernel must match bit for bit."""
+    *_, P = reference_seq_probs(lam, tables, rates)
+    if np.any(P <= 0.0):
+        if strict:
+            bad = int(tables.seq_idx[int(np.argmax(P <= 0.0))])
+            raise ImperfectFitError(
+                f"well {bad} has probability zero under the supplied error rates"
+            )
+        return -math.inf
+    total = float(np.log(P).sum())
+    pos, neg = _reference_marginals(float(lam.sum()), rates)
+    for count, prob in ((tables.n_unseq_pos, pos), (tables.n_unseq_neg, neg)):
+        if count:
+            if prob <= 0.0:
+                if strict:
+                    raise ImperfectFitError(
+                        "an unsequenced well has probability zero under the supplied error rates"
+                    )
+                return -math.inf
+            total += count * math.log(prob)
+    return total
+
+
+def reference_level_gradient(lam, tables, rates):
+    """The imperfect-assay level gradient as first written."""
+    e, pz1, pz0, s, S, T0, pw1, pw0, P = reference_seq_probs(lam, tables, rates)
+    grad = np.zeros(tables.n)
+    if tables.z.shape[0]:
+        dS = _reference_leave_one_out_prod(s) * (e * (pz1 - pz0))
+        dP = pw1[:, None] * (dS + T0[:, None]) - pw0[:, None] * T0[:, None]
+        grad += (dP / P[:, None]).sum(axis=0)
+    lam_total = float(lam.sum())
+    pos, neg = _reference_marginals(lam_total, rates)
+    gain = (rates.sens_qvoa + rates.spec_qvoa - 1.0) * math.exp(-lam_total)
+    if tables.n_unseq_pos:
+        grad += tables.n_unseq_pos * gain / pos
+    if tables.n_unseq_neg:
+        grad -= tables.n_unseq_neg * gain / neg
+    return grad
 
 
 def direct_nb_log_likelihood(tau, gamma, assay) -> float:

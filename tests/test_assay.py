@@ -96,6 +96,9 @@ class TestConstructors:
     def test_error_rates_bounds(self):
         with pytest.raises(AssayDataError):
             ErrorRates(1.1, 0.9, 0.9, 0.9)
+        for flag in (True, np.bool_(True), False):
+            with pytest.raises(AssayDataError, match="must be a number"):
+                ErrorRates(0.9, 0.9, flag, 0.9)
         rates = ErrorRates(0.4, 0.5, 0.9, 0.9)
         with pytest.raises(AssayDataError):
             rates.check_identifiable()

@@ -383,8 +383,18 @@ class TestSimulate:
             ({"estimators": ["imperfect-mle"]}, "per-well data"),
             ({"allocation": "non-constant", "n_dvl": 3}, "even number of lineages"),
             ({"model": "negbin", "gamma": 1.0}, "two dilution levels"),
+            (
+                {
+                    "model": "imperfect",
+                    "rates": {"sens_qvoa": True, "spec_qvoa": 0.9, "sens_udsa": 0.9, "spec_udsa": 0.9},
+                },
+                "sens_qvoa must be a number",
+            ),
         ],
-        ids=["unknown-comparator", "imperfect-on-poisson", "odd-non-constant", "single-level-negbin"],
+        ids=[
+            "unknown-comparator", "imperfect-on-poisson", "odd-non-constant", "single-level-negbin",
+            "boolean-rate",
+        ],
     )
     def test_unusable_scenario_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):
         def no_draws(*args, **kwargs):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +23,17 @@ from iupm import (
     well_joint_prob,
     well_marginal_prob,
 )
+from iupm import imperfect
+from iupm.imperfect import _Level, _level_gradient, _level_loglik
 from iupm.poisson import log_likelihood
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
-from helpers import brute_force_joint_prob, fd_gradient
+from helpers import (
+    ReferenceTables,
+    brute_force_joint_prob,
+    fd_gradient,
+    reference_level_gradient,
+    reference_level_loglik,
+)
 
 PERFECT = ErrorRates(1.0, 1.0, 1.0, 1.0)
 
@@ -200,6 +209,22 @@ class TestGradient:
         grad = imperfect_gradient(fit.tau_hat, wa, PERFECT)
         assert np.max(np.abs(grad)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "record, lam, message",
+        [
+            (WellRecord(w_star=1, r=1, z_star=(1, 0)), [0.0, 0.2], "well 1 has probability zero"),
+            (WellRecord(w_star=1, r=0), [0.0, 0.0], "an unsequenced well has probability zero"),
+        ],
+        ids=["sequenced", "unsequenced"],
+    )
+    def test_impossible_point_raises_like_the_likelihood(self, record, lam, message):
+        # perfect rates cannot give a positive reading where the rates are zero
+        wa = WellAssay(u=1.0, wells=(WellRecord(w_star=0, r=0), record), n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImperfectFitError, match=message):
+                imperfect_gradient(np.array(lam), wa, PERFECT)
+
     def test_exchangeable_lineages_share_the_gradient(self):
         records = (
             WellRecord(w_star=1, r=1, z_star=(1, 1)),
@@ -295,3 +320,189 @@ class TestFitImperfect:
         rebuilt = restrict_to_detected([summarize_well_assay(wa) for wa in draw.well_assays])
         assert rebuilt.levels[0].M_N == draw.assay.levels[0].M_N
         assert rebuilt.levels[0].m == draw.assay.levels[0].m
+
+
+def random_well_assay(rng, n, M, seq_share):
+    """M random wells over n lineages; each positive well is sequenced with
+    probability seq_share, with random readings."""
+    records = []
+    for _ in range(M):
+        w = int(rng.random() < 0.7)
+        r = int(w and rng.random() < seq_share)
+        z = tuple(int(v) for v in rng.random(n) < 0.4) if r else None
+        records.append(WellRecord(w_star=w, r=r, z_star=z))
+    return WellAssay(u=1.0, wells=tuple(records), n=n)
+
+
+def random_rates(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return PERFECT
+    if kind == 1:
+        return ErrorRates(*rng.uniform(0.55, 1.0, 4))
+    return ErrorRates(*rng.choice([0.8, 0.9, 1.0], 4))
+
+
+def random_lam(rng, n):
+    lam = rng.uniform(0.0, 2.0, n)
+    lam[rng.random(n) < 0.2] = 0.0
+    lam[rng.random(n) < 0.1] = rng.uniform(700.0, 800.0)
+    return lam
+
+
+def assert_level_matches_reference(lam, wa, rates):
+    """The kernel's likelihood and gradient, strict and not, through a fresh
+    level and through one whose products were just computed, against the
+    kernel as first written."""
+    tables = ReferenceTables(wa)
+    for strict in (False, True):
+        try:
+            expected = reference_level_loglik(lam, tables, rates, strict)
+        except ImperfectFitError as exc:
+            with pytest.raises(ImperfectFitError, match=f"^{exc}$"):
+                _level_loglik(lam, _Level(wa, rates), strict)
+        else:
+            assert _level_loglik(lam, _Level(wa, rates), strict) == expected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            expected = reference_level_gradient(lam, tables, rates)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _level_gradient(lam, _Level(wa, rates))
+            return
+        level = _Level(wa, rates)
+        _level_loglik(lam, level, strict=False)
+        shared = _level_gradient(lam, level)
+        fresh = _level_gradient(lam, _Level(wa, rates))
+    assert np.array_equal(shared, expected, equal_nan=True)
+    assert np.array_equal(fresh, expected, equal_nan=True)
+
+
+class TestMatchesReference:
+    """The shared-product kernel gives the bits of the kernel as first
+    written, on random levels, on edge cases and through whole fits."""
+
+    def test_random_levels(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            n = int(rng.integers(1, 7))
+            wa = random_well_assay(rng, n, int(rng.integers(1, 30)), rng.choice([0.0, 0.5, 1.0]))
+            rates = random_rates(rng)
+            for _ in range(3):
+                assert_level_matches_reference(random_lam(rng, n), wa, rates)
+
+    @pytest.mark.parametrize(
+        "records, n, lam, rates",
+        [
+            ([(1, 0, None), (0, 0, None), (1, 0, None)], 3, [0.2, 0.0, 0.5], ErrorRates(0.9, 0.8, 0.9, 0.9)),
+            ([(1, 1, (1, 0)), (1, 1, (0, 1)), (1, 1, (1, 1))], 2, [0.3, 0.7], ErrorRates(0.9, 0.8, 0.85, 0.95)),
+            ([(1, 1, (1,)), (0, 0, None), (1, 0, None)], 1, [0.4], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+            ([(1, 1, (1, 0)), (0, 0, None)], 2, [0.4, 0.0], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+            ([(1, 1, (1, 1)), (0, 0, None), (1, 0, None)], 2, [750.0, 0.3], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+            ([(1, 1, (1, 1)), (1, 1, (0, 1))], 2, [720.0, 701.0], PERFECT),
+            ([(0, 0, None), (1, 1, (1, 0))], 2, [0.0, 0.2], PERFECT),
+            ([(1, 0, None), (0, 0, None)], 2, [0.0, 0.0], PERFECT),
+        ],
+        ids=[
+            "no-sequenced-well", "every-well-sequenced", "one-lineage", "zero-rate",
+            "rate-past-700", "all-rates-past-700", "zero-probability-well", "zero-probability-unsequenced",
+        ],
+    )
+    def test_edge_cases(self, records, n, lam, rates):
+        wells = tuple(WellRecord(w_star=w, r=r, z_star=z) for w, r, z in records)
+        assert_level_matches_reference(np.array(lam), WellAssay(u=1.0, wells=wells, n=n), rates)
+
+    @pytest.mark.parametrize(
+        "n_dvl, levels, rates, seed",
+        [
+            (6, (SimLevel(1.0, 32, 1.0),), ErrorRates(0.9, 0.9, 0.9, 0.9), 11),
+            (4, (SimLevel(0.5, 12, 0.75), SimLevel(2.0, 20, 1.0)), ErrorRates(0.85, 0.95, 0.8, 0.9), 12),
+        ],
+        ids=["study-imperfect-design", "two-level-unequal-rates"],
+    )
+    def test_fits(self, monkeypatch, n_dvl, levels, rates, seed):
+        scn = SimScenario(
+            truth=1.0, n_dvl=n_dvl, levels=levels, model="imperfect", rates=rates, reps=1, seed=seed
+        )
+
+        def fit_fields(model):
+            try:
+                fit = fit_imperfect(model)
+            except ImperfectFitError as exc:
+                return str(exc)
+            return (
+                fit.tau_hat.tobytes(), fit.covariance.tobytes(), fit.iupm, fit.se_iupm, fit.ci,
+                fit.log_lik, fit.iterations, fit.converged, fit.active_lower,
+            )
+
+        for rep in range(100):
+            draw, _ = _simulate_until_regular(scn, _rng_for(seed, rep))
+            model = ImperfectModel(rates=rates, assays=draw.well_assays)
+            ours = fit_fields(model)
+            with monkeypatch.context() as patch:
+                patch.setattr(imperfect, "_Level", lambda wa, rates: (ReferenceTables(wa), rates))
+                patch.setattr(
+                    imperfect, "_level_loglik",
+                    lambda lam, level, strict: reference_level_loglik(lam, *level, strict),
+                )
+                patch.setattr(
+                    imperfect, "_level_gradient",
+                    lambda lam, level: reference_level_gradient(lam, *level),
+                )
+                reference = fit_fields(model)
+            assert ours == reference, rep
+
+
+class TestSharedProducts:
+    """The one-entry memo of per-well products never returns stale values."""
+
+    def setup_method(self):
+        rates = ErrorRates(0.9, 0.85, 0.8, 0.95)
+        self.rates = rates
+        self.wa = draw_well_assay(seed=14, M=20, n=4, rates=rates, q=0.6).well_assays[0]
+
+    def test_gradient_at_a_new_point_is_fresh(self):
+        level = _Level(self.wa, self.rates)
+        x1 = np.array([0.1, 0.2, 0.3, 0.4])
+        x2 = np.array([0.5, 0.1, 0.2, 0.3])
+        _level_loglik(x1, level, strict=True)
+        assert np.array_equal(_level_gradient(x2, level), _level_gradient(x2, _Level(self.wa, self.rates)))
+        assert _level_loglik(x1, level, strict=True) == _level_loglik(x1, _Level(self.wa, self.rates), True)
+
+    def test_mutating_the_callers_array_is_not_stale(self):
+        level = _Level(self.wa, self.rates)
+        lam = np.array([0.1, 0.2, 0.3, 0.4])
+        _level_loglik(lam, level, strict=True)
+        lam[2] = 0.9
+        fresh = _Level(self.wa, self.rates)
+        assert np.array_equal(_level_gradient(lam, level), _level_gradient(lam, fresh))
+        assert _level_loglik(lam, level, strict=True) == _level_loglik(lam, fresh, strict=True)
+
+    def test_levels_of_one_model_keep_their_own_products(self):
+        other = draw_well_assay(seed=15, M=12, n=4, rates=self.rates, q=1.0).well_assays[0]
+        model = ImperfectModel(rates=self.rates, assays=(self.wa, WellAssay(2.0, other.wells, 4)))
+        first, second = (_Level(wa, self.rates) for wa in model.assays)
+        lam = np.array([0.1, 0.2, 0.3, 0.4])
+        _level_loglik(lam, first, strict=True)
+        _level_loglik(lam, second, strict=True)
+        for level, wa in ((first, self.wa), (second, other)):
+            expected = reference_level_gradient(lam, ReferenceTables(wa), self.rates)
+            assert np.array_equal(_level_gradient(lam, level), expected)
+
+    def test_gradient_after_likelihood_reuses_the_products(self, monkeypatch):
+        calls = []
+        real_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            calls.append(x)
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        level = _Level(self.wa, self.rates)
+        lam = np.array([0.1, 0.2, 0.3, 0.4])
+        _level_loglik(lam, level, strict=True)
+        assert len(calls) == 1
+        _level_gradient(lam.copy(), level)
+        assert len(calls) == 1
+        _level_gradient(lam + 0.1, level)
+        assert len(calls) == 2

@@ -9,6 +9,8 @@ from iupm import (
     ErrorRates,
     SimLevel,
     SimScenario,
+    WellAssay,
+    WellRecord,
     allocate_rates,
     classify_extreme,
     scenario_from_json,
@@ -24,6 +26,7 @@ from iupm.simulate import (
     MLE_WITHOUT_UDSA,
     MLE_WITH_UDSA,
     NB_MLE,
+    _restrict_well_assay,
     _rng_for,
     _simulate_until_regular,
     metrics_csv,
@@ -113,6 +116,28 @@ class TestSimulateLevel:
         assert wells.M == 15
         assert wells.m_star == summary.m
         assert summary.M_N == sum(1 for rec in wells.wells if rec.w_star == 0)
+
+    def test_restrict_well_assay_keeps_or_drops_columns(self):
+        wa = WellAssay(
+            u=2.0,
+            wells=(
+                WellRecord(w_star=1, r=1, z_star=(1, 0, 1)),
+                WellRecord(w_star=1, r=0),
+                WellRecord(w_star=0, r=0),
+            ),
+            n=3,
+        )
+        assert _restrict_well_assay(wa, [0, 1, 2]) is wa
+        dropped = _restrict_well_assay(wa, [0, 2])
+        assert dropped == WellAssay(
+            u=2.0,
+            wells=(
+                WellRecord(w_star=1, r=1, z_star=(1, 1)),
+                WellRecord(w_star=1, r=0),
+                WellRecord(w_star=0, r=0),
+            ),
+            n=2,
+        )
 
 
 class TestRunStudy:
