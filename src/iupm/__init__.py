@@ -16,7 +16,6 @@ from .assay import (
     MultiDilutionAssay,
     ValidationReport,
     WellAssay,
-    WellRecord,
     parse_assay,
     parse_summary_json,
     parse_wells_csv,
@@ -36,6 +35,7 @@ from .bias import (
 from .imperfect import (
     ImperfectFitError,
     ImperfectModel,
+    ImpossibleDataError,
     fit_imperfect,
     imperfect_gradient,
     imperfect_log_likelihood,

@@ -7,8 +7,13 @@ The estimators consume immutable summary objects:
   per-lineage detection counts.
 * :class:`MultiDilutionAssay` aligns several levels over one shared
   viral-lineage index; it is the unit of estimation.
-* :class:`WellRecord` / :class:`WellAssay` keep per-well observations,
-  needed by the imperfect-assay model where summaries are not sufficient.
+* :class:`WellAssay` keeps one level's per-well observations, needed by the
+  imperfect-assay model where summaries are not sufficient.  It holds three
+  read-only integer arrays over the level's M wells and n lineage columns:
+  ``w_star`` (M,) the QVOA readings, ``r`` (M,) the sequenced wells, and
+  ``z_star`` (M, n) the UDSA readings, zero in unsequenced rows.  The CSV
+  parser, the simulator, the summaries and the imperfect likelihood all
+  use this one layout.
 
 Two file formats are supported:
 
@@ -24,7 +29,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -35,7 +40,6 @@ __all__ = [
     "DilutionLevelData",
     "LevelTerms",
     "MultiDilutionAssay",
-    "WellRecord",
     "WellAssay",
     "ErrorRates",
     "ValidationReport",
@@ -188,62 +192,70 @@ class MultiDilutionAssay:
         return np.sum([lv.y_array() for lv in self.levels], axis=0) if self.n else np.zeros(0)
 
 
-@dataclass(frozen=True)
-class WellRecord:
-    """One well's observations under possibly imperfect assays.
+def _reject_first_well(bad: np.ndarray, message: str):
+    if bad.any():
+        raise AssayDataError(f"well {int(np.argmax(bad))}: {message}")
 
-    ``z_star`` is present exactly when the well was sequenced (r = 1).  A
-    negative QVOA reading does not force z_star to zero here: under
-    imperfect assays the two tests can disagree.
+
+def _is_indicator(a: np.ndarray) -> np.ndarray:
+    return (a == 0) | (a == 1)
+
+
+@dataclass(frozen=True, eq=False)
+class WellAssay:
+    """Per-well readings of one dilution level, as read-only integer arrays.
+
+    w_star (M,): the observed QVOA outgrowth.  r (M,): 1 for a sequenced well;
+    only QVOA-positive wells are sequenced.  z_star (M, n): the observed
+    lineage detections, zero in the rows of unsequenced wells.  A sequenced
+    row may be all zero: under imperfect assays the two tests can disagree.
     """
 
-    w_star: int
-    r: int
-    z_star: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.w_star not in (0, 1) or self.r not in (0, 1):
-            raise AssayDataError("w_star and r must be 0/1 indicators")
-        if self.r == 1:
-            if self.z_star is None:
-                raise AssayDataError("a sequenced well (r=1) must carry z_star")
-            z = tuple(int(v) for v in self.z_star)
-            if any(v not in (0, 1) for v in z):
-                raise AssayDataError("z_star entries must be 0/1 indicators")
-            object.__setattr__(self, "z_star", z)
-        elif self.z_star is not None:
-            raise AssayDataError("an unsequenced well (r=0) must not carry z_star")
-
-
-@dataclass(frozen=True)
-class WellAssay:
-    """Per-well data for one dilution level."""
-
     u: float
-    wells: tuple[WellRecord, ...]
-    n: int
+    w_star: np.ndarray
+    r: np.ndarray
+    z_star: np.ndarray
 
     def __post_init__(self):
         if not (isinstance(self.u, (int, float)) and math.isfinite(self.u) and self.u > 0):
             raise AssayDataError(f"u must be a positive finite number, got {self.u!r}")
         object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "wells", tuple(self.wells))
-        object.__setattr__(self, "n", _check_count("n", self.n))
-        if not self.wells:
+        names = ("w_star", "r", "z_star")
+        try:
+            w, r, z = (np.array(getattr(self, name)) for name in names)
+        except ValueError as exc:
+            raise AssayDataError(f"w_star, r and z_star must be rectangular arrays: {exc}") from None
+        if not (w.ndim == 1 and r.shape == w.shape and z.ndim == 2 and len(z) == w.size):
+            raise AssayDataError(f"w_star and r need shape (M,) and z_star (M, n), got {w.shape}, {r.shape}, {z.shape}")
+        if not w.size:
             raise AssayDataError("a well assay needs at least one well")
-        for j, rec in enumerate(self.wells):
-            if rec.r == 1 and rec.w_star == 0:
-                raise AssayDataError(f"well {j}: sequencing is only applied to QVOA-positive wells")
-            if rec.z_star is not None and len(rec.z_star) != self.n:
-                raise AssayDataError(f"well {j}: z_star has length {len(rec.z_star)}, expected {self.n}")
+        _reject_first_well(~(_is_indicator(w) & _is_indicator(r)), "w_star and r must be 0/1 indicators")
+        _reject_first_well(~_is_indicator(z).all(axis=1), "z_star entries must be 0/1 indicators")
+        _reject_first_well((r == 1) & (w == 0), "sequencing is only applied to QVOA-positive wells")
+        _reject_first_well((r == 0) & z.any(axis=1), "an unsequenced well (r=0) must not carry z_star")
+        for name, a in zip(names, (w, r, z)):
+            a = a.astype(int)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        if not isinstance(other, WellAssay):
+            return NotImplemented
+        return self.u == other.u and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("w_star", "r", "z_star")
+        )
 
     @property
     def M(self) -> int:
-        return len(self.wells)
+        return self.r.size
+
+    @property
+    def n(self) -> int:
+        return self.z_star.shape[1]
 
     @property
     def m_star(self) -> int:
-        return sum(rec.r for rec in self.wells)
+        return int(self.r.sum())
 
 
 @dataclass(frozen=True)
@@ -330,52 +342,50 @@ def validate(assay: MultiDilutionAssay) -> ValidationReport:
 def summarize_wells(u, W, Z, R, q: float | None = None, n_dvl: int | None = None) -> DilutionLevelData:
     """Collapse per-well indicators to the sufficient statistics.
 
-    ``Z`` may be a full 0/1 matrix or a per-well sequence in which
-    unsequenced rows are ``None``.  Counts: M_N is the number of negative
-    wells, m the number of sequenced positive wells, and Y_i the number of
-    sequenced wells positive for lineage i.
+    ``W`` and ``R`` are length-M 0/1 vectors: QVOA-positive and sequenced
+    wells.  ``Z`` is an (M, n) 0/1 matrix whose unsequenced rows are ignored,
+    or None when no well was sequenced (n is then ``n_dvl``, default 0).
+    Counts: M_N = M - sum(W) negative wells, m = sum(R) sequenced positive
+    wells, and Y = the column sums of Z over the sequenced rows.
     """
     W = np.asarray(W, dtype=int)
     R = np.asarray(R, dtype=int)
     if W.ndim != 1 or R.shape != W.shape:
         raise AssayDataError("W and R must be equal-length 1-D indicator vectors")
-    M = W.size
-    rows: list[np.ndarray | None] = []
+    _reject_first_well(~(_is_indicator(W) & _is_indicator(R)), "W and R must be 0/1 indicators")
+    _reject_first_well((R == 1) & (W == 0), "sequencing is only applied to QVOA-positive wells")
     if Z is None:
-        rows = [None] * M
-    else:
-        if len(Z) != M:
-            raise AssayDataError(f"Z has {len(Z)} rows, expected {M}")
-        for row in Z:
-            rows.append(None if row is None else np.asarray(row, dtype=int))
-    n = n_dvl
-    for row in rows:
-        if row is not None:
-            if n is None:
-                n = row.size
-            elif row.size != n:
-                raise AssayDataError("inconsistent z row lengths")
-    if n is None:
-        n = 0
-    M_N = int(np.sum(W == 0))
-    m = 0
-    Y = np.zeros(n, dtype=int)
-    for j in range(M):
-        if R[j] == 1:
-            if rows[j] is None:
-                raise AssayDataError(f"well {j}: sequenced (R=1) but no z row provided")
-            if W[j] == 1:
-                m += 1
-            Y += rows[j]
-    return DilutionLevelData(u=u, M=M, M_N=M_N, m=m, Y=tuple(int(y) for y in Y), q=q)
+        _reject_first_well(R == 1, "sequenced (R=1) but no z row provided")
+        Z = np.zeros((W.size, n_dvl or 0), dtype=int)
+    try:
+        Z = np.asarray(Z, dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise AssayDataError(f"Z must be an (M, n) 0/1 matrix: {exc}") from None
+    if Z.ndim != 2 or len(Z) != W.size or n_dvl not in (None, Z.shape[1]):
+        raise AssayDataError(f"Z must have {W.size} rows of {n_dvl or 'n'} lineage columns, got shape {Z.shape}")
+    M, Y = W.size, (R @ Z).tolist()
+    return DilutionLevelData(u=u, M=M, M_N=M - int(W.sum()), m=int(R.sum()), Y=tuple(Y), q=q)
 
 
 def summarize_well_assay(wa: WellAssay, q: float | None = None) -> DilutionLevelData:
     """Summaries of a per-well assay, treating the readings as error-free."""
-    W = [rec.w_star for rec in wa.wells]
-    R = [rec.r for rec in wa.wells]
-    Z = [rec.z_star for rec in wa.wells]
-    return summarize_wells(wa.u, W, Z, R, q=q, n_dvl=wa.n)
+    return summarize_wells(wa.u, wa.w_star, wa.z_star, wa.r, q=q)
+
+
+def detected_lineages(levels) -> list[int]:
+    """Indices of the lineage columns that some level detects (pooled Y >= 1)."""
+    if not levels:
+        raise AssayDataError("an assay needs at least one dilution level")
+    n_full = levels[0].n
+    if any(lv.n != n_full for lv in levels):
+        raise AssayDataError("levels disagree on the number of lineage columns")
+    pooled = np.sum([lv.y_array() for lv in levels], axis=0) if n_full else np.zeros(0)
+    return np.flatnonzero(pooled >= 1).tolist()
+
+
+def select_lineages(levels, keep: list[int]) -> MultiDilutionAssay:
+    """Assemble an assay from the given lineage columns of each level."""
+    return MultiDilutionAssay(tuple(replace(lv, Y=tuple(lv.Y[i] for i in keep)) for lv in levels), len(keep))
 
 
 def restrict_to_detected(levels) -> MultiDilutionAssay:
@@ -386,20 +396,7 @@ def restrict_to_detected(levels) -> MultiDilutionAssay:
     lineage leaves the maximum-likelihood total unchanged.
     """
     levels = list(levels)
-    if not levels:
-        raise AssayDataError("an assay needs at least one dilution level")
-    n_full = levels[0].n
-    if any(lv.n != n_full for lv in levels):
-        raise AssayDataError("levels disagree on the number of lineage columns")
-    pooled = np.sum([lv.y_array() for lv in levels], axis=0) if n_full else np.zeros(0)
-    keep = [i for i in range(n_full) if pooled[i] >= 1]
-    new_levels = tuple(
-        DilutionLevelData(
-            u=lv.u, M=lv.M, M_N=lv.M_N, m=lv.m, Y=tuple(lv.Y[i] for i in keep), q=lv.q
-        )
-        for lv in levels
-    )
-    return MultiDilutionAssay(new_levels, len(keep))
+    return select_lineages(levels, detected_lineages(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +476,7 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
     if len(set(z_cols)) != len(z_cols):
         raise AssayDataError("duplicate lineage column names")
     n = len(z_cols)
-    groups: dict[float, list[WellRecord]] = {}
-    order: list[float] = []
+    groups: dict[float, list[list[int]]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -494,21 +490,22 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
             if r == 1:
                 if any(c == "" for c in zcells):
                     raise AssayDataError("sequenced well has blank z cells")
-                z_star: tuple[int, ...] | None = tuple(int(c) for c in zcells)
+                z_star = [int(c) for c in zcells]
             else:
                 if any(c != "" for c in zcells):
                     raise AssayDataError("unsequenced well must leave z cells blank")
-                z_star = None
-            rec = WellRecord(w_star=w_star, r=r, z_star=z_star)
+                z_star = [0] * n
+            if w_star not in (0, 1) or r not in (0, 1):
+                raise AssayDataError("w_star and r must be 0/1 indicators")
+            if any(v not in (0, 1) for v in z_star):
+                raise AssayDataError("z_star entries must be 0/1 indicators")
         except ValueError as exc:
             raise AssayDataError(f"line {lineno}: {exc}") from exc
-        if u not in groups:
-            groups[u] = []
-            order.append(u)
-        groups[u].append(rec)
-    if not order:
+        groups.setdefault(u, []).append([w_star, r, *z_star])
+    if not groups:
         raise AssayDataError("wells-csv contains no well rows")
-    return [WellAssay(u=u, wells=tuple(groups[u]), n=n) for u in order]
+    levels = [(u, np.array(rows, dtype=int)) for u, rows in groups.items()]
+    return [WellAssay(u, rows[:, 0], rows[:, 1], rows[:, 2:]) for u, rows in levels]
 
 
 def wells_to_csv(assays, dvl_ids=None) -> str:
@@ -523,9 +520,8 @@ def wells_to_csv(assays, dvl_ids=None) -> str:
     writer.writerow(["well", "u", "w_star", "r"] + [f"z_{d}" for d in dvl_ids])
     well_id = 0
     for wa in assays:
-        for rec in wa.wells:
-            zcells = list(rec.z_star) if rec.z_star is not None else [""] * n
-            writer.writerow([well_id, wa.u, rec.w_star, rec.r] + zcells)
+        for w_star, r, z_star in zip(wa.w_star.tolist(), wa.r.tolist(), wa.z_star.tolist()):
+            writer.writerow([well_id, wa.u, w_star, r] + (z_star if r else [""] * n))
             well_id += 1
     return buf.getvalue()
 

@@ -36,6 +36,7 @@ from .poisson import ExtremeOutcome
 __all__ = [
     "ImperfectModel",
     "ImperfectFitError",
+    "ImpossibleDataError",
     "well_joint_prob",
     "well_marginal_prob",
     "imperfect_log_likelihood",
@@ -46,6 +47,11 @@ __all__ = [
 
 class ImperfectFitError(RuntimeError):
     """Raised when the bounded fit cannot produce a usable estimate."""
+
+
+class ImpossibleDataError(AssayDataError, ImperfectFitError):
+    """Raised for readings that no rate vector can produce under the error
+    rates: bad input to a fit, and an excluded replicate in a study."""
 
 
 @dataclass(frozen=True)
@@ -81,17 +87,11 @@ class _Level:
     """
 
     def __init__(self, wa: WellAssay, rates: ErrorRates):
-        seq = [(j, rec) for j, rec in enumerate(wa.wells) if rec.r == 1]
-        self.seq_idx = np.array([j for j, _ in seq], dtype=int)
-        z = (
-            np.array([rec.z_star for _, rec in seq], dtype=float)
-            if seq
-            else np.zeros((0, wa.n))
-        )
-        w_seq = np.array([rec.w_star for _, rec in seq], dtype=float)
-        unseq = [rec for rec in wa.wells if rec.r == 0]
-        self.n_unseq_pos = sum(1 for rec in unseq if rec.w_star == 1)
-        self.n_unseq_neg = len(unseq) - self.n_unseq_pos
+        seq = wa.r == 1
+        self.seq_idx = np.flatnonzero(seq)
+        z, w_seq = wa.z_star[seq], wa.w_star[seq]
+        self.n_unseq_pos = int(np.count_nonzero(wa.w_star[~seq]))
+        self.n_unseq_neg = wa.M - self.seq_idx.size - self.n_unseq_pos
         self.n = wa.n
         self.rates = rates
         self.pz1 = np.where(z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
@@ -266,8 +266,15 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
             out += u * _level_gradient(u * tau, level)
         return out
 
+    # A well has probability zero at every interior point or at none: check one.
+    start = _initial_tau(model)
+    for d, (u, level) in enumerate(levels):
+        try:
+            _level_loglik(u * start, level, strict=True)
+        except ImperfectFitError as exc:
+            raise ImpossibleDataError(f"level {d}: {exc}") from None
     lower = np.zeros(n)
-    res = maximize(objective, grad, _initial_tau(model), lower)
+    res = maximize(objective, grad, start, lower)
     tau, polished = newton_polish(grad, fd_hessian(grad, lower), res.x, lower)
     if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
         converged = res.converged or polished

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .assay import AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, WellRecord, restrict_to_detected, summarize_wells
+from .assay import AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, detected_lineages, select_lineages, summarize_wells
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
@@ -183,19 +183,10 @@ def simulate_level(tau, u, M, q, rng, model="poisson", gamma=0.0, rates=None):
     R = np.zeros(M, dtype=int)
     if m > 0:
         R[rng.choice(pos_idx, size=m, replace=False)] = 1
-    rows = [observed_z[j].astype(int) if R[j] else None for j in range(M)]
-    summary = summarize_wells(u, observed_w.astype(int), rows, R, q=q, n_dvl=n)
+    summary = summarize_wells(u, observed_w, observed_z, R, q=q)
     if model != "imperfect":
         return summary
-    records = tuple(
-        WellRecord(
-            w_star=int(observed_w[j]),
-            r=int(R[j]),
-            z_star=tuple(int(v) for v in observed_z[j]) if R[j] else None,
-        )
-        for j in range(M)
-    )
-    return summary, WellAssay(u=u, wells=records, n=n)
+    return summary, WellAssay(u, observed_w, R, observed_z * R[:, None])
 
 
 @dataclass
@@ -205,25 +196,16 @@ class SimDraw:
 
 
 def _restrict_well_assay(wa: WellAssay, keep: list[int]) -> WellAssay:
-    if keep == list(range(wa.n)):
+    if len(keep) == wa.n:
         return wa
-    records = tuple(
-        WellRecord(
-            w_star=rec.w_star,
-            r=rec.r,
-            z_star=tuple(rec.z_star[i] for i in keep) if rec.z_star is not None else None,
-        )
-        for rec in wa.wells
-    )
-    return WellAssay(u=wa.u, wells=records, n=len(keep))
+    return WellAssay(wa.u, wa.w_star, wa.r, wa.z_star[:, keep])
 
 
 def _assemble_draw(levels, wells) -> SimDraw:
-    assay = restrict_to_detected(levels)
+    keep = detected_lineages(levels)
+    assay = select_lineages(levels, keep)
     if not wells:
         return SimDraw(assay=assay)
-    pooled = np.sum([lv.y_array() for lv in levels], axis=0)
-    keep = [i for i in range(levels[0].n) if pooled[i] >= 1]
     return SimDraw(assay=assay, well_assays=tuple(_restrict_well_assay(wa, keep) for wa in wells))
 
 
@@ -289,7 +271,7 @@ def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fi
     try:
         if name == IMPERFECT_MLE:
             model = ImperfectModel(rates=scenario.rates, assays=draw.well_assays)
-            return _usable(fit_imperfect(model))
+            return _usable(fit_imperfect(model)) if model.n else None  # n = 0: no lineage detected
         assay, fit = poisson_fit(name in _WITHOUT_UDSA)
         if fit is None:
             return None
@@ -336,6 +318,8 @@ def run_study(
         raise AssayDataError("the imperfect-assays estimator needs per-well data (model 'imperfect')")
     if NB_MLE in names and len(scenario.levels) < 2:
         raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
+    if IMPERFECT_MLE in names:
+        scenario.rates.check_identifiable()
     reps = scenario.reps
     columns = {nm: np.full((4, reps), np.nan) for nm in names}
     total_discarded = 0

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from iupm import (
     AssayDataError,
@@ -10,7 +10,6 @@ from iupm import (
     ErrorRates,
     MultiDilutionAssay,
     WellAssay,
-    WellRecord,
     parse_assay,
     parse_summary_json,
     parse_wells_csv,
@@ -85,13 +84,39 @@ class TestConstructors:
         assert stripped.levels[0].m == 0
         assert stripped.levels[0].Y == ()
 
-    def test_well_record_invariants(self):
-        with pytest.raises(AssayDataError):
-            WellRecord(w_star=1, r=1, z_star=None)
-        with pytest.raises(AssayDataError):
-            WellRecord(w_star=0, r=0, z_star=(0, 1))
-        with pytest.raises(AssayDataError):
-            WellAssay(u=1.0, wells=(WellRecord(w_star=0, r=1, z_star=(1,)),), n=1)
+    def test_well_assay_invariants(self):
+        with pytest.raises(AssayDataError, match="need shape"):
+            WellAssay(1.0, [1], [1], np.zeros((0, 1)))
+        with pytest.raises(AssayDataError, match="^well 0: an unsequenced well"):
+            WellAssay(1.0, [0], [0], [[0, 1]])
+        with pytest.raises(AssayDataError, match="^well 0: sequencing is only applied"):
+            WellAssay(1.0, [0], [1], [[1]])
+
+    def test_well_assay_names_the_first_offending_well(self):
+        z = [[1, 0], [0, 0], [1, 1], [0, 0]]
+        with pytest.raises(AssayDataError, match="^well 2: w_star and r must be 0/1 indicators$"):
+            WellAssay(1.0, [1, 0, 2, 1], [1, 0, 1, 0], z)
+        with pytest.raises(AssayDataError, match="^well 1: z_star entries must be 0/1 indicators$"):
+            WellAssay(1.0, [1, 1, 1, 0], [1, 1, 1, 0], [[1, 0], [0, 3], [1, 1], [0, 0]])
+        with pytest.raises(AssayDataError, match="^well 3: sequencing is only applied"):
+            WellAssay(1.0, [1, 0, 1, 0], [1, 0, 1, 1], z)
+        with pytest.raises(AssayDataError, match="^well 2: an unsequenced well"):
+            WellAssay(1.0, [1, 1, 1, 0], [1, 0, 0, 0], z)
+        with pytest.raises(AssayDataError, match="at least one well"):
+            WellAssay(1.0, [], [], np.zeros((0, 2)))
+
+    def test_well_assay_arrays(self):
+        w, r, z = np.array([1, 1, 0]), np.array([1, 0, 0]), np.array([[1, 0], [0, 0], [0, 0]])
+        wa = WellAssay(2.0, w.astype(bool), r, z)
+        assert (wa.M, wa.n, wa.m_star) == (3, 2, 1)
+        for a in (wa.w_star, wa.r, wa.z_star):
+            assert a.dtype.kind == "i" and not a.flags.writeable
+        z[0, 1] = 1  # the caller's array is copied, not shared
+        assert wa.z_star[0].tolist() == [1, 0]
+        assert wa == WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 0], [0, 0], [0, 0]])
+        assert wa != WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1], [0], [0]])
+        assert wa != WellAssay(2.0, [1, 1, 0], [1, 1, 0], [[1, 0], [0, 1], [0, 0]])
+        assert wa != WellAssay(1.0, w, r, [[1, 0], [0, 0], [0, 0]])
 
     def test_error_rates_bounds(self):
         with pytest.raises(AssayDataError):
@@ -107,11 +132,15 @@ class TestConstructors:
 class TestSummarizeWells:
     def test_worked_example(self):
         W = (1, 1, 0)
-        R = (1, 0, 1)
-        Z = [(1, 0), None, (0, 0)]
+        R = (1, 0, 0)
+        Z = [(1, 0), (1, 1), (0, 0)]  # unsequenced rows do not count
         level = summarize_wells(1.0, W, Z, R)
         assert (level.M, level.M_N, level.m) == (3, 1, 1)
         assert level.Y == (1, 0)
+
+    def test_sequenced_negative_well_rejected(self):
+        with pytest.raises(AssayDataError, match="^well 2: sequencing is only applied to QVOA-positive wells$"):
+            summarize_wells(1.0, (1, 1, 0), [(1, 0), (0, 0), (1, 0)], (1, 0, 1))
 
     def test_all_negative(self):
         level = summarize_wells(1.0, [0, 0, 0, 0], None, [0, 0, 0, 0], n_dvl=2)
@@ -127,6 +156,8 @@ class TestSummarizeWells:
     def test_missing_row_for_sequenced_well_rejected(self):
         with pytest.raises(AssayDataError):
             summarize_wells(1.0, [1, 0], [None, None], [1, 0])
+        with pytest.raises(AssayDataError, match="^well 1: sequenced"):
+            summarize_wells(1.0, [0, 1], None, [0, 1], n_dvl=2)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_simulated_wells_summarize_to_valid_levels(self, seed):
@@ -162,22 +193,29 @@ class TestFileFormats:
     def test_wells_round_trip(self):
         rng = np.random.default_rng(5)
         W, Z = simulate_wells(rng, 8, np.array([0.4, 0.2]))
-        records = []
-        for j in range(8):
-            sequenced = bool(W[j]) and rng.random() < 0.7
-            records.append(
-                WellRecord(
-                    w_star=int(W[j]),
-                    r=int(sequenced),
-                    z_star=tuple(int(v) for v in Z[j]) if sequenced else None,
-                )
-            )
-        wa = WellAssay(u=1.0, wells=tuple(records), n=2)
+        R = W * (rng.random(8) < 0.7)
+        wa = WellAssay(1.0, W, R, Z * R[:, None])
         text = wells_to_csv([wa])
         again = parse_wells_csv(text)
         assert len(again) == 1
         assert again[0] == wa
         assert parse_wells_csv(wells_to_csv(again)) == again
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_wells_csv_round_trip_property(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=3))
+        us = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=3, unique=True))
+        assays = []
+        for u in us:
+            M = data.draw(st.integers(min_value=1, max_value=6))
+            w = np.array(data.draw(st.lists(st.integers(0, 1), min_size=M, max_size=M)))
+            r = w * np.array(data.draw(st.lists(st.integers(0, 1), min_size=M, max_size=M)))
+            z = np.array(data.draw(st.lists(st.integers(0, 1), min_size=M * n, max_size=M * n))).reshape(M, n)
+            assays.append(WellAssay(u, w, r, z * r[:, None]))
+        again = parse_wells_csv(wells_to_csv(assays))
+        assert again == assays
+        assert [wa.n for wa in again] == [n] * len(us)
 
     def test_wells_groups_by_dilution(self):
         text = (
@@ -212,16 +250,9 @@ class TestFileFormats:
     def test_summarize_well_assay_matches_summarize_wells(self):
         rng = np.random.default_rng(17)
         W, Z = simulate_wells(rng, 10, np.array([0.3, 0.5]))
-        R = [int(w and rng.random() < 0.5) for w in W]
-        rows = [tuple(int(v) for v in Z[j]) if R[j] else None for j in range(10)]
-        wa = WellAssay(
-            u=1.0,
-            wells=tuple(
-                WellRecord(w_star=int(W[j]), r=R[j], z_star=rows[j]) for j in range(10)
-            ),
-            n=2,
-        )
-        assert summarize_well_assay(wa) == summarize_wells(1.0, W, rows, R, n_dvl=2)
+        R = W * (rng.random(10) < 0.5)
+        wa = WellAssay(1.0, W, R, Z * R[:, None])
+        assert summarize_well_assay(wa) == summarize_wells(1.0, W, Z, R, n_dvl=2)
 
 
 class TestRestrictToDetected:

@@ -22,6 +22,14 @@ from helpers import load_subjects, subject_assay
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ALL_POSITIVE_MESSAGE = "error: cannot fit an overdispersed model to an all-positive-single-dvl assay\n"
+# Eight wells, one lineage.  With sens_qvoa = spec_qvoa = sens_udsa = 1 and
+# spec_udsa = 0.8, the sequenced QVOA-positive well 1 with z* = 0 has
+# probability zero at every rate vector.
+IMPOSSIBLE_WELLS = (
+    "well,u,w_star,r,z_1\n"
+    "0,1.0,1,1,1\n1,1.0,1,1,0\n2,1.0,0,0,\n3,1.0,1,0,\n"
+    "4,1.0,0,0,\n5,1.0,1,1,1\n6,1.0,0,0,\n7,1.0,1,0,\n"
+)
 
 
 def run_cli(capsys, *args):
@@ -93,6 +101,20 @@ class TestFit:
         assert code == 0
         plain = json.loads(out)["estimate"]
         assert imperfect["iupm"] == pytest.approx(plain["iupm"], abs=1e-6)
+
+    def test_imperfect_fit_on_impossible_data_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "impossible.csv"
+        path.write_text(IMPOSSIBLE_WELLS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "fit", "--input", str(path), "--imperfect",
+                "--sens-qvoa", "1", "--spec-qvoa", "1", "--sens-udsa", "1", "--spec-udsa", "0.8",
+            )
+        assert code == 2
+        assert out == ""
+        assert err == "error: level 0: well 1 has probability zero under the supplied error rates\n"
 
     def test_bias_correct_reports_both(self, tmp_path, capsys):
         path = write_subject(tmp_path, "C3")
@@ -390,10 +412,17 @@ class TestSimulate:
                 },
                 "sens_qvoa must be a number",
             ),
+            (
+                {
+                    "model": "imperfect",
+                    "rates": {"sens_qvoa": 0.5, "spec_qvoa": 0.5, "sens_udsa": 0.9, "spec_udsa": 0.9},
+                },
+                "QVOA sensitivity + specificity must exceed 1",
+            ),
         ],
         ids=[
             "unknown-comparator", "imperfect-on-poisson", "odd-non-constant", "single-level-negbin",
-            "boolean-rate",
+            "boolean-rate", "unidentifiable-rates",
         ],
     )
     def test_unusable_scenario_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):
@@ -419,3 +448,16 @@ class TestSimulate:
         assert code == 0, err
         rows = {line.split(",")[1]: line.split(",") for line in out.splitlines()[1:]}
         assert 0 < int(rows["nb-mle"][3]) < 30
+
+    def test_imperfect_replicate_without_lineages_is_excluded(self, tmp_path, capsys):
+        # Some replicates at seed 1 detect no lineage (n = 0); each is dropped
+        # from imperfect-mle instead of ending the study.
+        path = self.write_scenario(
+            tmp_path, T=0.05, n_dvl=2, model="imperfect", reps=20, seed=1,
+            levels=[{"u": 1.0, "M": 6, "q": 1.0}],
+            rates={"sens_qvoa": 0.9, "spec_qvoa": 0.9, "sens_udsa": 0.9, "spec_udsa": 0.9},
+        )
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert code == 0, err
+        rows = {line.split(",")[1]: line.split(",") for line in out.splitlines()[1:]}
+        assert 0 < int(rows["imperfect-mle"][3]) < 20

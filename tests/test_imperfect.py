@@ -12,8 +12,8 @@ from iupm import (
     ErrorRates,
     ImperfectFitError,
     ImperfectModel,
+    ImpossibleDataError,
     WellAssay,
-    WellRecord,
     fit_imperfect,
     fit_mle,
     imperfect_gradient,
@@ -130,22 +130,19 @@ class TestLogLikelihood:
         for _ in range(10):
             lam = rng.uniform(0.0, 1.5, 2)
             expected = 0.0
-            for rec in wa.wells:
-                if rec.r == 1:
-                    expected += math.log(brute_force_joint_prob(lam, rec.w_star, rec.z_star, rates))
+            for w_star, r, z_star in zip(wa.w_star, wa.r, wa.z_star):
+                if r == 1:
+                    expected += math.log(brute_force_joint_prob(lam, w_star, z_star, rates))
                 else:
                     pos = sum(
-                        brute_force_joint_prob(lam, rec.w_star, zs, rates)
+                        brute_force_joint_prob(lam, w_star, zs, rates)
                         for zs in itertools.product((0, 1), repeat=2)
                     )
                     expected += math.log(pos)
             assert imperfect_log_likelihood(lam, wa, rates) == pytest.approx(expected, rel=1e-10)
 
     def test_unsequenced_wells_depend_only_on_the_total(self):
-        records = tuple(
-            WellRecord(w_star=w, r=0, z_star=None) for w in (1, 0, 1, 1, 0)
-        )
-        wa = WellAssay(u=1.0, wells=records, n=2)
+        wa = WellAssay(1.0, [1, 0, 1, 1, 0], np.zeros(5), np.zeros((5, 2)))
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         a = imperfect_log_likelihood(np.array([0.6, 0.2]), wa, rates)
         b = imperfect_log_likelihood(np.array([0.1, 0.7]), wa, rates)
@@ -156,7 +153,7 @@ class TestLogLikelihood:
         wa = draw.well_assays[0]
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         lam = np.array([0.3, 0.5])
-        shuffled = WellAssay(u=wa.u, wells=tuple(reversed(wa.wells)), n=wa.n)
+        shuffled = WellAssay(wa.u, wa.w_star[::-1], wa.r[::-1], wa.z_star[::-1])
         assert imperfect_log_likelihood(lam, wa, rates) == pytest.approx(
             imperfect_log_likelihood(lam, shuffled, rates), rel=1e-12
         )
@@ -164,8 +161,7 @@ class TestLogLikelihood:
     def test_impossible_well_is_reported_with_index(self):
         # perfect rates cannot produce a sequenced positive well with an
         # all-zero lineage row
-        records = (WellRecord(w_star=1, r=1, z_star=(0, 0)),)
-        wa = WellAssay(u=1.0, wells=records, n=2)
+        wa = WellAssay(1.0, [1], [1], [[0, 0]])
         with pytest.raises(Exception, match="well 0"):
             imperfect_log_likelihood(np.array([0.3, 0.3]), wa, PERFECT)
 
@@ -174,13 +170,9 @@ class TestLogLikelihood:
         # form must stay fast
         rng = np.random.default_rng(5)
         n, M = 60, 40
-        records = []
-        for _ in range(M):
-            w = int(rng.random() < 0.8)
-            r = int(w and rng.random() < 0.8)
-            z = tuple(int(v) for v in (rng.random(n) < 0.2)) if r else None
-            records.append(WellRecord(w_star=w, r=r, z_star=z))
-        wa = WellAssay(u=1.0, wells=tuple(records), n=n)
+        w = rng.random(M) < 0.8
+        r = w & (rng.random(M) < 0.8)
+        wa = WellAssay(1.0, w, r, (rng.random((M, n)) < 0.2) & r[:, None])
         lam = rng.uniform(0.01, 0.2, n)
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         start = time.perf_counter()
@@ -210,28 +202,23 @@ class TestGradient:
         assert np.max(np.abs(grad)) < 1e-6
 
     @pytest.mark.parametrize(
-        "record, lam, message",
+        "r, z_star, lam, message",
         [
-            (WellRecord(w_star=1, r=1, z_star=(1, 0)), [0.0, 0.2], "well 1 has probability zero"),
-            (WellRecord(w_star=1, r=0), [0.0, 0.0], "an unsequenced well has probability zero"),
+            (1, [1, 0], [0.0, 0.2], "well 1 has probability zero"),
+            (0, [0, 0], [0.0, 0.0], "an unsequenced well has probability zero"),
         ],
         ids=["sequenced", "unsequenced"],
     )
-    def test_impossible_point_raises_like_the_likelihood(self, record, lam, message):
+    def test_impossible_point_raises_like_the_likelihood(self, r, z_star, lam, message):
         # perfect rates cannot give a positive reading where the rates are zero
-        wa = WellAssay(u=1.0, wells=(WellRecord(w_star=0, r=0), record), n=2)
+        wa = WellAssay(1.0, [0, 1], [0, r], [[0, 0], z_star])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImperfectFitError, match=message):
                 imperfect_gradient(np.array(lam), wa, PERFECT)
 
     def test_exchangeable_lineages_share_the_gradient(self):
-        records = (
-            WellRecord(w_star=1, r=1, z_star=(1, 1)),
-            WellRecord(w_star=1, r=0, z_star=None),
-            WellRecord(w_star=0, r=0, z_star=None),
-        )
-        wa = WellAssay(u=1.0, wells=records, n=2)
+        wa = WellAssay(1.0, [1, 1, 0], [1, 0, 0], [[1, 1], [0, 0], [0, 0]])
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         g = imperfect_gradient(np.array([0.4, 0.4]), wa, rates)
         assert g[0] == pytest.approx(g[1], rel=1e-12)
@@ -258,13 +245,13 @@ class TestFitImperfect:
         # specificity is pushed to rate zero and flagged
         rng = np.random.default_rng(40)
         rates = ErrorRates(0.9, 0.9, 0.9, 0.95)
-        records = []
-        for _ in range(24):
-            w = int(rng.random() < 0.6)
-            r = int(w)
-            z = (int(rng.random() < 0.5), 0) if r else None
-            records.append(WellRecord(w_star=w, r=r, z_star=z))
-        wa = WellAssay(u=1.0, wells=tuple(records), n=2)
+        w = np.zeros(24, dtype=int)
+        z = np.zeros((24, 2), dtype=int)
+        for j in range(24):
+            w[j] = rng.random() < 0.6
+            if w[j]:
+                z[j, 0] = rng.random() < 0.5
+        wa = WellAssay(1.0, w, w, z)
         fit = fit_imperfect(ImperfectModel(rates=rates, assays=(wa,)))
         assert 1 in fit.active_lower
         assert fit.tau_hat[1] == 0.0
@@ -315,6 +302,40 @@ class TestFitImperfect:
         assert fit.converged
         assert fit.iupm > 0.0
 
+    def test_impossible_data_fail_before_the_solver(self, monkeypatch):
+        # With sens_udsa = spec_qvoa = 1, the sequenced QVOA-positive well 1
+        # with z* = 0 has probability zero at every rate vector.
+        rates = ErrorRates(1.0, 1.0, 1.0, 0.8)
+        wa = WellAssay(1.0, [1, 1, 0, 1], [1, 1, 0, 0], [[1], [0], [0], [0]])
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(imperfect, "maximize", no_solver)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImpossibleDataError, match="^level 0: well 1 has probability zero") as info:
+                fit_imperfect(ImperfectModel(rates=rates, assays=(wa,)))
+        assert isinstance(info.value, AssayDataError) and isinstance(info.value, ImperfectFitError)
+
+    def test_small_fits_return_or_raise_a_fit_error(self):
+        # Random readings under rates from {0.8, 0.9, 1.0} include data that
+        # are impossible under the rates; every fit returns or raises a fit
+        # or data error, without a RuntimeWarning.
+        rng = np.random.default_rng(1001)
+        outcomes = set()
+        for _ in range(400):
+            wa = random_well_assay(rng, int(rng.integers(1, 4)), int(rng.integers(1, 12)), rng.choice([0.0, 0.5, 1.0]))
+            model = ImperfectModel(rates=ErrorRates(*rng.choice([0.8, 0.9, 1.0], 4)), assays=(wa,))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    fit_imperfect(model)
+                    outcomes.add("fit")
+                except (ImperfectFitError, AssayDataError) as exc:
+                    outcomes.add(type(exc))
+        assert outcomes == {"fit", ImperfectFitError, ImpossibleDataError}
+
     def test_summary_of_well_assay_matches_assembled_levels(self):
         draw = draw_well_assay(seed=91, M=16, n=3, rates=ErrorRates(0.9, 0.9, 0.9, 0.9))
         rebuilt = restrict_to_detected([summarize_well_assay(wa) for wa in draw.well_assays])
@@ -325,13 +346,15 @@ class TestFitImperfect:
 def random_well_assay(rng, n, M, seq_share):
     """M random wells over n lineages; each positive well is sequenced with
     probability seq_share, with random readings."""
-    records = []
-    for _ in range(M):
-        w = int(rng.random() < 0.7)
-        r = int(w and rng.random() < seq_share)
-        z = tuple(int(v) for v in rng.random(n) < 0.4) if r else None
-        records.append(WellRecord(w_star=w, r=r, z_star=z))
-    return WellAssay(u=1.0, wells=tuple(records), n=n)
+    w = np.zeros(M, dtype=int)
+    r = np.zeros(M, dtype=int)
+    z = np.zeros((M, n), dtype=int)
+    for j in range(M):
+        w[j] = rng.random() < 0.7
+        r[j] = w[j] and rng.random() < seq_share
+        if r[j]:
+            z[j] = rng.random(n) < 0.4
+    return WellAssay(1.0, w, r, z)
 
 
 def random_rates(rng):
@@ -392,25 +415,24 @@ class TestMatchesReference:
                 assert_level_matches_reference(random_lam(rng, n), wa, rates)
 
     @pytest.mark.parametrize(
-        "records, n, lam, rates",
+        "w_star, r, z_star, lam, rates",
         [
-            ([(1, 0, None), (0, 0, None), (1, 0, None)], 3, [0.2, 0.0, 0.5], ErrorRates(0.9, 0.8, 0.9, 0.9)),
-            ([(1, 1, (1, 0)), (1, 1, (0, 1)), (1, 1, (1, 1))], 2, [0.3, 0.7], ErrorRates(0.9, 0.8, 0.85, 0.95)),
-            ([(1, 1, (1,)), (0, 0, None), (1, 0, None)], 1, [0.4], ErrorRates(0.9, 0.9, 0.9, 0.9)),
-            ([(1, 1, (1, 0)), (0, 0, None)], 2, [0.4, 0.0], ErrorRates(0.9, 0.9, 0.9, 0.9)),
-            ([(1, 1, (1, 1)), (0, 0, None), (1, 0, None)], 2, [750.0, 0.3], ErrorRates(0.9, 0.9, 0.9, 0.9)),
-            ([(1, 1, (1, 1)), (1, 1, (0, 1))], 2, [720.0, 701.0], PERFECT),
-            ([(0, 0, None), (1, 1, (1, 0))], 2, [0.0, 0.2], PERFECT),
-            ([(1, 0, None), (0, 0, None)], 2, [0.0, 0.0], PERFECT),
+            ([1, 0, 1], [0, 0, 0], np.zeros((3, 3)), [0.2, 0.0, 0.5], ErrorRates(0.9, 0.8, 0.9, 0.9)),
+            ([1, 1, 1], [1, 1, 1], [[1, 0], [0, 1], [1, 1]], [0.3, 0.7], ErrorRates(0.9, 0.8, 0.85, 0.95)),
+            ([1, 0, 1], [1, 0, 0], [[1], [0], [0]], [0.4], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+            ([1, 0], [1, 0], [[1, 0], [0, 0]], [0.4, 0.0], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+            ([1, 0, 1], [1, 0, 0], [[1, 1], [0, 0], [0, 0]], [750.0, 0.3], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+            ([1, 1], [1, 1], [[1, 1], [0, 1]], [720.0, 701.0], PERFECT),
+            ([0, 1], [0, 1], [[0, 0], [1, 0]], [0.0, 0.2], PERFECT),
+            ([1, 0], [0, 0], [[0, 0], [0, 0]], [0.0, 0.0], PERFECT),
         ],
         ids=[
             "no-sequenced-well", "every-well-sequenced", "one-lineage", "zero-rate",
             "rate-past-700", "all-rates-past-700", "zero-probability-well", "zero-probability-unsequenced",
         ],
     )
-    def test_edge_cases(self, records, n, lam, rates):
-        wells = tuple(WellRecord(w_star=w, r=r, z_star=z) for w, r, z in records)
-        assert_level_matches_reference(np.array(lam), WellAssay(u=1.0, wells=wells, n=n), rates)
+    def test_edge_cases(self, w_star, r, z_star, lam, rates):
+        assert_level_matches_reference(np.array(lam), WellAssay(1.0, w_star, r, z_star), rates)
 
     @pytest.mark.parametrize(
         "n_dvl, levels, rates, seed",
@@ -480,7 +502,7 @@ class TestSharedProducts:
 
     def test_levels_of_one_model_keep_their_own_products(self):
         other = draw_well_assay(seed=15, M=12, n=4, rates=self.rates, q=1.0).well_assays[0]
-        model = ImperfectModel(rates=self.rates, assays=(self.wa, WellAssay(2.0, other.wells, 4)))
+        model = ImperfectModel(rates=self.rates, assays=(self.wa, WellAssay(2.0, other.w_star, other.r, other.z_star)))
         first, second = (_Level(wa, self.rates) for wa in model.assays)
         lam = np.array([0.1, 0.2, 0.3, 0.4])
         _level_loglik(lam, first, strict=True)

@@ -10,28 +10,41 @@ from iupm import (
     SimLevel,
     SimScenario,
     WellAssay,
-    WellRecord,
     allocate_rates,
     classify_extreme,
+    restrict_to_detected,
     scenario_from_json,
     scenario_to_json,
     simulate_level,
+    summarize_well_assay,
     validate,
 )
+from iupm.imperfect import _Level
 from iupm.negbin import LrtResult
 from iupm.poisson import ExtremeOutcome
 from iupm.simulate import (
     BC_MLE_WITHOUT_UDSA,
     BC_MLE_WITH_UDSA,
+    IMPERFECT_MLE,
     MLE_WITHOUT_UDSA,
     MLE_WITH_UDSA,
     NB_MLE,
+    PERFECT_ASSUMED_MLE,
+    SimDraw,
+    _apply_estimators,
     _restrict_well_assay,
     _rng_for,
     _simulate_until_regular,
     metrics_csv,
     replicates_csv,
     run_study,
+)
+from helpers import (
+    ReferenceTables,
+    as_arrays,
+    reference_draw,
+    reference_factors,
+    reference_simulate_level,
 )
 
 
@@ -115,29 +128,63 @@ class TestSimulateLevel:
         summary, wells = out
         assert wells.M == 15
         assert wells.m_star == summary.m
-        assert summary.M_N == sum(1 for rec in wells.wells if rec.w_star == 0)
+        assert summary.M_N == int((wells.w_star == 0).sum())
 
     def test_restrict_well_assay_keeps_or_drops_columns(self):
-        wa = WellAssay(
-            u=2.0,
-            wells=(
-                WellRecord(w_star=1, r=1, z_star=(1, 0, 1)),
-                WellRecord(w_star=1, r=0),
-                WellRecord(w_star=0, r=0),
-            ),
-            n=3,
-        )
+        wa = WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
         assert _restrict_well_assay(wa, [0, 1, 2]) is wa
         dropped = _restrict_well_assay(wa, [0, 2])
-        assert dropped == WellAssay(
-            u=2.0,
-            wells=(
-                WellRecord(w_star=1, r=1, z_star=(1, 1)),
-                WellRecord(w_star=1, r=0),
-                WellRecord(w_star=0, r=0),
-            ),
-            n=2,
-        )
+        assert dropped == WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 1], [0, 0], [0, 0]])
+
+
+class TestMatchesRecordReference:
+    """The array path draws, summarizes and restricts every replicate to the
+    bits of the record-based path it replaced, and leaves the imperfect
+    likelihood the same per-well factors."""
+
+    @pytest.mark.parametrize("model", ["poisson", "negbin", "imperfect"])
+    def test_draws(self, model):
+        rates = ErrorRates(0.9, 0.85, 0.8, 0.95)
+        for seed in range(70):
+            q = (0.0, 0.5, 1.0)[seed % 3]
+            levels = (SimLevel(0.5, 6 + seed % 11, q), SimLevel(2.0, 9, (0.0, 0.5, 1.0)[seed % 2 * 2]))
+            scn = small_scenario(
+                n_dvl=1 + seed % 5, levels=levels[: 1 + seed % 2], model=model, seed=seed,
+                gamma=1.5 if model == "negbin" else 0.0, rates=rates if model == "imperfect" else None,
+            )
+            rng, ref_rng = _rng_for(seed, 0), _rng_for(seed, 0)
+            draw, _ = _simulate_until_regular(scn, rng)
+            assay, ref_wells = reference_draw(scn, ref_rng)
+            assert draw.assay == assay, seed
+            assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed  # same draws consumed
+            if model != "imperfect":
+                assert draw.well_assays is None
+                continue
+            assert draw.well_assays == tuple(as_arrays(ref) for ref in ref_wells), seed
+            for wa, ref in zip(draw.well_assays, ref_wells):
+                level, tables = _Level(wa, rates), ReferenceTables(ref)
+                for ours, theirs in zip(
+                    (level.pz1, level.pz0, level.pw1, level.pw0, level.seq_idx),
+                    (*reference_factors(tables, rates), tables.seq_idx),
+                ):
+                    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+                    assert np.array_equal(ours, theirs), seed
+                assert (level.n_unseq_pos, level.n_unseq_neg) == (tables.n_unseq_pos, tables.n_unseq_neg)
+                assert type(level.n_unseq_pos) is int and type(level.n_unseq_neg) is int
+
+    def test_simulate_level(self):
+        tau = allocate_rates(1.0, 3, "constant")
+        rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
+        for seed in range(60):
+            model = ("poisson", "negbin", "imperfect")[seed % 3]
+            q = (0.0, 0.5, 1.0)[seed // 3 % 3]
+            kwargs = dict(model=model, gamma=2.0 if model == "negbin" else 0.0, rates=rates)
+            out = simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
+            summary, ref = reference_simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
+            if model == "imperfect":
+                assert out == (summary, as_arrays(ref)), seed
+            else:
+                assert out == summary, seed
 
 
 class TestRunStudy:
@@ -213,6 +260,14 @@ class TestRunStudy:
     def test_imperfect_estimator_needs_well_data(self):
         with pytest.raises(ValueError):
             run_study(small_scenario(), estimators=["imperfect-mle"])
+
+    def test_impossible_imperfect_replicate_is_excluded(self):
+        # under these rates the sequenced QVOA-positive well 1 with z* = 0
+        # cannot occur; the fit rejects the data and the study drops it
+        scn = small_scenario(model="imperfect", rates=ErrorRates(1.0, 1.0, 1.0, 0.8))
+        wa = WellAssay(1.0, [1, 1, 0, 1], [1, 1, 0, 0], [[1], [0], [0], [0]])
+        draw = SimDraw(assay=restrict_to_detected([summarize_well_assay(wa)]), well_assays=(wa,))
+        assert _apply_estimators([IMPERFECT_MLE, PERFECT_ASSUMED_MLE], scn, draw)[IMPERFECT_MLE] is None
 
     def test_without_udsa_pair_matches_direct_fits(self):
         scn = small_scenario(reps=15, levels=(SimLevel(0.5, 14, 0.5), SimLevel(1.0, 20, 1.0)))
