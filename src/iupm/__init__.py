@@ -43,7 +43,6 @@ from .imperfect import (
     well_marginal_prob,
 )
 from .inference import (
-    FisherInfo,
     FitResult,
     SingularInformationError,
     covariance,

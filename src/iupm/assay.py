@@ -459,6 +459,7 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
 
     Levels are ordered by first appearance of their u value; lineage columns
     are identified by the ``z_<id>`` header names and shared by all levels.
+    Well ids must be unique across the file.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -477,11 +478,18 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
         raise AssayDataError("duplicate lineage column names")
     n = len(z_cols)
     groups: dict[float, list[list[int]]] = {}
+    first_line: dict[str, int] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 4 + n:
             raise AssayDataError(f"line {lineno}: expected {4 + n} cells, got {len(row)}")
+        well = row[0].strip()
+        if well in first_line:
+            raise AssayDataError(
+                f"line {lineno}: well id {well!r} repeats the id on line {first_line[well]}"
+            )
+        first_line[well] = lineno
         zcells = [c.strip() for c in row[4:]]
         try:
             u = float(row[1])

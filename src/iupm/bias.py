@@ -9,18 +9,25 @@ information depends on its rates through t_i = e^{lam_i} - 1 and through
 binomial sums over the total rate, whose derivatives come from the same pass
 over the well counts as the sums themselves.
 
-Sign convention: each block is assembled as
-
-    A_k = -dI/dtau_k - (1/2) E[d^3 l / dtau dtau' dtau_k].
-
+Sign convention: A_k = -dI/dtau_k - (1/2) E[d^3 l / dtau dtau' dtau_k].
 On the one-parameter no-sequencing model this yields the correction
 (e^T - 1) / (2M), which matches both the Taylor expansion of log(M/M_N) and
 simulation.
+
+Every Poisson ingredient is a constant plus a diagonal plus one (k, k) entry,
+so each block has the form
+
+    A_k = -a 11' - diag(d_diag) + beta_k e_k e_k'
+
+with a = d_common + third_common / 2 and
+beta = d_self - (third_diag - third_common) / 2, and the contraction
+inner = sum_k A_k Sigma e_k needs no block:
+
+    inner = -a (1' Sigma 1) 1 - d_diag o (Sigma 1) + beta o diag(Sigma).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +35,6 @@ import numpy as np
 from .assay import MultiDilutionAssay
 from .inference import FitResult, _information_derivative, fit_mle, level_params, wald_ci
 from .poisson import ExtremeOutcome
-from .special import expm1_ratio
 
 __all__ = [
     "BiasComponents",
@@ -41,68 +47,41 @@ __all__ = [
 
 @dataclass
 class BiasComponents:
-    """Pieces of the correction: per-coordinate A blocks and their inputs."""
+    """The level sums, each scaled by u^3, that make up every A block; the
+    fields follow the order of :func:`iupm.inference._information_derivative`."""
 
-    a_blocks: list[np.ndarray]
-    dI_dtau: list[np.ndarray]
-    third_diag: np.ndarray   # E[d^3 l / dtau_i^3]
+    d_common: float          # the constant of every dI/dtau_k
+    d_diag: np.ndarray       # the diagonal of every dI/dtau_k
+    d_self: np.ndarray       # subtracted from entry (k, k) of dI/dtau_k
     third_common: float      # any mixed third-derivative expectation
-
-
-def _level_terms(lam, M: int, q: float):
-    """Expected third derivatives and the information derivative at one level.
-
-    Returns (third_diag, third_common, d_common, d_diag, d_self), all from
-    one pass over the well counts; the last three are those of
-    :func:`iupm.inference._information_derivative`.  Every mixed third
-    derivative shares the value third_common; it vanishes when every positive
-    well is sequenced (q = 1), the same cancellation as the off-diagonal of
-    the information matrix.
-    """
-    d_common, d_diag, d_self, Em, F = _information_derivative(lam, M, q)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    Lam = float(lam.sum())
-    third_common = expm1_ratio(M - M * math.exp(-Lam) - Em, Lam, 3)
-    third_diag = expm1_ratio(-np.expm1(-lam) * F, lam, 3) + third_common
-    return third_diag, float(third_common), d_common, d_diag, d_self
+    third_diag: np.ndarray   # E[d^3 l / dtau_i^3]
 
 
 def a_matrices(tau, levels) -> BiasComponents:
-    """Assemble the A blocks for per-million rates over (u, M, q) levels.
+    """The A-block ingredients for per-million rates over (u, M, q) levels.
 
-    A single dilution level at u = 1 reproduces the per-well construction.
-    Both dI/dtau and the third-derivative expectations are closed forms, each
-    level scaled by u^3 from its per-well rates u * tau.
+    Both dI/dtau and the third-derivative expectations are closed forms
+    (:func:`iupm.inference._information_derivative`), each level scaled by
+    u^3 from its per-well rates u * tau.  No block is built; :func:`bias_term`
+    contracts the sums directly.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    n = tau.size
-    totals = [np.zeros(n), 0.0, 0.0, np.zeros(n), np.zeros(n)]
+    totals = [0.0, np.zeros(tau.size), np.zeros(tau.size), 0.0, np.zeros(tau.size)]
     for u, M, q in levels:
-        terms = _level_terms(u * tau, M, q)
+        terms = _information_derivative(u * tau, M, q)
         totals = [total + u**3 * term for total, term in zip(totals, terms)]
-    third_diag, third_common, d_common, d_diag, d_self = totals
-    dI_shared = np.full((n, n), d_common) + np.diag(d_diag)
-    dI = []
-    blocks = []
-    for k in range(n):
-        dI_k = dI_shared.copy()
-        dI_k[k, k] -= d_self[k]
-        third_block = np.full((n, n), third_common)
-        third_block[k, k] = third_diag[k]
-        dI.append(dI_k)
-        blocks.append(-dI_k - 0.5 * third_block)
-    return BiasComponents(
-        a_blocks=blocks, dI_dtau=dI, third_diag=third_diag, third_common=third_common
-    )
+    return BiasComponents(*totals)
 
 
-def bias_term(tau_hat, cov: np.ndarray, components: BiasComponents) -> np.ndarray:
-    """First-order bias Sigma A vec(Sigma), evaluated blockwise."""
-    tau_hat = np.atleast_1d(np.asarray(tau_hat, dtype=float))
-    n = tau_hat.size
-    inner = np.zeros(n)
-    for k in range(n):
-        inner += components.a_blocks[k] @ cov[:, k]
+def bias_term(cov: np.ndarray, comps: BiasComponents) -> np.ndarray:
+    """First-order bias Sigma A vec(Sigma) for the covariance ``cov``.
+
+    Returns the vector cov @ inner, with inner in the closed form of the
+    module docstring: O(n^2) work and no per-lineage block.
+    """
+    a = comps.d_common + 0.5 * comps.third_common
+    beta = comps.d_self - 0.5 * (comps.third_diag - comps.third_common)
+    inner = -a * cov.sum() - comps.d_diag * cov.sum(axis=1) + beta * np.diag(cov)
     return cov @ inner
 
 
@@ -118,7 +97,7 @@ def bias_correct(fit: FitResult, assay: MultiDilutionAssay) -> FitResult:
     if fit.extreme is not ExtremeOutcome.REGULAR or not fit.converged:
         return fit
     comps = a_matrices(fit.tau_hat, level_params(assay))
-    b = bias_term(fit.tau_hat, fit.covariance, comps)
+    b = bias_term(fit.covariance, comps)
     corrected = fit.tau_hat - b
     clamped = int(np.sum(corrected < 0.0))
     corrected = np.maximum(corrected, 0.0)

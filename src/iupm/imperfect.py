@@ -44,6 +44,8 @@ __all__ = [
     "fit_imperfect",
 ]
 
+_H_REL = 1e-5  # central-difference step of the observed information, relative to tau
+
 
 class ImperfectFitError(RuntimeError):
     """Raised when the bounded fit cannot produce a usable estimate."""
@@ -224,14 +226,14 @@ def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
     return _level_gradient(lam, _Level(wa, rates), strict=True)
 
 
-def _observed_information(tau: np.ndarray, free: np.ndarray, grad_full, h_rel: float = 1e-5) -> np.ndarray:
+def _observed_information(tau: np.ndarray, free: np.ndarray, grad_full) -> np.ndarray:
     """Numerical observed information on the free coordinates via central
     differences of the analytic gradient."""
     idx = np.flatnonzero(free)
     k = idx.size
     H = np.zeros((k, k))
     for col, i in enumerate(idx):
-        h = max(h_rel * tau[i], 1e-8)
+        h = max(_H_REL * tau[i], 1e-8)
         if tau[i] - h < 0:
             h = tau[i] / 2.0
         hi = tau.copy()

@@ -22,7 +22,6 @@ from .special import expm1_ratio, log1mexp, normal_quantile
 
 __all__ = [
     "SingularInformationError",
-    "FisherInfo",
     "FitResult",
     "fisher_information",
     "fisher_information_multi",
@@ -38,12 +37,6 @@ __all__ = [
 
 class SingularInformationError(RuntimeError):
     """The information matrix cannot be inverted reliably."""
-
-
-@dataclass
-class FisherInfo:
-    matrix: np.ndarray
-    at: np.ndarray
 
 
 @dataclass
@@ -173,7 +166,7 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
-def fisher_information(lam, M: int, q: float) -> FisherInfo:
+def fisher_information(lam, M: int, q: float) -> np.ndarray:
     """Expected information for the per-well rates at one dilution level.
 
     Diagonal: E(Y_i) e^{lam_i} / (e^{lam_i}-1)^2 plus a common term; every
@@ -189,11 +182,12 @@ def fisher_information(lam, M: int, q: float) -> FisherInfo:
     diag = expm1_ratio(-np.expm1(-lam) * F, lam, 2) + common
     matrix = np.full((lam.size, lam.size), common)
     np.fill_diagonal(matrix, diag)
-    return FisherInfo(matrix=matrix, at=lam.copy())
+    return matrix
 
 
 def _information_derivative(lam, M: int, q: float):
-    """Closed-form lam-derivative of :func:`fisher_information`, with its sums.
+    """Closed-form lam-derivatives of :func:`fisher_information` and the
+    expected third derivatives of the log-likelihood at one level.
 
     The information is I_ij = c + delta_ij F / t_i with t_i = e^{lam_i} - 1
     and c = (M p - Em) (t + 1) / t^2, where t = e^Lam - 1, p = 1 - e^{-Lam}
@@ -203,7 +197,11 @@ def _information_derivative(lam, M: int, q: float):
         dI_ij / dlam_k = d_common + delta_ij d_diag_i - delta_ij delta_ik d_self_i
 
     with d_common = dc/dLam, d_diag = F' / t_i and d_self = F (t_i + 1) / t_i^2.
-    Returns (d_common, d_diag, d_self, Em, F).
+    Every mixed third derivative shares the value third_common, and the pure
+    ones are third_diag; third_common vanishes when every positive well is
+    sequenced (q = 1), the same cancellation as the off-diagonal of the
+    information.  Returns (d_common, d_diag, d_self, third_common, third_diag),
+    all from one pass over the well counts.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam <= 0):
@@ -211,12 +209,13 @@ def _information_derivative(lam, M: int, q: float):
     Lam = float(lam.sum())
     s = math.exp(-Lam)
     Em, F, dEm, dF = _binomial_sums(Lam, M, q)
-    curvature = expm1_ratio(M - M * s - Em, Lam, 3)
-    d_common = expm1_ratio(M * s - dEm, Lam, 2) - curvature
-    return d_common, expm1_ratio(dF, lam, 1), expm1_ratio(F, lam, 2), Em, F
+    third_common = expm1_ratio(M - M * s - Em, Lam, 3)
+    d_common = expm1_ratio(M * s - dEm, Lam, 2) - third_common
+    third_diag = expm1_ratio(-np.expm1(-lam) * F, lam, 3) + third_common
+    return d_common, expm1_ratio(dF, lam, 1), expm1_ratio(F, lam, 2), third_common, third_diag
 
 
-def fisher_information_multi(tau, levels) -> FisherInfo:
+def fisher_information_multi(tau, levels) -> np.ndarray:
     """Expected information for per-million rates over several levels.
 
     ``levels`` is a sequence of (u, M, q) design triples; each contributes
@@ -225,15 +224,18 @@ def fisher_information_multi(tau, levels) -> FisherInfo:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     total = np.zeros((tau.size, tau.size))
     for u, M, q in levels:
-        total += u * u * fisher_information(u * tau, M, q).matrix
-    return FisherInfo(matrix=total, at=tau.copy())
+        total += u * u * fisher_information(u * tau, M, q)
+    return total
 
 
-def covariance(info, cond_limit: float = 1e12) -> np.ndarray:
+COND_LIMIT = 1e12  # condition number above which an information matrix is refused
+
+
+def covariance(info) -> np.ndarray:
     """Invert an information matrix, refusing ill-conditioned input."""
-    matrix = info.matrix if isinstance(info, FisherInfo) else np.asarray(info, dtype=float)
+    matrix = np.asarray(info, dtype=float)
     cond = np.linalg.cond(matrix)
-    if not math.isfinite(cond) or cond > cond_limit:
+    if not math.isfinite(cond) or cond > COND_LIMIT:
         raise SingularInformationError(
             f"information matrix of size {matrix.shape[0]} is singular or "
             f"ill-conditioned (condition estimate {cond:.3e})"

@@ -486,6 +486,31 @@ def fd_hessian_of_gradient(g, x, h=1e-6):
     return (H + H.T) / 2.0
 
 
+def reference_a_blocks(comps):
+    """The dense A_k and dI/dtau_k blocks assembled entry by entry from the
+    level sums of :func:`iupm.a_matrices`; returns (a_blocks, dI_dtau)."""
+    n = comps.d_diag.size
+    dI_shared = np.full((n, n), comps.d_common) + np.diag(comps.d_diag)
+    dI = []
+    blocks = []
+    for k in range(n):
+        dI_k = dI_shared.copy()
+        dI_k[k, k] -= comps.d_self[k]
+        third_block = np.full((n, n), comps.third_common)
+        third_block[k, k] = comps.third_diag[k]
+        dI.append(dI_k)
+        blocks.append(-dI_k - 0.5 * third_block)
+    return blocks, dI
+
+
+def reference_bias_term(cov, blocks) -> np.ndarray:
+    """Sigma A vec(Sigma) contracted block by block."""
+    inner = np.zeros(cov.shape[0])
+    for k, block in enumerate(blocks):
+        inner += block @ cov[:, k]
+    return cov @ inner
+
+
 def enumerate_expectations(lam, M, q):
     """Exact E(m) and E(Y_i) by enumerating all well configurations and all
     equally likely sequencing subsets.  Feasible for small M and n."""

@@ -293,7 +293,7 @@ def _mc_conditional_bias(reps=100_000, seed=606):
 def test_criterion_06a_correction_term_closed_form():
     comps = a_matrices(np.array([1.0]), [(1.0, 12, 0.0)])
     cov = covariance(fisher_information_multi(np.array([1.0]), [(1.0, 12, 0.0)]))
-    b = bias_term(np.array([1.0]), cov, comps)[0]
+    b = bias_term(cov, comps)[0]
     assert abs(b - FIRST_ORDER_BIAS) / FIRST_ORDER_BIAS <= 0.05
     report("6a", f"correction term {b:.6f} vs (e-1)/24 = {FIRST_ORDER_BIAS:.6f}")
 

@@ -243,6 +243,11 @@ class TestFileFormats:
         with pytest.raises(AssayDataError):
             parse_wells_csv(text)
 
+    def test_wells_duplicate_id_rejected(self):
+        text = "well,u,w_star,r,z_a\nw1,1.0,1,1,1\nw2,1.0,0,0,\nw1 ,2.0,0,0,\n"
+        with pytest.raises(AssayDataError, match="line 4: well id 'w1' repeats the id on line 2"):
+            parse_wells_csv(text)
+
     def test_parse_assay_dispatch(self):
         with pytest.raises(AssayDataError):
             parse_assay("{}", "unknown-format")

@@ -12,9 +12,9 @@ from iupm import (
     fit_bc_mle,
     fit_mle,
 )
-from iupm.bias import _level_terms
+from iupm.inference import _information_derivative, covariance, level_params
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
-from helpers import random_regular_assay
+from helpers import random_regular_assay, reference_a_blocks, reference_bias_term
 
 
 class TestThirdDerivativeExpectations:
@@ -22,13 +22,13 @@ class TestThirdDerivativeExpectations:
         # with every positive well sequenced the mixed entries vanish and the
         # diagonal reduces to M (e^lam + 1) / (e^lam - 1)^2
         M, lam = 12, 0.5
-        diag, common, *_ = _level_terms(np.array([lam]), M, 1.0)
+        *_, common, diag = _information_derivative(np.array([lam]), M, 1.0)
         assert common == pytest.approx(0.0, abs=1e-10)
         t = math.expm1(lam)
         assert diag[0] == pytest.approx(M * (t + 2.0) / (t * t), rel=1e-10)
 
     def test_exchangeable_rates(self):
-        diag, *_ = _level_terms(np.array([0.2, 0.2, 0.2]), 18, 0.5)
+        *_, diag = _information_derivative(np.array([0.2, 0.2, 0.2]), 18, 0.5)
         assert np.ptp(diag) < 1e-12
 
     def test_matches_monte_carlo_average(self):
@@ -55,7 +55,7 @@ class TestThirdDerivativeExpectations:
         unseq = W.sum(axis=1) - m  # positive wells left unsequenced
         common_term = unseq * (tL + 1.0) * (tL + 2.0) / tL**3
         diag_draws = Y[:, 0] * (t0 + 1.0) * (t0 + 2.0) / t0**3 + common_term
-        diag, common, *_ = _level_terms(lam, M, q)
+        *_, common, diag = _information_derivative(lam, M, q)
         for draws, target in ((diag_draws, diag[0]), (common_term, common)):
             mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(reps)
             assert abs(mc - target) <= 4.0 * se, (mc, target, se)
@@ -67,7 +67,7 @@ class TestAMatrices:
         # (e^L - 1)^2 combine to the kernel M / (2 (e^L - 1))
         M, Lam = 12, 1.0
         comps = a_matrices(np.array([Lam]), [(1.0, M, 0.0)])
-        kernel = comps.a_blocks[0][0, 0]
+        kernel = reference_a_blocks(comps)[0][0][0, 0]
         assert kernel == pytest.approx(M / (2.0 * math.expm1(Lam)), rel=1e-4)
 
     def test_numeric_information_derivative_matches_symbolic(self):
@@ -75,12 +75,12 @@ class TestAMatrices:
         lam = np.array([0.4])
         comps = a_matrices(lam, [(1.0, 12, 1.0)])
         symbolic = -12.0 * math.exp(0.4) / math.expm1(0.4) ** 2
-        assert comps.dI_dtau[0][0, 0] == pytest.approx(symbolic, rel=1e-5)
+        assert reference_a_blocks(comps)[1][0][0, 0] == pytest.approx(symbolic, rel=1e-5)
 
     def test_exchangeable_blocks_are_permutations(self):
         tau = np.array([0.3, 0.3])
         comps = a_matrices(tau, [(1.0, 20, 0.5)])
-        A0, A1 = comps.a_blocks
+        A0, A1 = reference_a_blocks(comps)[0]
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(A1, P @ A0 @ P, rtol=1e-6, atol=1e-8)
 
@@ -94,7 +94,7 @@ def central_difference_dI(tau, levels):
         hi[k] += h
         lo[k] -= h
         blocks.append(
-            (fisher_information_multi(hi, levels).matrix - fisher_information_multi(lo, levels).matrix)
+            (fisher_information_multi(hi, levels) - fisher_information_multi(lo, levels))
             / (2.0 * h)
         )
     return blocks
@@ -111,7 +111,7 @@ class TestClosedFormInformationDerivative:
         ],
     )
     def test_matches_central_difference(self, tau, levels):
-        closed = a_matrices(tau, levels).dI_dtau
+        closed = reference_a_blocks(a_matrices(tau, levels))[1]
         for k, numeric in enumerate(central_difference_dI(tau, levels)):
             np.testing.assert_allclose(closed[k], numeric, rtol=1e-6)
 
@@ -129,7 +129,7 @@ class TestBiasTerm:
         tau = np.array([0.4, 0.3])
         comps = a_matrices(tau, [(1.0, 24, 1.0)])
         cov = np.linalg.inv(np.diag([50.0, 60.0]))
-        small = bias_term(tau, cov / 1e6, comps)
+        small = bias_term(cov / 1e6, comps)
         assert np.max(np.abs(small)) < 1e-6
 
     def test_doubling_wells_roughly_halves_the_correction(self):
@@ -139,10 +139,8 @@ class TestBiasTerm:
             tau = rng.uniform(0.1, 0.5, 3)
             for M, store in ((16, []), (32, [])):
                 comps = a_matrices(tau, [(1.0, M, 1.0)])
-                from iupm.inference import covariance, fisher_information_multi
-
                 cov = covariance(fisher_information_multi(tau, [(1.0, M, 1.0)]))
-                store.append(np.linalg.norm(bias_term(tau, cov, comps)))
+                store.append(np.linalg.norm(bias_term(cov, comps)))
                 if M == 16:
                     b16 = store[0]
                 else:
@@ -159,6 +157,31 @@ class TestBiasTerm:
             bc = fit_bc_mle(MultiDilutionAssay((lv,), 0))
             if M_N < M:
                 assert bc.bias[0] > 0.0
+
+
+# 7 designs x 45 replicates = 315 simulated fits against the block contraction
+ORACLE_REPS = 45
+ORACLE_DESIGNS = {
+    "n1": (0.8, 1, (SimLevel(1.0, 24, 0.5),)),
+    "q0": (1.0, 4, (SimLevel(1.0, 24, 0.0),)),
+    "q1": (1.0, 6, (SimLevel(1.0, 12, 1.0),)),
+    "M2000": (0.5, 5, (SimLevel(1.0, 2000, 0.25),)),
+    "three-level": (1.0, 6, (SimLevel(0.5, 12, 0.5), SimLevel(1.0, 24, 0.75), SimLevel(2.0, 36, 1.0))),
+    "two-level-q0": (1.5, 8, (SimLevel(0.5, 18, 0.25), SimLevel(1.0, 18, 0.0))),
+    "n40": (3.0, 40, (SimLevel(0.5, 60, 0.5), SimLevel(1.0, 40, 1.0))),
+}
+
+
+@pytest.mark.parametrize("design", list(ORACLE_DESIGNS))
+def test_bias_term_matches_block_contraction(design):
+    truth, n_dvl, levels = ORACLE_DESIGNS[design]
+    scn = SimScenario(truth=truth, n_dvl=n_dvl, levels=levels, seed=404)
+    for rep in range(ORACLE_REPS):
+        draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, rep))
+        fit = fit_mle(draw.assay)
+        comps = a_matrices(fit.tau_hat, level_params(draw.assay))
+        expected = reference_bias_term(fit.covariance, reference_a_blocks(comps)[0])
+        np.testing.assert_allclose(bias_term(fit.covariance, comps), expected, rtol=1e-13, atol=0.0)
 
 
 class TestFitBcMle:

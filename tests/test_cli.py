@@ -116,6 +116,19 @@ class TestFit:
         assert out == ""
         assert err == "error: level 0: well 1 has probability zero under the supplied error rates\n"
 
+    def test_duplicate_well_id_exits_2(self, tmp_path, capsys):
+        # ids restart at the second level, so line 5 repeats well 0 of line 2
+        path = tmp_path / "two_levels.csv"
+        path.write_text(
+            "well,u,w_star,r,z_1\n"
+            "0,2.0,1,1,1\n1,2.0,0,0,\n2,2.0,1,0,\n"
+            " 0 ,0.5,0,0,\n1,0.5,1,1,1\n"
+        )
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 5: well id '0' repeats the id on line 2\n"
+
     def test_bias_correct_reports_both(self, tmp_path, capsys):
         path = write_subject(tmp_path, "C3")
         code, out, _ = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")

@@ -26,7 +26,7 @@ from iupm.inference import (
     _nonzero_window,
     level_params,
 )
-from iupm.special import log1mexp, log_binom, nint
+from iupm.special import expm1_ratio, log1mexp, log_binom, nint
 from helpers import (
     enumerate_expectations,
     load_subjects,
@@ -197,20 +197,20 @@ class TestFisherInformation:
     def test_full_sequencing_diagonal_form(self):
         info = fisher_information(np.array([0.3, 0.3]), 24, 1.0)
         expected = 24.0 / math.expm1(0.3)
-        np.testing.assert_allclose(np.diag(info.matrix), expected, rtol=1e-12)
-        off = info.matrix[0, 1]
+        np.testing.assert_allclose(np.diag(info), expected, rtol=1e-12)
+        off = info[0, 1]
         assert abs(off) < 1e-10
 
     def test_exchangeable_rates_give_exchangeable_information(self):
         info = fisher_information(np.array([0.25, 0.25, 0.25]), 18, 0.5)
-        d = np.diag(info.matrix)
+        d = np.diag(info)
         assert d[0] == pytest.approx(d[1], rel=1e-12) == pytest.approx(d[2], rel=1e-12)
-        off = info.matrix[~np.eye(3, dtype=bool)]
+        off = info[~np.eye(3, dtype=bool)]
         assert np.ptp(off) < 1e-14
 
     def test_single_lineage_no_sequencing(self):
         info = fisher_information(np.array([0.7]), 12, 0.0)
-        assert info.matrix[0, 0] == pytest.approx(12.0 / math.expm1(0.7), rel=1e-12)
+        assert info[0, 0] == pytest.approx(12.0 / math.expm1(0.7), rel=1e-12)
 
     def test_matches_enumerated_expectations(self):
         # entries are linear in E(Y), E(m), E(M_N); rebuild them from the
@@ -225,18 +225,18 @@ class TestFisherInformation:
         diag = ey * (t + 1) / t**2 + common
         expected = np.full((2, 2), common)
         np.fill_diagonal(expected, diag)
-        np.testing.assert_allclose(fisher_information(lam, M, q).matrix, expected, rtol=1e-10)
+        np.testing.assert_allclose(fisher_information(lam, M, q), expected, rtol=1e-10)
 
     def test_multi_reduces_to_single(self):
         tau = np.array([0.2, 0.4])
-        single = fisher_information(tau, 20, 0.75).matrix
-        multi = fisher_information_multi(tau, [(1.0, 20, 0.75)]).matrix
+        single = fisher_information(tau, 20, 0.75)
+        multi = fisher_information_multi(tau, [(1.0, 20, 0.75)])
         np.testing.assert_allclose(multi, single, rtol=1e-14)
 
     def test_identical_levels_double_the_information(self):
         tau = np.array([0.2, 0.4])
-        one = fisher_information_multi(tau, [(1.0, 20, 0.75)]).matrix
-        two = fisher_information_multi(tau, [(1.0, 20, 0.75), (1.0, 20, 0.75)]).matrix
+        one = fisher_information_multi(tau, [(1.0, 20, 0.75)])
+        two = fisher_information_multi(tau, [(1.0, 20, 0.75), (1.0, 20, 0.75)])
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-14)
 
     def test_multi_matches_per_level_enumeration(self):
@@ -254,8 +254,28 @@ class TestFisherInformation:
             np.fill_diagonal(block, ey * (t + 1) / t**2 + common)
             expected += u * u * block
         np.testing.assert_allclose(
-            fisher_information_multi(tau, levels).matrix, expected, rtol=1e-10
+            fisher_information_multi(tau, levels), expected, rtol=1e-10
         )
+
+
+    def test_off_diagonal_is_the_summed_common_term(self):
+        # the structured bias term rests on every off-diagonal entry being
+        # the same constant, sum_d u_d^2 c_d
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            tau = rng.uniform(0.05, 0.8, n)
+            levels = [
+                (float(u), int(rng.integers(1, 400)), float(rng.choice([0.0, 0.25, 0.5, 1.0])))
+                for u in rng.choice([0.25, 0.5, 1.0, 2.0], size=int(rng.integers(1, 4)), replace=False)
+            ]
+            common = 0.0
+            for u, M, q in levels:
+                Lam = float(u * tau.sum())
+                Em = _binomial_sums(Lam, M, q)[0]
+                common += u * u * expm1_ratio(M - M * math.exp(-Lam) - Em, Lam, 2)
+            off = fisher_information_multi(tau, levels)[~np.eye(n, dtype=bool)]
+            assert np.all(off == common)
 
 
 class TestCovariance:
