@@ -294,17 +294,24 @@ def level_params(assay: MultiDilutionAssay) -> list[tuple[float, int, float]]:
 
 
 def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
-    """Pooled-count starting point: log(-log(1 - Y~/M~)) with clamping.
+    """Pooled-count starting point: log(-log(1 - Y~/M~) / u) with clamping.
 
     Pools per-lineage counts and complete-data well counts across the levels;
     the inner log argument is kept away from 0 and 1 so lineages observed in
-    every (or no) pooled well still start at a finite value.
+    every (or no) pooled well still start at a finite value.  The pooled rate
+    is per well; where every level shares one u it is divided by that u to
+    give the per-million rate, and assays with mixed u start from the per-well
+    rate itself.
     """
     pooled = assay.pooled_y()
     m_tilde = sum(lv.M_N + lv.m for lv in assay.levels)
     lo = 1.0 / (2.0 * m_tilde)
     inner = np.clip(1.0 - pooled / m_tilde, lo, 1.0 - lo)
-    return np.log(-np.log(inner))
+    rate = -np.log(inner)
+    dilutions = {lv.u for lv in assay.levels}
+    if len(dilutions) == 1:
+        rate = rate / dilutions.pop()
+    return np.log(rate)
 
 
 def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:

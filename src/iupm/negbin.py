@@ -5,8 +5,9 @@ With dispersion gamma >= 0, a well is negative for lineage i with probability
 eff_i = log(1 + gamma*lam_i)/gamma, that zero probability is exp(-eff_i), so
 the overdispersed likelihood is exactly the Poisson one evaluated at the
 effective rates.  The fit maximizes over log tau jointly with gamma under the
-constraint gamma >= 0; the parameters are only identifiable with data from at
-least two dilution levels.
+constraint gamma >= 0 by projected Newton on the analytic Hessian, which
+chains the Poisson gradient and Hessian through eff(lam, gamma); the
+parameters are only identifiable with data from at least two dilution levels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .inference import FitResult, fit_mle
-from .optimize import fd_hessian, maximize, newton_polish
+from .optimize import newton_maximize
 from .special import chi2_1_upper_tail
 
 __all__ = [
@@ -83,21 +84,50 @@ def _effective_rate(lam, gamma: float):
     return np.where(x < 1e-300, lam, eff)
 
 
-def _deff_dlam(lam, gamma: float):
-    return 1.0 / (1.0 + gamma * lam)
+# Below this gamma*lam the closed forms of d eff/d gamma and d^2 eff/d gamma^2
+# cancel badly; their Taylor series in x = gamma*lam are used instead.  With
+# _SERIES_POWERS terms the first omitted one is below 3e-17 of the sum.
+_SERIES_EDGE = 0.1
+_SERIES_POWERS = np.arange(18)
+# d eff/d gamma = lam^2 sum_j (-1)^(j+1) (j+1)/(j+2) x^j
+_SERIES_D1 = (-1.0) ** (_SERIES_POWERS + 1) * (_SERIES_POWERS + 1) / (_SERIES_POWERS + 2)
+# d^2 eff/d gamma^2 = lam^3 sum_j (-1)^j (j+1)(j+2)/(j+3) x^j
+_SERIES_D2 = (
+    (-1.0) ** _SERIES_POWERS * (_SERIES_POWERS + 1) * (_SERIES_POWERS + 2) / (_SERIES_POWERS + 3)
+)
 
 
-def _deff_dgamma(lam, gamma: float):
-    """d eff / d gamma, with a series fallback where the direct form cancels."""
+def _gamma_derivatives(lam, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d eff / d gamma, d^2 eff / d gamma^2); -lam^2/2 and 2 lam^3/3 at gamma = 0.
+
+    With x = gamma*lam they are (x/(1+x) - log1p x)/gamma^2 and
+    (2 log1p x - 2x/(1+x) - x^2/(1+x)^2)/gamma^3, and their series below
+    ``_SERIES_EDGE``.  Each power of gamma divides separately, so nothing
+    overflows for gamma*lam up to the float limit.
+    """
     lam = np.asarray(lam, dtype=float)
     if gamma == 0.0:
-        return -0.5 * lam * lam
+        lam2 = lam * lam
+        return -0.5 * lam2, (2.0 / 3.0) * lam2 * lam
     x = gamma * lam
-    return np.where(
-        x < 1e-5,
-        -0.5 * lam * lam + (2.0 / 3.0) * gamma * lam**3,
-        (x / (1.0 + x) - np.log1p(x)) / (gamma * gamma),
-    )
+    small = x < _SERIES_EDGE
+    n_small = np.count_nonzero(small)
+    if n_small:
+        # the large entries are zeroed so that their powers cannot overflow
+        xs, ls = (x, lam) if n_small == x.size else (np.where(small, x, 0.0), np.where(small, lam, 0.0))
+        powers = np.power.outer(xs, _SERIES_POWERS)
+        lam2 = ls * ls
+        series1, series2 = lam2 * (powers @ _SERIES_D1), lam2 * ls * (powers @ _SERIES_D2)
+        if n_small == x.size:
+            return series1, series2
+    x = np.where(small, 1.0, x)  # keeps the closed forms away from 0 / 0
+    y = x / (1.0 + x)
+    log1p = np.log1p(x)
+    d1 = (y - log1p) / gamma / gamma
+    d2 = (2.0 * log1p - 2.0 * y - y * y) / gamma / gamma / gamma
+    if n_small:
+        return np.where(small, series1, d1), np.where(small, series2, d2)
+    return d1, d2
 
 
 def nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:
@@ -126,19 +156,62 @@ def _nb_gradient(tau, gamma: float, assay: MultiDilutionAssay) -> tuple[np.ndarr
         lam = lv.u * tau
         eff = _effective_rate(lam, gamma)
         pg = poisson.gradient(eff, lv)
-        g_tau += lv.u * pg * _deff_dlam(lam, gamma)
-        g_gamma += float(pg @ _deff_dgamma(lam, gamma))
+        g_tau += lv.u * pg / (1.0 + gamma * lam)
+        g_gamma += float(pg @ _gamma_derivatives(lam, gamma)[0])
     return g_tau, g_gamma
+
+
+def _nb_grad_hess(x, assay: MultiDilutionAssay) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the log-likelihood in x = (log tau, gamma).
+
+    Chains the Poisson gradient p and Hessian diag(h) - c 11^T at the
+    effective rates through eff(lam, gamma), lam = u tau, per level.  With
+    a = d eff / d theta = lam / (1 + gamma lam) and b, b2 the gamma
+    derivatives of eff, da/dtheta = a - gamma a^2 and da/dgamma = -a^2, so
+
+        H_theta,theta = diag(h a^2 + p (a - gamma a^2)) - c a a^T
+        H_theta,gamma = a (h b - c sum b) - p a^2
+        H_gamma,gamma = h . b^2 - c (sum b)^2 + p . b2
+    """
+    n = x.size - 1
+    tau, gamma = np.exp(x[:n]), float(x[n])
+    g = np.zeros(n + 1)
+    H = np.zeros((n + 1, n + 1))
+    diag = np.zeros(n)
+    for lv in assay.levels:
+        lam = lv.u * tau
+        a = lam / (1.0 + gamma * lam)
+        a2 = a * a
+        b, b2 = _gamma_derivatives(lam, gamma)
+        eff = _effective_rate(lam, gamma)
+        p = poisson.gradient(eff, lv)
+        h, c = poisson.hessian_parts(eff, lv)
+        g[:n] += p * a
+        g[n] += p @ b
+        diag += h * a2 + p * (a - gamma * a2)
+        H[:n, n] += a * (h * b) - p * a2
+        H[n, n] += h @ (b * b) + p @ b2
+        if c is not None:
+            sb = float(b.sum())
+            H[:n, :n] -= c * np.outer(a, a)
+            H[:n, n] -= (c * sb) * a
+            H[n, n] -= c * sb * sb
+    H[np.diag_indices(n)] += diag
+    H[n, :n] = H[:n, n]
+    return g, H
 
 
 def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> NBFit:
     """Joint MLE of (tau, gamma) with gamma constrained to [0, inf).
 
-    Starts from the Poisson fit with gamma = 0.1; if that run stalls on the
-    gamma boundary without meeting the tolerance it is retried from gamma = 1
-    and the better of the two is kept.  ``pois`` is the Poisson fit of
-    ``assay`` when the caller already holds it; it is reused for the start,
-    the boundary check and the gamma = 0 fallback instead of being refitted.
+    Projected Newton (:func:`iupm.optimize.newton_maximize`) on the analytic
+    gradient and Hessian in (log tau, gamma), started from the Poisson fit
+    with gamma = 0.1.  A gamma that reaches the boundary with an outward
+    score is held there while the rates converge.  ``converged`` is set when
+    the projected gradient meets the solver tolerance within its iteration
+    cap.  ``pois`` is the Poisson fit of ``assay`` when the caller already
+    holds it; it is reused for the start, the boundary check and the
+    gamma = 0 fallback instead of being refitted.
     """
     if assay.D < 2:
         raise IdentifiabilityError(
@@ -158,29 +231,12 @@ def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> N
         with np.errstate(over="ignore", invalid="ignore"):
             return _nb_log_likelihood(np.exp(x[:n]), float(x[n]), assay)
 
-    def grad(x):
+    def grad_hess(x):
         with np.errstate(over="ignore", invalid="ignore"):
-            tau = np.exp(x[:n])
-            g_tau, g_gamma = _nb_gradient(tau, float(x[n]), assay)
-            return np.concatenate([tau * g_tau, [g_gamma]])
+            return _nb_grad_hess(x, assay)
 
     lower = np.concatenate([np.full(n, -math.inf), [0.0]])
-    hess = fd_hessian(grad, lower)
-
-    def run(gamma0):
-        res = maximize(objective, grad, np.concatenate([theta0, [gamma0]]), lower)
-        x, polished = newton_polish(grad, hess, res.x, lower)
-        f_polished = objective(x)
-        if f_polished >= res.f - 1e-9 * (abs(res.f) + 1.0):
-            res.x, res.f = x, f_polished
-            res.converged = res.converged or polished
-        return res
-
-    res = run(0.1)
-    if not res.converged and n in res.active_lower:
-        retry = run(1.0)
-        if retry.f > res.f:
-            res = retry
+    res = newton_maximize(objective, grad_hess, np.concatenate([theta0, [0.1]]), lower)
     if 2.0 * (res.f - pois.log_lik) < STATISTIC_FLOOR:
         # No real gain over the gamma = 0 boundary, where the joint maximum
         # is exactly the Poisson fit.

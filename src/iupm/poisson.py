@@ -33,6 +33,7 @@ __all__ = [
     "log_likelihood",
     "gradient",
     "hessian",
+    "hessian_parts",
     "closed_form_no_udsa",
     "closed_form_full_udsa",
     "classify_extreme",
@@ -87,12 +88,23 @@ def gradient(lam, level: DilutionLevelData) -> np.ndarray:
 
 def hessian(lam, level: DilutionLevelData) -> np.ndarray:
     """Second derivatives: diagonal per-lineage terms plus a shared rank-one term."""
+    diag, common = hessian_parts(lam, level)
+    H = np.diag(diag)
+    if common is not None:
+        H = H - common
+    return H
+
+
+def hessian_parts(lam, level: DilutionLevelData) -> tuple[np.ndarray, float | None]:
+    """(diag, common) with :func:`hessian` = diag(diag) - common * 11^T.
+
+    ``common`` is None when the level has no unsequenced positive wells.
+    """
     lam, c = _unpack(lam, level)
     diag = np.where(c.pos, expm1_ratio(-c.y, lam, 2), 0.0)
-    H = np.diag(diag)
-    if c.unseq != 0:
-        H = H - expm1_ratio(c.unseq, float(lam.sum()), 2)
-    return H
+    if c.unseq == 0:
+        return diag, None
+    return diag, expm1_ratio(c.unseq, float(lam.sum()), 2)
 
 
 def closed_form_no_udsa(M: int, M_N: int) -> float:

@@ -23,7 +23,17 @@ from iupm import (
 )
 from iupm.poisson import ExtremeOutcome
 from iupm.inference import multi_gradient, observed_information
-from iupm.optimize import OptResult, _bfgs_update, _inf_norm, _noise_floor_step, _wolfe
+from iupm.negbin import STATISTIC_FLOOR, NBFit, _nb_gradient, _nb_log_likelihood
+from iupm.optimize import (
+    OptResult,
+    _bfgs_update,
+    _inf_norm,
+    _noise_floor_step,
+    _wolfe,
+    fd_hessian,
+    maximize,
+    newton_polish,
+)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -836,6 +846,54 @@ def direct_nb_log_likelihood(tau, gamma, assay) -> float:
         if unseq > 0:
             total += unseq * math.log(1.0 - float(np.prod(p0)))
     return total
+
+
+def negbin_objectives(assay):
+    """The negative-binomial log-likelihood and its gradient in
+    x = (log tau, gamma), from ``negbin``'s own kernels, and the bounds
+    gamma >= 0."""
+    n = assay.n
+
+    def objective(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _nb_log_likelihood(np.exp(x[:n]), float(x[n]), assay)
+
+    def grad(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = np.exp(x[:n])
+            g_tau, g_gamma = _nb_gradient(tau, float(x[n]), assay)
+            return np.concatenate([tau * g_tau, [g_gamma]])
+
+    return objective, grad, np.concatenate([np.full(n, -math.inf), [0.0]])
+
+
+def reference_fit_negbin(assay, pois):
+    """The former negative-binomial fit: bounded BFGS from gamma = 0.1 with a
+    Newton polish on a finite-difference Hessian, retried from gamma = 1 when
+    it stalls on the gamma boundary."""
+    theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
+    n = theta0.size
+    objective, grad, lower = negbin_objectives(assay)
+    hess = fd_hessian(grad, lower)
+
+    def run(gamma0):
+        res = maximize(objective, grad, np.concatenate([theta0, [gamma0]]), lower)
+        x, polished = newton_polish(grad, hess, res.x, lower)
+        f_polished = objective(x)
+        if f_polished >= res.f - 1e-9 * (abs(res.f) + 1.0):
+            res.x, res.f = x, f_polished
+            res.converged = res.converged or polished
+        return res
+
+    res = run(0.1)
+    if not res.converged and n in res.active_lower:
+        retry = run(1.0)
+        if retry.f > res.f:
+            res = retry
+    if 2.0 * (res.f - pois.log_lik) < STATISTIC_FLOOR:
+        return NBFit(pois.tau_hat.copy(), 0.0, pois.iupm, pois.log_lik, pois.converged)
+    tau_hat = np.exp(res.x[:n])
+    return NBFit(tau_hat, float(res.x[n]), float(tau_hat.sum()), res.f, res.converged)
 
 
 def myers_mle_bisect(levels, lo=1e-10, hi=200.0) -> float:

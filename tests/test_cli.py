@@ -227,6 +227,16 @@ class TestFit:
         assert out == ""
         assert err == ALL_POSITIVE_MESSAGE
 
+    def test_unconverged_negbin_fit_exits_3(self, tmp_path, capsys):
+        # The negbin fit runs off towards infinite rates on this assay.
+        doc = {"n": 2, "levels": [{"u": 2.0, "M": 12, "MN": 7, "m": 3, "Y": [1, 3]},
+                                  {"u": 0.5, "M": 3, "MN": 2, "m": 1, "Y": [1, 1], "q": 0.5}]}
+        path = tmp_path / "runaway.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "fit", "--negbin", "--input", str(path))
+        assert code == 3
+        assert json.loads(out)["estimate"]["converged"] is False
+
     def test_directory_input_exits_2(self, tmp_path, capsys):
         folder = tmp_path / "assay.json"
         folder.mkdir()
@@ -276,6 +286,29 @@ def test_large_u_t_gives_finite_fit_without_warnings(tmp_path, capsys, doc, bias
         if bias_correct:
             # (e^lam - 1) / (2 M) per well at lam = log 2 and M = 2, per million.
             np.testing.assert_allclose(report["bias_corrected"]["bias"], [250.0] * 3, rtol=1e-6)
+
+
+# One level at u = 1000 with every positive well sequenced (drawn with per-well
+# rate 1/3 per lineage), so the MLE is the closed form -log(1 - Y/M) / u.  A
+# start at the per-well rather than the per-million rate once sent the fit to
+# theta near -709.
+_LARGE_U = [
+    {"n": 3, "levels": [{"u": 1000, "M": 20000, "MN": 7370, "m": 12630, "Y": [5756, 5558, 5675], "q": 1.0}]},
+    {"n": 3, "levels": [{"u": 1000, "M": 20000, "MN": 7423, "m": 12577, "Y": [5594, 5603, 5691], "q": 1.0}]},
+]
+
+
+@pytest.mark.parametrize("doc", _LARGE_U)
+def test_large_u_fits_the_closed_form_without_warnings(tmp_path, capsys, doc):
+    path = tmp_path / "large_u.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+    assert code == 0, err
+    level = doc["levels"][0]
+    expected = closed_form_full_udsa(level["M"], level["Y"]) / level["u"]
+    np.testing.assert_allclose(json.loads(out)["estimate"]["tau"], expected, rtol=0.0, atol=1e-12)
 
 
 class TestLrt:

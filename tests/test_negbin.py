@@ -1,5 +1,7 @@
 import math
 import warnings
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,9 +19,25 @@ from iupm import (
     nb_log_likelihood,
     nb_zero_prob,
 )
-from iupm.negbin import _nb_gradient
+from iupm import negbin, optimize
+from iupm.negbin import _SERIES_EDGE, _gamma_derivatives, _nb_grad_hess, _nb_gradient
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
-from helpers import direct_nb_log_likelihood, fd_gradient, random_level
+from helpers import (
+    direct_nb_log_likelihood,
+    fd_gradient,
+    negbin_objectives,
+    random_level,
+    reference_fit_negbin,
+)
+
+LRT_NEGBIN = SimScenario(
+    truth=1.0, n_dvl=12, model="negbin", gamma=4.0,
+    levels=(SimLevel(0.5, 30, 0.0), SimLevel(1.0, 60, 0.5), SimLevel(2.0, 90, 1.0)),
+)
+# On this assay the likelihood keeps rising as gamma and one rate grow without bound.
+RUNAWAY = MultiDilutionAssay(
+    (DilutionLevelData(2.0, 12, 7, 3, (1, 3)), DilutionLevelData(0.5, 3, 2, 1, (1, 1), q=0.5)), 2
+)
 
 
 def two_level_assay(rng, n=3):
@@ -231,3 +249,155 @@ class TestLrt:
         res = lrt_overdispersion(draw.assay)
         assert res.statistic >= 0.0
         assert 0.0 <= res.p_value <= 1.0
+
+
+def theta_gradient(x, assay):
+    """The gradient in (log tau, gamma), from the tau-gradient of ``_nb_gradient``."""
+    return negbin_objectives(assay)[1](x)
+
+
+def fd_theta_hessian(x, assay, h=1e-5):
+    """Central differences of ``theta_gradient``; at gamma = 0 the gamma column
+    is the second-order forward difference, since eff is not continued below 0."""
+    n = x.size - 1
+    H = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        step = np.zeros(n + 1)
+        step[i] = h * max(1.0, abs(x[i]))
+        if i == n and x[n] == 0.0:
+            H[:, i] = (
+                -3.0 * theta_gradient(x, assay)
+                + 4.0 * theta_gradient(x + step, assay)
+                - theta_gradient(x + 2.0 * step, assay)
+            ) / (2.0 * step[i])
+        else:
+            H[:, i] = (theta_gradient(x + step, assay) - theta_gradient(x - step, assay)) / (2.0 * step[i])
+    return H
+
+
+def random_assay(rng, D, n=3):
+    while True:
+        levels = tuple(random_level(rng, n=n, M=18 + 6 * d, u=(0.5, 1.0, 2.0)[d]) for d in range(D))
+        if np.all(sum(lv.y_array() for lv in levels) >= 1):
+            return MultiDilutionAssay(levels, n)
+
+
+def exact_gamma_derivatives(lam, gamma):
+    """d eff/d gamma and d^2 eff/d gamma^2 from their closed forms in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(gamma) * Decimal(lam)
+        log1p, y, g = (1 + x).ln(), x / (1 + x), Decimal(gamma)
+        return float((y - log1p) / g**2), float((2 * log1p - 2 * y - y * y) / g**3)
+
+
+class TestHessian:
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_matches_central_differences_of_the_gradient(self, D):
+        rng = np.random.default_rng(70 + D)
+        for _ in range(6):
+            assay = random_assay(rng, D)
+            tau = rng.uniform(0.05, 0.8, assay.n)
+            lam_max = max(lv.u for lv in assay.levels) * float(tau.max())
+            # gamma = 0; gamma*lam inside the series branch; one rate on the
+            # branch edge and the others below it; moderate dispersion
+            for gamma in (0.0, 1e-3, _SERIES_EDGE / lam_max, 0.7, 3.0):
+                x = np.concatenate([np.log(tau), [gamma]])
+                g, H = _nb_grad_hess(x, assay)
+                np.testing.assert_allclose(g, theta_gradient(x, assay), rtol=1e-12, atol=1e-12)
+                fd = fd_theta_hessian(x, assay)
+                np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * float(np.abs(fd).max()))
+                assert np.array_equal(H, H.T)
+
+    def test_gamma_derivatives_are_accurate_across_the_series_edge(self):
+        for x in (1e-12, 1e-6, 1e-3, 0.05, 0.0999, _SERIES_EDGE, 0.10001, 0.3, 1.0, 10.0, 1e5):
+            for lam in (0.01, 0.3, 2.0):
+                d1, d2 = _gamma_derivatives(np.array([lam]), x / lam)
+                e1, e2 = exact_gamma_derivatives(lam, x / lam)
+                assert d1[0] == pytest.approx(e1, rel=1e-14)
+                assert d2[0] == pytest.approx(e2, rel=1e-13)
+
+    def test_gamma_zero_limits(self):
+        lam = np.array([0.2, 1.5])
+        d1, d2 = _gamma_derivatives(lam, 0.0)
+        np.testing.assert_array_equal(d1, -0.5 * lam**2)
+        np.testing.assert_allclose(d2, 2.0 * lam**3 / 3.0, rtol=1e-15)
+
+    def test_finite_without_warnings_up_to_the_float_limit(self):
+        rng = np.random.default_rng(5)
+        assay = random_assay(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for gamma in (1e-3, 1.0, 1e3):
+                for x_max in (1e-3, 0.1, 10.0, 1e10, 1e100, 1e300):
+                    # per-million rates whose largest gamma * lam is 2 x_max at u = 2
+                    tau = x_max / gamma * np.array([1.0, 1e-3, 1e-6])
+                    g, H = _nb_grad_hess(np.concatenate([np.log(tau), [gamma]]), assay)
+                    assert np.all(np.isfinite(g)) and np.all(np.isfinite(H))
+
+
+def fits(scenario, reps):
+    """(Poisson fit, new fit, former fit) on the first ``reps`` regular draws."""
+    for rep in range(reps):
+        draw, _ = _simulate_until_regular(scenario, _rng_for(scenario.seed, rep))
+        pois = fit_mle(draw.assay)
+        yield pois, fit_negbin(draw.assay, pois=pois), reference_fit_negbin(draw.assay, pois)
+
+
+def assert_matches_former_fit(pois, nb, ref):
+    assert nb.converged
+    assert nb.log_lik >= ref.log_lik - 1e-12 * abs(ref.log_lik)
+    new, old = lrt_from_loglik(pois.log_lik, nb.log_lik), lrt_from_loglik(pois.log_lik, ref.log_lik)
+    assert new.statistic == pytest.approx(old.statistic, abs=1e-12)
+    assert (new.p_value <= 0.05) == (old.p_value <= 0.05)
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """The results of every ``newton_maximize`` call the negbin fit makes."""
+    runs = []
+    real = optimize.newton_maximize
+
+    def recorded(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(negbin, "newton_maximize", recorded)
+    return runs
+
+
+class TestAgainstFormerFit:
+    """Projected Newton against the former bounded BFGS fit (``reference_fit_negbin``)."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 4.0])
+    def test_lrt_scenario_draws(self, newton_runs, gamma):
+        for pois, nb, ref in fits(replace(LRT_NEGBIN, gamma=gamma), 40):
+            assert_matches_former_fit(pois, nb, ref)
+        assert len(newton_runs) == 40 and all(run.converged for run in newton_runs)
+
+    # Replicates of the lrt-negbin benchmark at seed 5 (chunks 1/3, 4/4 and
+    # 18/1) on which projected Newton without the epsilon-active set and the
+    # float-noise acceptance runs to its iteration cap: the first two end on
+    # gamma = 0, the third stalls at a gradient norm of 1.6e-7.
+    @pytest.mark.parametrize(
+        "seed,rep,at_zero",
+        [(7447788103991204, 3, True), (62451147619527799, 4, True), (71270300854264792, 1, False)],
+    )
+    def test_hard_replicates_converge(self, newton_runs, seed, rep, at_zero):
+        scenario = replace(LRT_NEGBIN, seed=seed)
+        draw, _ = _simulate_until_regular(scenario, _rng_for(seed, rep))
+        pois = fit_mle(draw.assay)
+        nb = fit_negbin(draw.assay, pois=pois)
+        assert_matches_former_fit(pois, nb, reference_fit_negbin(draw.assay, pois))
+        (run,) = newton_runs
+        assert run.converged and run.iterations <= 10
+        assert (run.x[-1] == 0.0) == at_zero
+
+    def test_runaway_assay_stays_unconverged(self, newton_runs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            nb = fit_negbin(RUNAWAY)
+        (run,) = newton_runs
+        assert not nb.converged and not run.converged
+        assert run.iterations <= optimize.NEWTON_MAX_ITER
+        assert nb.log_lik > fit_mle(RUNAWAY).log_lik

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from iupm import DilutionLevelData, ErrorRates, fit_imperfect, fit_mle, fit_negbin
-from iupm import imperfect, inference, negbin, optimize
+from iupm import DilutionLevelData, ErrorRates, fit_imperfect, fit_mle
+from iupm import imperfect, inference, optimize
 from iupm.imperfect import ImperfectModel
-from iupm.optimize import maximize
+from iupm.optimize import fd_hessian, maximize, newton_maximize, newton_polish
 from iupm.poisson import closed_form_full_udsa, log_likelihood, gradient
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
+    negbin_objectives,
     reference_fd_newton_polish,
     reference_maximize,
     reference_maximize_box,
@@ -170,6 +171,89 @@ class TestMaximizeBox:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def quad_grad_hess(P, b):
+    def grad_hess(x):
+        return -(P @ x) + b, -P
+
+    return grad_hess
+
+
+def negated_rosenbrock_newton():
+    f, g = negated_rosenbrock()
+
+    def grad_hess(x):
+        H = -np.array([[2.0 - 400.0 * (x[1] - 3.0 * x[0] ** 2), -400.0 * x[0]], [-400.0 * x[0], 200.0]])
+        return g(x), H
+
+    return f, grad_hess
+
+
+class TestNewtonMaximize:
+    def test_quadratic_in_one_step(self):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            n = int(rng.integers(2, 9))
+            A = rng.normal(size=(n, n))
+            P = A @ A.T + n * np.eye(n)
+            b = rng.normal(size=n)
+            f, _, xstar = quad_problem(P, b)
+            res = newton_maximize(f, quad_grad_hess(P, b), rng.normal(size=n), np.full(n, -math.inf))
+            assert res.converged and res.iterations == 1
+            np.testing.assert_allclose(res.x, xstar, atol=1e-10)
+
+    def test_bounded_quadratics_are_projected_stationary(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            A = rng.normal(size=(n, n))
+            P = A @ A.T + n * np.eye(n)
+            b = rng.normal(size=n)
+            f, g, _ = quad_problem(P, b)
+            lower = rng.uniform(-0.5, 0.5, n)
+            res = newton_maximize(f, quad_grad_hess(P, b), lower + 1.0, lower)
+            assert res.converged
+            grad_at = g(res.x)
+            for i in res.active_lower:
+                assert res.x[i] == lower[i] and grad_at[i] <= 1e-8
+            free = [i for i in range(n) if i not in res.active_lower]
+            assert np.max(np.abs(grad_at[free]), initial=0.0) <= 1e-8
+            ref = maximize(f, g, lower + 1.0, lower)
+            assert res.f >= ref.f - 1e-12 * abs(ref.f)
+
+    def test_active_bound_is_reached_exactly(self):
+        res = newton_maximize(
+            lambda x: -((x[0] + 1.0) ** 2),
+            lambda x: (np.array([-2.0 * (x[0] + 1.0)]), np.array([[-2.0]])),
+            [1.0],
+            [0.0],
+        )
+        assert res.converged and res.x[0] == 0.0 and res.active_lower == (0,)
+
+    def test_indefinite_hessian_takes_an_ascent_step(self):
+        # the negated Rosenbrock function is not concave at (0, 1)
+        f, grad_hess = negated_rosenbrock_newton()
+        x0 = np.array([0.0, 1.0])
+        assert np.linalg.eigvalsh(grad_hess(x0)[1]).max() > 0.0
+        res = newton_maximize(f, grad_hess, x0, [-math.inf, -math.inf])
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+
+    def test_infeasible_or_non_finite_start_raises(self):
+        def grad_hess(x):
+            return np.array([-2 * x[0]]), np.array([[-2.0]])
+
+        with pytest.raises(ValueError):
+            newton_maximize(lambda x: -x[0] ** 2, grad_hess, [-1.0], [0.0])
+        with pytest.raises(ValueError):
+            newton_maximize(lambda x: math.nan, grad_hess, [1.0], [0.0])
+
+    def test_iteration_cap_flags_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 2)
+        f, grad_hess = negated_rosenbrock_newton()
+        res = newton_maximize(f, grad_hess, np.array([-1.2, 1.0]), [-math.inf, -math.inf])
+        assert not res.converged and res.iterations == 2
+
+
 def negated_rosenbrock():
     def f(x):
         return -((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
@@ -263,16 +347,17 @@ class TestMatchesReference:
                     (_, _, x), got = polish[0]
                     assert got == polished(reference_newton_polish(x, assay))
 
-    def test_bounded_negbin_objectives(self, monkeypatch):
-        bfgs = spy(monkeypatch, negbin, "maximize")
-        polish = spy(monkeypatch, negbin, "newton_polish")
+    def test_bounded_negbin_objectives(self):
+        # bounded BFGS and the finite-difference polish on the negative-binomial
+        # objectives, from the Poisson fit with gamma = 0.1
         for rep in range(20):
             draw, _ = _simulate_until_regular(LRT_NEGBIN, _rng_for(LRT_NEGBIN.seed, rep))
-            fit_negbin(draw.assay)
-        assert bfgs and len(polish) == len(bfgs)
-        for ((f, g, x0, lower), got), ((grad, _, x, lower_p), got_p) in zip(bfgs, polish):
-            assert got == outcome(reference_maximize_box(f, g, x0, lower))
-            assert got_p == polished(reference_fd_newton_polish(grad, x, lower_p))
+            f, g, lower = negbin_objectives(draw.assay)
+            x0 = np.concatenate([np.log(np.maximum(fit_mle(draw.assay).tau_hat, 1e-8)), [0.1]])
+            res = maximize(f, g, x0, lower)
+            assert outcome(res) == outcome(reference_maximize_box(f, g, x0, lower))
+            got = newton_polish(g, fd_hessian(g, lower), res.x, lower)
+            assert polished(got) == polished(reference_fd_newton_polish(g, res.x, lower))
 
     def test_bounded_imperfect_objectives(self, monkeypatch):
         bfgs = spy(monkeypatch, imperfect, "maximize")
