@@ -192,9 +192,13 @@ class MultiDilutionAssay:
         return np.sum([lv.y_array() for lv in self.levels], axis=0) if self.n else np.zeros(0)
 
 
-def _reject_first_well(bad: np.ndarray, message: str):
+def _index_name(j: int) -> str:
+    return f"well {j}"
+
+
+def _reject_first_well(bad: np.ndarray, message: str, well_name=_index_name):
     if bad.any():
-        raise AssayDataError(f"well {int(np.argmax(bad))}: {message}")
+        raise AssayDataError(f"{well_name(int(np.argmax(bad)))}: {message}")
 
 
 def _is_indicator(a: np.ndarray) -> np.ndarray:
@@ -209,12 +213,16 @@ class WellAssay:
     only QVOA-positive wells are sequenced.  z_star (M, n): the observed
     lineage detections, zero in the rows of unsequenced wells.  A sequenced
     row may be all zero: under imperfect assays the two tests can disagree.
+    labels (M,), optional: how error messages name each well, such as its
+    id and line in a wells-csv; without them a well is named by its index
+    within the level.  Labels take no part in equality.
     """
 
     u: float
     w_star: np.ndarray
     r: np.ndarray
     z_star: np.ndarray
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.u, (int, float)) and math.isfinite(self.u) and self.u > 0):
@@ -229,10 +237,15 @@ class WellAssay:
             raise AssayDataError(f"w_star and r need shape (M,) and z_star (M, n), got {w.shape}, {r.shape}, {z.shape}")
         if not w.size:
             raise AssayDataError("a well assay needs at least one well")
-        _reject_first_well(~(_is_indicator(w) & _is_indicator(r)), "w_star and r must be 0/1 indicators")
-        _reject_first_well(~_is_indicator(z).all(axis=1), "z_star entries must be 0/1 indicators")
-        _reject_first_well((r == 1) & (w == 0), "sequencing is only applied to QVOA-positive wells")
-        _reject_first_well((r == 0) & z.any(axis=1), "an unsequenced well (r=0) must not carry z_star")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != w.size:
+                raise AssayDataError(f"labels need one entry per well, got {len(self.labels)} for {w.size} wells")
+        name = self.well_name
+        _reject_first_well(~(_is_indicator(w) & _is_indicator(r)), "w_star and r must be 0/1 indicators", name)
+        _reject_first_well(~_is_indicator(z).all(axis=1), "z_star entries must be 0/1 indicators", name)
+        _reject_first_well((r == 1) & (w == 0), "sequencing is only applied to QVOA-positive wells", name)
+        _reject_first_well((r == 0) & z.any(axis=1), "an unsequenced well (r=0) must not carry z_star", name)
         for name, a in zip(names, (w, r, z)):
             a = a.astype(int)
             a.flags.writeable = False
@@ -256,6 +269,10 @@ class WellAssay:
     @property
     def m_star(self) -> int:
         return int(self.r.sum())
+
+    def well_name(self, j: int) -> str:
+        """How messages name well j of this level."""
+        return self.labels[j] if self.labels is not None else _index_name(j)
 
 
 @dataclass(frozen=True)
@@ -478,8 +495,12 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
         raise AssayDataError("duplicate lineage column names")
     n = len(z_cols)
     groups: dict[float, list[list[int]]] = {}
+    labels: dict[float, list[str]] = {}
     first_line: dict[str, int] = {}
-    for lineno, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        # A quoted cell may span lines: a row starts on the line after the last one's end.
+        lineno, end = end + 1, reader.line_num
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 4 + n:
@@ -510,10 +531,11 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
         except ValueError as exc:
             raise AssayDataError(f"line {lineno}: {exc}") from exc
         groups.setdefault(u, []).append([w_star, r, *z_star])
+        labels.setdefault(u, []).append(f"well {well!r} on line {lineno}")
     if not groups:
         raise AssayDataError("wells-csv contains no well rows")
     levels = [(u, np.array(rows, dtype=int)) for u, rows in groups.items()]
-    return [WellAssay(u, rows[:, 0], rows[:, 1], rows[:, 2:]) for u, rows in levels]
+    return [WellAssay(u, rows[:, 0], rows[:, 1], rows[:, 2:], labels[u]) for u, rows in levels]
 
 
 def wells_to_csv(assays, dvl_ids=None) -> str:

@@ -15,10 +15,11 @@ factors P(z*|.) and P(w*|.) depend on the readings and the error rates only,
 so ``_Level`` builds them once per level for a whole fit.  It also keeps the
 products S, T0 and P at the last rate vector, which the likelihood and its
 gradient share: the solver asks for the gradient at the point whose
-likelihood it has just taken.  Rate MLEs are no longer guaranteed positive
-here, so the fit runs the quasi-Newton solver with the lower bound tau >= 0
-directly on the rate scale, then a Newton polish on a finite-difference
-Hessian of the analytic gradient.
+likelihood it has just taken.  The Hessian is closed form too (see
+``_level_hessian``).  Rate MLEs are no longer guaranteed positive here, so the
+fit runs the quasi-Newton solver with the lower bound tau >= 0 directly on the
+rate scale, then a Newton polish on the analytic Hessian, which at the optimum
+also gives the observed information.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .assay import AssayDataError, ErrorRates, WellAssay, summarize_well_assay
 from .inference import FitResult, SingularInformationError, covariance, wald_ci
-from .optimize import fd_hessian, maximize, newton_polish
+from .optimize import maximize, newton_polish
 from .poisson import ExtremeOutcome
 
 __all__ = [
@@ -43,9 +44,6 @@ __all__ = [
     "imperfect_gradient",
     "fit_imperfect",
 ]
-
-_H_REL = 1e-5  # central-difference step of the observed information, relative to tau
-
 
 class ImperfectFitError(RuntimeError):
     """Raised when the bounded fit cannot produce a usable estimate."""
@@ -95,6 +93,7 @@ class _Level:
         self.n_unseq_pos = int(np.count_nonzero(wa.w_star[~seq]))
         self.n_unseq_neg = wa.M - self.seq_idx.size - self.n_unseq_pos
         self.n = wa.n
+        self.well_name = wa.well_name
         self.rates = rates
         self.pz1 = np.where(z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
         self.pz0 = np.where(z == 1.0, 1.0 - rates.spec_udsa, rates.spec_udsa)
@@ -105,27 +104,27 @@ class _Level:
         self._products = None
 
     def products(self, lam: np.ndarray):
-        """(e, s, T0, pw0 T0, P) of the sequenced wells at lam."""
+        """(e, s, S, T0, pw0 T0, P) of the sequenced wells at lam."""
         key = lam.tobytes()
         if key != self._key:
             e = np.exp(-lam)
-            s = self.pz0 * e + self.pz1 * (1.0 - e)
-            T0 = (self.pz0 * e).prod(axis=1)
+            t0 = self.pz0 * e
+            s = t0 + self.pz1 * (1.0 - e)
+            S = s.prod(axis=1)
+            T0 = t0.prod(axis=1)
             pw0_T0 = self.pw0 * T0
-            P = self.pw1 * (s.prod(axis=1) - T0) + pw0_T0
-            self._key, self._products = key, (e, s, T0, pw0_T0, P)
+            P = self.pw1 * (S - T0) + pw0_T0
+            self._key, self._products = key, (e, s, S, T0, pw0_T0, P)
         return self._products
 
 
 def _leave_one_out_prod(a: np.ndarray) -> np.ndarray:
     """Row-wise products of all columns except each one (exact at zeros)."""
-    m, n = a.shape
-    prefix = np.ones((m, n))
-    suffix = np.ones((m, n))
-    if n > 1:
-        prefix[:, 1:] = np.cumprod(a[:, :-1], axis=1)
-        suffix[:, :-1] = np.cumprod(a[:, ::-1][:, :-1], axis=1)[:, ::-1]
-    return prefix * suffix
+    out = np.empty_like(a)
+    out[:, :1] = 1.0
+    np.cumprod(a[:, :-1], axis=1, out=out[:, 1:])
+    out[:, :-1] *= np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    return out
 
 
 def _marginals(lam_total: float, rates: ErrorRates) -> tuple[float, float]:
@@ -161,9 +160,10 @@ def well_marginal_prob(lam, w_star: int, rates: ErrorRates) -> float:
 
 def _zero_probability(level: _Level, P: np.ndarray, pos: float, neg: float) -> str | None:
     """Why the data are impossible at this point, or None when they are not."""
-    if np.any(P <= 0.0):
+    # fmin skips NaN, so this is any(P <= 0) in one reduction.
+    if np.fmin.reduce(P, initial=math.inf) <= 0.0:
         bad = int(level.seq_idx[int(np.argmax(P <= 0.0))])
-        return f"well {bad} has probability zero under the supplied error rates"
+        return f"{level.well_name(bad)} has probability zero under the supplied error rates"
     if (level.n_unseq_pos and pos <= 0.0) or (level.n_unseq_neg and neg <= 0.0):
         return "an unsequenced well has probability zero under the supplied error rates"
     return None
@@ -185,24 +185,64 @@ def _level_loglik(lam: np.ndarray, level: _Level, strict: bool) -> float:
 
 
 def _level_gradient(lam: np.ndarray, level: _Level, strict: bool = False) -> np.ndarray:
-    e, s, T0, pw0_T0, P = level.products(lam)
+    e, s, _, T0, pw0_T0, P = level.products(lam)
     lam_total = float(lam.sum())
     pos, neg = _marginals(lam_total, level.rates)
     if strict:
         reason = _zero_probability(level, P, pos, neg)
         if reason is not None:
             raise ImperfectFitError(reason)
-    grad = np.zeros(level.n)
     if P.size:
         dS = _leave_one_out_prod(s) * (e * level.dpz)
         dP = level.pw1[:, None] * (dS + T0[:, None]) - pw0_T0[:, None]
-        grad += (dP / P[:, None]).sum(axis=0)
+        grad = (dP / P[:, None]).sum(axis=0)
+    else:
+        grad = np.zeros(level.n)
     gain = (level.rates.sens_qvoa + level.rates.spec_qvoa - 1.0) * math.exp(-lam_total)
     if level.n_unseq_pos:
         grad += level.n_unseq_pos * gain / pos
     if level.n_unseq_neg:
         grad -= level.n_unseq_neg * gain / neg
     return grad
+
+
+def _level_hessian(lam: np.ndarray, level: _Level) -> np.ndarray:
+    """Hessian of ``_level_loglik`` in the level's rates, where every well
+    has positive probability.
+
+    A sequenced well has P = pw1 S + (pw0 - pw1) T0.  With r_i = s_i'/s_i
+    (s_i'' = -s_i'), the second derivatives are S (r r' - diag(r^2 + r))
+    and T0 11', so with a = pw1 S / P and b = (pw0 - pw1) T0 / P the rows
+    of dP/P are a r - b, and P''/P - (dP/P)(dP/P)' summed over the wells is
+
+        sum a(1 - a) r r' + (v 1' + 1 v') - diag(sum a (r^2 + r)) + sum (b - b^2) 11'
+
+    with v = sum a b r: one n x n product over the wells.  Each s_i > 0
+    wherever P > 0, since s_i >= pz0 e_i.  The unsequenced wells add c 11'
+    with gain = (sens_qvoa + spec_qvoa - 1) e^{-Lambda} and
+    c = n_pos (-gain/pos - (gain/pos)^2) + n_neg (gain/neg - (gain/neg)^2).
+    """
+    e, s, S, T0, pw0_T0, P = level.products(lam)
+    lam_total = float(lam.sum())
+    pos, neg = _marginals(lam_total, level.rates)
+    if P.size:
+        r = e * level.dpz / s
+        a = level.pw1 * S / P
+        b = (pw0_T0 - level.pw1 * T0) / P
+        H = (r * (a * (1.0 - a))[:, None]).T @ r
+        v = (a * b) @ r
+        H = 0.5 * (H + H.T) + (v[:, None] + v) + float(b.sum() - b @ b)
+        H[np.diag_indices_from(H)] -= a @ (r * r + r)
+    else:
+        H = np.zeros((level.n, level.n))
+    gain = (level.rates.sens_qvoa + level.rates.spec_qvoa - 1.0) * math.exp(-lam_total)
+    if level.n_unseq_pos:
+        g = gain / pos
+        H += level.n_unseq_pos * (-g - g * g)
+    if level.n_unseq_neg:
+        g = gain / neg
+        H += level.n_unseq_neg * (g - g * g)
+    return H
 
 
 def imperfect_log_likelihood(lam, wa: WellAssay, rates: ErrorRates) -> float:
@@ -226,32 +266,13 @@ def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
     return _level_gradient(lam, _Level(wa, rates), strict=True)
 
 
-def _observed_information(tau: np.ndarray, free: np.ndarray, grad_full) -> np.ndarray:
-    """Numerical observed information on the free coordinates via central
-    differences of the analytic gradient."""
-    idx = np.flatnonzero(free)
-    k = idx.size
-    H = np.zeros((k, k))
-    for col, i in enumerate(idx):
-        h = max(_H_REL * tau[i], 1e-8)
-        if tau[i] - h < 0:
-            h = tau[i] / 2.0
-        hi = tau.copy()
-        hi[i] += h
-        lo = tau.copy()
-        lo[i] -= h
-        H[:, col] = (grad_full(hi)[idx] - grad_full(lo)[idx]) / (2.0 * h)
-    H = (H + H.T) / 2.0
-    return -H
-
-
 def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     """Bounded MLE of the per-million rates from per-well data.
 
-    Standard errors use the numerical observed information at the optimum;
-    when some components sit at zero the information is computed on the free
-    coordinates only and the interval is boundary-flagged via
-    ``active_lower``.
+    Standard errors use the observed information, the negated closed-form
+    Hessian at the optimum; when some components sit at zero the information
+    is taken on the free coordinates only and the interval is boundary-flagged
+    via ``active_lower``.
     """
     model.rates.check_identifiable()
     levels = [(wa.u, _Level(wa, model.rates)) for wa in model.assays]
@@ -268,6 +289,12 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
             out += u * _level_gradient(u * tau, level)
         return out
 
+    def hessian(tau):
+        out = np.zeros((n, n))
+        for u, level in levels:
+            out += (u * u) * _level_hessian(u * tau, level)
+        return out
+
     # A well has probability zero at every interior point or at none: check one.
     start = _initial_tau(model)
     for d, (u, level) in enumerate(levels):
@@ -277,7 +304,7 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
             raise ImpossibleDataError(f"level {d}: {exc}") from None
     lower = np.zeros(n)
     res = maximize(objective, grad, start, lower)
-    tau, polished = newton_polish(grad, fd_hessian(grad, lower), res.x, lower)
+    tau, polished = newton_polish(grad, lambda x, g, idx: hessian(x)[np.ix_(idx, idx)], res.x, lower)
     if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
         converged = res.converged or polished
     else:
@@ -285,7 +312,7 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     free = tau > 0.0
     if not free.any():
         raise ImperfectFitError("all rate components ended on the zero boundary")
-    info = _observed_information(tau, free, grad)
+    info = -hessian(tau)[np.ix_(free, free)]
     try:
         cov_free = covariance(info)
     except SingularInformationError:

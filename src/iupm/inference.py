@@ -127,6 +127,7 @@ def _nonzero_window(M: int, s: float) -> tuple[int, int]:
     return lo, hi
 
 
+@lru_cache(maxsize=8)
 def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
     """(Em, F, dEm/dLambda, dF/dLambda) from one pass over the well counts.
 
@@ -140,7 +141,9 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     Only the counts in :func:`_nonzero_window` are evaluated.  Their terms are
     scattered back into zeros of length M + 1 before the two dot products, so
     the BLAS sums add the same products at the same positions as a pass over
-    every count would, and the results are the same to the bit.
+    every count would, and the results are the same to the bit.  The sums are
+    memoized, so the bias term reuses the pass that the information of the
+    same fit made at the same rates.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")

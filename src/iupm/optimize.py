@@ -7,9 +7,9 @@ it projects the gradient and keeps the BFGS matrix on the free components.
 Internally the line search works on the negated objective, so the usual
 strong-Wolfe conditions for minimization apply unchanged.  Line searches stall
 once objective changes fall below float noise, so the fits finish with
-:func:`newton_polish`, whose steps compare gradients only.  Bounded BFGS and
-:func:`fd_hessian` now serve only the imperfect-assay fit; the Poisson fit
-runs BFGS without bounds.
+:func:`newton_polish`, whose steps compare gradients only and take the
+Hessian from the caller.  Bounded BFGS now serves only the imperfect-assay
+fit; the Poisson fit runs BFGS without bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptResult", "newton_maximize", "maximize", "newton_polish", "fd_hessian"]
+__all__ = ["OptResult", "newton_maximize", "maximize", "newton_polish"]
 
 MAX_ITER = 10_000
 GRAD_TOL = 1e-8     # infinity norm of the (projected) gradient
@@ -116,7 +116,7 @@ def _vector(v) -> np.ndarray:
 
 
 def _inf_norm(v) -> float:
-    return float(np.max(np.abs(v))) if np.size(v) else 0.0
+    return float(np.abs(v).max()) if np.size(v) else 0.0
 
 
 class _Bounds:
@@ -426,31 +426,3 @@ def newton_polish(grad, hess, x, lower=None, max_steps=8):
             break
         x, g, norm, idx = cand, g_new, norm_new, idx_new
     return x, norm <= GRAD_TOL
-
-
-def fd_hessian(grad, lower):
-    """A ``hess`` for :func:`newton_polish` from finite differences of ``grad``.
-
-    Each free column is a central difference, or a forward one where the
-    backward point would cross a finite lower bound; the block is then
-    symmetrized.
-    """
-    def hess(x, g, idx):
-        lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
-        H = np.zeros((idx.size, idx.size))
-        for col, i in enumerate(idx):
-            h = max(1e-7, 1e-7 * abs(x[i]))
-            down = x.copy()
-            down[i] -= h
-            up = x.copy()
-            up[i] += h
-            if np.isfinite(lo[i]) and down[i] < lo[i]:
-                H[:, col] = (np.asarray(grad(up), dtype=float)[idx] - g[idx]) / h
-            else:
-                H[:, col] = (
-                    np.asarray(grad(up), dtype=float)[idx]
-                    - np.asarray(grad(down), dtype=float)[idx]
-                ) / (2.0 * h)
-        return (H + H.T) / 2.0
-
-    return hess

@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,8 +21,17 @@ from iupm import (
     classify_extreme,
     nint,
 )
+from iupm import imperfect
 from iupm.poisson import ExtremeOutcome
-from iupm.inference import multi_gradient, observed_information
+from iupm.imperfect import ImpossibleDataError, _initial_tau
+from iupm.inference import (
+    FitResult,
+    SingularInformationError,
+    covariance,
+    multi_gradient,
+    observed_information,
+    wald_ci,
+)
 from iupm.negbin import STATISTIC_FLOOR, NBFit, _nb_gradient, _nb_log_likelihood
 from iupm.optimize import (
     OptResult,
@@ -30,7 +39,6 @@ from iupm.optimize import (
     _inf_norm,
     _noise_floor_step,
     _wolfe,
-    fd_hessian,
     maximize,
     newton_polish,
 )
@@ -440,6 +448,115 @@ def reference_fd_newton_polish(grad, x, lower=None, tol=1e-8, max_steps=8):
     return x, norm <= tol
 
 
+def reference_fd_hessian(grad, lower):
+    """A ``hess`` for ``newton_polish`` from finite differences of ``grad``,
+    as the library had it: each free column is a central difference, or a
+    forward one where the backward point would cross a finite lower bound;
+    the block is then symmetrized."""
+    def hess(x, g, idx):
+        lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
+        H = np.zeros((idx.size, idx.size))
+        for col, i in enumerate(idx):
+            h = max(1e-7, 1e-7 * abs(x[i]))
+            down = x.copy()
+            down[i] -= h
+            up = x.copy()
+            up[i] += h
+            if np.isfinite(lo[i]) and down[i] < lo[i]:
+                H[:, col] = (np.asarray(grad(up), dtype=float)[idx] - g[idx]) / h
+            else:
+                H[:, col] = (
+                    np.asarray(grad(up), dtype=float)[idx]
+                    - np.asarray(grad(down), dtype=float)[idx]
+                ) / (2.0 * h)
+        return (H + H.T) / 2.0
+
+    return hess
+
+
+def reference_observed_information(tau, free, grad_full, h_rel=1e-5):
+    """Observed information on the free coordinates from central differences
+    of the analytic gradient, at steps h_rel * tau (at least 1e-8, at most
+    tau / 2)."""
+    idx = np.flatnonzero(free)
+    k = idx.size
+    H = np.zeros((k, k))
+    for col, i in enumerate(idx):
+        h = max(h_rel * tau[i], 1e-8)
+        if tau[i] - h < 0:
+            h = tau[i] / 2.0
+        hi = tau.copy()
+        hi[i] += h
+        lo = tau.copy()
+        lo[i] -= h
+        H[:, col] = (grad_full(hi)[idx] - grad_full(lo)[idx]) / (2.0 * h)
+    H = (H + H.T) / 2.0
+    return -H
+
+
+def reference_fit_imperfect(model, alpha=0.05) -> FitResult:
+    """The imperfect-assay fit with finite-difference second derivatives:
+    bounded BFGS, a Newton polish on ``reference_fd_hessian`` and the
+    covariance from ``reference_observed_information``.  The level kernels
+    are looked up on ``iupm.imperfect`` at each call, so a test can patch
+    them."""
+    model.rates.check_identifiable()
+    levels = [(wa.u, imperfect._Level(wa, model.rates)) for wa in model.assays]
+    n = model.n
+    if n == 0:
+        raise AssayDataError("the imperfect fit needs at least one lineage column")
+
+    def objective(tau):
+        return sum(imperfect._level_loglik(u * tau, level, strict=False) for u, level in levels)
+
+    def grad(tau):
+        out = np.zeros(n)
+        for u, level in levels:
+            out += u * imperfect._level_gradient(u * tau, level)
+        return out
+
+    start = _initial_tau(model)
+    for d, (u, level) in enumerate(levels):
+        try:
+            imperfect._level_loglik(u * start, level, strict=True)
+        except ImperfectFitError as exc:
+            raise ImpossibleDataError(f"level {d}: {exc}") from None
+    lower = np.zeros(n)
+    res = maximize(objective, grad, start, lower)
+    tau, polished = newton_polish(grad, reference_fd_hessian(grad, lower), res.x, lower)
+    if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
+        converged = res.converged or polished
+    else:
+        tau, converged = res.x, res.converged
+    free = tau > 0.0
+    if not free.any():
+        raise ImperfectFitError("all rate components ended on the zero boundary")
+    try:
+        cov_free = covariance(reference_observed_information(tau, free, grad))
+    except SingularInformationError:
+        raise ImperfectFitError("observed information is singular at the optimum") from None
+    variance = float(cov_free.sum())
+    if not variance > 0.0:
+        raise ImperfectFitError("observed information is not positive definite at the optimum")
+    cov = np.zeros((n, n))
+    cov[np.ix_(free, free)] = cov_free
+    se = math.sqrt(variance)
+    iupm = float(tau.sum())
+    return FitResult(
+        tau_hat=tau,
+        iupm=iupm,
+        covariance=cov,
+        se_iupm=se,
+        ci=wald_ci(iupm, se, alpha),
+        alpha=alpha,
+        log_lik=objective(tau),
+        converged=converged,
+        iterations=res.iterations,
+        extreme=ExtremeOutcome.REGULAR,
+        active_lower=tuple(int(i) for i in np.flatnonzero(~free)),
+    )
+
+
 def reference_newton_polish(theta, assay, tol=1e-8, max_steps=10):
     """Newton refinement of the Poisson fit in theta = log(tau), on the
     analytic theta-Hessian, keeping the best point seen."""
@@ -567,6 +684,68 @@ def brute_force_joint_prob(lam, w_star, z_star, rates) -> float:
                 prob *= pz * math.exp(-lam[i])
         total += prob
     return total
+
+
+def decimal_level_hessian(lam, wa, rates, digits=50) -> np.ndarray:
+    """Hessian of one level's imperfect-assay log-likelihood, from a 2^n
+    enumeration of each well's probability in ``digits``-digit decimals.
+
+    Each latent pattern contributes P(w* | W) prod_i f_i(lam_i), where f_i is
+    c1 (1 - e^{-lam_i}) for a present lineage and c0 e^{-lam_i} for an absent
+    one: (c1, c0) are P(z*_i | 1), P(z*_i | 0) for a sequenced well and 1 for
+    an unsequenced one.  Every term is differentiated factor by factor.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one = Decimal(1)
+        x = [(-Decimal(float(v))).exp() for v in np.atleast_1d(lam)]
+        n = len(x)
+        sens_q, spec_q, sens_u, spec_u = (
+            Decimal(float(v)) for v in (rates.sens_qvoa, rates.spec_qvoa, rates.sens_udsa, rates.spec_udsa)
+        )
+        H = [[Decimal(0)] * n for _ in range(n)]
+        for w_star, r, z_star in zip(wa.w_star.tolist(), wa.r.tolist(), wa.z_star.tolist()):
+            P, dP = Decimal(0), [Decimal(0)] * n
+            d2P = [[Decimal(0)] * n for _ in range(n)]
+            for zs in itertools.product((0, 1), repeat=n):
+                if any(zs):
+                    pw = sens_q if w_star == 1 else one - sens_q
+                else:
+                    pw = one - spec_q if w_star == 1 else spec_q
+                f, df, d2f = [], [], []
+                for i, z in enumerate(zs):
+                    if r == 1:
+                        c1 = sens_u if z_star[i] == 1 else one - sens_u
+                        c0 = one - spec_u if z_star[i] == 1 else spec_u
+                    else:
+                        c1 = c0 = one
+                    if z == 1:
+                        f.append(c1 * (one - x[i]))
+                        df.append(c1 * x[i])
+                        d2f.append(-c1 * x[i])
+                    else:
+                        f.append(c0 * x[i])
+                        df.append(-c0 * x[i])
+                        d2f.append(c0 * x[i])
+
+                def prod_except(*skip):
+                    out = pw
+                    for k in range(n):
+                        if k not in skip:
+                            out *= f[k]
+                    return out
+
+                P += prod_except()
+                for i in range(n):
+                    dP[i] += df[i] * prod_except(i)
+                    d2P[i][i] += d2f[i] * prod_except(i)
+                    for j in range(n):
+                        if j != i:
+                            d2P[i][j] += df[i] * df[j] * prod_except(i, j)
+            for i in range(n):
+                for j in range(n):
+                    H[i][j] += d2P[i][j] / P - dP[i] * dP[j] / (P * P)
+        return np.array([[float(v) for v in row] for row in H])
 
 
 @dataclass(frozen=True)
@@ -874,7 +1053,7 @@ def reference_fit_negbin(assay, pois):
     theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
     n = theta0.size
     objective, grad, lower = negbin_objectives(assay)
-    hess = fd_hessian(grad, lower)
+    hess = reference_fd_hessian(grad, lower)
 
     def run(gamma0):
         res = maximize(objective, grad, np.concatenate([theta0, [gamma0]]), lower)

@@ -248,6 +248,14 @@ class TestFileFormats:
         with pytest.raises(AssayDataError, match="line 4: well id 'w1' repeats the id on line 2"):
             parse_wells_csv(text)
 
+    def test_line_numbers_count_lines_not_rows(self):
+        # a quoted id spans lines 2-3 and line 4 is blank
+        text = 'well,u,w_star,r,z_a\n"w\n0",1.0,1,1,1\n\nw1,1.0,0,0,\nw1,1.0,0,0,\n'
+        with pytest.raises(AssayDataError, match="line 6: well id 'w1' repeats the id on line 5"):
+            parse_wells_csv(text)
+        wa, = parse_wells_csv(text.replace("w1,1.0,0,0,\n", "w2,1.0,0,0,\n", 1))
+        assert wa.labels == ("well 'w\\n0' on line 2", "well 'w2' on line 5", "well 'w1' on line 6")
+
     def test_parse_assay_dispatch(self):
         with pytest.raises(AssayDataError):
             parse_assay("{}", "unknown-format")

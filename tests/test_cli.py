@@ -114,7 +114,35 @@ class TestFit:
             )
         assert code == 2
         assert out == ""
-        assert err == "error: level 0: well 1 has probability zero under the supplied error rates\n"
+        assert err == "error: level 0: well '1' on line 3 has probability zero under the supplied error rates\n"
+
+    @pytest.mark.parametrize(
+        "bad_row, args, message",
+        [
+            (
+                "9,0.5,1,1,0",
+                ("--imperfect", "--sens-qvoa", "1", "--spec-qvoa", "1", "--sens-udsa", "1", "--spec-udsa", "0.8"),
+                "level 1: well '9' on line 11 has probability zero under the supplied error rates",
+            ),
+            ("9,0.5,0,1,1", (), "well '9' on line 11: sequencing is only applied to QVOA-positive wells"),
+        ],
+        ids=["probability-zero", "sequenced-negative"],
+    )
+    def test_per_well_errors_name_the_csv_row(self, tmp_path, capsys, bad_row, args, message):
+        # The offending row is the fifth of the second level, so its index
+        # within the level (4) is neither its id nor its line.
+        path = tmp_path / "two_levels.csv"
+        path.write_text(
+            "well,u,w_star,r,z_1\n"
+            "0,2.0,1,1,1\n1,2.0,0,0,\n2,2.0,1,0,\n3,2.0,0,0,\n4,2.0,1,1,1\n"
+            f"5,0.5,1,1,1\n6,0.5,0,0,\n7,0.5,1,0,\n8,0.5,0,0,\n{bad_row}\n10,0.5,1,1,1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", "--input", str(path), *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_duplicate_well_id_exits_2(self, tmp_path, capsys):
         # ids restart at the second level, so line 5 repeats well 0 of line 2

@@ -24,13 +24,17 @@ from iupm import (
     well_marginal_prob,
 )
 from iupm import imperfect
-from iupm.imperfect import _Level, _level_gradient, _level_loglik
+from iupm.imperfect import _Level, _level_gradient, _level_hessian, _level_loglik
+from iupm.inference import covariance
 from iupm.poisson import log_likelihood
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
     ReferenceTables,
     brute_force_joint_prob,
+    decimal_level_hessian,
     fd_gradient,
+    fd_hessian_of_gradient,
+    reference_fit_imperfect,
     reference_level_gradient,
     reference_level_loglik,
 )
@@ -401,6 +405,36 @@ def assert_level_matches_reference(lam, wa, rates):
     assert np.array_equal(fresh, expected, equal_nan=True)
 
 
+EDGE_CASES = [
+    ([1, 0, 1], [0, 0, 0], np.zeros((3, 3)), [0.2, 0.0, 0.5], ErrorRates(0.9, 0.8, 0.9, 0.9)),
+    ([1, 1, 1], [1, 1, 1], [[1, 0], [0, 1], [1, 1]], [0.3, 0.7], ErrorRates(0.9, 0.8, 0.85, 0.95)),
+    ([1, 0, 1], [1, 0, 0], [[1], [0], [0]], [0.4], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+    ([1, 0], [1, 0], [[1, 0], [0, 0]], [0.4, 0.0], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+    ([1, 0, 1], [1, 0, 0], [[1, 1], [0, 0], [0, 0]], [750.0, 0.3], ErrorRates(0.9, 0.9, 0.9, 0.9)),
+    ([1, 1], [1, 1], [[1, 1], [0, 1]], [720.0, 701.0], PERFECT),
+    ([0, 1], [0, 1], [[0, 0], [1, 0]], [0.0, 0.2], PERFECT),
+    ([1, 0], [0, 0], [[0, 0], [0, 0]], [0.0, 0.0], PERFECT),
+]
+EDGE_IDS = [
+    "no-sequenced-well", "every-well-sequenced", "one-lineage", "zero-rate",
+    "rate-past-700", "all-rates-past-700", "zero-probability-well", "zero-probability-unsequenced",
+]
+
+FIT_DESIGNS = [
+    (6, (SimLevel(1.0, 32, 1.0),), ErrorRates(0.9, 0.9, 0.9, 0.9), 11),
+    (4, (SimLevel(0.5, 12, 0.75), SimLevel(2.0, 20, 1.0)), ErrorRates(0.85, 0.95, 0.8, 0.9), 12),
+]
+FIT_DESIGN_IDS = ["study-imperfect-design", "two-level-unequal-rates"]
+
+
+def design_models(n_dvl, levels, rates, seed, reps=100):
+    """The imperfect models of the first ``reps`` draws of a design."""
+    scn = SimScenario(truth=1.0, n_dvl=n_dvl, levels=levels, model="imperfect", rates=rates, reps=1, seed=seed)
+    for rep in range(reps):
+        draw, _ = _simulate_until_regular(scn, _rng_for(seed, rep))
+        yield ImperfectModel(rates=rates, assays=draw.well_assays)
+
+
 class TestMatchesReference:
     """The shared-product kernel gives the bits of the kernel as first
     written, on random levels, on edge cases and through whole fits."""
@@ -414,38 +448,18 @@ class TestMatchesReference:
             for _ in range(3):
                 assert_level_matches_reference(random_lam(rng, n), wa, rates)
 
-    @pytest.mark.parametrize(
-        "w_star, r, z_star, lam, rates",
-        [
-            ([1, 0, 1], [0, 0, 0], np.zeros((3, 3)), [0.2, 0.0, 0.5], ErrorRates(0.9, 0.8, 0.9, 0.9)),
-            ([1, 1, 1], [1, 1, 1], [[1, 0], [0, 1], [1, 1]], [0.3, 0.7], ErrorRates(0.9, 0.8, 0.85, 0.95)),
-            ([1, 0, 1], [1, 0, 0], [[1], [0], [0]], [0.4], ErrorRates(0.9, 0.9, 0.9, 0.9)),
-            ([1, 0], [1, 0], [[1, 0], [0, 0]], [0.4, 0.0], ErrorRates(0.9, 0.9, 0.9, 0.9)),
-            ([1, 0, 1], [1, 0, 0], [[1, 1], [0, 0], [0, 0]], [750.0, 0.3], ErrorRates(0.9, 0.9, 0.9, 0.9)),
-            ([1, 1], [1, 1], [[1, 1], [0, 1]], [720.0, 701.0], PERFECT),
-            ([0, 1], [0, 1], [[0, 0], [1, 0]], [0.0, 0.2], PERFECT),
-            ([1, 0], [0, 0], [[0, 0], [0, 0]], [0.0, 0.0], PERFECT),
-        ],
-        ids=[
-            "no-sequenced-well", "every-well-sequenced", "one-lineage", "zero-rate",
-            "rate-past-700", "all-rates-past-700", "zero-probability-well", "zero-probability-unsequenced",
-        ],
-    )
+    @pytest.mark.parametrize("w_star, r, z_star, lam, rates", EDGE_CASES, ids=EDGE_IDS)
     def test_edge_cases(self, w_star, r, z_star, lam, rates):
         assert_level_matches_reference(np.array(lam), WellAssay(1.0, w_star, r, z_star), rates)
 
-    @pytest.mark.parametrize(
-        "n_dvl, levels, rates, seed",
-        [
-            (6, (SimLevel(1.0, 32, 1.0),), ErrorRates(0.9, 0.9, 0.9, 0.9), 11),
-            (4, (SimLevel(0.5, 12, 0.75), SimLevel(2.0, 20, 1.0)), ErrorRates(0.85, 0.95, 0.8, 0.9), 12),
-        ],
-        ids=["study-imperfect-design", "two-level-unequal-rates"],
-    )
+    @pytest.mark.parametrize("n_dvl, levels, rates, seed", FIT_DESIGNS, ids=FIT_DESIGN_IDS)
     def test_fits(self, monkeypatch, n_dvl, levels, rates, seed):
-        scn = SimScenario(
-            truth=1.0, n_dvl=n_dvl, levels=levels, model="imperfect", rates=rates, reps=1, seed=seed
-        )
+        # The reference kernels run on a _Level that also keeps the readings,
+        # so the fit's closed-form Hessian sees the same products either way.
+        class ReferenceLevel(_Level):
+            def __init__(self, wa, rates):
+                super().__init__(wa, rates)
+                self.tables = ReferenceTables(wa)
 
         def fit_fields(model):
             try:
@@ -457,19 +471,17 @@ class TestMatchesReference:
                 fit.log_lik, fit.iterations, fit.converged, fit.active_lower,
             )
 
-        for rep in range(100):
-            draw, _ = _simulate_until_regular(scn, _rng_for(seed, rep))
-            model = ImperfectModel(rates=rates, assays=draw.well_assays)
+        for rep, model in enumerate(design_models(n_dvl, levels, rates, seed)):
             ours = fit_fields(model)
             with monkeypatch.context() as patch:
-                patch.setattr(imperfect, "_Level", lambda wa, rates: (ReferenceTables(wa), rates))
+                patch.setattr(imperfect, "_Level", ReferenceLevel)
                 patch.setattr(
                     imperfect, "_level_loglik",
-                    lambda lam, level, strict: reference_level_loglik(lam, *level, strict),
+                    lambda lam, level, strict: reference_level_loglik(lam, level.tables, level.rates, strict),
                 )
                 patch.setattr(
                     imperfect, "_level_gradient",
-                    lambda lam, level: reference_level_gradient(lam, *level),
+                    lambda lam, level: reference_level_gradient(lam, level.tables, level.rates),
                 )
                 reference = fit_fields(model)
             assert ours == reference, rep
@@ -528,3 +540,108 @@ class TestSharedProducts:
         assert len(calls) == 1
         _level_gradient(lam + 0.1, level)
         assert len(calls) == 2
+
+
+def checked_hessian(lam, wa, rates):
+    """_level_hessian at lam, asserting that it is exactly symmetric and
+    finite and that it warns about nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = _level_hessian(np.asarray(lam, dtype=float), _Level(wa, rates))
+    assert H.shape == (wa.n, wa.n)
+    assert np.array_equal(H, H.T) and np.all(np.isfinite(H))
+    return H
+
+
+def assert_matches_exact(H, expected, rel=1e-11):
+    """Every entry within rel of the largest entry of the exact Hessian."""
+    assert np.max(np.abs(H - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestHessian:
+    """The closed-form level Hessian against central differences of the
+    gradient and against an exact per-well enumeration."""
+
+    def test_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(77)
+        for _ in range(150):
+            n = int(rng.integers(1, 7))
+            wa = random_well_assay(rng, n, int(rng.integers(1, 30)), rng.choice([0.0, 0.5, 1.0]))
+            rates = ErrorRates(*rng.uniform(0.55, 1.0, 4))
+            lam = rng.uniform(0.05, 2.5, n)
+            H = checked_hessian(lam, wa, rates)
+            fd = fd_hessian_of_gradient(lambda v: _level_gradient(v, _Level(wa, rates)), lam)
+            np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    def test_matches_exact_enumeration(self):
+        # small levels, as in criterion 08a: the 2^n patterns of every well,
+        # differentiated term by term in 50-digit decimals
+        rng = np.random.default_rng(415)
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            wa = random_well_assay(rng, n, int(rng.integers(1, 9)), rng.choice([0.0, 0.5, 1.0]))
+            rates = ErrorRates(*rng.uniform(0.55, 1.0, 4))
+            lam = rng.uniform(0.0, 2.5, n)
+            assert_matches_exact(checked_hessian(lam, wa, rates), decimal_level_hessian(lam, wa, rates))
+
+    @pytest.mark.parametrize("w_star, r, z_star, lam, rates", EDGE_CASES, ids=EDGE_IDS)
+    def test_edge_cases(self, w_star, r, z_star, lam, rates):
+        wa = WellAssay(1.0, w_star, r, z_star)
+        lam = np.array(lam)
+        if not math.isfinite(_level_loglik(lam, _Level(wa, rates), strict=False)):
+            # Outside the Hessian's domain; the fit rejects such data before
+            # the solver, so no second derivative is ever asked for here.
+            with pytest.raises(ImperfectFitError, match="probability zero"):
+                _level_loglik(lam, _Level(wa, rates), strict=True)
+            return
+        assert_matches_exact(checked_hessian(lam, wa, rates), decimal_level_hessian(lam, wa, rates))
+
+    def test_two_levels_with_unsequenced_wells(self):
+        # Both levels hold unsequenced positive and negative wells, so the
+        # marginal term c 11' enters; the fit's covariance is the inverse of
+        # the negated sum of u^2 times each level's Hessian at u tau.
+        rates = ErrorRates(0.85, 0.9, 0.8, 0.95)
+        model = ImperfectModel(
+            rates=rates,
+            assays=(
+                WellAssay(0.5, [1, 1, 0, 1, 0, 1], [1, 0, 0, 1, 0, 0], [[1, 0, 1], [0] * 3, [0] * 3, [0, 1, 0], [0] * 3, [0] * 3]),
+                WellAssay(2.0, [1, 1, 1, 0, 1], [1, 1, 0, 0, 0], [[1, 1, 0], [0, 1, 1], [0] * 3, [0] * 3, [0] * 3]),
+            ),
+        )
+        tau = np.array([0.3, 0.5, 0.2])
+        for wa in model.assays:
+            lam = wa.u * tau
+            assert_matches_exact(checked_hessian(lam, wa, rates), decimal_level_hessian(lam, wa, rates))
+        fit = fit_imperfect(model)
+        free = fit.tau_hat > 0.0
+        total = sum(wa.u**2 * checked_hessian(wa.u * fit.tau_hat, wa, rates) for wa in model.assays)
+        np.testing.assert_allclose(
+            fit.covariance[np.ix_(free, free)], covariance(-total[np.ix_(free, free)]), rtol=1e-12, atol=0.0
+        )
+
+    def test_study_imperfect_fits_match_the_finite_difference_fit(self):
+        # the fit with finite-difference second derivatives, in the polish and
+        # in the observed information, over 100 draws of the study-imperfect
+        # design: the same exclusions, estimates within 1e-14, SE within 1e-9
+        n_dvl, levels, rates, _ = FIT_DESIGNS[0]
+        for model in design_models(n_dvl, levels, rates, seed=700):
+            outcomes = []
+            for fit_fn in (fit_imperfect, reference_fit_imperfect):
+                try:
+                    outcomes.append(fit_fn(model))
+                except ImperfectFitError as exc:
+                    outcomes.append(str(exc))
+            ours, reference = outcomes
+            if isinstance(reference, str):
+                assert ours == reference
+                continue
+            assert (ours.iterations, ours.converged, ours.active_lower) == (
+                reference.iterations, reference.converged, reference.active_lower
+            )
+            np.testing.assert_allclose(ours.tau_hat, reference.tau_hat, rtol=1e-14, atol=0.0)
+            assert ours.iupm == pytest.approx(reference.iupm, rel=1e-14, abs=0.0)
+            assert ours.log_lik == pytest.approx(reference.log_lik, rel=1e-14, abs=0.0)
+            assert ours.se_iupm == pytest.approx(reference.se_iupm, rel=1e-9, abs=0.0)
+            np.testing.assert_allclose(ours.ci, reference.ci, rtol=1e-9, atol=0.0)
+            scale = np.max(np.abs(reference.covariance))
+            assert np.max(np.abs(ours.covariance - reference.covariance)) <= 1e-8 * scale
