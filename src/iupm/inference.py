@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import poisson
 from .assay import MultiDilutionAssay
 from .poisson import ExtremeOutcome, classify_extreme
-from .optimize import GRAD_TOL, maximize, newton_polish
+from .optimize import maximize, newton_polish
 from .special import expm1_ratio, log1mexp, normal_quantile
 
 __all__ = [
@@ -317,15 +317,80 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
     return np.log(rate)
 
 
+# Each model of fit_mle is (loglik at the rates, gradient and Hessian in
+# x = log(rates), the x at which BFGS starts, expected information at the rates).
+def _lineage_model(assay: MultiDilutionAssay):
+    """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau)."""
+    def grad(theta):
+        tau = np.exp(theta)
+        return tau * multi_gradient(tau, assay)
+
+    def hess(theta, g, idx):
+        # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient);
+        # theta is unbounded, so idx holds every component.
+        tau = np.exp(theta)
+        H = -observed_information(tau, assay)
+        return tau[:, None] * H * tau[None, :] + np.diag(g)
+
+    information = partial(fisher_information_multi, levels=level_params(assay))
+    return partial(multi_log_likelihood, assay=assay), grad, hess, _initial_theta(assay), information
+
+
+def _expm1(x: float) -> float:
+    """e^x - 1, or inf where it passes the float range."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _total_model(levels):
+    """The total rate T of an assay without sequencing data (n = 0), in phi = log(T).
+
+    This is the classic one-parameter dilution model; its information is the
+    closed form sum_d u_d^2 M_d / (e^{u_d T} - 1).
+    """
+    def loglik(tau):
+        T, total = float(tau[0]), 0.0
+        for lv in levels:
+            lam = lv.u * T
+            if lv.M > lv.M_N:
+                total += (lv.M - lv.M_N) * log1mexp(lam)
+            total -= lv.M_N * lam
+        return total
+
+    def grad(phi):
+        T = float(np.exp(phi[0]))
+        g = sum(lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels)
+        return np.array([T * g])
+
+    def hess(phi, g, idx):
+        # d^2 l / d phi^2 = T^2 d^2 l / dT^2 + dl/dphi
+        T = float(np.exp(phi[0]))
+        d2T = -sum(expm1_ratio(lv.u * lv.u * (lv.M - lv.M_N), lv.u * T, 2) for lv in levels)
+        return np.array([[T * T * d2T + g[0]]])
+
+    def information(tau):
+        T = float(tau[0])
+        return np.array([[sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)]])
+
+    seeds = [math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M]
+    T0 = float(np.mean(seeds)) if seeds else 0.5
+    return loglik, grad, hess, np.array([math.log(T0)]), information
+
+
 def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Maximum-likelihood fit of the per-million rates for one assay.
 
-    Regular assays are maximized over theta = log(tau), which needs no
+    Regular assays are maximized over the log of the rates, which needs no
     bounds: BFGS (:func:`iupm.optimize.maximize`) followed by a Newton polish
-    on the analytic theta-Hessian.  The two boundary outcomes short-circuit
-    to 0 and +inf with degenerate intervals.
-    An assay without any sequencing data (n = 0) reduces to the classic
-    one-parameter dilution model for the total rate.
+    (:func:`iupm.optimize.newton_polish`) on the analytic Hessian, and the
+    covariance is the inverse expected information at the estimate.  With
+    sequencing data the rates are the per-lineage tau; an assay without any
+    (n = 0) reduces to the classic one-parameter dilution model for the total
+    rate, which goes through the same solver, polish and covariance, and at
+    a single level has the closed form log(M / M_N) / u.  The two boundary
+    outcomes short-circuit to 0 and +inf with degenerate intervals.
     """
     extreme = classify_extreme(assay)
     n = assay.n
@@ -355,33 +420,26 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
             iterations=0,
             extreme=extreme,
         )
-    if n == 0:
-        return _fit_total_only(assay, alpha)
+    loglik, grad, hess, start, information = (
+        _lineage_model(assay) if n else _total_model(assay.levels)
+    )
+    if n == 0 and len(assay.levels) == 1:
+        lv = assay.levels[0]
+        tau = np.array([poisson.closed_form_no_udsa(lv.M, lv.M_N) / lv.u])
+        iterations, converged = 0, True
+    else:
+        # A trial step whose rates leave the float range is rejected outright;
+        # the solver evaluates the gradient only where the objective is finite.
+        def objective(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = loglik(np.exp(x))
+            return value if math.isfinite(value) else -math.inf
 
-    # A trial step whose rates leave the float range is rejected outright; the
-    # solver evaluates the gradient only where the objective is finite.
-    def objective(theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = multi_log_likelihood(np.exp(theta), assay)
-        return value if math.isfinite(value) else -math.inf
-
-    def grad(theta):
-        tau = np.exp(theta)
-        return tau * multi_gradient(tau, assay)
-
-    def hess(theta, g, idx):
-        # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient);
-        # theta is unbounded, so idx holds every component.
-        tau = np.exp(theta)
-        H = -observed_information(tau, assay)
-        return tau[:, None] * H * tau[None, :] + np.diag(g)
-
-    res = maximize(objective, grad, _initial_theta(assay))
-    theta, converged = newton_polish(grad, hess, res.x, max_steps=10)
-    converged = converged or res.converged
-    tau = np.exp(theta)
-    info = fisher_information_multi(tau, level_params(assay))
-    cov = covariance(info)
+        res = maximize(objective, grad, start)
+        x, polished = newton_polish(grad, hess, res.x)
+        tau = np.exp(x)
+        iterations, converged = res.iterations, res.converged or polished
+    cov = covariance(information(tau))
     se = math.sqrt(float(cov.sum()))
     iupm = float(tau.sum())
     return FitResult(
@@ -391,98 +449,7 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
         se_iupm=se,
         ci=wald_ci(iupm, se, alpha),
         alpha=alpha,
-        log_lik=multi_log_likelihood(tau, assay),
-        converged=converged,
-        iterations=res.iterations,
-        extreme=ExtremeOutcome.REGULAR,
-    )
-
-
-def _expm1(x: float) -> float:
-    """e^x - 1, or inf where it passes the float range."""
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
-
-
-def _total_only_loglik(T: float, levels) -> float:
-    total = 0.0
-    for lv in levels:
-        lam = lv.u * T
-        if lv.M > lv.M_N:
-            total += (lv.M - lv.M_N) * log1mexp(lam)
-        total -= lv.M_N * lam
-    return total
-
-
-def _newton_polish_total(T: float, levels, tol: float, max_steps: int = 10):
-    """Newton refinement of the one-parameter fit in phi = log(T)."""
-    def dphi(T):
-        dT = sum(lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels)
-        return T * dT, dT
-
-    g, dT = dphi(T)
-    for _ in range(max_steps):
-        if abs(g) <= tol:
-            return T, True
-        t = [_expm1(lv.u * T) for lv in levels]
-        d2T = -sum(
-            lv.u * lv.u * (lv.M - lv.M_N) * (tk + 1.0) / (tk * tk)
-            for lv, tk in zip(levels, t)
-            if tk < math.inf  # a level with e^{uT} past the float range adds 0
-        )
-        d2phi = T * T * d2T + g
-        if d2phi >= 0:
-            break
-        T_new = T * math.exp(-g / d2phi)
-        g_new, dT_new = dphi(T_new)
-        if not math.isfinite(g_new) or abs(g_new) >= abs(g):
-            break
-        T, g, dT = T_new, g_new, dT_new
-    return T, abs(g) <= tol
-
-
-def _fit_total_only(assay: MultiDilutionAssay, alpha: float) -> FitResult:
-    """One-parameter fit of the total rate from well counts alone."""
-    levels = assay.levels
-    if len(levels) == 1:
-        lv = levels[0]
-        T = poisson.closed_form_no_udsa(lv.M, lv.M_N) / lv.u
-        iterations, converged = 0, True
-        log_lik = _total_only_loglik(T, levels)
-    else:
-        def objective(phi):
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = _total_only_loglik(float(np.exp(phi[0])), levels)
-            return value if math.isfinite(value) else -math.inf
-
-        def grad(phi):
-            T = float(np.exp(phi[0]))
-            g = sum(
-                lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels
-            )
-            return np.array([T * g])
-
-        seeds = [
-            math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M
-        ]
-        T0 = float(np.mean(seeds)) if seeds else 0.5
-        res = maximize(objective, grad, np.array([math.log(T0)]))
-        T = float(np.exp(res.x[0]))
-        T, polished = _newton_polish_total(T, levels, GRAD_TOL)
-        iterations, converged = res.iterations, res.converged or polished
-        log_lik = _total_only_loglik(T, levels)
-    info = sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)
-    se = 1.0 / math.sqrt(info)
-    return FitResult(
-        tau_hat=np.array([T]),
-        iupm=T,
-        covariance=np.array([[1.0 / info]]),
-        se_iupm=se,
-        ci=wald_ci(T, se, alpha),
-        alpha=alpha,
-        log_lik=log_lik,
+        log_lik=loglik(tau),
         converged=converged,
         iterations=iterations,
         extreme=ExtremeOutcome.REGULAR,

@@ -147,20 +147,6 @@ def _nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:
     return total
 
 
-def _nb_gradient(tau, gamma: float, assay: MultiDilutionAssay) -> tuple[np.ndarray, float]:
-    """(d l / d tau, d l / d gamma) by the chain rule through the effective rates."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    g_tau = np.zeros(tau.size)
-    g_gamma = 0.0
-    for lv in assay.levels:
-        lam = lv.u * tau
-        eff = _effective_rate(lam, gamma)
-        pg = poisson.gradient(eff, lv)
-        g_tau += lv.u * pg / (1.0 + gamma * lam)
-        g_gamma += float(pg @ _gamma_derivatives(lam, gamma)[0])
-    return g_tau, g_gamma
-
-
 def _nb_grad_hess(x, assay: MultiDilutionAssay) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the log-likelihood in x = (log tau, gamma).
 

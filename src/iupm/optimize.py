@@ -8,8 +8,9 @@ Internally the line search works on the negated objective, so the usual
 strong-Wolfe conditions for minimization apply unchanged.  Line searches stall
 once objective changes fall below float noise, so the fits finish with
 :func:`newton_polish`, whose steps compare gradients only and take the
-Hessian from the caller.  Bounded BFGS now serves only the imperfect-assay
-fit; the Poisson fit runs BFGS without bounds.
+Hessian from the caller: it finishes every Poisson fit, the no-sequencing
+(n = 0) one included, and the imperfect-assay fit.  Bounded BFGS now serves
+only the imperfect-assay fit; the Poisson fit runs BFGS without bounds.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ NEWTON_MAX_ITER = 100   # iteration cap of newton_maximize
 NEWTON_HALVINGS = 40    # step halvings before newton_maximize gives up on a direction
 EPS_ACTIVE = 1e-3       # widest gap to a bound that newton_maximize treats as on it
 FLAT = 1e-12            # relative objective change below float noise
+POLISH_STEPS = 10       # step cap of newton_polish
 
 
 @dataclass
@@ -383,7 +385,7 @@ def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
     return a, -f_try, g_try
 
 
-def newton_polish(grad, hess, x, lower=None, max_steps=8):
+def newton_polish(grad, hess, x, lower=None):
     """Newton refinement from x until the projected gradient meets ``GRAD_TOL``.
 
     Line searches cannot measure objective changes once they fall below float
@@ -392,8 +394,8 @@ def newton_polish(grad, hess, x, lower=None, max_steps=8):
     Hessian block on the free components ``idx`` at x, where ``g = grad(x)``;
     without a finite bound ``idx`` holds every component.  Components at a
     finite lower bound with an outward gradient stay put and are excluded
-    from the projected norm.  A step is kept only when it shrinks that norm.
-    Returns (x, converged).
+    from the projected norm.  A step is kept only when it shrinks that norm,
+    and at most ``POLISH_STEPS`` are taken.  Returns (x, converged).
     """
     x = _vector(x).copy()
     bounds = _Bounds.of(lower, x.shape)
@@ -407,7 +409,7 @@ def newton_polish(grad, hess, x, lower=None, max_steps=8):
 
     g = _vector(grad(x))
     norm, idx = projected(x, g)
-    for _ in range(max_steps):
+    for _ in range(POLISH_STEPS):
         if norm <= GRAD_TOL:
             return x, True
         try:

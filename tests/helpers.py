@@ -22,7 +22,8 @@ from iupm import (
     nint,
 )
 from iupm import imperfect
-from iupm.poisson import ExtremeOutcome
+from iupm.poisson import ExtremeOutcome, closed_form_no_udsa
+from iupm.special import log1mexp
 from iupm.imperfect import ImpossibleDataError, _initial_tau
 from iupm.inference import (
     FitResult,
@@ -32,7 +33,14 @@ from iupm.inference import (
     observed_information,
     wald_ci,
 )
-from iupm.negbin import STATISTIC_FLOOR, NBFit, _nb_gradient, _nb_log_likelihood
+from iupm import poisson
+from iupm.negbin import (
+    STATISTIC_FLOOR,
+    NBFit,
+    _effective_rate,
+    _gamma_derivatives,
+    _nb_log_likelihood,
+)
 from iupm.optimize import (
     OptResult,
     _bfgs_update,
@@ -590,6 +598,101 @@ def reference_newton_polish(theta, assay, tol=1e-8, max_steps=10):
     return theta, gnorm <= tol
 
 
+def _expm1(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _total_only_loglik(T: float, levels) -> float:
+    total = 0.0
+    for lv in levels:
+        lam = lv.u * T
+        if lv.M > lv.M_N:
+            total += (lv.M - lv.M_N) * log1mexp(lam)
+        total -= lv.M_N * lam
+    return total
+
+
+def reference_newton_polish_total(T: float, levels, tol: float = 1e-8, max_steps: int = 10):
+    """The former scalar Newton polish of the no-sequencing fit: steps in
+    phi = log(T), taken as T e^{step}.  Returns (T, converged, steps taken)."""
+    def dphi(T):
+        dT = sum(lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels)
+        return T * dT, dT
+
+    g, dT = dphi(T)
+    steps = 0
+    for _ in range(max_steps):
+        if abs(g) <= tol:
+            return T, True, steps
+        t = [_expm1(lv.u * T) for lv in levels]
+        d2T = -sum(
+            lv.u * lv.u * (lv.M - lv.M_N) * (tk + 1.0) / (tk * tk)
+            for lv, tk in zip(levels, t)
+            if tk < math.inf  # a level with e^{uT} past the float range adds 0
+        )
+        d2phi = T * T * d2T + g
+        if d2phi >= 0:
+            break
+        T_new = T * math.exp(-g / d2phi)
+        g_new, dT_new = dphi(T_new)
+        if not math.isfinite(g_new) or abs(g_new) >= abs(g):
+            break
+        T, g, dT = T_new, g_new, dT_new
+        steps += 1
+    return T, abs(g) <= tol, steps
+
+
+def reference_fit_total_only(assay, alpha=0.05):
+    """The former one-parameter fit of the total rate from well counts alone,
+    with its own BFGS call, scalar polish, SE 1/sqrt(info) and assembly.
+    Returns (fit, steps the polish took)."""
+    levels = assay.levels
+    steps = 0
+    if len(levels) == 1:
+        lv = levels[0]
+        T = closed_form_no_udsa(lv.M, lv.M_N) / lv.u
+        iterations, converged = 0, True
+    else:
+        def objective(phi):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _total_only_loglik(float(np.exp(phi[0])), levels)
+            return value if math.isfinite(value) else -math.inf
+
+        def grad(phi):
+            T = float(np.exp(phi[0]))
+            g = sum(
+                lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels
+            )
+            return np.array([T * g])
+
+        seeds = [
+            math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M
+        ]
+        T0 = float(np.mean(seeds)) if seeds else 0.5
+        res = maximize(objective, grad, np.array([math.log(T0)]))
+        T = float(np.exp(res.x[0]))
+        T, polished, steps = reference_newton_polish_total(T, levels)
+        iterations, converged = res.iterations, res.converged or polished
+    info = sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)
+    se = 1.0 / math.sqrt(info)
+    fit = FitResult(
+        tau_hat=np.array([T]),
+        iupm=T,
+        covariance=np.array([[1.0 / info]]),
+        se_iupm=se,
+        ci=wald_ci(T, se, alpha),
+        alpha=alpha,
+        log_lik=_total_only_loglik(T, levels),
+        converged=converged,
+        iterations=iterations,
+        extreme=ExtremeOutcome.REGULAR,
+    )
+    return fit, steps
+
+
 def fd_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.size)
@@ -1027,6 +1130,20 @@ def direct_nb_log_likelihood(tau, gamma, assay) -> float:
     return total
 
 
+def nb_gradient(tau, gamma: float, assay: MultiDilutionAssay) -> tuple[np.ndarray, float]:
+    """(d l / d tau, d l / d gamma) by the chain rule through the effective rates."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    g_tau = np.zeros(tau.size)
+    g_gamma = 0.0
+    for lv in assay.levels:
+        lam = lv.u * tau
+        eff = _effective_rate(lam, gamma)
+        pg = poisson.gradient(eff, lv)
+        g_tau += lv.u * pg / (1.0 + gamma * lam)
+        g_gamma += float(pg @ _gamma_derivatives(lam, gamma)[0])
+    return g_tau, g_gamma
+
+
 def negbin_objectives(assay):
     """The negative-binomial log-likelihood and its gradient in
     x = (log tau, gamma), from ``negbin``'s own kernels, and the bounds
@@ -1040,7 +1157,7 @@ def negbin_objectives(assay):
     def grad(x):
         with np.errstate(over="ignore", invalid="ignore"):
             tau = np.exp(x[:n])
-            g_tau, g_gamma = _nb_gradient(tau, float(x[n]), assay)
+            g_tau, g_gamma = nb_gradient(tau, float(x[n]), assay)
             return np.concatenate([tau * g_tau, [g_gamma]])
 
     return objective, grad, np.concatenate([np.full(n, -math.inf), [0.0]])

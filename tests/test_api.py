@@ -1,8 +1,13 @@
 """Every public name a module declares is defined: `from iupm.<module> import *`
-fails on a stale ``__all__`` entry, which a plain import does not catch."""
+fails on a stale ``__all__`` entry, which a plain import does not catch.  And
+every private name the package defines is used by the package itself: code
+that only the tests call belongs with the tests."""
 
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +28,38 @@ def test_all_names_exist(name):
 def test_modules_with_all_are_found():
     declared = [name for name in MODULES if hasattr(importlib.import_module(name), "__all__")]
     assert len(declared) >= 9
+
+
+def _private_definitions(tree):
+    """Names starting with one underscore bound at the top level of a module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _uses(tree):
+    """Every name read, every attribute taken and every name imported in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_is_used_in_the_package():
+    trees = {path: ast.parse(path.read_text()) for path in Path(iupm.__file__).parent.glob("*.py")}
+    used = Counter(name for tree in trees.values() for name in _uses(tree))
+    unused = [
+        f"{path.name}:{name}"
+        for path, tree in sorted(trees.items())
+        for name in _private_definitions(tree)
+        if used[name] == 0
+    ]
+    assert unused == []

@@ -282,6 +282,27 @@ class TestFit:
         assert json.loads(out_path.read_text())["command"] == "fit"
 
 
+# Each of these has an expected information of 0 or inf in floats (u^2 under-
+# or overflows), which the covariance refuses as for any other fit.
+_DEGENERATE_INFORMATION = [
+    ([], {"n": 0, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 0}]}),
+    ([], {"n": 0, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 0},
+                             {"u": 2e-300, "M": 8, "MN": 2, "m": 0}]}),
+    (["--no-udsa"], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]}]}),
+    ([], {"n": 0, "levels": [{"u": 1e300, "M": 10, "MN": 5, "m": 0}]}),
+]
+
+
+@pytest.mark.parametrize("flags, doc", _DEGENERATE_INFORMATION)
+def test_degenerate_information_exits_3_with_one_line(tmp_path, capsys, flags, doc):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "fit", "--input", str(path), *flags)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: information matrix of size 1 is singular")
+
+
 _LARGE_U_T = [
     # u T passes the float range of e^x at the first level: the second level
     # puts each lineage near log 2 / 0.001 per million, so 0.5 T is about 1040.

@@ -10,6 +10,7 @@ from iupm import (
     ExtremeOutcome,
     MultiDilutionAssay,
     SingularInformationError,
+    classify_extreme,
     closed_form_full_udsa,
     covariance,
     fisher_information,
@@ -26,6 +27,7 @@ from iupm.inference import (
     _nonzero_window,
     level_params,
 )
+from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from iupm.special import expm1_ratio, log1mexp, log_binom, nint
 from helpers import (
     enumerate_expectations,
@@ -34,6 +36,7 @@ from helpers import (
     random_regular_assay,
     reference_binomial_sums,
     reference_binomial_weights,
+    reference_fit_total_only,
     subject_assay,
 )
 
@@ -453,3 +456,64 @@ class TestFitMle:
     def test_level_params_use_recorded_or_derived_q(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=3, Y=(3,))
         assert level_params(MultiDilutionAssay((lv,), 1)) == [(1.0, 12, 0.5)]
+
+
+def random_total_only_assay(rng):
+    """A regular n = 0 assay of 2 or 3 levels, u log-uniform over four decades."""
+    while True:
+        levels = []
+        for _ in range(int(rng.integers(2, 4))):
+            M = int(rng.integers(2, 60))
+            u = float(10.0 ** rng.uniform(-2.0, 2.0))
+            levels.append(DilutionLevelData(u=u, M=M, M_N=int(rng.integers(0, M + 1)), m=0, Y=(), q=0.0))
+        assay = MultiDilutionAssay(tuple(levels), 0)
+        if classify_extreme(assay) is ExtremeOutcome.REGULAR:
+            return assay
+
+
+class TestTotalOnlyMatchesReference:
+    """The n = 0 fit goes through the same solver call, Newton polish and
+    covariance as every other Poisson fit; it matches the former private path
+    (``reference_fit_total_only``) up to the rounding of a polish step, taken
+    as e^{log T + s} where the former polish took T e^s, and of the SE, now
+    sqrt(1 / I) where it was 1 / sqrt(I)."""
+
+    @staticmethod
+    def check(assay):
+        fit = fit_mle(assay)
+        ref, steps = reference_fit_total_only(assay)
+        if steps == 0:
+            assert fit.tau_hat.tobytes() == ref.tau_hat.tobytes()
+            assert fit.log_lik == ref.log_lik
+        else:
+            assert fit.tau_hat[0] == pytest.approx(ref.tau_hat[0], rel=1e-15, abs=0.0)
+        assert fit.iupm == fit.tau_hat[0]
+        assert fit.se_iupm == pytest.approx(ref.se_iupm, rel=1e-15, abs=0.0)
+        # An endpoint iupm e^{+-z se / iupm} moves z se / iupm times as much as se.
+        tol = 1e-15 * max(1.0, Z975 * ref.se_iupm / ref.iupm)
+        assert fit.ci == pytest.approx(ref.ci, rel=tol, abs=0.0)
+        assert (fit.converged, fit.iterations) == (ref.converged, ref.iterations)
+        return steps
+
+    def test_study_multi_draws_without_sequencing(self):
+        scenario = SimScenario(
+            truth=1.0, n_dvl=6,
+            levels=(SimLevel(0.5, 12, 0.0), SimLevel(1.0, 24, 0.5), SimLevel(2.0, 36, 1.0)),
+        )
+        for rep in range(40):
+            draw, _ = _simulate_until_regular(scenario, _rng_for(scenario.seed, rep))
+            self.check(draw.assay.strip_udsa())
+
+    def test_random_multi_level_assays(self):
+        rng = np.random.default_rng(1401)
+        steps = [self.check(random_total_only_assay(rng)) for _ in range(300)]
+        assert any(steps)  # some draws exercise the polish step
+
+    def test_one_level_closed_form_is_exact(self):
+        rng = np.random.default_rng(1402)
+        for _ in range(100):
+            M = int(rng.integers(2, 60))
+            lv = DilutionLevelData(u=float(10.0 ** rng.uniform(-2.0, 2.0)), M=M,
+                                   M_N=int(rng.integers(1, M)), m=0, Y=(), q=0.0)
+            assert self.check(MultiDilutionAssay((lv,), 0)) == 0
+

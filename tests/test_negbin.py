@@ -20,11 +20,12 @@ from iupm import (
     nb_zero_prob,
 )
 from iupm import negbin, optimize
-from iupm.negbin import _SERIES_EDGE, _gamma_derivatives, _nb_grad_hess, _nb_gradient
+from iupm.negbin import _SERIES_EDGE, _gamma_derivatives, _nb_grad_hess
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
     direct_nb_log_likelihood,
     fd_gradient,
+    nb_gradient,
     negbin_objectives,
     random_level,
     reference_fit_negbin,
@@ -122,7 +123,7 @@ class TestLogLikelihood:
             assay = two_level_assay(rng)
             tau = rng.uniform(0.08, 0.6, assay.n)
             gamma = float(rng.uniform(0.05, 2.0))
-            g_tau, g_gamma = _nb_gradient(tau, gamma, assay)
+            g_tau, g_gamma = nb_gradient(tau, gamma, assay)
             fd = fd_gradient(
                 lambda x: nb_log_likelihood(x[:-1], float(x[-1]), assay),
                 np.concatenate([tau, [gamma]]),
@@ -175,7 +176,7 @@ class TestFitNegbin:
             )
             draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, 0))
             pois = fit_mle(draw.assay)
-            _, score = _nb_gradient(pois.tau_hat, 0.0, draw.assay)
+            _, score = nb_gradient(pois.tau_hat, 0.0, draw.assay)
             nb = fit_negbin(draw.assay)
             total += 1
             agree += (nb.gamma_hat == 0.0) == (score <= 0.0)
@@ -252,7 +253,7 @@ class TestLrt:
 
 
 def theta_gradient(x, assay):
-    """The gradient in (log tau, gamma), from the tau-gradient of ``_nb_gradient``."""
+    """The gradient in (log tau, gamma), from the tau-gradient of ``nb_gradient``."""
     return negbin_objectives(assay)[1](x)
 
 

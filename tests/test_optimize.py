@@ -16,6 +16,7 @@ from helpers import (
     reference_maximize,
     reference_maximize_box,
     reference_newton_polish,
+    reference_newton_polish_total,
 )
 
 
@@ -341,12 +342,18 @@ class TestMatchesReference:
                 bfgs.clear()
                 polish.clear()
                 fit_mle(assay)
-                assert len(bfgs) == 1 and len(polish) == (1 if assay.n else 0)
+                assert len(bfgs) == len(polish) == 1
                 (f, g, x0), got = bfgs[0]
                 assert got == outcome(reference_maximize(f, g, x0))
-                if polish:
-                    (_, _, x), got = polish[0]
+                (_, _, x), got = polish[0]
+                if assay.n:
                     assert got == polished(reference_newton_polish(x, assay))
+                else:
+                    # the former scalar polish steps to T e^s, not e^{log T + s}
+                    T, converged, _ = reference_newton_polish_total(float(np.exp(x[0])), assay.levels)
+                    assert got[1] == converged
+                    T_got = float(np.exp(np.frombuffer(got[0])[0]))
+                    assert T_got == pytest.approx(T, rel=1e-15, abs=0.0)
 
     def test_bounded_negbin_objectives(self):
         # bounded BFGS and the finite-difference polish on the negative-binomial
