@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assay import MultiDilutionAssay
-from .inference import FitResult, _information_derivative, fit_mle, level_params, wald_ci
+from .inference import FitResult, SingularInformationError, _information_derivative, fit_mle, level_params, wald_ci
 from .poisson import ExtremeOutcome
 
 __all__ = [
@@ -63,13 +63,18 @@ def a_matrices(tau, levels) -> BiasComponents:
     Both dI/dtau and the third-derivative expectations are closed forms
     (:func:`iupm.inference._information_derivative`), each level scaled by
     u^3 from its per-well rates u * tau.  No block is built; :func:`bias_term`
-    contracts the sums directly.
+    contracts the sums directly.  Sums past the float range raise
+    SingularInformationError.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     totals = [0.0, np.zeros(tau.size), np.zeros(tau.size), 0.0, np.zeros(tau.size)]
     for u, M, q in levels:
         terms = _information_derivative(u * tau, M, q)
-        totals = [total + u**3 * term for total, term in zip(totals, terms)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.float64(u) ** 3
+            totals = [total + scale * term for total, term in zip(totals, terms)]
+    if not all(np.isfinite(total).all() for total in totals):
+        raise SingularInformationError("the derivative of the information matrix leaves the float range")
     return BiasComponents(*totals)
 
 

@@ -18,8 +18,8 @@ gradient share: the solver asks for the gradient at the point whose
 likelihood it has just taken.  The Hessian is closed form too (see
 ``_level_hessian``).  Rate MLEs are no longer guaranteed positive here, so the
 fit runs the quasi-Newton solver with the lower bound tau >= 0 directly on the
-rate scale, then a Newton polish on the analytic Hessian, which at the optimum
-also gives the observed information.
+rate scale, finished where it stops short by projected Newton on the analytic
+Hessian, which at the optimum also gives the observed information.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .assay import AssayDataError, ErrorRates, WellAssay, summarize_well_assay
 from .inference import FitResult, SingularInformationError, covariance, wald_ci
-from .optimize import maximize, newton_polish
+from .optimize import maximize, newton_maximize
 from .poisson import ExtremeOutcome
 
 __all__ = [
@@ -269,6 +269,8 @@ def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
 def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     """Bounded MLE of the per-million rates from per-well data.
 
+    Bounded BFGS from a pooled start, finished where it stops short by
+    :func:`iupm.optimize.newton_maximize` on the closed-form Hessian.
     Standard errors use the observed information, the negated closed-form
     Hessian at the optimum; when some components sit at zero the information
     is taken on the free coordinates only and the interval is boundary-flagged
@@ -303,12 +305,9 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
         except ImperfectFitError as exc:
             raise ImpossibleDataError(f"level {d}: {exc}") from None
     lower = np.zeros(n)
-    res = maximize(objective, grad, start, lower)
-    tau, polished = newton_polish(grad, lambda x, g, idx: hessian(x)[np.ix_(idx, idx)], res.x, lower)
-    if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
-        converged = res.converged or polished
-    else:
-        tau, converged = res.x, res.converged
+    bfgs = maximize(objective, grad, start, lower)
+    res = bfgs if bfgs.converged else newton_maximize(objective, lambda x: (grad(x), hessian(x)), bfgs.x, lower)
+    tau = res.x
     free = tau > 0.0
     if not free.any():
         raise ImperfectFitError("all rate components ended on the zero boundary")
@@ -334,8 +333,8 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
         ci=wald_ci(iupm, se, alpha),
         alpha=alpha,
         log_lik=objective(tau),
-        converged=converged,
-        iterations=res.iterations,
+        converged=res.converged,
+        iterations=bfgs.iterations,
         extreme=ExtremeOutcome.REGULAR,
         active_lower=tuple(int(i) for i in np.flatnonzero(~free)),
     )

@@ -17,7 +17,7 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .poisson import ExtremeOutcome, classify_extreme
-from .optimize import maximize, newton_polish
+from .optimize import maximize, newton_maximize
 from .special import expm1_ratio, log1mexp, normal_quantile
 
 __all__ = [
@@ -227,7 +227,8 @@ def fisher_information_multi(tau, levels) -> np.ndarray:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     total = np.zeros((tau.size, tau.size))
     for u, M, q in levels:
-        total += u * u * fisher_information(u * tau, M, q)
+        with np.errstate(invalid="ignore"):  # u^2 = 0 times inf: covariance refuses the NaN
+            total += u * u * fisher_information(u * tau, M, q)
     return total
 
 
@@ -235,16 +236,17 @@ COND_LIMIT = 1e12  # condition number above which an information matrix is refus
 
 
 def covariance(info) -> np.ndarray:
-    """Invert an information matrix, refusing ill-conditioned input."""
+    """Invert an information matrix, refusing ill-conditioned or non-finite input or inverse."""
     matrix = np.asarray(info, dtype=float)
-    cond = np.linalg.cond(matrix)
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularInformationError(
-            f"information matrix of size {matrix.shape[0]} is singular or "
-            f"ill-conditioned (condition estimate {cond:.3e})"
-        )
-    cov = np.linalg.inv(matrix)
-    return (cov + cov.T) / 2.0
+    cond = np.linalg.cond(matrix) if np.isfinite(matrix).all() else math.nan
+    if cond <= COND_LIMIT:
+        cov = np.linalg.inv(matrix)
+        if np.isfinite(cov).all():
+            return (cov + cov.T) / 2.0
+    raise SingularInformationError(
+        f"information matrix of size {matrix.shape[0]} is singular or "
+        f"ill-conditioned (condition estimate {cond:.3e}) or has no finite inverse"
+    )
 
 
 def wald_ci(iupm: float, se: float, alpha: float = 0.05) -> tuple[float, float]:
@@ -317,23 +319,23 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
     return np.log(rate)
 
 
-# Each model of fit_mle is (loglik at the rates, gradient and Hessian in
-# x = log(rates), the x at which BFGS starts, expected information at the rates).
+# Each model of fit_mle is (loglik at the rates, gradient and (gradient, Hessian)
+# in x = log(rates), the x at which BFGS starts, expected information at the rates).
 def _lineage_model(assay: MultiDilutionAssay):
     """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau)."""
     def grad(theta):
         tau = np.exp(theta)
         return tau * multi_gradient(tau, assay)
 
-    def hess(theta, g, idx):
-        # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient);
-        # theta is unbounded, so idx holds every component.
+    def grad_hess(theta):
+        # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient)
+        g = grad(theta)
         tau = np.exp(theta)
         H = -observed_information(tau, assay)
-        return tau[:, None] * H * tau[None, :] + np.diag(g)
+        return g, tau[:, None] * H * tau[None, :] + np.diag(g)
 
     information = partial(fisher_information_multi, levels=level_params(assay))
-    return partial(multi_log_likelihood, assay=assay), grad, hess, _initial_theta(assay), information
+    return partial(multi_log_likelihood, assay=assay), grad, grad_hess, _initial_theta(assay), information
 
 
 def _expm1(x: float) -> float:
@@ -364,11 +366,12 @@ def _total_model(levels):
         g = sum(lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels)
         return np.array([T * g])
 
-    def hess(phi, g, idx):
+    def grad_hess(phi):
         # d^2 l / d phi^2 = T^2 d^2 l / dT^2 + dl/dphi
+        g = grad(phi)
         T = float(np.exp(phi[0]))
         d2T = -sum(expm1_ratio(lv.u * lv.u * (lv.M - lv.M_N), lv.u * T, 2) for lv in levels)
-        return np.array([[T * T * d2T + g[0]]])
+        return g, np.array([[T * T * d2T + g[0]]])
 
     def information(tau):
         T = float(tau[0])
@@ -376,21 +379,22 @@ def _total_model(levels):
 
     seeds = [math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M]
     T0 = float(np.mean(seeds)) if seeds else 0.5
-    return loglik, grad, hess, np.array([math.log(T0)]), information
+    return loglik, grad, grad_hess, np.array([math.log(T0)]), information
 
 
 def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Maximum-likelihood fit of the per-million rates for one assay.
 
     Regular assays are maximized over the log of the rates, which needs no
-    bounds: BFGS (:func:`iupm.optimize.maximize`) followed by a Newton polish
-    (:func:`iupm.optimize.newton_polish`) on the analytic Hessian, and the
-    covariance is the inverse expected information at the estimate.  With
-    sequencing data the rates are the per-lineage tau; an assay without any
-    (n = 0) reduces to the classic one-parameter dilution model for the total
-    rate, which goes through the same solver, polish and covariance, and at
-    a single level has the closed form log(M / M_N) / u.  The two boundary
-    outcomes short-circuit to 0 and +inf with degenerate intervals.
+    bounds: BFGS (:func:`iupm.optimize.maximize`), finished where it stops
+    short by Newton (:func:`iupm.optimize.newton_maximize`) on the analytic
+    Hessian, and the covariance is the inverse expected information at the
+    estimate.  With sequencing data the rates are the per-lineage tau; an
+    assay without any (n = 0) reduces to the classic one-parameter dilution
+    model for the total rate, which goes through the same solvers and
+    covariance, and at a single level has the closed form log(M / M_N) / u.
+    The two boundary outcomes short-circuit to 0 and +inf with degenerate
+    intervals.
     """
     extreme = classify_extreme(assay)
     n = assay.n
@@ -420,7 +424,7 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
             iterations=0,
             extreme=extreme,
         )
-    loglik, grad, hess, start, information = (
+    loglik, grad, grad_hess, start, information = (
         _lineage_model(assay) if n else _total_model(assay.levels)
     )
     if n == 0 and len(assay.levels) == 1:
@@ -435,10 +439,9 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
                 value = loglik(np.exp(x))
             return value if math.isfinite(value) else -math.inf
 
-        res = maximize(objective, grad, start)
-        x, polished = newton_polish(grad, hess, res.x)
-        tau = np.exp(x)
-        iterations, converged = res.iterations, res.converged or polished
+        bfgs = maximize(objective, grad, start)
+        res = bfgs if bfgs.converged else newton_maximize(objective, grad_hess, bfgs.x, -math.inf)
+        tau, iterations, converged = np.exp(res.x), bfgs.iterations, res.converged
     cov = covariance(information(tau))
     se = math.sqrt(float(cov.sum()))
     iupm = float(tau.sum())

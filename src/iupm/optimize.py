@@ -1,16 +1,15 @@
-"""Maximization under optional lower bounds: projected Newton, BFGS and a Newton polish.
+"""Maximization under optional lower bounds: BFGS and projected Newton.
 
-:func:`newton_maximize` is projected Newton on an analytic Hessian under
-lower bounds (Bertsekas 1982); the negative-binomial fit uses it.
 :func:`maximize` runs BFGS with a strong-Wolfe line search; given lower bounds
 it projects the gradient and keeps the BFGS matrix on the free components.
 Internally the line search works on the negated objective, so the usual
-strong-Wolfe conditions for minimization apply unchanged.  Line searches stall
-once objective changes fall below float noise, so the fits finish with
-:func:`newton_polish`, whose steps compare gradients only and take the
-Hessian from the caller: it finishes every Poisson fit, the no-sequencing
-(n = 0) one included, and the imperfect-assay fit.  Bounded BFGS now serves
+strong-Wolfe conditions for minimization apply unchanged.  Bounded BFGS serves
 only the imperfect-assay fit; the Poisson fit runs BFGS without bounds.
+:func:`newton_maximize` is projected Newton on an analytic Hessian under
+lower bounds (Bertsekas 1982).  The negative-binomial fit uses it alone.  Line
+searches stall once objective changes fall below float noise, so every
+Poisson fit, the no-sequencing (n = 0) one included, and the imperfect-assay
+fit finish with it wherever BFGS stops short of the gradient tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptResult", "newton_maximize", "maximize", "newton_polish"]
+__all__ = ["OptResult", "newton_maximize", "maximize"]
 
 MAX_ITER = 10_000
 GRAD_TOL = 1e-8     # infinity norm of the (projected) gradient
@@ -31,7 +30,6 @@ NEWTON_MAX_ITER = 100   # iteration cap of newton_maximize
 NEWTON_HALVINGS = 40    # step halvings before newton_maximize gives up on a direction
 EPS_ACTIVE = 1e-3       # widest gap to a bound that newton_maximize treats as on it
 FLAT = 1e-12            # relative objective change below float noise
-POLISH_STEPS = 10       # step cap of newton_polish
 
 
 @dataclass
@@ -132,14 +130,6 @@ class _Bounds:
         self.finite = np.isfinite(lo)
         self.tol = 1e-12 * np.maximum(1.0, np.abs(np.where(self.finite, lo, 0.0)))
 
-    @classmethod
-    def of(cls, lower, shape) -> _Bounds | None:
-        """The bounds ``lower`` for vectors of ``shape``, or None when no entry is finite."""
-        if lower is None:
-            return None
-        bounds = cls(np.broadcast_to(np.asarray(lower, dtype=float), shape).copy())
-        return bounds if bounds.finite.any() else None
-
     def project(self, x, g) -> tuple[np.ndarray, np.ndarray]:
         """(g with the outward components on a bound zeroed, the on-bound mask)."""
         at = self.finite & (x <= self.lo + self.tol)
@@ -170,7 +160,9 @@ def newton_maximize(f, grad_hess, x0, lower) -> OptResult:
     The projected gradient is P[x + g] - x, so a component on its bound with
     an outward gradient counts as stationary.  Iteration stops when its
     infinity-norm meets ``GRAD_TOL`` (``converged``), after
-    ``NEWTON_MAX_ITER`` iterations, or when no halving is accepted.  For a
+    ``NEWTON_MAX_ITER`` iterations, or when no halving is accepted.  A
+    gradient or Hessian that is not finite at x0 returns x0 unconverged after
+    0 iterations; an objective that is not finite there raises.  For a
     concave objective the returned point is the global maximum.
     """
     x = _vector(x0).copy()
@@ -179,10 +171,10 @@ def newton_maximize(f, grad_hess, x0, lower) -> OptResult:
         raise ValueError("infeasible starting point: need x0 >= lower")
     bounded = np.isfinite(lo)
     fx = float(f(x))
+    if not math.isfinite(fx):
+        raise ValueError("objective is not finite at the starting point")
     g, H = grad_hess(x)
-    if not (math.isfinite(fx) and _finite(g, H)):
-        raise ValueError("objective, gradient or Hessian is not finite at the starting point")
-    norm = _inf_norm(np.maximum(lo - x, g))
+    norm = _inf_norm(np.maximum(lo - x, g)) if _finite(g, H) else math.nan
     iters = 0
     while norm > GRAD_TOL and iters < NEWTON_MAX_ITER:
         active = bounded & (x - lo <= min(EPS_ACTIVE, norm)) & (g <= 0.0)
@@ -253,10 +245,11 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
     general it is a stationary point.
     """
     x = _vector(x0).copy()
-    if lower is not None and np.any(x < lower):
+    lo = np.broadcast_to(np.asarray(-math.inf if lower is None else lower, dtype=float), x.shape)
+    if np.any(x < lo):
         raise ValueError("infeasible starting point: need x0 >= lower")
     # Without a finite bound the projection bookkeeping is skipped entirely.
-    bounds = _Bounds.of(lower, x.shape)
+    bounds = _Bounds(lo.copy()) if np.isfinite(lo).any() else None
     if bounds is not None:
         x = bounds.snap(x)
     fx = float(f(x))
@@ -273,25 +266,27 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
         if _inf_norm(pg) <= GRAD_TOL:
             break
         amax = math.inf
-        if bounds is None:
-            d = H @ gx
-            if float(d @ gx) <= 0.0:
-                H = np.eye(x.size)
-                d = gx.copy()
-        else:
-            free = ~(at_bound & (gx <= 0.0))
-            key = free.tobytes()
-            if key != prev_free:
-                H = np.eye(int(free.sum()))
-                prev_free = key
-            d = _feasible(H @ gx[free], free, at_bound)
-            if float(d @ gx) <= 0.0:
-                H = np.eye(H.shape[0])
-                d = _feasible(gx[free], free, at_bound)
-            moving_down = (d < 0.0) & bounds.finite
-            if np.any(moving_down):
-                amax = float(np.min((bounds.lo[moving_down] - x[moving_down]) / d[moving_down]))
-                amax = max(amax, 0.0)
+        with np.errstate(over="ignore"):  # a gradient near the float limit gives inf slopes
+            if bounds is None:
+                d = H @ gx
+                if float(d @ gx) <= 0.0:
+                    H = np.eye(x.size)
+                    d = gx.copy()
+            else:
+                free = ~(at_bound & (gx <= 0.0))
+                key = free.tobytes()
+                if key != prev_free:
+                    H = np.eye(int(free.sum()))
+                    prev_free = key
+                d = _feasible(H @ gx[free], free, at_bound)
+                if float(d @ gx) <= 0.0:
+                    H = np.eye(H.shape[0])
+                    d = _feasible(gx[free], free, at_bound)
+                moving_down = (d < 0.0) & bounds.finite
+                if np.any(moving_down):
+                    amax = float(np.min((bounds.lo[moving_down] - x[moving_down]) / d[moving_down]))
+                    amax = max(amax, 0.0)
+            slope = float(gx @ d)
         cache: dict = {}
 
         def phi(a):
@@ -302,7 +297,7 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
             cache["grad"] = (a, ga)
             return -float(ga @ d)
 
-        a, phi_a, _ = _wolfe(phi, dphi, -fx, -float(gx @ d), ARMIJO, CURVATURE, amax=amax)
+        a, phi_a, _ = _wolfe(phi, dphi, -fx, -slope, ARMIJO, CURVATURE, amax=amax)
         noise_step = a <= 0.0
         if noise_step:
             # Objective differences are at float-noise level; keep the full
@@ -383,48 +378,3 @@ def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
     if not np.all(np.isfinite(g_try)) or _inf_norm(g_try) >= _inf_norm(gx):
         return 0.0, -fx, gx
     return a, -f_try, g_try
-
-
-def newton_polish(grad, hess, x, lower=None):
-    """Newton refinement from x until the projected gradient meets ``GRAD_TOL``.
-
-    Line searches cannot measure objective changes once they fall below float
-    noise, which can strand the gradient just above a tight tolerance; Newton
-    steps need no objective comparisons.  ``hess(x, g, idx)`` returns the
-    Hessian block on the free components ``idx`` at x, where ``g = grad(x)``;
-    without a finite bound ``idx`` holds every component.  Components at a
-    finite lower bound with an outward gradient stay put and are excluded
-    from the projected norm.  A step is kept only when it shrinks that norm,
-    and at most ``POLISH_STEPS`` are taken.  Returns (x, converged).
-    """
-    x = _vector(x).copy()
-    bounds = _Bounds.of(lower, x.shape)
-    every = np.arange(x.size)
-
-    def projected(xv, gv):
-        if bounds is None:
-            return _inf_norm(gv), every
-        pg, at = bounds.project(xv, gv)
-        return _inf_norm(pg), np.flatnonzero(~(at & (gv <= 0.0)))
-
-    g = _vector(grad(x))
-    norm, idx = projected(x, g)
-    for _ in range(POLISH_STEPS):
-        if norm <= GRAD_TOL:
-            return x, True
-        try:
-            step = np.linalg.solve(hess(x, g, idx), -g[idx])
-        except np.linalg.LinAlgError:
-            break
-        cand = x.copy()
-        cand[idx] += step
-        if bounds is not None:
-            cand = np.maximum(cand, bounds.lo)
-        g_new = _vector(grad(cand))
-        if not np.all(np.isfinite(g_new)):
-            break
-        norm_new, idx_new = projected(cand, g_new)
-        if norm_new >= norm:
-            break
-        x, g, norm, idx = cand, g_new, norm_new, idx_new
-    return x, norm <= GRAD_TOL

@@ -77,13 +77,21 @@ def expm1_ratio(c, x, k: int):
     These are the magnitudes of 1/t and of its first two x-derivatives.  While
     t^k is a float the value is computed as written (math for a scalar x, numpy
     for an array); past that every one of them equals c e^{-x} to double
-    precision, which is returned instead, so no term overflows.
+    precision, which is returned instead, so no term overflows.  A scalar x
+    whose t^k is below the normal floats divides c (k - 1)! by t k times.
     """
     if np.ndim(x) == 0:
         x = float(x)
         if x > _LOG_MAX / k:
             return c * math.exp(-x)
-        return _expm1_ratio(c, math.expm1(x), k)
+        t = math.expm1(x)
+        if t**k >= sys.float_info.min:
+            return _expm1_ratio(c, t, k)
+        value = c * math.factorial(k - 1)  # t + 1 and t + 2 are exactly 1 and 2
+        with np.errstate(over="ignore"):
+            for _ in range(k):
+                value = value / t
+        return value
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         direct = _expm1_ratio(c, np.expm1(x), k)

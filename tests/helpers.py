@@ -48,7 +48,6 @@ from iupm.optimize import (
     _noise_floor_step,
     _wolfe,
     maximize,
-    newton_polish,
 )
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -225,9 +224,10 @@ def reference_binomial_weights(Lambda: float, M: int) -> np.ndarray:
 
 
 # The solver layer as it stood with two BFGS loops and three Newton polishers:
-# the oracle that the merged ``maximize`` and ``newton_polish`` must match bit
-# for bit.  The line search, noise-floor step and BFGS update they call are
-# shared with the library and unchanged.
+# the oracle that the merged ``maximize`` must match bit for bit, and that the
+# Newton finish of each fit must match where it runs.  The line search,
+# noise-floor step and BFGS update they call are shared with the library and
+# unchanged.
 REF_MAX_ITER = 10_000
 REF_GRAD_TOL = 1e-8
 REF_STEP_TOL = 1e-10
@@ -402,45 +402,31 @@ def reference_maximize_box(f, g, x0, lower, callback=None) -> OptResult:
     )
 
 
-def reference_fd_newton_polish(grad, x, lower=None, tol=1e-8, max_steps=8):
-    """Newton refinement on a finite-difference Hessian of an analytic gradient."""
+def reference_hessian_polish(grad, hess, x, lower=None, tol=1e-8, max_steps=10):
+    """The former Newton polish that finished every fit: Newton steps on the
+    caller's Hessian block ``hess(x, g, idx)`` over the free components
+    ``idx``, where ``g = grad(x)``.  Components at a finite lower bound with
+    an outward gradient stay put and leave the projected norm; a step is kept
+    only when it shrinks that norm.  Returns (x, converged)."""
     x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    n = x.size
     lo = (
-        np.full(n, -math.inf)
+        np.full(x.size, -math.inf)
         if lower is None
         else np.broadcast_to(np.asarray(lower, dtype=float), x.shape).copy()
     )
     bound_tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(lo), lo, 0.0)))
 
     def projected(xv, gv):
-        at_b = np.isfinite(lo) & (xv <= lo + bound_tol)
-        return _inf_norm(np.where(at_b & (gv <= 0.0), 0.0, gv)), at_b
+        outward = np.isfinite(lo) & (xv <= lo + bound_tol) & (gv <= 0.0)
+        return _inf_norm(np.where(outward, 0.0, gv)), np.flatnonzero(~outward)
 
     g = np.atleast_1d(np.asarray(grad(x), dtype=float))
-    norm, at_b = projected(x, g)
+    norm, idx = projected(x, g)
     for _ in range(max_steps):
         if norm <= tol:
             return x, True
-        free = ~(at_b & (g <= 0.0))
-        idx = np.flatnonzero(free)
-        H = np.zeros((idx.size, idx.size))
-        for col, i in enumerate(idx):
-            h = max(1e-7, 1e-7 * abs(x[i]))
-            down = x.copy()
-            down[i] -= h
-            up = x.copy()
-            up[i] += h
-            if np.isfinite(lo[i]) and down[i] < lo[i]:
-                H[:, col] = (np.asarray(grad(up), dtype=float)[idx] - g[idx]) / h
-            else:
-                H[:, col] = (
-                    np.asarray(grad(up), dtype=float)[idx]
-                    - np.asarray(grad(down), dtype=float)[idx]
-                ) / (2.0 * h)
-        H = (H + H.T) / 2.0
         try:
-            step = np.linalg.solve(H, -g[idx])
+            step = np.linalg.solve(hess(x, g, idx), -g[idx])
         except np.linalg.LinAlgError:
             break
         cand = x.copy()
@@ -449,15 +435,15 @@ def reference_fd_newton_polish(grad, x, lower=None, tol=1e-8, max_steps=8):
         g_new = np.atleast_1d(np.asarray(grad(cand), dtype=float))
         if not np.all(np.isfinite(g_new)):
             break
-        norm_new, at_b_new = projected(cand, g_new)
+        norm_new, idx_new = projected(cand, g_new)
         if norm_new >= norm:
             break
-        x, g, norm, at_b = cand, g_new, norm_new, at_b_new
+        x, g, norm, idx = cand, g_new, norm_new, idx_new
     return x, norm <= tol
 
 
 def reference_fd_hessian(grad, lower):
-    """A ``hess`` for ``newton_polish`` from finite differences of ``grad``,
+    """A ``hess`` for ``reference_hessian_polish`` from finite differences of ``grad``,
     as the library had it: each free column is a central difference, or a
     forward one where the backward point would cross a finite lower bound;
     the block is then symmetrized."""
@@ -531,7 +517,7 @@ def reference_fit_imperfect(model, alpha=0.05) -> FitResult:
             raise ImpossibleDataError(f"level {d}: {exc}") from None
     lower = np.zeros(n)
     res = maximize(objective, grad, start, lower)
-    tau, polished = newton_polish(grad, reference_fd_hessian(grad, lower), res.x, lower)
+    tau, polished = reference_hessian_polish(grad, reference_fd_hessian(grad, lower), res.x, lower)
     if objective(tau) >= res.f - 1e-9 * (abs(res.f) + 1.0):
         converged = res.converged or polished
     else:
@@ -1174,7 +1160,7 @@ def reference_fit_negbin(assay, pois):
 
     def run(gamma0):
         res = maximize(objective, grad, np.concatenate([theta0, [gamma0]]), lower)
-        x, polished = newton_polish(grad, hess, res.x, lower)
+        x, polished = reference_hessian_polish(grad, hess, res.x, lower)
         f_polished = objective(x)
         if f_polished >= res.f - 1e-9 * (abs(res.f) + 1.0):
             res.x, res.f = x, f_polished

@@ -1,10 +1,11 @@
 """Every public name a module declares is defined: `from iupm.<module> import *`
 fails on a stale ``__all__`` entry, which a plain import does not catch.  And
-every private name the package defines is used by the package itself: code
-that only the tests call belongs with the tests."""
+every private name the package defines, and every solver function, is used by
+the package itself: code that only the tests call belongs with the tests."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import iupm
+from iupm import optimize
 
 MODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(iupm.__path__, "iupm.") if name != "iupm.__main__"
@@ -63,3 +65,18 @@ def test_every_private_name_is_used_in_the_package():
         if used[name] == 0
     ]
     assert unused == []
+
+
+def test_every_solver_function_is_imported_by_the_package():
+    """A function in ``optimize.__all__`` that no other module of the package
+    imports is a dead solver entry point."""
+    imported = {
+        alias.name
+        for path in Path(iupm.__file__).parent.glob("*.py")
+        if path.name != "optimize.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "optimize"
+        for alias in node.names
+    }
+    solvers = [name for name in optimize.__all__ if inspect.isfunction(getattr(optimize, name))]
+    assert solvers and [name for name in solvers if name not in imported] == []

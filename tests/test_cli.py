@@ -290,6 +290,17 @@ _DEGENERATE_INFORMATION = [
                              {"u": 2e-300, "M": 8, "MN": 2, "m": 0}]}),
     (["--no-udsa"], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]}]}),
     ([], {"n": 0, "levels": [{"u": 1e300, "M": 10, "MN": 5, "m": 0}]}),
+    # (e^x - 1)^2 underflows to 0 at the first level
+    ([], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]},
+                             {"u": 1.0, "M": 8, "MN": 2, "m": 4, "Y": [3, 2]}]}),
+    # the information is a finite float but its inverse is not
+    ([], {"n": 0, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 0}]}),
+    (["--bias-correct"], {"n": 0, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 0}]}),
+    ([], {"n": 2, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]}]}),
+    (["--bias-correct"], {"n": 2, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]}]}),
+    # the BFGS start has a gradient near the float limit
+    ([], {"n": 0, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 0},
+                             {"u": 1.0, "M": 8, "MN": 2, "m": 0}]}),
 ]
 
 
@@ -298,9 +309,23 @@ def test_degenerate_information_exits_3_with_one_line(tmp_path, capsys, flags, d
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "fit", "--input", str(path), *flags)
+    size = 1 if "--no-udsa" in flags else max(doc["n"], 1)
     assert code == 3
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: information matrix of size 1 is singular")
+    assert err.count("\n") == 1 and err.startswith(f"error: information matrix of size {size} is singular")
+
+
+def test_bias_term_past_the_float_range_exits_3_with_one_line(tmp_path, capsys):
+    # u^3 passes the float range, though the fit itself is finite
+    path = tmp_path / "huge_u.json"
+    path.write_text(json.dumps({"n": 0, "levels": [{"u": 1e150, "M": 10, "MN": 5, "m": 0},
+                                                   {"u": 2e150, "M": 8, "MN": 2, "m": 0}]}))
+    code, out, _ = run_cli(capsys, "fit", "--input", str(path))
+    assert code == 0 and math.isfinite(json.loads(out)["estimate"]["se"])
+    code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the derivative of the information matrix leaves the float range\n"
 
 
 _LARGE_U_T = [

@@ -6,13 +6,12 @@ import pytest
 from iupm import DilutionLevelData, ErrorRates, fit_imperfect, fit_mle
 from iupm import imperfect, inference, optimize
 from iupm.imperfect import ImperfectModel
-from iupm.optimize import maximize, newton_maximize, newton_polish
+from iupm.optimize import maximize, newton_maximize
 from iupm.poisson import closed_form_full_udsa, log_likelihood, gradient
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
     negbin_objectives,
-    reference_fd_hessian,
-    reference_fd_newton_polish,
+    reference_hessian_polish,
     reference_maximize,
     reference_maximize_box,
     reference_newton_polish,
@@ -249,6 +248,13 @@ class TestNewtonMaximize:
         with pytest.raises(ValueError):
             newton_maximize(lambda x: math.nan, grad_hess, [1.0], [0.0])
 
+    def test_non_finite_hessian_at_start_returns_unconverged(self):
+        def grad_hess(x):
+            return np.array([-2 * x[0]]), np.array([[math.nan]])
+
+        res = newton_maximize(lambda x: -x[0] ** 2, grad_hess, [1.0], [0.0])
+        assert not res.converged and res.iterations == 0 and res.x.tolist() == [1.0]
+
     def test_iteration_cap_flags_non_convergence(self, monkeypatch):
         monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 2)
         f, grad_hess = negated_rosenbrock_newton()
@@ -292,6 +298,15 @@ def spy(monkeypatch, module, name):
     return calls
 
 
+def former_polish(grad_hess, x, lower=None):
+    """The former Newton polish from x on the gradient and Hessian of
+    ``grad_hess``, as (x bytes, converged)."""
+    def hess(xv, g, idx):
+        return grad_hess(xv)[1][np.ix_(idx, idx)]
+
+    return polished(reference_hessian_polish(lambda xv: grad_hess(xv)[0], hess, x, lower))
+
+
 STUDY_MULTI = SimScenario(
     truth=1.0, n_dvl=6, levels=(SimLevel(0.5, 12, 0.0), SimLevel(1.0, 24, 0.5), SimLevel(2.0, 36, 1.0))
 )
@@ -306,9 +321,9 @@ STUDY_IMPERFECT = SimScenario(
 
 
 class TestMatchesReference:
-    """The one BFGS loop and the one Newton polish return, bit for bit, what
-    the separate unconstrained and bounded loops and the per-model polishers
-    returned (``tests/helpers.py`` keeps those as ``reference_*``)."""
+    """The one BFGS loop, and the Newton finish where it runs, return bit for
+    bit what the separate unconstrained and bounded loops and the former
+    polishers returned (``tests/helpers.py`` keeps those as ``reference_*``)."""
 
     def test_quadratics(self):
         rng = np.random.default_rng(42)
@@ -335,46 +350,57 @@ class TestMatchesReference:
 
     def test_poisson_theta_objectives(self, monkeypatch):
         bfgs = spy(monkeypatch, inference, "maximize")
-        polish = spy(monkeypatch, inference, "newton_polish")
-        for rep in range(40):
+        newton = spy(monkeypatch, inference, "newton_maximize")
+        finished = 0
+        # replicates 75 and 88 (with UDSA) and 286 (without) end BFGS unconverged
+        for rep in [*range(40), 75, 88, 286]:
             draw, _ = _simulate_until_regular(STUDY_MULTI, _rng_for(STUDY_MULTI.seed, rep))
             for assay in (draw.assay, draw.assay.strip_udsa()):
                 bfgs.clear()
-                polish.clear()
+                newton.clear()
                 fit_mle(assay)
-                assert len(bfgs) == len(polish) == 1
+                assert len(bfgs) == 1
                 (f, g, x0), got = bfgs[0]
                 assert got == outcome(reference_maximize(f, g, x0))
-                (_, _, x), got = polish[0]
+                # Newton finishes exactly the fits that BFGS leaves unconverged
+                assert len(newton) == (0 if got[4] else 1)
+                if not newton:
+                    continue
+                finished += 1
+                (_, grad_hess, x, _), got = newton[0]
+                assert (got[0], got[4]) == former_polish(grad_hess, x)
                 if assay.n:
-                    assert got == polished(reference_newton_polish(x, assay))
+                    assert (got[0], got[4]) == polished(reference_newton_polish(x, assay))
                 else:
                     # the former scalar polish steps to T e^s, not e^{log T + s}
                     T, converged, _ = reference_newton_polish_total(float(np.exp(x[0])), assay.levels)
-                    assert got[1] == converged
+                    assert got[4] == converged
                     T_got = float(np.exp(np.frombuffer(got[0])[0]))
                     assert T_got == pytest.approx(T, rel=1e-15, abs=0.0)
+        assert finished == 3
 
     def test_bounded_negbin_objectives(self):
-        # bounded BFGS and the finite-difference polish on the negative-binomial
-        # objectives, from the Poisson fit with gamma = 0.1
+        # bounded BFGS on the negative-binomial objectives, from the Poisson
+        # fit with gamma = 0.1
         for rep in range(20):
             draw, _ = _simulate_until_regular(LRT_NEGBIN, _rng_for(LRT_NEGBIN.seed, rep))
             f, g, lower = negbin_objectives(draw.assay)
             x0 = np.concatenate([np.log(np.maximum(fit_mle(draw.assay).tau_hat, 1e-8)), [0.1]])
             res = maximize(f, g, x0, lower)
             assert outcome(res) == outcome(reference_maximize_box(f, g, x0, lower))
-            got = newton_polish(g, reference_fd_hessian(g, lower), res.x, lower)
-            assert polished(got) == polished(reference_fd_newton_polish(g, res.x, lower))
 
     def test_bounded_imperfect_objectives(self, monkeypatch):
         bfgs = spy(monkeypatch, imperfect, "maximize")
-        polish = spy(monkeypatch, imperfect, "newton_polish")
-        for rep in range(6):
+        newton = spy(monkeypatch, imperfect, "newton_maximize")
+        # replicates 10, 16 and 17 end BFGS unconverged
+        for rep in [*range(6), 10, 16, 17]:
             draw, _ = _simulate_until_regular(STUDY_IMPERFECT, _rng_for(STUDY_IMPERFECT.seed, rep))
             fit_imperfect(ImperfectModel(rates=STUDY_IMPERFECT.rates, assays=draw.well_assays))
-        assert len(bfgs) == len(polish) == 6
-        for ((f, g, x0, lower), got), ((grad, _, x, lower_p), _) in zip(bfgs, polish):
+        assert len(bfgs) == 9
+        # Newton finishes exactly the fits that BFGS leaves unconverged
+        assert [args[2].tobytes() for args, _ in newton] == [got[0] for _, got in bfgs if not got[4]]
+        assert len(newton) == 3
+        for (f, g, x0, lower), got in bfgs:
             assert got == outcome(reference_maximize_box(f, g, x0, lower))
-            got_p = polished(newton_polish(grad, reference_fd_hessian(grad, lower_p), x, lower_p))
-            assert got_p == polished(reference_fd_newton_polish(grad, x, lower_p))
+        for (_, grad_hess, x, lower), got in newton:
+            assert (got[0], got[4]) == former_polish(grad_hess, x, lower)

@@ -134,6 +134,23 @@ class TestExpm1Ratio:
         c = np.linspace(0.5, 3.0, arr.size)
         assert np.array_equal(expm1_ratio(c, arr, k), self.direct(c, np.expm1(arr), k))
 
+    @pytest.mark.parametrize("k, x", [(2, 1e-160), (3, 1e-110)])
+    def test_scalar_x_with_t_power_below_the_normal_floats(self, k, x):
+        # t^k is subnormal or 0: the value is finite, or inf, never a division by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = expm1_ratio(1e-300, x, k)
+            assert expm1_ratio(1.7, x, k) == math.inf
+            assert expm1_ratio(-1.7, x, k) == -math.inf
+            assert expm1_ratio(0.0, x, k) == 0.0
+            vector = expm1_ratio(np.array([1e-300, 1.7, 0.0]), x, k)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            t = Decimal(math.expm1(x))
+            want = float(Decimal(1e-300) * [1 / t, (t + 1) / t**2, (t + 1) * (t + 2) / t**3][k - 1])
+        assert tiny == pytest.approx(want, rel=1e-15)
+        assert vector.tolist() == [tiny, math.inf, 0.0]
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_past_the_float_range_matches_high_precision(self, k):
         xs = [1.0, 100.0, 236.5, 236.7, 354.8, 355.0, 600.0, 709.7, 709.8, 1040.0]
