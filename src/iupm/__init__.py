@@ -89,6 +89,7 @@ from .simulate import (
     scenario_from_json,
     scenario_to_json,
     simulate_level,
+    study_from_json,
 )
 from .special import chi2_1_upper_tail, log_binom, log1mexp, nint, normal_quantile
 

@@ -59,6 +59,11 @@ class AssayDataError(ValueError):
     """Raised for malformed or structurally impossible assay data."""
 
 
+def _is_number(value) -> bool:
+    """An int or float that is not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, minimum: int = 0) -> int:
     if isinstance(value, (bool, np.bool_)):
         raise AssayDataError(f"{name} must be an integer, got {value!r}")
@@ -107,7 +112,7 @@ class DilutionLevelData:
     q: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.u, (int, float)) and math.isfinite(self.u) and self.u > 0):
+        if not (_is_number(self.u) and math.isfinite(self.u) and self.u > 0):
             raise AssayDataError(f"u must be a positive finite number, got {self.u!r}")
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "M", _check_count("M", self.M, minimum=1))
@@ -117,7 +122,7 @@ class DilutionLevelData:
             self, "Y", tuple(_check_count(f"Y[{i}]", y) for i, y in enumerate(self.Y))
         )
         if self.q is not None:
-            if not (isinstance(self.q, (int, float)) and 0.0 <= self.q <= 1.0):
+            if not (_is_number(self.q) and 0.0 <= self.q <= 1.0):
                 raise AssayDataError(f"q must lie in [0, 1], got {self.q!r}")
             object.__setattr__(self, "q", float(self.q))
 
@@ -225,7 +230,7 @@ class WellAssay:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.u, (int, float)) and math.isfinite(self.u) and self.u > 0):
+        if not (_is_number(self.u) and math.isfinite(self.u) and self.u > 0):
             raise AssayDataError(f"u must be a positive finite number, got {self.u!r}")
         object.__setattr__(self, "u", float(self.u))
         names = ("w_star", "r", "z_star")
@@ -287,9 +292,9 @@ class ErrorRates:
     def __post_init__(self):
         for name in ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa"):
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
+            if not _is_number(value):
                 raise AssayDataError(f"{name} must be a number, got {value!r}")
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            if not 0.0 <= value <= 1.0:
                 raise AssayDataError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, float(value))
 
@@ -435,6 +440,9 @@ def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
     for d, lv in enumerate(doc["levels"]):
         if not isinstance(lv, dict):
             raise AssayDataError(f"level {d}: must be an object, got {lv!r}")
+        Y = lv.get("Y", [])
+        if not isinstance(Y, list):
+            raise AssayDataError(f"level {d}: Y must be a list of counts, got {Y!r}")
         try:
             levels.append(
                 DilutionLevelData(
@@ -442,14 +450,12 @@ def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
                     M=lv["M"],
                     M_N=lv["MN"],
                     m=lv["m"],
-                    Y=tuple(lv.get("Y", ())),
+                    Y=tuple(Y),
                     q=lv.get("q"),
                 )
             )
         except KeyError as exc:
             raise AssayDataError(f"level {d}: missing field {exc}") from exc
-        except TypeError as exc:
-            raise AssayDataError(f"level {d}: {exc}") from exc
     assay = MultiDilutionAssay(tuple(levels), doc["n"])
     report = validate(assay)
     if not report.ok:

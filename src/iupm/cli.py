@@ -30,7 +30,7 @@ from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
 from .negbin import IdentifiabilityError, fit_negbin, lrt_from_loglik
-from .simulate import metrics_csv, replicates_csv, run_study, scenario_from_json
+from .simulate import lrt_power_study, metrics_csv, power_csv, replicates_csv, run_study, study_from_json
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -214,25 +214,26 @@ def _cmd_lrt(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario, estimators, comparator = scenario_from_json(_read_input(args.input))
+    study = study_from_json(_read_input(args.input), "scenario" if args.input == "-" else Path(args.input).stem)
+    if args.estimates is not None and (len(study) > 1 or study[0].gammas is not None):
+        raise AssayDataError("--estimates needs a document with one scenario and no gammas")
     if args.seed is not None:
         try:
-            scenario = replace(scenario, seed=args.seed)
+            study = [entry._replace(scenario=replace(entry.scenario, seed=args.seed)) for entry in study]
         except ValueError as exc:
             raise AssayDataError(f"bad --seed: {exc}") from exc
-    out = run_study(
-        scenario,
-        estimators=estimators,
-        comparator=comparator,
-        keep_replicates=args.estimates is not None,
-    )
-    if args.estimates is not None:
-        metrics, reps = out
-        Path(args.estimates).write_text(replicates_csv(reps), encoding="utf-8")
-    else:
-        metrics = out
-    name = "scenario" if args.input == "-" else Path(args.input).stem
-    text = metrics_csv(metrics, name, scenario.truth)
+    chunks = []
+    for name, scenario, estimators, comparator, gammas in study:
+        if gammas is not None:
+            chunks.append(power_csv(lrt_power_study(scenario, gammas), name))
+            continue
+        out = run_study(scenario, estimators=estimators, comparator=comparator, keep_replicates=args.estimates is not None)
+        if args.estimates is not None:
+            out, reps = out
+            Path(args.estimates).write_text(replicates_csv(reps), encoding="utf-8")
+        chunks.append(metrics_csv(out, name, scenario.truth))
+    # one header: every chunk's first line is the same
+    text = chunks[0] + "".join(chunk.split("\n", 1)[1] for chunk in chunks[1:])
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -267,11 +268,18 @@ def _build_parser() -> argparse.ArgumentParser:
     lrt = sub.add_parser("lrt", help="likelihood ratio test for overdispersion")
     add_io(lrt)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo scenario file")
-    sim.add_argument("--input", "-i", required=True, help="scenario JSON path, or - for stdin")
-    sim.add_argument("--output", "-o", default=None, help="metrics CSV path (default stdout)")
-    sim.add_argument("--estimates", default=None, help="also write per-replicate estimates CSV here")
-    sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    sim = sub.add_parser(
+        "simulate",
+        help="run a Monte Carlo scenario file or a study file of named scenarios",
+        description="Run a scenario document, or a study document {\"scenarios\": [{\"name\": ..., ...}, ...]} "
+        "such as data/studies/*.json, and write one CSV for all of its scenarios.",
+    )
+    sim.add_argument("--input", "-i", required=True, help="scenario or study JSON path, or - for stdin")
+    sim.add_argument("--output", "-o", default=None, help="metrics (or power) CSV path (default stdout)")
+    sim.add_argument(
+        "--estimates", default=None, help="also write per-replicate estimates CSV here (one metrics scenario only)"
+    )
+    sim.add_argument("--seed", type=int, default=None, help="override the seed of every scenario")
     return parser
 
 

@@ -13,10 +13,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .assay import AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, detected_lineages, select_lineages, summarize_wells
+from .assay import (
+    AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, _check_count, _is_number, detected_lineages,
+    select_lineages, summarize_wells,
+)
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
@@ -39,9 +43,12 @@ __all__ = [
     "simulate_level",
     "run_study",
     "lrt_power_study",
+    "StudyScenario",
     "scenario_from_json",
     "scenario_to_json",
+    "study_from_json",
     "metrics_csv",
+    "power_csv",
     "replicates_csv",
 ]
 
@@ -293,6 +300,26 @@ def _default_estimators(model: str) -> list[str]:
     return [MLE_WITH_UDSA, BC_MLE_WITH_UDSA, MLE_WITHOUT_UDSA, BC_MLE_WITHOUT_UDSA]
 
 
+def _estimator_names(scenario: SimScenario, estimators: list[str], comparator) -> list[str]:
+    """The estimators and comparator to fit, refusing any that no replicate could satisfy."""
+    names = estimators + ([] if comparator is None or comparator in estimators else [comparator])
+    unknown = [nm for nm in names if not (isinstance(nm, str) and nm in _ALL_ESTIMATORS)]
+    if unknown:
+        raise AssayDataError(f"unknown estimators: {unknown}")
+    if scenario.model != "imperfect" and IMPERFECT_MLE in names:
+        raise AssayDataError("the imperfect-assays estimator needs per-well data (model 'imperfect')")
+    if NB_MLE in names:
+        _check_power_levels(scenario)
+    if IMPERFECT_MLE in names:
+        scenario.rates.check_identifiable()
+    return names
+
+
+def _check_power_levels(scenario: SimScenario):
+    if len(scenario.levels) < 2:
+        raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
+
+
 def run_study(
     scenario: SimScenario,
     estimators=None,
@@ -308,18 +335,7 @@ def run_study(
     raises before any replicate is drawn.
     """
     estimators = list(estimators) if estimators is not None else _default_estimators(scenario.model)
-    names = list(estimators)
-    if comparator is not None and comparator not in names:
-        names.append(comparator)
-    unknown = [nm for nm in names if nm not in _ALL_ESTIMATORS]
-    if unknown:
-        raise AssayDataError(f"unknown estimators: {unknown}")
-    if scenario.model != "imperfect" and IMPERFECT_MLE in names:
-        raise AssayDataError("the imperfect-assays estimator needs per-well data (model 'imperfect')")
-    if NB_MLE in names and len(scenario.levels) < 2:
-        raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
-    if IMPERFECT_MLE in names:
-        scenario.rates.check_identifiable()
+    names = _estimator_names(scenario, estimators, comparator)
     reps = scenario.reps
     columns = {nm: np.full((4, reps), np.nan) for nm in names}
     total_discarded = 0
@@ -362,8 +378,7 @@ def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
     A single-level scenario raises before any replicate is drawn, since no
     replicate could be tested.
     """
-    if len(scenario.levels) < 2:
-        raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
+    _check_power_levels(scenario)
     rows = []
     for gamma in gammas:
         scn = replace(scenario, model="negbin", gamma=float(gamma))
@@ -390,38 +405,151 @@ def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
 # Scenario files and result tables
 
 
-def scenario_from_json(text: str | bytes):
-    """Parse a scenario document; returns (scenario, estimators, comparator)."""
+# what scenario_to_json writes, plus the dispersion values of a power scenario
+_SCENARIO_KEYS = (
+    "T", "n_dvl", "allocation", "levels", "model", "gamma", "rates", "reps", "seed", "estimators", "comparator",
+    "gammas",
+)
+_RATE_KEYS = ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa")
+
+
+class StudyScenario(NamedTuple):
+    """One named scenario of a study document.
+
+    With ``gammas`` it is a power scenario, run by ``lrt_power_study`` at
+    alpha 0.05; without, ``run_study`` summarizes ``estimators``.
+    """
+
+    name: str
+    scenario: SimScenario
+    estimators: list[str] | None
+    comparator: str | None
+    gammas: list[float] | None
+
+
+def _load_object(text: str | bytes) -> dict:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AssayDataError(f"malformed scenario JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise AssayDataError("a scenario or study document must be a JSON object")
+    return doc
+
+
+def _check_keys(where: str, obj: dict, known):
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise AssayDataError(f"{where}unknown key {unknown[0]!r}")
+
+
+def _number(name: str, value) -> float:
     try:
-        levels = tuple(SimLevel(u=float(lv["u"]), M=int(lv["M"]), q=float(lv["q"])) for lv in doc["levels"])
-        rates = ErrorRates(**doc["rates"]) if "rates" in doc else None
+        if _is_number(value):
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise AssayDataError(f"{name} must be a number, got {value!r}")
+
+
+def _parse_scenario(doc: dict) -> tuple:
+    """A scenario object as (scenario, estimators, comparator, gammas).
+
+    A configuration that ``run_study`` or ``lrt_power_study`` would refuse
+    is refused here, so a study fails before any of it runs.
+    """
+    _check_keys("", doc, _SCENARIO_KEYS)
+    levels, rates = doc.get("levels"), doc.get("rates", {})
+    if not (isinstance(levels, list) and levels and all(isinstance(lv, dict) for lv in levels)):
+        raise AssayDataError(f"levels must be a non-empty list of {{u, M, q}} objects, got {levels!r}")
+    if not isinstance(rates, dict):
+        raise AssayDataError(f"rates must be an object with {', '.join(_RATE_KEYS)}, got {rates!r}")
+    for i, lv in enumerate(levels):
+        _check_keys(f"levels[{i}]: ", lv, ("u", "M", "q"))
+    _check_keys("rates: ", rates, _RATE_KEYS)
+    try:
         scenario = SimScenario(
-            truth=float(doc["T"]),
-            n_dvl=int(doc["n_dvl"]),
-            levels=levels,
+            truth=_number("T", doc["T"]),
+            n_dvl=_check_count("n_dvl", doc["n_dvl"], minimum=1),
+            levels=tuple(
+                SimLevel(
+                    u=_number(f"levels[{i}].u", lv["u"]),
+                    M=_check_count(f"levels[{i}].M", lv["M"], minimum=1),
+                    q=_number(f"levels[{i}].q", lv["q"]),
+                )
+                for i, lv in enumerate(levels)
+            ),
             allocation=doc.get("allocation", "constant"),
             model=doc.get("model", "poisson"),
-            gamma=float(doc.get("gamma", 0.0)),
-            rates=rates,
-            reps=int(doc.get("reps", 1000)),
-            seed=int(doc.get("seed", 20230)),
+            gamma=_number("gamma", doc.get("gamma", 0.0)),
+            rates=ErrorRates(**{key: rates[key] for key in _RATE_KEYS}) if "rates" in doc else None,
+            reps=_check_count("reps", doc.get("reps", 1000), minimum=1),
+            seed=_check_count("seed", doc.get("seed", 20230)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise AssayDataError(f"bad scenario: {exc}") from exc
-    estimators, comparator = doc.get("estimators"), doc.get("comparator")
+    except KeyError as exc:
+        raise AssayDataError(f"missing field {exc}") from exc
+    estimators, comparator, gammas = doc.get("estimators"), doc.get("comparator"), doc.get("gammas")
     if estimators is not None and not isinstance(estimators, list):
-        raise AssayDataError("bad scenario: estimators must be a list of names")
-    named = (estimators or []) + ([] if comparator is None else [comparator])
-    bad = [nm for nm in named if not (isinstance(nm, str) and nm in _ALL_ESTIMATORS)]
-    if bad:
-        raise AssayDataError(f"bad scenario: unknown estimators {bad}")
+        raise AssayDataError("estimators must be a list of names")
+    if gammas is None:
+        _estimator_names(scenario, _default_estimators(scenario.model) if estimators is None else estimators, comparator)
+        return scenario, estimators, comparator, None
+    if not (isinstance(gammas, list) and gammas and all(_is_number(g) and 0 <= g < math.inf for g in gammas)):
+        raise AssayDataError(f"gammas must be a non-empty list of non-negative finite numbers, got {gammas!r}")
+    if estimators is not None or comparator is not None:
+        raise AssayDataError("a power scenario (gammas) takes no estimators or comparator")
+    _check_power_levels(scenario)
+    return scenario, None, None, [float(g) for g in gammas]
+
+
+def _parse_plain(doc: dict) -> tuple:
+    try:
+        return _parse_scenario(doc)
+    except ValueError as exc:
+        raise AssayDataError(f"bad scenario: {exc}") from exc
+
+
+def scenario_from_json(text: str | bytes):
+    """Parse a scenario document; returns (scenario, estimators, comparator)."""
+    scenario, estimators, comparator, gammas = _parse_plain(_load_object(text))
+    if gammas is not None:
+        raise AssayDataError("bad scenario: a power scenario (gammas) is read by study_from_json")
     return scenario, estimators, comparator
+
+
+def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScenario]:
+    """Parse a study document, ``{"scenarios": [{"name": ..., <scenario fields>}, ...]}``.
+
+    A plain scenario document is read as a study of one scenario called
+    ``name``.  Names must be distinct, and a study holds either power
+    scenarios only or metrics scenarios only.
+    """
+    doc = _load_object(text)
+    if "scenarios" not in doc:
+        return [StudyScenario(name, *_parse_plain(doc))]
+    _check_keys("study: ", doc, ("scenarios",))
+    entries = doc["scenarios"]
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise AssayDataError("study: scenarios must be a non-empty list of objects")
+    study = []
+    for i, entry in enumerate(entries):
+        fields = {key: value for key, value in entry.items() if key != "name"}
+        label = entry.get("name")
+        try:
+            if not (isinstance(label, str) and label and not any(c in label for c in ',"\r\n')):
+                raise AssayDataError(f"name must be a non-empty string without commas, quotes or line breaks, got {label!r}")
+            study.append(StudyScenario(label, *_parse_scenario(fields)))
+        except ValueError as exc:
+            raise AssayDataError(f"bad scenario {i}: {exc}") from exc
+    names = [entry.name for entry in study]
+    duplicate = next((nm for nm in names if names.count(nm) > 1), None)
+    if duplicate is not None:
+        raise AssayDataError(f"study: scenario name {duplicate!r} is used twice")
+    if len({entry.gammas is None for entry in study}) > 1:
+        raise AssayDataError("study: power scenarios (gammas) and metrics scenarios cannot share one file")
+    return study
 
 
 def scenario_to_json(scenario: SimScenario, estimators=None, comparator=None) -> str:
@@ -477,6 +605,13 @@ def metrics_csv(results: dict[str, SimMetrics], scenario_name: str, truth: float
                 ]
             )
         )
+    return "\n".join(lines) + "\n"
+
+
+def power_csv(rows: list[dict], scenario_name: str) -> str:
+    """``lrt_power_study`` rows as CSV, one per dispersion value."""
+    lines = ["scenario,gamma,power,reps"]
+    lines += [f"{scenario_name},{_fmt(row['gamma'])},{_fmt(row['power'])},{row['reps']}" for row in rows]
     return "\n".join(lines) + "\n"
 
 

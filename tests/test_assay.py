@@ -63,6 +63,15 @@ class TestConstructors:
         with pytest.raises(AssayDataError):
             DilutionLevelData(u=1.0, M=12, M_N=1, m=0, Y=(-2,))
 
+    def test_boolean_u_and_q_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(AssayDataError, match="u must be a positive finite number"):
+                DilutionLevelData(u=flag, M=12, M_N=1, m=0)
+            with pytest.raises(AssayDataError, match="q must lie in"):
+                DilutionLevelData(u=1.0, M=12, M_N=1, m=0, q=flag)
+            with pytest.raises(AssayDataError, match="u must be a positive finite number"):
+                WellAssay(flag, [1, 0], [0, 0], [[0], [0]])
+
     def test_misaligned_lineage_columns_rejected(self):
         lv1 = DilutionLevelData(u=1.0, M=12, M_N=6, m=2, Y=(1, 1))
         lv2 = DilutionLevelData(u=0.5, M=12, M_N=6, m=2, Y=(2,))

@@ -228,8 +228,11 @@ class TestFit:
         [
             ({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 2, "Y": [2], "q": "x"}]}, "q must lie"),
             ({"n": 0, "levels": [5]}, "level 0: must be an object"),
+            ({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 2, "Y": 1}]}, "level 0: Y must be a list of counts"),
+            ({"n": 0, "levels": [{"u": True, "M": 12, "MN": 6, "m": 0}]}, "u must be a positive finite number"),
+            ({"n": 0, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 0, "q": True}]}, "q must lie"),
         ],
-        ids=["string-q", "level-not-object"],
+        ids=["string-q", "level-not-object", "scalar-Y", "boolean-u", "boolean-q"],
     )
     def test_malformed_level_exits_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
@@ -539,10 +542,37 @@ class TestSimulate:
                 },
                 "QVOA sensitivity + specificity must exceed 1",
             ),
+            ({"n_dvl": 2.5}, "n_dvl must be an integer"),
+            ({"levels": [{"u": 1.0, "M": 4.5, "q": 1.0}]}, "levels[0].M must be an integer"),
+            ({"reps": 2.5}, "reps must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"rep": 10}, "unknown key 'rep'"),
+            ({"levels": [{"u": 1.0, "M": 10, "q": 1.0, "m": 3}]}, "levels[0]: unknown key 'm'"),
+            (
+                {
+                    "model": "imperfect",
+                    "rates": {"sens_qvoa": 0.9, "spec_qvoa": 0.9, "sens_udsa": 0.9, "spec_udsa": 0.9, "sens": 1},
+                },
+                "rates: unknown key 'sens'",
+            ),
+            ({"name": "x"}, "unknown key 'name'"),
+            ({"levels": [{"u": True, "M": 10, "q": 1.0}]}, "levels[0].u must be a number"),
+            ({"levels": [{"u": 1.0, "M": 10, "q": False}]}, "levels[0].q must be a number"),
+            ({"model": "imperfect", "rates": [1, 2]}, "rates must be an object with sens_qvoa"),
+            ({"levels": {"u": 1}}, "levels must be a non-empty list of {u, M, q} objects"),
+            ({"gammas": [0.0, 1.0]}, "two dilution levels"),
+            ({"gammas": [-1.0]}, "gammas must be a non-empty list of non-negative finite numbers"),
+            (
+                {"gammas": [0.0], "comparator": "mle-with-udsa", "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
+                "takes no estimators or comparator",
+            ),
         ],
         ids=[
             "unknown-comparator", "imperfect-on-poisson", "odd-non-constant", "single-level-negbin",
-            "boolean-rate", "unidentifiable-rates",
+            "boolean-rate", "unidentifiable-rates", "fractional-n_dvl", "fractional-M", "fractional-reps",
+            "fractional-seed", "unknown-key", "unknown-level-key", "unknown-rate-key", "name-outside-a-study",
+            "boolean-u", "boolean-q", "rates-list", "levels-object", "single-level-power", "negative-gamma",
+            "power-with-comparator",
         ],
     )
     def test_unusable_scenario_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):
@@ -552,6 +582,67 @@ class TestSimulate:
         monkeypatch.setattr("iupm.simulate._simulate_until_regular", no_draws)
         path = self.write_scenario(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def write_study(self, tmp_path, *scenarios, **extra):
+        base = json.loads(self.write_scenario(tmp_path).read_text())
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"scenarios": [{**base, **sc} for sc in scenarios], **extra}))
+        return path
+
+    def test_study_output_is_its_scenarios_run_alone(self, tmp_path, capsys):
+        first, second = {"name": "first"}, {"name": "second", "n_dvl": 2, "seed": 7, "comparator": "mle-with-udsa"}
+        code, out, err = run_cli(capsys, "simulate", "--input", str(self.write_study(tmp_path, first, second)))
+        assert code == 0, err
+        alone = []
+        for sc in (first, second):
+            path = self.write_scenario(tmp_path, **{k: v for k, v in sc.items() if k != "name"})
+            alone.append(run_cli(capsys, "simulate", "--input", str(path.rename(tmp_path / f"{sc['name']}.json")))[1])
+        assert out == alone[0] + alone[1].split("\n", 1)[1]
+
+    def test_seed_overrides_every_scenario(self, tmp_path, capsys):
+        path = self.write_study(tmp_path, {"name": "a", "seed": 1}, {"name": "b", "seed": 2})
+        overridden = run_cli(capsys, "simulate", "--input", str(path), "--seed", "5")
+        path = self.write_study(tmp_path, {"name": "a", "seed": 5}, {"name": "b", "seed": 5})
+        assert overridden[0] == 0 and overridden == run_cli(capsys, "simulate", "--input", str(path))
+
+    def test_power_study_writes_one_row_per_gamma(self, tmp_path, capsys):
+        levels = [{"u": 0.5, "M": 6, "q": 0.0}, {"u": 1.0, "M": 6, "q": 1.0}]
+        path = self.write_study(
+            tmp_path, {"name": "a", "levels": levels, "gammas": [0.0, 2.0]}, {"name": "b", "levels": levels, "gammas": [1.0]}
+        )
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "scenario,gamma,power,reps"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["a", "0.0"], ["a", "2.0"], ["b", "1.0"]]
+
+    @pytest.mark.parametrize(
+        "scenarios, extra, args, message",
+        [
+            ([{"name": "a"}, {"name": "b"}], {}, ["--estimates", "reps.csv"], "--estimates needs a document with one"),
+            ([{"name": "a"}, {"name": "a"}], {}, [], "scenario name 'a' is used twice"),
+            (
+                [{"name": "a"}, {"name": "b", "gammas": [0.0], "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2}],
+                {}, [], "power scenarios (gammas) and metrics scenarios cannot share one file",
+            ),
+            ([{"name": "a"}], {"seed": 1}, [], "study: unknown key 'seed'"),
+            ([{"name": "a", "rep": 10}], {}, [], "bad scenario 0: unknown key 'rep'"),
+            ([{"name": "a"}, {"name": "b,c"}], {}, [], "bad scenario 1: name must be a non-empty string"),
+        ],
+        ids=["estimates-with-two", "duplicate-names", "power-and-metrics", "unknown-study-key",
+             "unknown-scenario-key", "comma-in-name"],
+    )
+    def test_unusable_study_exits_2(self, tmp_path, capsys, monkeypatch, scenarios, extra, args, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr("iupm.simulate._simulate_until_regular", no_draws)
+        monkeypatch.chdir(tmp_path)
+        path = self.write_study(tmp_path, *scenarios, **extra)
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path), *args)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and message in err

@@ -1,4 +1,4 @@
-"""Random summary-json, wells-csv and scenario documents through ``cli.main``.
+"""Random summary-json, wells-csv, scenario and study documents through ``cli.main``.
 
 Each document starts from a well-formed one of tiny size (M <= 12, reps <= 3)
 and may have one field replaced by a junk value.  Whatever the input, the
@@ -102,7 +102,7 @@ def wells_documents(draw):
 
 
 @st.composite
-def scenario_documents(draw):
+def scenario_fields(draw, power=False):
     model = draw(st.sampled_from(["poisson", "negbin", "imperfect"]))
     doc = {
         "T": draw(st.sampled_from([0.05, 0.5, 1.0, 3.0])),
@@ -121,13 +121,37 @@ def scenario_documents(draw):
     if model == "imperfect":
         rate = st.sampled_from([0.5, 0.8, 1.0])
         doc["rates"] = {k: draw(rate) for k in ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa")}
+    if power:
+        doc["gammas"] = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=2))
+        return doc
     if draw(st.booleans()):
         doc["estimators"] = draw(st.lists(st.sampled_from(ESTIMATORS), min_size=1, max_size=3, unique=True))
     if draw(st.booleans()):
         doc["comparator"] = draw(st.sampled_from(ESTIMATORS))
-    doc = _mutate(draw, doc)
+    return doc
+
+
+def _fewer_reps(doc):
     doc.setdefault("reps", 1)  # the default of 1000 replicates would take seconds
+
+
+@st.composite
+def scenario_documents(draw):
+    doc = _mutate(draw, draw(scenario_fields(power=draw(st.integers(0, 3)) == 0)))
+    _fewer_reps(doc)
     return json.dumps(doc)
+
+
+@st.composite
+def study_documents(draw):
+    """Two named scenarios; now and then their names clash, or power and metrics scenarios mix."""
+    power, mixed = draw(st.integers(0, 3)) == 0, draw(st.integers(0, 5)) == 0
+    names = ["a", draw(st.sampled_from(["a", "b", "c", "d", "e"]))]
+    scenarios = [{"name": nm, **draw(scenario_fields(power=pw))} for nm, pw in zip(names, [power, power != mixed])]
+    _mutate(draw, draw(st.sampled_from(scenarios)))
+    for scenario in scenarios:
+        _fewer_reps(scenario)
+    return json.dumps({"scenarios": scenarios})
 
 
 def run(tmp_path, name, text, args):
@@ -165,6 +189,6 @@ def test_wells_csv(tmp_path_factory, doc, args):
 
 
 @FUZZ
-@given(doc=scenario_documents())
+@given(doc=st.one_of(scenario_documents(), study_documents()))
 def test_scenario(tmp_path_factory, doc):
     run(tmp_path_factory.mktemp("fuzz"), "scenario.json", doc, ["simulate"])

@@ -1,29 +1,31 @@
-"""Smoke test: every script in scripts/ runs on its smallest grid."""
+"""Smoke tests: every script in scripts/ runs, and every study file in
+data/studies/ parses and runs its first scenario through ``iupm simulate``."""
 
+import contextlib
+import io
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from iupm.cli import main
+from iupm.simulate import study_from_json
 
-STUDY_HEADER = "scenario,estimator,truth,n_used,discarded,bias,ase,ese,cp,re"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+STUDIES = ROOT / "data" / "studies"
 
-CASES = {
-    "fit_subjects.py": ([], "subject mle ci bc-mle ci"),
-    "single_dilution_study.py": (
-        ["--n-dvl", "2", "--wells", "6", "--q", "1.0", "--reps", "2"], STUDY_HEADER
-    ),
-    "multi_dilution_study.py": (["--n-dvl", "2", "--sizes", "small", "--reps", "2"], STUDY_HEADER),
-    "overdispersion_power.py": (
-        ["--n-dvl", "2", "--gammas", "0.0", "--sizes", "small", "--reps", "2"],
-        "wells,gamma,power,reps",
-    ),
-    "imperfect_assay_study.py": (
-        ["--n-dvl", "2", "--wells", "6", "--sens", "0.9", "--reps", "2"],
-        "M,sens,spec,estimator,bias,ase,cp,n_used",
-    ),
+METRICS_HEADER = "scenario,estimator,truth,n_used,discarded,bias,ase,ese,cp,re"
+
+CASES = {"fit_subjects.py": ([], "subject mle ci bc-mle ci")}
+
+STUDY_HEADERS = {
+    "single_dilution.json": METRICS_HEADER,
+    "multi_dilution.json": METRICS_HEADER,
+    "overdispersion_power.json": "scenario,gamma,power,reps",
+    "imperfect_assay.json": METRICS_HEADER,
 }
 
 
@@ -44,3 +46,28 @@ def test_script_runs_on_smallest_grid(script):
     lines = proc.stdout.splitlines()
     assert " ".join(lines[0].split()) == header
     assert len(lines) >= 2
+
+
+def test_every_study_is_covered():
+    assert sorted(p.name for p in STUDIES.glob("*.json")) == sorted(STUDY_HEADERS)
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_HEADERS))
+def test_study_parses(study):
+    doc = json.loads((STUDIES / study).read_text())
+    parsed = study_from_json((STUDIES / study).read_text())
+    assert [entry.name for entry in parsed] == [sc["name"] for sc in doc["scenarios"]]
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_HEADERS))
+def test_study_runs_first_scenario(study, tmp_path):
+    first = json.loads((STUDIES / study).read_text())["scenarios"][0]
+    path = tmp_path / study
+    path.write_text(json.dumps({"scenarios": [{**first, "reps": 2}]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simulate", "--input", str(path)])
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == STUDY_HEADERS[study]
+    assert len(lines) >= 2 and all(line.startswith(first["name"] + ",") for line in lines[1:])
