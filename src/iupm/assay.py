@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -425,13 +426,24 @@ def restrict_to_detected(levels) -> MultiDilutionAssay:
 # summary-json
 
 
-def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
+def _too_long() -> str:
+    return f"a number of more than {sys.get_int_max_str_digits()} digits is too long"
+
+
+def _load_json(text: str | bytes, what: str = "JSON"):
+    """The document in ``text``; a JSON or number error becomes AssayDataError."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise AssayDataError(f"malformed JSON: {exc}") from exc
+        raise AssayDataError(f"malformed {what}: {exc}") from exc
+    except ValueError:  # an integer literal past the integer-string limit
+        raise AssayDataError(f"malformed {what}: {_too_long()}") from None
+
+
+def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "n" not in doc or "levels" not in doc:
         raise AssayDataError('summary-json must be an object with "n" and "levels"')
     if not isinstance(doc["levels"], list) or not doc["levels"]:
@@ -520,12 +532,12 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
         zcells = [c.strip() for c in row[4:]]
         try:
             u = float(row[1])
-            w_star = int(row[2])
-            r = int(row[3])
+            w_star = _int_cell(row[2])
+            r = _int_cell(row[3])
             if r == 1:
                 if any(c == "" for c in zcells):
                     raise AssayDataError("sequenced well has blank z cells")
-                z_star = [int(c) for c in zcells]
+                z_star = [_int_cell(c) for c in zcells]
             else:
                 if any(c != "" for c in zcells):
                     raise AssayDataError("unsequenced well must leave z cells blank")
@@ -542,6 +554,15 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
         raise AssayDataError("wells-csv contains no well rows")
     levels = [(u, np.array(rows, dtype=int)) for u, rows in groups.items()]
     return [WellAssay(u, rows[:, 0], rows[:, 1], rows[:, 2:], labels[u]) for u, rows in levels]
+
+
+def _int_cell(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        if len(cell.strip()) > sys.get_int_max_str_digits() > 0:
+            raise ValueError(_too_long()) from None
+        raise
 
 
 def wells_to_csv(assays, dvl_ids=None) -> str:

@@ -65,50 +65,21 @@ class FitResult:
     active_lower: tuple[int, ...] = field(default_factory=tuple)
 
 
-_BLOCK = 4096
-
-
-@lru_cache(maxsize=1)
-def _lgamma_table(M: int) -> dict[int, np.ndarray]:
-    """lgamma(j) for j = 0..M + 1 in blocks of _BLOCK, each entry NaN until a row asks for it.
-
-    Windows at different Lambda overlap, and the levels of one assay often
-    share M, so lgamma is evaluated once per argument per M, never more often
-    than a whole row would need.  Only the blocks a window touches are
-    allocated, so a large M does not hold a table of M + 2 entries.
-    """
-    return {}
-
-
-def _lgammas(table: dict[int, np.ndarray], M: int, start: int, stop: int) -> np.ndarray:
-    """lgamma(j) for j = start..stop - 1, filling in the entries still missing."""
-    parts = []
-    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
-        if b not in table:
-            table[b] = np.full(min(_BLOCK, M + 2 - b * _BLOCK), np.nan)
-        first = max(start - b * _BLOCK, 0)
-        part = table[b][first:stop - b * _BLOCK]
-        todo = np.flatnonzero(np.isnan(part))
-        args = (todo + (b * _BLOCK + first)).tolist()
-        part[todo] = np.fromiter(map(math.lgamma, args), dtype=float, count=todo.size)
-        parts.append(part)
-    return np.concatenate(parts)
-
-
 @lru_cache(maxsize=8)
 def _log_binom_row(M: int, lo: int, hi: int) -> np.ndarray:
-    """log C(M, k) for k = lo..hi, each entry from lgamma.
+    """log C(M, k) for k = lo..hi, each entry from lgamma as in :func:`iupm.special.log_binom`.
 
     A cumulative log-sum would be cheaper but drifts (about 4e-10 relative at
-    M = 200 000).  The information and the bias terms visit the levels of an
-    assay in turn, so the cache keeps a row for each level of an assay of up
-    to eight levels; for M <= 380 the window, and so the row, does not depend
-    on Lambda.  A row has at most 2 sqrt(380 M) + 2 entries.
+    M = 200 000).  lgamma is evaluated on the window's two index ranges only,
+    so a row has at most 2 sqrt(380 M) + 2 entries.  The information and the
+    bias terms visit the levels of an assay in turn, so the cache keeps a row
+    for each level of an assay of up to eight levels; for M <= 380 the window,
+    and so the row, does not depend on Lambda.
     """
-    table = _lgamma_table(M)
-    lg_k = _lgammas(table, M, lo + 1, hi + 2)
-    lg_rest = _lgammas(table, M, M - hi + 1, M - lo + 2)
-    row = (_lgammas(table, M, M + 1, M + 2)[0] - lg_k) - lg_rest[::-1]
+    size = hi - lo + 1
+    lg_k = np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), dtype=float, count=size)
+    lg_rest = np.fromiter(map(math.lgamma, range(M - hi + 1, M - lo + 2)), dtype=float, count=size)
+    row = (math.lgamma(M + 1) - lg_k) - lg_rest[::-1]
     row.flags.writeable = False
     return row
 
@@ -138,10 +109,10 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     term's Lambda-derivative is its weight times j s/p - k, and (j-1) s/p - k
     for F.
 
-    Only the counts in :func:`_nonzero_window` are evaluated.  Their terms are
-    scattered back into zeros of length M + 1 before the two dot products, so
-    the BLAS sums add the same products at the same positions as a pass over
-    every count would, and the results are the same to the bit.  The sums are
+    Only the counts in :func:`_nonzero_window` are evaluated; every other
+    weight is 0.0 in floats.  For M <= 380 the window is the whole row, so the
+    sums are those of a pass over every count to the bit; above that the dot
+    products add the same nonzero terms in other groupings.  The sums are
     memoized, so the bias term reuses the pass that the information of the
     same fit made at the same rates.
     """
@@ -159,13 +130,8 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     log_w += pos * log1mexp(Lambda)
     w = np.exp(log_w, out=log_w)
     seq = np.rint(q * pos)
-    ws = w * seq
-    slope = pos * r - k
-    a, b = np.zeros(M + 1), np.zeros(M + 1)
-    a[lo:hi + 1], b[lo:hi + 1] = w, seq
-    Em = float(a @ b)
-    a[lo:hi + 1], b[lo:hi + 1] = ws, slope
-    dEm = float(a @ b)
+    Em = float(w @ seq)
+    dEm = float((w * seq) @ (pos * r - k))
     return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
@@ -181,7 +147,7 @@ def fisher_information(lam, M: int, q: float) -> np.ndarray:
         raise ValueError("fisher_information requires strictly positive rates")
     Lam = float(lam.sum())
     Em, F, _, _ = _binomial_sums(Lam, M, q)
-    common = expm1_ratio(M - M * math.exp(-Lam) - Em, Lam, 2)
+    common = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 2)
     diag = expm1_ratio(-np.expm1(-lam) * F, lam, 2) + common
     matrix = np.full((lam.size, lam.size), common)
     np.fill_diagonal(matrix, diag)
@@ -210,10 +176,9 @@ def _information_derivative(lam, M: int, q: float):
     if np.any(lam <= 0):
         raise ValueError("the information derivative requires strictly positive rates")
     Lam = float(lam.sum())
-    s = math.exp(-Lam)
     Em, F, dEm, dF = _binomial_sums(Lam, M, q)
-    third_common = expm1_ratio(M - M * s - Em, Lam, 3)
-    d_common = expm1_ratio(M * s - dEm, Lam, 2) - third_common
+    third_common = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 3)
+    d_common = expm1_ratio(M * math.exp(-Lam) - dEm, Lam, 2) - third_common
     third_diag = expm1_ratio(-np.expm1(-lam) * F, lam, 3) + third_common
     return d_common, expm1_ratio(dF, lam, 1), expm1_ratio(F, lam, 2), third_common, third_diag
 
@@ -338,14 +303,6 @@ def _lineage_model(assay: MultiDilutionAssay):
     return partial(multi_log_likelihood, assay=assay), grad, grad_hess, _initial_theta(assay), information
 
 
-def _expm1(x: float) -> float:
-    """e^x - 1, or inf where it passes the float range."""
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
-
-
 def _total_model(levels):
     """The total rate T of an assay without sequencing data (n = 0), in phi = log(T).
 
@@ -363,7 +320,7 @@ def _total_model(levels):
 
     def grad(phi):
         T = float(np.exp(phi[0]))
-        g = sum(lv.u * ((lv.M - lv.M_N) / _expm1(lv.u * T) - lv.M_N) for lv in levels)
+        g = sum(lv.u * (expm1_ratio(lv.M - lv.M_N, lv.u * T, 1) - lv.M_N) for lv in levels)
         return np.array([T * g])
 
     def grad_hess(phi):
@@ -375,7 +332,7 @@ def _total_model(levels):
 
     def information(tau):
         T = float(tau[0])
-        return np.array([[sum(lv.u * lv.u * lv.M / _expm1(lv.u * T) for lv in levels)]])
+        return np.array([[sum(expm1_ratio(lv.u * lv.u * lv.M, lv.u * T, 1) for lv in levels)]])
 
     seeds = [math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M]
     T0 = float(np.mean(seeds)) if seeds else 0.5

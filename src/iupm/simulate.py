@@ -19,7 +19,7 @@ import numpy as np
 
 from .assay import (
     AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, _check_count, _is_number, detected_lineages,
-    select_lineages, summarize_wells,
+    _load_json, select_lineages, summarize_wells,
 )
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
@@ -428,15 +428,15 @@ class StudyScenario(NamedTuple):
 
 
 def _load_object(text: str | bytes) -> dict:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AssayDataError(f"malformed scenario JSON: {exc}") from exc
+    doc = _load_json(text, "scenario JSON")
     if not isinstance(doc, dict):
         raise AssayDataError("a scenario or study document must be a JSON object")
     return doc
+
+
+def _check_name(label, what: str = "name") -> None:
+    if not (isinstance(label, str) and label and not any(c in label for c in ',"\r\n')):
+        raise AssayDataError(f"{what} must be a non-empty string without commas, quotes or line breaks, got {label!r}")
 
 
 def _check_keys(where: str, obj: dict, known):
@@ -528,6 +528,7 @@ def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScen
     """
     doc = _load_object(text)
     if "scenarios" not in doc:
+        _check_name(name, "a plain scenario document is named after its file, whose stem")
         return [StudyScenario(name, *_parse_plain(doc))]
     _check_keys("study: ", doc, ("scenarios",))
     entries = doc["scenarios"]
@@ -538,8 +539,7 @@ def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScen
         fields = {key: value for key, value in entry.items() if key != "name"}
         label = entry.get("name")
         try:
-            if not (isinstance(label, str) and label and not any(c in label for c in ',"\r\n')):
-                raise AssayDataError(f"name must be a non-empty string without commas, quotes or line breaks, got {label!r}")
+            _check_name(label)
             study.append(StudyScenario(label, *_parse_scenario(fields)))
         except ValueError as exc:
             raise AssayDataError(f"bad scenario {i}: {exc}") from exc

@@ -195,7 +195,8 @@ def _reference_log_binom_row(M: int) -> np.ndarray:
 def reference_binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
     """The expected-information sums as first vectorized, over every count
     k = 0..M: the oracle the windowed ``_binomial_sums`` must match bit for
-    bit."""
+    bit where the window is the whole row (M <= 380), and within the
+    rounding of ``reference_sum_scales`` above."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     if Lambda <= 0.0 or q == 0.0:
@@ -221,6 +222,17 @@ def reference_binomial_weights(Lambda: float, M: int) -> np.ndarray:
     log_w = _reference_log_binom_row(M) + k * -Lambda
     log_w += (M - k) * _reference_log1mexp(Lambda)
     return np.exp(log_w, out=log_w)
+
+
+def reference_sum_scales(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
+    """The sums of the absolute terms of (Em, F, dEm, dF) in
+    ``reference_binomial_sums``: the scale of their rounding error."""
+    k = np.arange(M + 1, dtype=float)
+    ws = reference_binomial_weights(Lambda, M) * np.rint(q * (M - k))
+    p = -math.expm1(-Lambda)
+    r = math.exp(-Lambda) / p
+    Em, slope = float(ws.sum()), float(np.abs(ws * ((M - k) * r - k)).sum())
+    return Em, Em / p, slope, (slope + r * Em) / p
 
 
 # The solver layer as it stood with two BFGS loops and three Newton polishers:

@@ -7,6 +7,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +81,20 @@ def test_every_solver_function_is_imported_by_the_package():
     }
     solvers = [name for name in optimize.__all__ if inspect.isfunction(getattr(optimize, name))]
     assert solvers and [name for name in solvers if name not in imported] == []
+
+
+def test_every_function_is_mentioned_elsewhere_in_the_package():
+    """A module-level function whose name appears on no line of the package
+    but its own ``def`` is dead code, public or private."""
+    lines = {}
+    for path in Path(iupm.__file__).parent.glob("*.py"):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            lines[path, lineno] = set(re.findall(r"\w+", line))
+    dead = [
+        f"{path.name}:{node.name}"
+        for path in sorted(Path(iupm.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(node.name in words for key, words in lines.items() if key != (path, node.lineno))
+    ]
+    assert dead == []

@@ -125,6 +125,18 @@ class TestBiasTerm:
         assert bc.bias[0] == pytest.approx(1.0 / 24.0, rel=1e-6)
         assert bc.iupm == pytest.approx(math.log(2.0) - 1.0 / 24.0, rel=1e-6)
 
+    def test_no_sequencing_closed_form_at_small_rates(self):
+        # the total-only bias is (e^{uT} - 1) / (2 u M); a = d_common +
+        # third_common / 2 cancels to -M / (2t) from terms of size M / t^2,
+        # which leaves a relative error of a few ulps over uT
+        M = 24
+        for u in (0.5, 1.0, 2.0):
+            for x in np.geomspace(1e-8, 5.0, 100):
+                cov = np.array([[math.expm1(x) / (u * u * M)]])
+                bias = bias_term(cov, a_matrices(np.array([x / u]), [(u, M, 0.0)]))[0]
+                closed = math.expm1(x) / (2.0 * u * M)
+                assert bias == pytest.approx(closed, rel=2e-15 / x, abs=0.0), (u, x)
+
     def test_vanishes_as_information_grows(self):
         tau = np.array([0.4, 0.3])
         comps = a_matrices(tau, [(1.0, 24, 1.0)])

@@ -177,6 +177,21 @@ class TestFit:
         code, _, _ = run_cli(capsys, "fit", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("long.json", '{"n": 1%s, "levels": []}' % ("0" * 5000)),
+            ("long.csv", "well,u,w_star,r,z_1\n0,1.0,1%s,1,1\n" % ("0" * 5000)),
+        ],
+        ids=["summary-json", "wells-csv"],
+    )
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "digits is too long" in err and "set_int_max_str_digits" not in err
+
     def test_missing_rate_flags_exit_2(self, tmp_path, capsys):
         path = tmp_path / "wells.csv"
         path.write_text("well,u,w_star,r,z_1\n0,1.0,1,1,1\n1,1.0,0,0,\n")
@@ -512,6 +527,19 @@ class TestSimulate:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--input", "/nonexistent/path.json")
         assert code == 2
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"T": 1.0, "reps": 1%s}' % ("0" * 5000))
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "digits is too long" in err and "set_int_max_str_digits" not in err
+
+    def test_plain_scenario_file_stem_must_be_a_valid_name(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path).rename(tmp_path / "a,b.json")
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "named after its file" in err and "'a,b'" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**63)])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
