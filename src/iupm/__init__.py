@@ -16,12 +16,10 @@ from .assay import (
     MultiDilutionAssay,
     ValidationReport,
     WellAssay,
-    parse_assay,
     parse_summary_json,
     parse_wells_csv,
     restrict_to_detected,
     summarize_well_assay,
-    summarize_wells,
     to_summary_json,
     validate,
     wells_to_csv,
@@ -86,7 +84,6 @@ from .simulate import (
     allocate_rates,
     lrt_power_study,
     run_study,
-    scenario_from_json,
     scenario_to_json,
     simulate_level,
     study_from_json,

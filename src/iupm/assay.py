@@ -12,8 +12,11 @@ The estimators consume immutable summary objects:
   read-only integer arrays over the level's M wells and n lineage columns:
   ``w_star`` (M,) the QVOA readings, ``r`` (M,) the sequenced wells, and
   ``z_star`` (M, n) the UDSA readings, zero in unsequenced rows.  The CSV
-  parser, the simulator, the summaries and the imperfect likelihood all
-  use this one layout.
+  parser and the simulator produce this one layout, and the imperfect
+  likelihood reads it.  Its constructor is the one check of the readings,
+  :func:`restrict_to_detected` the one rule for dropping lineage columns
+  that no well detects, and :func:`summarize_well_assay` the one way to the
+  counts of a :class:`DilutionLevelData`.
 
 Two file formats are supported:
 
@@ -30,7 +33,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,10 +48,8 @@ __all__ = [
     "ErrorRates",
     "ValidationReport",
     "validate",
-    "summarize_wells",
     "summarize_well_assay",
     "restrict_to_detected",
-    "parse_assay",
     "parse_summary_json",
     "parse_wells_csv",
     "to_summary_json",
@@ -362,64 +363,33 @@ def validate(assay: MultiDilutionAssay) -> ValidationReport:
     return report
 
 
-def summarize_wells(u, W, Z, R, q: float | None = None, n_dvl: int | None = None) -> DilutionLevelData:
-    """Collapse per-well indicators to the sufficient statistics.
-
-    ``W`` and ``R`` are length-M 0/1 vectors: QVOA-positive and sequenced
-    wells.  ``Z`` is an (M, n) 0/1 matrix whose unsequenced rows are ignored,
-    or None when no well was sequenced (n is then ``n_dvl``, default 0).
-    Counts: M_N = M - sum(W) negative wells, m = sum(R) sequenced positive
-    wells, and Y = the column sums of Z over the sequenced rows.
-    """
-    W = np.asarray(W, dtype=int)
-    R = np.asarray(R, dtype=int)
-    if W.ndim != 1 or R.shape != W.shape:
-        raise AssayDataError("W and R must be equal-length 1-D indicator vectors")
-    _reject_first_well(~(_is_indicator(W) & _is_indicator(R)), "W and R must be 0/1 indicators")
-    _reject_first_well((R == 1) & (W == 0), "sequencing is only applied to QVOA-positive wells")
-    if Z is None:
-        _reject_first_well(R == 1, "sequenced (R=1) but no z row provided")
-        Z = np.zeros((W.size, n_dvl or 0), dtype=int)
-    try:
-        Z = np.asarray(Z, dtype=int)
-    except (TypeError, ValueError) as exc:
-        raise AssayDataError(f"Z must be an (M, n) 0/1 matrix: {exc}") from None
-    if Z.ndim != 2 or len(Z) != W.size or n_dvl not in (None, Z.shape[1]):
-        raise AssayDataError(f"Z must have {W.size} rows of {n_dvl or 'n'} lineage columns, got shape {Z.shape}")
-    M, Y = W.size, (R @ Z).tolist()
-    return DilutionLevelData(u=u, M=M, M_N=M - int(W.sum()), m=int(R.sum()), Y=tuple(Y), q=q)
-
-
 def summarize_well_assay(wa: WellAssay, q: float | None = None) -> DilutionLevelData:
-    """Summaries of a per-well assay, treating the readings as error-free."""
-    return summarize_wells(wa.u, wa.w_star, wa.z_star, wa.r, q=q)
+    """The sufficient statistics of one level's readings, treated as error-free.
 
-
-def detected_lineages(levels) -> list[int]:
-    """Indices of the lineage columns that some level detects (pooled Y >= 1)."""
-    if not levels:
-        raise AssayDataError("an assay needs at least one dilution level")
-    n_full = levels[0].n
-    if any(lv.n != n_full for lv in levels):
-        raise AssayDataError("levels disagree on the number of lineage columns")
-    pooled = np.sum([lv.y_array() for lv in levels], axis=0) if n_full else np.zeros(0)
-    return np.flatnonzero(pooled >= 1).tolist()
-
-
-def select_lineages(levels, keep: list[int]) -> MultiDilutionAssay:
-    """Assemble an assay from the given lineage columns of each level."""
-    return MultiDilutionAssay(tuple(replace(lv, Y=tuple(lv.Y[i] for i in keep)) for lv in levels), len(keep))
-
-
-def restrict_to_detected(levels) -> MultiDilutionAssay:
-    """Assemble an assay keeping only lineages detected at some level.
-
-    Simulated or summarized data may carry all-zero lineage columns; the
-    estimators operate on the detected set, and dropping a never-detected
-    lineage leaves the maximum-likelihood total unchanged.
+    M_N = M - sum(w*) negative wells, m = sum(r) sequenced wells, and
+    Y = r @ z*, each lineage's count of sequenced wells that detect it.
     """
-    levels = list(levels)
-    return select_lineages(levels, detected_lineages(levels))
+    Y = (wa.r @ wa.z_star).tolist()
+    return DilutionLevelData(u=wa.u, M=wa.M, M_N=wa.M - int(wa.w_star.sum()), m=wa.m_star, Y=tuple(Y), q=q)
+
+
+def restrict_to_detected(wells) -> list[WellAssay]:
+    """The levels with only the lineage columns that some sequenced well detects.
+
+    Simulated or recorded wells may carry lineage columns that no well
+    detects; the estimators operate on the detected set, and dropping a
+    never-detected lineage leaves the maximum-likelihood total unchanged.
+    When every column is detected the levels are returned as given.
+    """
+    wells = list(wells)
+    if not wells:
+        raise AssayDataError("an assay needs at least one dilution level")
+    if any(wa.n != wells[0].n for wa in wells):
+        raise AssayDataError("levels disagree on the number of lineage columns")
+    detected = np.any([wa.z_star.any(axis=0) for wa in wells], axis=0)
+    if detected.all():
+        return wells
+    return [WellAssay(wa.u, wa.w_star, wa.r, wa.z_star[:, detected], wa.labels) for wa in wells]
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +400,17 @@ def _too_long() -> str:
     return f"a number of more than {sys.get_int_max_str_digits()} digits is too long"
 
 
+def _decode(data: str | bytes) -> str:
+    """Input as text: bytes are UTF-8, and a leading byte-order mark is dropped."""
+    if isinstance(data, bytes):
+        return data.decode("utf-8-sig")
+    return data.removeprefix("\ufeff")
+
+
 def _load_json(text: str | bytes, what: str = "JSON"):
     """The document in ``text``; a JSON or number error becomes AssayDataError."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        return json.loads(text)
+        return json.loads(_decode(text))
     except json.JSONDecodeError as exc:
         raise AssayDataError(f"malformed {what}: {exc}") from exc
     except ValueError:  # an integer literal past the integer-string limit
@@ -496,9 +471,7 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
     are identified by the ``z_<id>`` header names and shared by all levels.
     Well ids must be unique across the file.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_decode(text)))
     try:
         header = next(reader)
     except StopIteration:
@@ -565,16 +538,15 @@ def _int_cell(cell: str) -> int:
         raise
 
 
-def wells_to_csv(assays, dvl_ids=None) -> str:
+def wells_to_csv(assays) -> str:
+    """Levels as one wells-csv, with wells numbered from 0 and lineages z_1..z_n."""
     assays = list(assays)
     if not assays:
         raise AssayDataError("nothing to serialize")
     n = assays[0].n
-    if dvl_ids is None:
-        dvl_ids = [str(i + 1) for i in range(n)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["well", "u", "w_star", "r"] + [f"z_{d}" for d in dvl_ids])
+    writer.writerow(["well", "u", "w_star", "r"] + [f"z_{i + 1}" for i in range(n)])
     well_id = 0
     for wa in assays:
         for w_star, r, z_star in zip(wa.w_star.tolist(), wa.r.tolist(), wa.z_star.tolist()):
@@ -582,11 +554,3 @@ def wells_to_csv(assays, dvl_ids=None) -> str:
             well_id += 1
     return buf.getvalue()
 
-
-def parse_assay(data: str | bytes, format: str):
-    """Dispatch on format: ``summary-json`` or ``wells-csv``."""
-    if format == "summary-json":
-        return parse_summary_json(data)
-    if format == "wells-csv":
-        return parse_wells_csv(data)
-    raise AssayDataError(f"unknown format {format!r}")

@@ -128,9 +128,8 @@ def _load_perfect_assay(args) -> MultiDilutionAssay:
     if fmt == "summary-json":
         assay = parse_summary_json(text)
     else:
-        wells = parse_wells_csv(text)
-        levels = [summarize_well_assay(wa) for wa in wells]
-        assay = restrict_to_detected(levels)
+        wells = restrict_to_detected(parse_wells_csv(text))
+        assay = MultiDilutionAssay(tuple(map(summarize_well_assay, wells)), wells[0].n)
         report = validate(assay)
         if not report.ok:
             raise AssayDataError(str(report))

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .assay import (
-    AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, _check_count, _is_number, detected_lineages,
-    _load_json, select_lineages, summarize_wells,
+    AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, _check_count, _is_number, _load_json,
+    restrict_to_detected, summarize_well_assay,
 )
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
@@ -44,7 +44,6 @@ __all__ = [
     "run_study",
     "lrt_power_study",
     "StudyScenario",
-    "scenario_from_json",
     "scenario_to_json",
     "study_from_json",
     "metrics_csv",
@@ -157,11 +156,10 @@ def _rng_for(seed: int, rep: int) -> np.random.Generator:
 
 
 def simulate_level(tau, u, M, q, rng, model="poisson", gamma=0.0, rates=None):
-    """Draw one dilution level.
+    """Draw one dilution level's per-well readings over all underlying lineages.
 
-    Returns a DilutionLevelData summary over all underlying lineages; the
-    imperfect model additionally returns the per-well assay, as the second
-    element of a tuple.  The sequenced subset is a uniform draw without
+    Returns the level's WellAssay; under the imperfect model it holds the
+    error-prone readings.  The sequenced subset is a uniform draw without
     replacement among the (observed-)positive wells of size nearest-integer
     q times their count.
     """
@@ -190,50 +188,29 @@ def simulate_level(tau, u, M, q, rng, model="poisson", gamma=0.0, rates=None):
     R = np.zeros(M, dtype=int)
     if m > 0:
         R[rng.choice(pos_idx, size=m, replace=False)] = 1
-    summary = summarize_wells(u, observed_w, observed_z, R, q=q)
-    if model != "imperfect":
-        return summary
-    return summary, WellAssay(u, observed_w, R, observed_z * R[:, None])
+    return WellAssay(u, observed_w, R, observed_z * R[:, None])
 
 
 @dataclass
 class SimDraw:
+    """One replicate, restricted to the detected lineages: the summaries, and
+    for the imperfect model the per-well readings they came from (None for
+    the other models, whose estimators need the summaries only)."""
+
     assay: MultiDilutionAssay
     well_assays: tuple[WellAssay, ...] | None = None
-
-
-def _restrict_well_assay(wa: WellAssay, keep: list[int]) -> WellAssay:
-    if len(keep) == wa.n:
-        return wa
-    return WellAssay(wa.u, wa.w_star, wa.r, wa.z_star[:, keep])
-
-
-def _assemble_draw(levels, wells) -> SimDraw:
-    keep = detected_lineages(levels)
-    assay = select_lineages(levels, keep)
-    if not wells:
-        return SimDraw(assay=assay)
-    return SimDraw(assay=assay, well_assays=tuple(_restrict_well_assay(wa, keep) for wa in wells))
 
 
 def _simulate_until_regular(scenario: SimScenario, rng, max_attempts: int = 10_000):
     """Draw an assay, rejecting the divergent all-positive/single-lineage case."""
     tau = allocate_rates(scenario.truth, scenario.n_dvl, scenario.allocation)
     for attempt in range(max_attempts):
-        levels = []
-        wells = []
-        for lv in scenario.levels:
-            out = simulate_level(
-                tau, lv.u, lv.M, lv.q, rng,
-                model=scenario.model, gamma=scenario.gamma, rates=scenario.rates,
-            )
-            if scenario.model == "imperfect":
-                summary, wa = out
-                wells.append(wa)
-            else:
-                summary = out
-            levels.append(summary)
-        draw = _assemble_draw(levels, wells)
+        wells = restrict_to_detected([
+            simulate_level(tau, lv.u, lv.M, lv.q, rng, model=scenario.model, gamma=scenario.gamma, rates=scenario.rates)
+            for lv in scenario.levels
+        ])
+        levels = tuple(summarize_well_assay(wa, lv.q) for wa, lv in zip(wells, scenario.levels))
+        draw = SimDraw(MultiDilutionAssay(levels, wells[0].n), tuple(wells) if scenario.model == "imperfect" else None)
         if classify_extreme(draw.assay) is not ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
             return draw, attempt
     raise AssayDataError(f"scenario produced {max_attempts} divergent assays in a row; refusing to loop forever")
@@ -504,21 +481,6 @@ def _parse_scenario(doc: dict) -> tuple:
     return scenario, None, None, [float(g) for g in gammas]
 
 
-def _parse_plain(doc: dict) -> tuple:
-    try:
-        return _parse_scenario(doc)
-    except ValueError as exc:
-        raise AssayDataError(f"bad scenario: {exc}") from exc
-
-
-def scenario_from_json(text: str | bytes):
-    """Parse a scenario document; returns (scenario, estimators, comparator)."""
-    scenario, estimators, comparator, gammas = _parse_plain(_load_object(text))
-    if gammas is not None:
-        raise AssayDataError("bad scenario: a power scenario (gammas) is read by study_from_json")
-    return scenario, estimators, comparator
-
-
 def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScenario]:
     """Parse a study document, ``{"scenarios": [{"name": ..., <scenario fields>}, ...]}``.
 
@@ -529,7 +491,10 @@ def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScen
     doc = _load_object(text)
     if "scenarios" not in doc:
         _check_name(name, "a plain scenario document is named after its file, whose stem")
-        return [StudyScenario(name, *_parse_plain(doc))]
+        try:
+            return [StudyScenario(name, *_parse_scenario(doc))]
+        except ValueError as exc:
+            raise AssayDataError(f"bad scenario: {exc}") from exc
     _check_keys("study: ", doc, ("scenarios",))
     entries = doc["scenarios"]
     if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):

@@ -1,7 +1,8 @@
 """Every public name a module declares is defined: `from iupm.<module> import *`
 fails on a stale ``__all__`` entry, which a plain import does not catch.  And
 every private name the package defines, and every solver function, is used by
-the package itself: code that only the tests call belongs with the tests."""
+the package itself, and every public function is used by it or documented in
+README: code that only the tests call belongs with the tests."""
 
 import ast
 import importlib
@@ -98,3 +99,23 @@ def test_every_function_is_mentioned_elsewhere_in_the_package():
         and not any(node.name in words for key, words in lines.items() if key != (path, node.lineno))
     ]
     assert dead == []
+
+
+def test_every_public_function_is_used_by_the_package_or_documented():
+    """A public module-level function that no module of the package uses
+    (``__init__``'s re-exports and ``__all__`` do not count) is library API
+    only when README names it."""
+    package = Path(iupm.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    used = Counter(name for path, tree in trees.items() if path.name != "__init__.py" for name in _uses(tree))
+    documented = set(re.findall(r"\w+", (package.parents[1] / "README.md").read_text()))
+    orphans = [
+        f"{path.name}:{node.name}"
+        for path, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and used[node.name] == 0
+        and node.name not in documented
+    ]
+    assert orphans == []

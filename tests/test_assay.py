@@ -10,21 +10,32 @@ from iupm import (
     ErrorRates,
     MultiDilutionAssay,
     WellAssay,
-    parse_assay,
     parse_summary_json,
     parse_wells_csv,
     restrict_to_detected,
     summarize_well_assay,
-    summarize_wells,
     to_summary_json,
     validate,
     wells_to_csv,
 )
-from helpers import random_level, simulate_wells
+from helpers import reference_summarize_wells, simulate_wells
 
 
 def make_assay(levels, n):
     return MultiDilutionAssay(tuple(levels), n)
+
+
+def simulated_well_assay(rng, M, lam, u=1.0):
+    """Perfect-assay wells, each positive one sequenced with a random share."""
+    W, Z = simulate_wells(rng, M, lam)
+    R = W * (rng.random(M) < rng.choice([0.5, 0.75, 1.0]))
+    return WellAssay(u, W, R, Z * R[:, None])
+
+
+def detected_assay(wells):
+    """The summaries of the levels' detected lineage columns, as the wells-csv path builds them."""
+    wells = restrict_to_detected(wells)
+    return make_assay(map(summarize_well_assay, wells), wells[0].n)
 
 
 class TestValidate:
@@ -140,41 +151,35 @@ class TestConstructors:
 
 class TestSummarizeWells:
     def test_worked_example(self):
-        W = (1, 1, 0)
-        R = (1, 0, 0)
-        Z = [(1, 0), (1, 1), (0, 0)]  # unsequenced rows do not count
-        level = summarize_wells(1.0, W, Z, R)
-        assert (level.M, level.M_N, level.m) == (3, 1, 1)
+        # well 1 is positive but unsequenced, so none of its lineages are read
+        wa = WellAssay(1.0, (1, 1, 0), (1, 0, 0), [(1, 0), (0, 0), (0, 0)])
+        level = summarize_well_assay(wa, q=0.5)
+        assert (level.u, level.M, level.M_N, level.m, level.q) == (1.0, 3, 1, 1, 0.5)
         assert level.Y == (1, 0)
 
     def test_sequenced_negative_well_rejected(self):
+        # the readings are checked once, when the WellAssay is built
         with pytest.raises(AssayDataError, match="^well 2: sequencing is only applied to QVOA-positive wells$"):
-            summarize_wells(1.0, (1, 1, 0), [(1, 0), (0, 0), (1, 0)], (1, 0, 1))
+            WellAssay(1.0, (1, 1, 0), (1, 0, 1), [(1, 0), (0, 0), (1, 0)])
 
     def test_all_negative(self):
-        level = summarize_wells(1.0, [0, 0, 0, 0], None, [0, 0, 0, 0], n_dvl=2)
-        assert level.M_N == 4 and level.m == 0 and level.Y == (0, 0)
+        level = summarize_well_assay(WellAssay(1.0, [0, 0, 0, 0], [0, 0, 0, 0], np.zeros((4, 2))))
+        assert level.M_N == 4 and level.m == 0 and level.Y == (0, 0) and level.q is None
 
     def test_full_sequencing_counts_columns(self):
         Z = [(1, 0), (1, 1), (1, 0), (0, 1)]
-        W = [1, 1, 1, 1]
-        R = [1, 1, 1, 1]
-        level = summarize_wells(1.0, W, Z, R)
-        assert level.Y == (3, 2)
-
-    def test_missing_row_for_sequenced_well_rejected(self):
-        with pytest.raises(AssayDataError):
-            summarize_wells(1.0, [1, 0], [None, None], [1, 0])
-        with pytest.raises(AssayDataError, match="^well 1: sequenced"):
-            summarize_wells(1.0, [0, 1], None, [0, 1], n_dvl=2)
+        level = summarize_well_assay(WellAssay(1.0, [1, 1, 1, 1], [1, 1, 1, 1], Z))
+        assert (level.M_N, level.m, level.Y) == (0, 4, (3, 2))
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_simulated_wells_summarize_to_valid_levels(self, seed):
         rng = np.random.default_rng(seed)
-        level = random_level(rng)
-        report = validate(restrict_to_detected([level]))
+        n, M = int(rng.integers(1, 5)), int(rng.integers(6, 40))
+        wa = simulated_well_assay(rng, M, rng.uniform(0.05, 0.6, n))
+        report = validate(detected_assay([wa]))
         assert report.ok, str(report)
         # construction guarantees of the perfect-assay convention
+        level = summarize_well_assay(wa)
         assert sum(level.Y) >= level.m
         assert max(level.Y, default=0) <= level.m
 
@@ -182,7 +187,7 @@ class TestSummarizeWells:
 class TestFileFormats:
     def test_summary_round_trip(self):
         rng = np.random.default_rng(81)
-        assay = restrict_to_detected([random_level(rng, n=3, u=0.5), random_level(rng, n=3, u=2.0)])
+        assay = detected_assay([simulated_well_assay(rng, 20, rng.uniform(0.05, 0.6, 3), u=u) for u in (0.5, 2.0)])
         text = to_summary_json(assay)
         again = parse_summary_json(text)
         assert again == parse_summary_json(to_summary_json(again))
@@ -265,24 +270,33 @@ class TestFileFormats:
         wa, = parse_wells_csv(text.replace("w1,1.0,0,0,\n", "w2,1.0,0,0,\n", 1))
         assert wa.labels == ("well 'w\\n0' on line 2", "well 'w2' on line 5", "well 'w1' on line 6")
 
-    def test_parse_assay_dispatch(self):
-        with pytest.raises(AssayDataError):
-            parse_assay("{}", "unknown-format")
-
-    def test_summarize_well_assay_matches_summarize_wells(self):
+    def test_summarize_well_assay_matches_reference(self):
         rng = np.random.default_rng(17)
-        W, Z = simulate_wells(rng, 10, np.array([0.3, 0.5]))
-        R = W * (rng.random(10) < 0.5)
-        wa = WellAssay(1.0, W, R, Z * R[:, None])
-        assert summarize_well_assay(wa) == summarize_wells(1.0, W, Z, R, n_dvl=2)
+        for q in (None, 0.5):
+            W, Z = simulate_wells(rng, 10, np.array([0.3, 0.5]))
+            R = W * (rng.random(10) < 0.5)
+            wa = WellAssay(1.0, W, R, Z * R[:, None])
+            assert summarize_well_assay(wa, q) == reference_summarize_wells(1.0, W, Z, R, q=q)
 
 
 class TestRestrictToDetected:
     def test_drops_all_zero_columns(self):
-        lv1 = DilutionLevelData(u=1.0, M=12, M_N=6, m=2, Y=(2, 0, 1))
-        lv2 = DilutionLevelData(u=0.5, M=12, M_N=8, m=1, Y=(1, 0, 0))
-        assay = restrict_to_detected([lv1, lv2])
+        lv1 = WellAssay(1.0, [1, 1, 1, 0], [1, 1, 0, 0], [[1, 0, 1], [1, 0, 0], [0, 0, 0], [0, 0, 0]], labels="abcd")
+        lv2 = WellAssay(0.5, [1, 0, 0], [1, 0, 0], [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        wells = restrict_to_detected([lv1, lv2])
+        assert wells == [
+            WellAssay(1.0, [1, 1, 1, 0], [1, 1, 0, 0], [[1, 1], [1, 0], [0, 0], [0, 0]]),
+            WellAssay(0.5, [1, 0, 0], [1, 0, 0], [[1, 0], [0, 0], [0, 0]]),
+        ]
+        assert wells[0].labels == ("a", "b", "c", "d")
+        assay = detected_assay([lv1, lv2])
         assert assay.n == 2
         assert assay.levels[0].Y == (2, 1)
         assert assay.levels[1].Y == (1, 0)
         assert validate(assay).ok
+
+    def test_levels_must_share_the_lineage_columns(self):
+        with pytest.raises(AssayDataError, match="at least one dilution level"):
+            restrict_to_detected([])
+        with pytest.raises(AssayDataError, match="disagree on the number of lineage columns"):
+            restrict_to_detected([WellAssay(1.0, [1], [1], [[1]]), WellAssay(2.0, [1], [1], [[1, 0]])])

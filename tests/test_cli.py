@@ -116,6 +116,22 @@ class TestFit:
         assert out == ""
         assert err == "error: level 0: well '1' on line 3 has probability zero under the supplied error rates\n"
 
+    @pytest.mark.parametrize("fmt", ["summary-json", "wells-csv"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, fmt):
+        # Excel's "CSV UTF-8" and some JSON writers start the file with U+FEFF
+        if fmt == "summary-json":
+            text = write_subject(tmp_path).read_text()
+        else:
+            text = "well,u,w_star,r,z_a,z_b\n0,1.0,1,1,1,0\n1,1.0,1,1,0,1\n2,1.0,0,0,,\n3,1.0,1,0,,\n4,1.0,0,0,,\n"
+        reports = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            path = tmp_path / f"{name}.{fmt.split('-')[1]}"
+            path.write_bytes(data)
+            code, out, err = run_cli(capsys, "fit", "--input", str(path))
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[1] == reports[0]
+
     @pytest.mark.parametrize(
         "bad_row, args, message",
         [

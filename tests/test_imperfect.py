@@ -342,9 +342,9 @@ class TestFitImperfect:
 
     def test_summary_of_well_assay_matches_assembled_levels(self):
         draw = draw_well_assay(seed=91, M=16, n=3, rates=ErrorRates(0.9, 0.9, 0.9, 0.9))
-        rebuilt = restrict_to_detected([summarize_well_assay(wa) for wa in draw.well_assays])
-        assert rebuilt.levels[0].M_N == draw.assay.levels[0].M_N
-        assert rebuilt.levels[0].m == draw.assay.levels[0].m
+        assert restrict_to_detected(draw.well_assays) == list(draw.well_assays)
+        rebuilt = summarize_well_assay(draw.well_assays[0], draw.assay.levels[0].q)
+        assert rebuilt == draw.assay.levels[0]
 
 
 def random_well_assay(rng, n, M, seq_share):

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from iupm import (
     AssayDataError,
     ErrorRates,
+    MultiDilutionAssay,
     SimLevel,
     SimScenario,
     WellAssay,
     allocate_rates,
     classify_extreme,
     restrict_to_detected,
-    scenario_from_json,
     scenario_to_json,
     simulate_level,
+    study_from_json,
     summarize_well_assay,
     validate,
 )
@@ -32,7 +33,6 @@ from iupm.simulate import (
     PERFECT_ASSUMED_MLE,
     SimDraw,
     _apply_estimators,
-    _restrict_well_assay,
     _rng_for,
     _simulate_until_regular,
     metrics_csv,
@@ -85,19 +85,19 @@ class TestSimulateLevel:
     def test_full_sequencing_covers_all_positives(self):
         rng = _rng_for(5, 0)
         tau = allocate_rates(1.0, 4, "constant")
-        level = simulate_level(tau, 1.0, 20, 1.0, rng)
+        level = summarize_well_assay(simulate_level(tau, 1.0, 20, 1.0, rng))
         assert level.m == level.M_P
         assert sum(level.Y) >= level.m
 
     def test_zero_rates_give_all_negative(self):
         rng = _rng_for(6, 0)
-        level = simulate_level(np.zeros(3), 1.0, 12, 1.0, rng)
+        level = summarize_well_assay(simulate_level(np.zeros(3), 1.0, 12, 1.0, rng))
         assert level.M_N == 12 and level.m == 0 and level.Y == (0, 0, 0)
 
     def test_positive_fraction_matches_the_model(self):
         rng = _rng_for(7, 0)
         tau = allocate_rates(1.0, 5, "constant")
-        level = simulate_level(tau, 1.0, 1000, 0.0, rng)
+        level = summarize_well_assay(simulate_level(tau, 1.0, 1000, 0.0, rng))
         p = 1.0 - math.exp(-1.0)
         sd = math.sqrt(1000 * p * (1 - p))
         assert abs(level.M_P - 1000 * p) <= 3.0 * sd
@@ -106,7 +106,7 @@ class TestSimulateLevel:
         # overdispersion clusters infected cells, so fewer wells are positive
         rng = _rng_for(8, 0)
         tau = allocate_rates(1.0, 1, "constant")
-        level = simulate_level(tau, 1.0, 4000, 0.0, rng, model="negbin", gamma=4.0)
+        level = summarize_well_assay(simulate_level(tau, 1.0, 4000, 0.0, rng, model="negbin", gamma=4.0))
         p = 1.0 - (1.0 + 4.0) ** (-1.0 / 4.0)
         sd = math.sqrt(4000 * p * (1 - p))
         assert abs(level.M_P - 4000 * p) <= 4.0 * sd
@@ -122,19 +122,16 @@ class TestSimulateLevel:
     def test_imperfect_generation_returns_wells(self):
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         rng = _rng_for(9, 0)
-        out = simulate_level(
-            allocate_rates(1.0, 3, "constant"), 1.0, 15, 1.0, rng, model="imperfect", rates=rates
-        )
-        summary, wells = out
-        assert wells.M == 15
-        assert wells.m_star == summary.m
-        assert summary.M_N == int((wells.w_star == 0).sum())
+        wells = simulate_level(allocate_rates(1.0, 3, "constant"), 1.0, 15, 1.0, rng, model="imperfect", rates=rates)
+        assert (wells.u, wells.M, wells.n) == (1.0, 15, 3)
+        # q = 1: every observed-positive well is sequenced
+        assert np.array_equal(wells.r, wells.w_star)
 
     def test_restrict_well_assay_keeps_or_drops_columns(self):
         wa = WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
-        assert _restrict_well_assay(wa, [0, 1, 2]) is wa
-        dropped = _restrict_well_assay(wa, [0, 2])
-        assert dropped == WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 1], [0, 0], [0, 0]])
+        assert restrict_to_detected([wa]) == [WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 1], [0, 0], [0, 0]])]
+        kept = WellAssay(2.0, [1, 1, 0], [1, 1, 0], [[1, 0], [0, 1], [0, 0]])
+        assert restrict_to_detected([kept])[0] is kept
 
 
 class TestMatchesRecordReference:
@@ -161,6 +158,8 @@ class TestMatchesRecordReference:
                 assert draw.well_assays is None
                 continue
             assert draw.well_assays == tuple(as_arrays(ref) for ref in ref_wells), seed
+            summaries = tuple(summarize_well_assay(wa, lv.q) for wa, lv in zip(draw.well_assays, scn.levels))
+            assert summaries == assay.levels, seed
             for wa, ref in zip(draw.well_assays, ref_wells):
                 level, tables = _Level(wa, rates), ReferenceTables(ref)
                 for ours, theirs in zip(
@@ -179,12 +178,22 @@ class TestMatchesRecordReference:
             model = ("poisson", "negbin", "imperfect")[seed % 3]
             q = (0.0, 0.5, 1.0)[seed // 3 % 3]
             kwargs = dict(model=model, gamma=2.0 if model == "negbin" else 0.0, rates=rates)
-            out = simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
+            wa = simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
             summary, ref = reference_simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
-            if model == "imperfect":
-                assert out == (summary, as_arrays(ref)), seed
-            else:
-                assert out == summary, seed
+            assert wa == as_arrays(ref), seed
+            assert summarize_well_assay(wa, q) == summary, seed
+
+    def test_poisson_draw_drops_a_never_detected_lineage(self, monkeypatch):
+        # lineage 0 has rate zero, so no well can detect it
+        tau = np.array([0.0, 0.5, 0.5])
+        for target in ("iupm.simulate.allocate_rates", "helpers.allocate_rates"):
+            monkeypatch.setattr(target, lambda truth, n_dvl, allocation: tau)
+        scn = small_scenario(n_dvl=3, levels=(SimLevel(0.5, 8, 0.5), SimLevel(2.0, 12, 1.0)))
+        for seed in range(10):
+            draw, _ = _simulate_until_regular(scn, _rng_for(seed, 0))
+            assay, _ = reference_draw(scn, _rng_for(seed, 0))
+            assert draw.assay.n < scn.n_dvl and draw.assay == assay, seed
+            assert draw.well_assays is None
 
 
 class TestRunStudy:
@@ -266,7 +275,7 @@ class TestRunStudy:
         # cannot occur; the fit rejects the data and the study drops it
         scn = small_scenario(model="imperfect", rates=ErrorRates(1.0, 1.0, 1.0, 0.8))
         wa = WellAssay(1.0, [1, 1, 0, 1], [1, 1, 0, 0], [[1], [0], [0], [0]])
-        draw = SimDraw(assay=restrict_to_detected([summarize_well_assay(wa)]), well_assays=(wa,))
+        draw = SimDraw(assay=MultiDilutionAssay((summarize_well_assay(wa),), 1), well_assays=(wa,))
         assert _apply_estimators([IMPERFECT_MLE, PERFECT_ASSUMED_MLE], scn, draw)[IMPERFECT_MLE] is None
 
     def test_without_udsa_pair_matches_direct_fits(self):
@@ -353,7 +362,7 @@ class TestScenarioIO:
             seed=9,
         )
         text = scenario_to_json(scn, estimators=[NB_MLE], comparator=None)
-        parsed, estimators, comparator = scenario_from_json(text)
+        _, parsed, estimators, comparator, _ = study_from_json(text)[0]
         assert parsed == scn
         assert estimators == [NB_MLE]
         assert comparator is None
@@ -368,22 +377,22 @@ class TestScenarioIO:
             reps=10,
             seed=4,
         )
-        parsed, _, _ = scenario_from_json(scenario_to_json(scn))
+        parsed = study_from_json(scenario_to_json(scn))[0].scenario
         assert parsed == scn
 
     def test_bad_documents_rejected(self):
         with pytest.raises(AssayDataError):
-            scenario_from_json("{")
+            study_from_json("{")
         with pytest.raises(AssayDataError):
-            scenario_from_json('{"T": 1.0}')
+            study_from_json('{"T": 1.0}')
         with pytest.raises(AssayDataError):
-            scenario_from_json(
+            study_from_json(
                 '{"T": 1.0, "n_dvl": 2, "levels": [{"u": 1, "M": 5, "q": 1.0}],'
                 ' "estimators": ["bogus"]}'
             )
         for extra in ('"estimators": "mle-with-udsa"', '"estimators": [[]]', '"comparator": {}'):
             with pytest.raises(AssayDataError):
-                scenario_from_json('{"T": 1.0, "n_dvl": 2, "levels": [{"u": 1, "M": 5, "q": 1.0}], ' + extra + "}")
+                study_from_json('{"T": 1.0, "n_dvl": 2, "levels": [{"u": 1, "M": 5, "q": 1.0}], ' + extra + "}")
 
     def test_csv_rendering_is_stable(self):
         scn = small_scenario(reps=5)
