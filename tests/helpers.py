@@ -5,7 +5,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -222,6 +223,88 @@ def reference_binomial_weights(Lambda: float, M: int) -> np.ndarray:
     log_w = _reference_log_binom_row(M) + k * -Lambda
     log_w += (M - k) * _reference_log1mexp(Lambda)
     return np.exp(log_w, out=log_w)
+
+
+_EXACT = dict(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)  # 40 digits, no underflow
+
+
+@lru_cache(maxsize=1)
+def _exact_binomial_half_row(M: int) -> tuple[Decimal, ...]:
+    """C(M, k) for k = 0..M // 2 in 40-digit decimal arithmetic, by the
+    recurrence C(M, k + 1) = C(M, k) (M - k) / (k + 1); it shares no code
+    with lgamma or with Stirling's series."""
+    with localcontext(**_EXACT):
+        row = [Decimal(1)]
+        for k in range(M // 2):
+            row.append(row[-1] * (M - k) / (k + 1))
+    return tuple(row)
+
+
+def exact_log_binom(M: int, k: int) -> float:
+    """log C(M, k) from the 40-digit half row, rounded once."""
+    with localcontext(**_EXACT):
+        return float(_exact_binomial_half_row(M)[min(k, M - k)].ln())
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_BERNOULLI = (  # B_2, B_4, ..., B_16
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+)
+
+
+def exact_log_factorial(n: int) -> float:
+    """log n! for n >= 381, from Stirling's series for lgamma(n + 1) in
+    40-digit decimal arithmetic with the Bernoulli terms up to x^-15; at
+    x = n + 1 >= 382 the first omitted term is below 1e-44."""
+    if n < 381:
+        raise ValueError("the series is used for n >= 381 only")
+    with localcontext(prec=40):
+        x = Decimal(n + 1)
+        total = (x - Decimal("0.5")) * x.ln() - x + (2 * _PI).ln() / 2
+        for k, b in enumerate(_BERNOULLI, 1):
+            total += Decimal(b.numerator) / (Decimal(b.denominator * 2 * k * (2 * k - 1)) * x ** (2 * k - 1))
+        return float(total)
+
+
+@lru_cache(maxsize=16)
+def _exact_binomial_weights(Lambda: float, M: int, lo: int, hi: int) -> np.ndarray:
+    with localcontext(**_EXACT):
+        s = (-Decimal(Lambda)).exp()
+        p = 1 - s
+        power, ratio = s**lo * p ** (M - lo), s / p
+        half = _exact_binomial_half_row(M)
+        w = []
+        for k in range(lo, hi + 1):
+            w.append(float(half[k if 2 * k <= M else M - k] * power))
+            power *= ratio
+    w = np.array(w)
+    w.flags.writeable = False
+    return w
+
+
+def exact_binomial_sums(Lambda: float, M: int, q: float, lo: int, hi: int) -> tuple[float, float, float, float]:
+    """(Em, F, dEm, dF) as ``_binomial_sums`` defines them, over the counts
+    k = lo..hi: the Binomial(M, e^-Lambda) weights are computed in 40-digit
+    decimal arithmetic from the half row of C(M, k) and rounded once to
+    floats, and each sum is taken exactly (``math.fsum``) over the float
+    products above 2^-80 of the largest; the dropped ones add less than
+    2e-20 of it.  Rounding the weights and products costs at most about
+    2e-16 of each sum's absolute terms, far below the error of a float
+    log C(M, k) row."""
+    w = _exact_binomial_weights(Lambda, M, lo, hi)
+    k = np.arange(lo, hi + 1, dtype=float)
+    pos = M - k
+    ws = w * np.rint(q * pos)
+    p = -math.expm1(-Lambda)
+    r = math.exp(-Lambda) / p
+
+    def exact_sum(terms):  # terms spanning the whole float range slow fsum many times over
+        size = np.abs(terms)
+        return math.fsum(terms[size >= size.max() * 2.0**-80].tolist())
+
+    Em, dEm = exact_sum(ws), exact_sum(ws * (pos * r - k))
+    return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
 def reference_sum_scales(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:

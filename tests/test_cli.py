@@ -13,6 +13,8 @@ from iupm import (
     DilutionLevelData,
     MultiDilutionAssay,
     closed_form_full_udsa,
+    covariance,
+    fisher_information,
     to_summary_json,
     wells_to_csv,
 )
@@ -324,9 +326,6 @@ _DEGENERATE_INFORMATION = [
                              {"u": 2e-300, "M": 8, "MN": 2, "m": 0}]}),
     (["--no-udsa"], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]}]}),
     ([], {"n": 0, "levels": [{"u": 1e300, "M": 10, "MN": 5, "m": 0}]}),
-    # (e^x - 1)^2 underflows to 0 at the first level
-    ([], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]},
-                             {"u": 1.0, "M": 8, "MN": 2, "m": 4, "Y": [3, 2]}]}),
     # the information is a finite float but its inverse is not
     ([], {"n": 0, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 0}]}),
     (["--bias-correct"], {"n": 0, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 0}]}),
@@ -356,6 +355,26 @@ def test_bias_term_past_the_float_range_exits_3_with_one_line(tmp_path, capsys):
                                                    {"u": 2e150, "M": 8, "MN": 2, "m": 0}]}))
     code, out, _ = run_cli(capsys, "fit", "--input", str(path))
     assert code == 0 and math.isfinite(json.loads(out)["estimate"]["se"])
+    code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the derivative of the information matrix leaves the float range\n"
+
+
+def test_vanishing_level_leaves_the_information_of_the_others(tmp_path, capsys):
+    # at u = 1e-300 the first level adds u^2 F / t_i ~ 1e-300 to the
+    # information, which rounds away against the second level's alone
+    path = tmp_path / "tiny_u.json"
+    path.write_text(json.dumps({"n": 2, "levels": [
+        {"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]},
+        {"u": 1.0, "M": 8, "MN": 2, "m": 4, "Y": [3, 2]}]}))
+    code, out, _ = run_cli(capsys, "fit", "--input", str(path))
+    assert code == 0
+    estimate = json.loads(out)["estimate"]
+    tau = np.array(estimate["tau"])
+    assert estimate["se"] == math.sqrt(covariance(fisher_information(tau, 8, 4 / 6)).sum())
+    # the bias term scales each level's sums by u^3: the first level's sums
+    # overflow, and u^3 = 0 times them is NaN
     code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
     assert code == 3
     assert out == ""

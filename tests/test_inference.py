@@ -21,8 +21,10 @@ from iupm import (
     wald_ci,
 )
 from iupm.inference import (
+    _TABLE_MAX,
     _binomial_sums,
     _log_binom_row,
+    _log_factorials,
     _nonzero_window,
     level_params,
 )
@@ -30,6 +32,9 @@ from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regul
 from iupm.special import expm1_ratio, log1mexp, log_binom, nint
 from helpers import (
     enumerate_expectations,
+    exact_binomial_sums,
+    exact_log_binom,
+    exact_log_factorial,
     load_subjects,
     myers_mle_bisect,
     random_regular_assay,
@@ -127,6 +132,18 @@ def scalar_expected_y(lam, Lam, M, q):
     return -np.expm1(-lam) * total
 
 
+def assert_sums_near_exact(Lam, M, q, which=(0, 1, 2, 3)):
+    """Each of the chosen (Em, F, dEm, dF) lies within 2 ulp of log M!, times
+    its absolute-term scale, of the 40-digit sums over the window: the error
+    that a float log C(M, k) row within about 2 ulp of log M! allows."""
+    lo, hi = _nonzero_window(M, math.exp(-Lam))
+    sums, exact = _binomial_sums(Lam, M, q), exact_binomial_sums(Lam, M, q, lo, hi)
+    scales = reference_sum_scales(Lam, M, q)
+    ulp = math.ulp(math.lgamma(M + 1))
+    for i in which:
+        assert abs(sums[i] - exact[i]) <= 2.0 * ulp * scales[i], (Lam, q, i)
+
+
 class TestVectorizedExpectations:
     @pytest.mark.parametrize("M", [1, 2, 12, 37, 2000])
     @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
@@ -134,14 +151,16 @@ class TestVectorizedExpectations:
         # q = 0.25 and 0.5 put positive counts on the round-half-even ties of nint
         for Lam in (0.01, 0.3, math.log(2.0), 1.7, 6.0):
             lam = np.array([0.2, 0.5, 0.3]) * Lam
-            Em, reference = expected_m(Lam, M, q), scalar_expected_m(Lam, M, q)
             if M <= 380:
-                assert Em == reference
+                assert expected_m(Lam, M, q) == scalar_expected_m(Lam, M, q)
+                np.testing.assert_allclose(
+                    expected_y(lam, Lam, M, q), scalar_expected_y(lam, Lam, M, q), rtol=1e-13, atol=0.0
+                )
             else:
-                assert abs(Em - reference) <= 1e-15 * reference_sum_scales(Lam, M, q)[0]
-            np.testing.assert_allclose(
-                expected_y(lam, Lam, M, q), scalar_expected_y(lam, Lam, M, q), rtol=1e-13, atol=0.0
-            )
+                # the row comes from Stirling's series here and the scalar
+                # loops from lgamma, so the sums are checked against exact
+                # arithmetic instead of the loops
+                assert_sums_near_exact(Lam, M, q, [0, 1])
 
     def test_q_outside_unit_interval_raises(self):
         with pytest.raises(ValueError):
@@ -158,16 +177,15 @@ class TestNonzeroWindow:
 
     @pytest.mark.parametrize("M", WINDOW_M)
     def test_bit_identical_to_full_row(self, M):
-        # above M = 380 the window is shorter than the row, and the dot
-        # products group the same terms differently
+        # above M = 380 the window is shorter than the row, the dot products
+        # group the same terms differently and the row comes from Stirling's
+        # series, so the sums are checked against exact arithmetic instead
         for Lam in WINDOW_LAMBDA:
             for q in WINDOW_Q:
-                sums, reference = _binomial_sums(Lam, M, q), reference_binomial_sums(Lam, M, q)
                 if M <= 380:
-                    assert sums == reference, (Lam, q)
+                    assert _binomial_sums(Lam, M, q) == reference_binomial_sums(Lam, M, q), (Lam, q)
                 else:
-                    bound = 1e-15 * np.array(reference_sum_scales(Lam, M, q))
-                    assert np.all(np.abs(np.subtract(sums, reference)) <= bound), (Lam, q)
+                    assert_sums_near_exact(Lam, M, q)
 
     @pytest.mark.parametrize("M", WINDOW_M)
     def test_weights_outside_window_are_zero(self, M):
@@ -183,23 +201,76 @@ class TestNonzeroWindow:
     def test_cached_row_holds_only_the_window(self, M):
         for Lam in WINDOW_LAMBDA:
             lo, hi = _nonzero_window(M, math.exp(-Lam))
-            _binomial_sums(Lam, M, 0.5)
-            hits = _log_binom_row.cache_info().hits
-            row = _log_binom_row(M, lo, hi)
-            assert _log_binom_row.cache_info().hits == hits + 1
-            assert row.shape == (hi - lo + 1,)
+            assert _log_binom_row(M, lo, hi).shape == (hi - lo + 1,)
 
     @pytest.mark.parametrize("M", WINDOW_M)
     def test_row_matches_log_binom(self, M):
+        # to the bit where the row comes from the lgamma table; above that
+        # within 4 ulp of log M! of the exact log C(M, k) at sampled k
+        ulp = math.ulp(math.lgamma(M + 1))
         for Lam in WINDOW_LAMBDA:
             lo, hi = _nonzero_window(M, math.exp(-Lam))
             row = _log_binom_row(M, lo, hi).tolist()
-            assert row == [log_binom(M, k) for k in range(lo, hi + 1)], Lam
+            if M <= 380:
+                assert row == [log_binom(M, k) for k in range(lo, hi + 1)], Lam
+                continue
+            ks = {lo, hi, *np.linspace(lo, hi, 31).round().astype(int).tolist()}
+            ks |= {k for k in (380, 381, M - 381, M - 380) if lo <= k <= hi}
+            for k in sorted(ks):
+                assert abs(row[k - lo] - exact_log_binom(M, k)) <= 4.0 * ulp, (Lam, k)
 
     def test_small_rows_are_whole(self):
         for M in (1, 36, 380):
             for Lam in WINDOW_LAMBDA:
                 assert _nonzero_window(M, math.exp(-Lam)) == (0, M)
+
+    def test_large_m_sums_call_lgamma_at_most_once(self, monkeypatch):
+        # the row's log k! come from the table or from numpy, not from a
+        # math.lgamma call per count (about 35 000 of them at M = 200 000)
+        calls = []
+        lgamma = math.lgamma
+
+        def counting_lgamma(x):
+            calls.append(x)
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counting_lgamma)
+        _binomial_sums.__wrapped__(1.0, 200_000, 0.5)
+        assert len(calls) <= 1
+
+
+def assert_log_factorial(n, value):
+    """To the bit of lgamma where the table holds n; above, within 2 ulp of
+    the exact log n! and 3 ulp of lgamma, which is itself up to 1.86 ulp off
+    (on n = 381..60000, where the two part by 3 ulp at 21 n, first n = 3907)."""
+    reference = math.lgamma(n + 1)
+    if n <= _TABLE_MAX:
+        assert value == reference, n
+    else:
+        exact = exact_log_factorial(n)
+        assert abs(value - exact) <= 2.0 * math.ulp(exact), n
+        assert abs(value - reference) <= 3.0 * math.ulp(reference), n
+
+
+class TestLogFactorials:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0, 0), (0, 380), (17, 17), (100, 250), (380, 380), (381, 381), (380, 381),
+         (0, 381), (200, 1200), (381, 1500), (99_000, 100_000), (10**7 - 50, 10**7)],
+    )
+    def test_ranges_match_log_factorial(self, a, b):
+        values = _log_factorials(a, b)
+        assert values.shape == (b - a + 1,)
+        for n, value in zip(range(a, b + 1), values.tolist()):
+            assert_log_factorial(n, value)
+
+    def test_sampled_entries_up_to_1e7(self):
+        rng = np.random.default_rng(11)
+        for n in rng.integers(_TABLE_MAX + 1, 10**7, 500).tolist():
+            assert_log_factorial(n, _log_factorials(n, n)[0])
+
+    def test_table_slices_are_read_only(self):
+        assert not _log_factorials(0, 380).flags.writeable
 
 
 class TestFisherInformation:
