@@ -326,6 +326,9 @@ _DEGENERATE_INFORMATION = [
                              {"u": 2e-300, "M": 8, "MN": 2, "m": 0}]}),
     (["--no-udsa"], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]}]}),
     ([], {"n": 0, "levels": [{"u": 1e300, "M": 10, "MN": 5, "m": 0}]}),
+    # (e^x - 1)^2 underflows to 0 at every level
+    ([], {"n": 2, "levels": [{"u": 1e-300, "M": 10, "MN": 5, "m": 3, "Y": [2, 1]},
+                             {"u": 2e-300, "M": 8, "MN": 2, "m": 4, "Y": [3, 2]}]}),
     # the information is a finite float but its inverse is not
     ([], {"n": 0, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 0}]}),
     (["--bias-correct"], {"n": 0, "levels": [{"u": 1e-160, "M": 10, "MN": 5, "m": 0}]}),
