@@ -11,8 +11,9 @@ lineage is absent, the sum collapses to products:
     P(w*, z*) = P(w* | W=1) (S - T0) + P(w* | W=0) T0,
 
 which is what keeps evaluation O(M n) rather than O(M 2^n).  The per-well
-factors P(z*|.) and P(w*|.) depend on the readings and the error rates only,
-so ``_Level`` builds them once per level for a whole fit.  It also keeps the
+factors P(z*|.) depend on the readings and the error rates only, so ``_Level``
+builds them once per level for a whole fit; P(w*|.) is the same for every
+sequenced well, since only QVOA-positive wells are sequenced.  It also keeps the
 products S, T0 and P at the last rate vector, which the likelihood and its
 gradient share: the solver asks for the gradient at the point whose
 likelihood it has just taken.  The Hessian is closed form too (see
@@ -89,7 +90,7 @@ class _Level:
     def __init__(self, wa: WellAssay, rates: ErrorRates):
         seq = wa.r == 1
         self.seq_idx = np.flatnonzero(seq)
-        z, w_seq = wa.z_star[seq], wa.w_star[seq]
+        z = wa.z_star[seq]
         self.n_unseq_pos = int(np.count_nonzero(wa.w_star[~seq]))
         self.n_unseq_neg = wa.M - self.seq_idx.size - self.n_unseq_pos
         self.n = wa.n
@@ -98,8 +99,8 @@ class _Level:
         self.pz1 = np.where(z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
         self.pz0 = np.where(z == 1.0, 1.0 - rates.spec_udsa, rates.spec_udsa)
         self.dpz = self.pz1 - self.pz0
-        self.pw1 = np.where(w_seq == 1.0, rates.sens_qvoa, 1.0 - rates.sens_qvoa)
-        self.pw0 = np.where(w_seq == 1.0, 1.0 - rates.spec_qvoa, rates.spec_qvoa)
+        self.pw1 = rates.sens_qvoa
+        self.pw0 = 1.0 - rates.spec_qvoa
         self._key = None
         self._products = None
 
@@ -194,7 +195,7 @@ def _level_gradient(lam: np.ndarray, level: _Level, strict: bool = False) -> np.
             raise ImperfectFitError(reason)
     if P.size:
         dS = _leave_one_out_prod(s) * (e * level.dpz)
-        dP = level.pw1[:, None] * (dS + T0[:, None]) - pw0_T0[:, None]
+        dP = level.pw1 * (dS + T0[:, None]) - pw0_T0[:, None]
         grad = (dP / P[:, None]).sum(axis=0)
     else:
         grad = np.zeros(level.n)

@@ -13,7 +13,7 @@ parameters are only identifiable with data from at least two dilution levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +53,12 @@ class NBFit:
 
 @dataclass
 class LrtResult:
+    """The test, and from ``lrt_overdispersion`` the two fits it compares."""
+
     statistic: float
     p_value: float
+    null: FitResult | None = None
+    alternative: NBFit | None = None
 
 
 def nb_zero_prob(lam, gamma: float):
@@ -264,4 +268,4 @@ def lrt_overdispersion(assay: MultiDilutionAssay) -> LrtResult:
     """
     pois = fit_mle(assay)
     nb = fit_negbin(assay, pois=pois)
-    return lrt_from_loglik(pois.log_lik, nb.log_lik)
+    return replace(lrt_from_loglik(pois.log_lik, nb.log_lik), null=pois, alternative=nb)

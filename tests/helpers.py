@@ -1,10 +1,32 @@
-"""Shared test oracles: independent evaluators that never touch the library's
-own implementation of the quantity they check."""
+"""Shared test data builders and oracles, of three kinds.
+
+* Exact or independent evaluators, which share no code with the quantity
+  they check: ``decimal_log_likelihood``, the 40-digit ``exact_*`` sums and
+  log-factorials, ``enumerate_expectations``, ``brute_force_joint_prob``,
+  ``decimal_level_hessian``, ``direct_nb_log_likelihood``,
+  ``myers_mle_bisect``, the central differences ``fd_gradient`` and
+  ``fd_hessian_of_gradient``, and the well generator ``simulate_wells``.
+* Kernels as first written, which the package's kernels must match bit for
+  bit: ``reference_log_likelihood``, ``reference_gradient``, the full-row
+  ``reference_binomial_*`` sums, ``ReferenceTables`` with the
+  ``reference_level_*`` imperfect kernels, and ``reference_a_blocks`` with
+  ``reference_bias_term`` (built on the package's own ``a_matrices`` sums).
+* Deleted solvers and fits, which pin the bits of the BFGS fits that remain:
+  ``reference_maximize``, ``reference_maximize_box``,
+  ``reference_hessian_polish``, ``reference_fd_hessian``,
+  ``reference_observed_information``, ``reference_fit_imperfect``,
+  ``reference_newton_polish``, ``reference_newton_polish_total``,
+  ``reference_fit_total_only``, ``negbin_objectives``, ``nb_gradient`` and
+  ``reference_fit_negbin``.  They reuse the package's line search, BFGS
+  update, noise-floor step, ``maximize``, ``observed_information``,
+  ``_initial_tau`` and negbin kernels, so they pin solver paths, not values;
+  they go once every fit runs one Newton solver and its tests check the
+  optimum itself.
+"""
 
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from functools import lru_cache
@@ -18,9 +40,6 @@ from iupm import (
     ImperfectFitError,
     MultiDilutionAssay,
     WellAssay,
-    allocate_rates,
-    classify_extreme,
-    nint,
 )
 from iupm import imperfect
 from iupm.poisson import ExtremeOutcome, closed_form_no_udsa
@@ -932,181 +951,17 @@ def decimal_level_hessian(lam, wa, rates, digits=50) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in H])
 
 
-@dataclass(frozen=True)
-class ReferenceWellRecord:
-    """One well as the per-well format first stored it: Python-int readings,
-    with ``z_star`` present exactly when the well was sequenced."""
-
-    w_star: int
-    r: int
-    z_star: tuple | None = None
-
-    def __post_init__(self):
-        if self.w_star not in (0, 1) or self.r not in (0, 1):
-            raise AssayDataError("w_star and r must be 0/1 indicators")
-        if self.r == 1:
-            if self.z_star is None:
-                raise AssayDataError("a sequenced well (r=1) must carry z_star")
-            z = tuple(int(v) for v in self.z_star)
-            if any(v not in (0, 1) for v in z):
-                raise AssayDataError("z_star entries must be 0/1 indicators")
-            object.__setattr__(self, "z_star", z)
-        elif self.z_star is not None:
-            raise AssayDataError("an unsequenced well (r=0) must not carry z_star")
-
-
-@dataclass(frozen=True)
-class ReferenceWellAssay:
-    """One level's wells as a tuple of records, as first written."""
-
-    u: float
-    wells: tuple
-    n: int
-
-
-def as_records(wa) -> ReferenceWellAssay:
-    """The wells of an array WellAssay as records, one well at a time."""
-    wells = tuple(
-        ReferenceWellRecord(
-            w_star=int(wa.w_star[j]),
-            r=int(wa.r[j]),
-            z_star=tuple(int(v) for v in wa.z_star[j]) if wa.r[j] else None,
-        )
-        for j in range(wa.M)
-    )
-    return ReferenceWellAssay(u=wa.u, wells=wells, n=wa.n)
-
-
-def as_arrays(ref) -> WellAssay:
-    """A record-based level as the library's array WellAssay."""
-    return WellAssay(
-        ref.u,
-        [rec.w_star for rec in ref.wells],
-        [rec.r for rec in ref.wells],
-        np.array([rec.z_star or (0,) * ref.n for rec in ref.wells]).reshape(len(ref.wells), ref.n),
-    )
-
-
-def reference_summarize_wells(u, W, Z, R, q=None, n_dvl=None) -> DilutionLevelData:
-    """``summarize_wells`` as first written: Z rows may be None for unsequenced
-    wells, and the counts are taken one well at a time."""
-    W = np.asarray(W, dtype=int)
-    R = np.asarray(R, dtype=int)
-    M = W.size
-    rows = [None] * M if Z is None else [None if row is None else np.asarray(row, dtype=int) for row in Z]
-    n = n_dvl
-    for row in rows:
-        if row is not None:
-            if n is None:
-                n = row.size
-            elif row.size != n:
-                raise AssayDataError("inconsistent z row lengths")
-    n = 0 if n is None else n
-    M_N = int(np.sum(W == 0))
-    m = 0
-    Y = np.zeros(n, dtype=int)
-    for j in range(M):
-        if R[j] == 1:
-            if rows[j] is None:
-                raise AssayDataError(f"well {j}: sequenced (R=1) but no z row provided")
-            if W[j] == 1:
-                m += 1
-            Y += rows[j]
-    return DilutionLevelData(u=u, M=M, M_N=M_N, m=m, Y=tuple(int(y) for y in Y), q=q)
-
-
-def reference_simulate_level(tau, u, M, q, rng, model="poisson", gamma=0.0, rates=None):
-    """``simulate_level`` as first written: the draws become per-well rows and
-    records, summarized one well at a time."""
-    tau = np.asarray(tau, dtype=float)
-    lam = u * tau
-    n = lam.size
-    if model == "negbin" and gamma > 0.0:
-        with np.errstate(invalid="ignore"):
-            shape = np.full((M, n), 1.0 / gamma)
-            mix = rng.gamma(shape, gamma * np.broadcast_to(lam, (M, n)))
-        Z = rng.poisson(mix) >= 1
-    else:
-        Z = rng.random((M, n)) < -np.expm1(-lam)
-    W = Z.any(axis=1)
-    if model == "imperfect":
-        flips_w = rng.random(M)
-        W = np.where(W, flips_w < rates.sens_qvoa, flips_w < 1.0 - rates.spec_qvoa)
-        flips_z = rng.random((M, n))
-        Z = np.where(Z, flips_z < rates.sens_udsa, flips_z < 1.0 - rates.spec_udsa)
-    pos_idx = np.flatnonzero(W)
-    m = nint(q * pos_idx.size)
-    R = np.zeros(M, dtype=int)
-    if m > 0:
-        R[rng.choice(pos_idx, size=m, replace=False)] = 1
-    rows = [Z[j].astype(int) if R[j] else None for j in range(M)]
-    summary = reference_summarize_wells(u, W.astype(int), rows, R, q=q, n_dvl=n)
-    records = tuple(
-        ReferenceWellRecord(
-            w_star=int(W[j]), r=int(R[j]), z_star=tuple(int(v) for v in Z[j]) if R[j] else None
-        )
-        for j in range(M)
-    )
-    return summary, ReferenceWellAssay(u=u, wells=records, n=n)
-
-
-def reference_draw(scenario, rng):
-    """One replicate's detected-lineage summaries and per-well records, drawn
-    and restricted as first written (redraws of the divergent case included)."""
-    tau = allocate_rates(scenario.truth, scenario.n_dvl, scenario.allocation)
-    while True:
-        drawn = [
-            reference_simulate_level(
-                tau, lv.u, lv.M, lv.q, rng, model=scenario.model, gamma=scenario.gamma, rates=scenario.rates
-            )
-            for lv in scenario.levels
-        ]
-        levels = [summary for summary, _ in drawn]
-        pooled = np.sum([lv.y_array() for lv in levels], axis=0)
-        keep = [i for i in range(levels[0].n) if pooled[i] >= 1]
-        assay = MultiDilutionAssay(
-            tuple(
-                DilutionLevelData(u=lv.u, M=lv.M, M_N=lv.M_N, m=lv.m, Y=tuple(lv.Y[i] for i in keep), q=lv.q)
-                for lv in levels
-            ),
-            len(keep),
-        )
-        wells = tuple(
-            ReferenceWellAssay(
-                u=wa.u,
-                wells=tuple(
-                    ReferenceWellRecord(
-                        rec.w_star, rec.r, tuple(rec.z_star[i] for i in keep) if rec.z_star is not None else None
-                    )
-                    for rec in wa.wells
-                ),
-                n=len(keep),
-            )
-            for _, wa in drawn
-        )
-        if classify_extreme(assay) is not ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
-            return assay, wells
-
-
 class ReferenceTables:
     """The imperfect-assay per-level arrays as first written: the readings
-    only, with every rate-dependent factor rebuilt on each evaluation.  Takes
-    a record-based level, or an array WellAssay read one well at a time."""
+    only, with every rate-dependent factor rebuilt on each evaluation."""
 
-    def __init__(self, wa):
-        if isinstance(wa, WellAssay):
-            wa = as_records(wa)
-        seq = [(j, rec) for j, rec in enumerate(wa.wells) if rec.r == 1]
-        self.seq_idx = np.array([j for j, _ in seq], dtype=int)
-        self.z = (
-            np.array([rec.z_star for _, rec in seq], dtype=float)
-            if seq
-            else np.zeros((0, wa.n))
-        )
-        self.w_seq = np.array([rec.w_star for _, rec in seq], dtype=float)
-        unseq = [rec for rec in wa.wells if rec.r == 0]
-        self.n_unseq_pos = sum(1 for rec in unseq if rec.w_star == 1)
-        self.n_unseq_neg = len(unseq) - self.n_unseq_pos
+    def __init__(self, wa: WellAssay):
+        seq = wa.r == 1
+        self.seq_idx = np.flatnonzero(seq)
+        self.z = wa.z_star[seq]
+        self.w_seq = wa.w_star[seq]
+        self.n_unseq_pos = int(np.count_nonzero(wa.w_star[~seq]))
+        self.n_unseq_neg = wa.M - self.seq_idx.size - self.n_unseq_pos
         self.n = wa.n
 
 

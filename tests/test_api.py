@@ -69,6 +69,40 @@ def test_every_private_name_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_test_helper_is_reachable_from_a_test_module():
+    """Every top-level name of ``tests/helpers.py`` is imported by a test
+    module, or used by a helper that is: a retired oracle does not linger."""
+    tests = Path(__file__).parent
+    body = ast.parse((tests / "helpers.py").read_text()).body
+    defined = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            defined.setdefault(name, []).append(node)
+    pending = [
+        alias.name
+        for path in tests.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "helpers"
+        for alias in node.names
+    ]
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in defined and name not in reached:
+            reached.add(name)
+            pending += [used for node in defined[name] for used in _uses(node)]
+    assert sorted(set(defined) - reached) == []
+
+
 def test_every_solver_function_is_imported_by_the_package():
     """A function in ``optimize.__all__`` that no other module of the package
     imports is a dead solver entry point."""

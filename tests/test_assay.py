@@ -18,7 +18,7 @@ from iupm import (
     validate,
     wells_to_csv,
 )
-from helpers import reference_summarize_wells, simulate_wells
+from helpers import simulate_wells
 
 
 def make_assay(levels, n):
@@ -276,7 +276,13 @@ class TestFileFormats:
             W, Z = simulate_wells(rng, 10, np.array([0.3, 0.5]))
             R = W * (rng.random(10) < 0.5)
             wa = WellAssay(1.0, W, R, Z * R[:, None])
-            assert summarize_well_assay(wa, q) == reference_summarize_wells(1.0, W, Z, R, q=q)
+            M_N, m, Y = 0, 0, [0, 0]
+            for w, r, z in zip(W.tolist(), R.tolist(), Z.tolist()):
+                M_N += w == 0
+                if r == 1:
+                    m += 1
+                    Y = [y + zi for y, zi in zip(Y, z)]
+            assert summarize_well_assay(wa, q) == DilutionLevelData(u=1.0, M=10, M_N=M_N, m=m, Y=tuple(Y), q=q)
 
 
 class TestRestrictToDetected:

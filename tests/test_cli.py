@@ -143,8 +143,10 @@ class TestFit:
                 "level 1: well '9' on line 11 has probability zero under the supplied error rates",
             ),
             ("9,0.5,0,1,1", (), "well '9' on line 11: sequencing is only applied to QVOA-positive wells"),
+            ("9,0.5,2,0,", (), "well '9' on line 11: w_star and r must be 0/1 indicators"),
+            (f"9,0.5,{10**20},0,", (), "well '9' on line 11: w_star and r must be 0/1 indicators"),
         ],
-        ids=["probability-zero", "sequenced-negative"],
+        ids=["probability-zero", "sequenced-negative", "w-star-not-indicator", "w-star-past-int64"],
     )
     def test_per_well_errors_name_the_csv_row(self, tmp_path, capsys, bad_row, args, message):
         # The offending row is the fifth of the second level, so its index

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from iupm import (
     summarize_well_assay,
     validate,
 )
-from iupm.imperfect import _Level
 from iupm.negbin import LrtResult
 from iupm.poisson import ExtremeOutcome
 from iupm.simulate import (
@@ -38,13 +38,6 @@ from iupm.simulate import (
     metrics_csv,
     replicates_csv,
     run_study,
-)
-from helpers import (
-    ReferenceTables,
-    as_arrays,
-    reference_draw,
-    reference_factors,
-    reference_simulate_level,
 )
 
 
@@ -134,14 +127,42 @@ class TestSimulateLevel:
         assert restrict_to_detected([kept])[0] is kept
 
 
+def _feed(digest, *arrays):
+    """Add integer readings or Philox uniforms to a SHA-256 digest, each with
+    its shape, as little-endian int64 or float64 bytes.  No exp/log result
+    enters, so the digest is the same on every CPU."""
+    for a in map(np.asarray, arrays):
+        digest.update(repr(a.shape).encode())
+        digest.update(a.astype("<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+
+
+def _counts(level):
+    return [level.M, level.M_N, level.m, *level.Y]
+
+
 class TestMatchesRecordReference:
     """The array path draws, summarizes and restricts every replicate to the
-    bits of the record-based path it replaced, and leaves the imperfect
-    likelihood the same per-well factors."""
+    bits of the record-based path it replaced.  The digests were taken over
+    the integer outputs and the next four uniforms of each generator when
+    both paths ran side by side and agreed; the uniforms show that each draw
+    consumed as many numbers as before."""
+
+    DRAWS = {
+        "poisson": "00de937bccdda46e9694c2e3eab86d188da33908929fa53f287fc8c8ac6abfa3",
+        "negbin": "8c31fa9da7d21d4c7bbaec8876fd425d928a9e23814dc50b50d42262feb032ab",
+        "imperfect": "1d8b2c1f310173c8dcf3ba8faf76685542a5a789086693d0e0a023d2207112c4",
+    }
+    LEVELS = {
+        "poisson": "4c6f32b818f2a34b81219322459b165c3b1f02b30d6cd3517471af4165d03d09",
+        "negbin": "7dd5d06d0128574b2b7b483d65999439d1851f7d6d068f8f89e80e94e8b5eb25",
+        "imperfect": "c06fc216fe8e1e721232724c0ab8cf1327c4450bb8a50c38138e852c9ebc5f94",
+    }
+    DROPPED_LINEAGE = "74937be6c055bfa901269d91b5e03de73aad076b18266d98510a7845533355bb"
 
     @pytest.mark.parametrize("model", ["poisson", "negbin", "imperfect"])
     def test_draws(self, model):
         rates = ErrorRates(0.9, 0.85, 0.8, 0.95)
+        digest = hashlib.sha256()
         for seed in range(70):
             q = (0.0, 0.5, 1.0)[seed % 3]
             levels = (SimLevel(0.5, 6 + seed % 11, q), SimLevel(2.0, 9, (0.0, 0.5, 1.0)[seed % 2 * 2]))
@@ -149,51 +170,42 @@ class TestMatchesRecordReference:
                 n_dvl=1 + seed % 5, levels=levels[: 1 + seed % 2], model=model, seed=seed,
                 gamma=1.5 if model == "negbin" else 0.0, rates=rates if model == "imperfect" else None,
             )
-            rng, ref_rng = _rng_for(seed, 0), _rng_for(seed, 0)
+            rng = _rng_for(seed, 0)
             draw, _ = _simulate_until_regular(scn, rng)
-            assay, ref_wells = reference_draw(scn, ref_rng)
-            assert draw.assay == assay, seed
-            assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed  # same draws consumed
+            _feed(digest, *map(_counts, draw.assay.levels), rng.random(4))
             if model != "imperfect":
                 assert draw.well_assays is None
                 continue
-            assert draw.well_assays == tuple(as_arrays(ref) for ref in ref_wells), seed
+            _feed(digest, *(a for wa in draw.well_assays for a in (wa.w_star, wa.r, wa.z_star)))
             summaries = tuple(summarize_well_assay(wa, lv.q) for wa, lv in zip(draw.well_assays, scn.levels))
-            assert summaries == assay.levels, seed
-            for wa, ref in zip(draw.well_assays, ref_wells):
-                level, tables = _Level(wa, rates), ReferenceTables(ref)
-                for ours, theirs in zip(
-                    (level.pz1, level.pz0, level.pw1, level.pw0, level.seq_idx),
-                    (*reference_factors(tables, rates), tables.seq_idx),
-                ):
-                    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-                    assert np.array_equal(ours, theirs), seed
-                assert (level.n_unseq_pos, level.n_unseq_neg) == (tables.n_unseq_pos, tables.n_unseq_neg)
-                assert type(level.n_unseq_pos) is int and type(level.n_unseq_neg) is int
+            assert summaries == draw.assay.levels, seed
+        assert digest.hexdigest() == self.DRAWS[model]
 
     def test_simulate_level(self):
         tau = allocate_rates(1.0, 3, "constant")
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
+        digests = {model: hashlib.sha256() for model in self.LEVELS}
         for seed in range(60):
             model = ("poisson", "negbin", "imperfect")[seed % 3]
             q = (0.0, 0.5, 1.0)[seed // 3 % 3]
             kwargs = dict(model=model, gamma=2.0 if model == "negbin" else 0.0, rates=rates)
-            wa = simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
-            summary, ref = reference_simulate_level(tau, 1.0, 12, q, _rng_for(seed, 0), **kwargs)
-            assert wa == as_arrays(ref), seed
-            assert summarize_well_assay(wa, q) == summary, seed
+            rng = _rng_for(seed, 0)
+            wa = simulate_level(tau, 1.0, 12, q, rng, **kwargs)
+            _feed(digests[model], wa.w_star, wa.r, wa.z_star, _counts(summarize_well_assay(wa, q)), rng.random(4))
+        assert {model: d.hexdigest() for model, d in digests.items()} == self.LEVELS
 
     def test_poisson_draw_drops_a_never_detected_lineage(self, monkeypatch):
         # lineage 0 has rate zero, so no well can detect it
         tau = np.array([0.0, 0.5, 0.5])
-        for target in ("iupm.simulate.allocate_rates", "helpers.allocate_rates"):
-            monkeypatch.setattr(target, lambda truth, n_dvl, allocation: tau)
+        monkeypatch.setattr("iupm.simulate.allocate_rates", lambda truth, n_dvl, allocation: tau)
         scn = small_scenario(n_dvl=3, levels=(SimLevel(0.5, 8, 0.5), SimLevel(2.0, 12, 1.0)))
+        digest = hashlib.sha256()
         for seed in range(10):
-            draw, _ = _simulate_until_regular(scn, _rng_for(seed, 0))
-            assay, _ = reference_draw(scn, _rng_for(seed, 0))
-            assert draw.assay.n < scn.n_dvl and draw.assay == assay, seed
-            assert draw.well_assays is None
+            rng = _rng_for(seed, 0)
+            draw, _ = _simulate_until_regular(scn, rng)
+            assert draw.assay.n < scn.n_dvl and draw.well_assays is None, seed
+            _feed(digest, *map(_counts, draw.assay.levels), rng.random(4))
+        assert digest.hexdigest() == self.DROPPED_LINEAGE
 
 
 class TestRunStudy:
