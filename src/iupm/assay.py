@@ -469,7 +469,9 @@ def parse_wells_csv(text: str | bytes) -> list[WellAssay]:
 
     Levels are ordered by first appearance of their u value; lineage columns
     are identified by the ``z_<id>`` header names and shared by all levels.
-    Well ids must be unique across the file.
+    Well ids must be unique across the file.  A row's layout is checked as it
+    is read; then ``WellAssay`` checks each level in turn, naming the first
+    well that fails the first of its checks that any well fails.
     """
     reader = csv.reader(io.StringIO(_decode(text)))
     try:

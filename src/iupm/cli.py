@@ -29,7 +29,7 @@ from .assay import (
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
 from .inference import FitResult, SingularInformationError, fit_mle
-from .negbin import IdentifiabilityError, fit_negbin, lrt_overdispersion
+from .negbin import IdentifiabilityError, fit_negbin, lrt_from_loglik
 from .simulate import lrt_power_study, metrics_csv, power_csv, replicates_csv, run_study, study_from_json
 
 EXIT_OK = 0
@@ -194,16 +194,20 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_lrt(args) -> int:
-    res = lrt_overdispersion(_load_perfect_assay(args))
-    pois, nb = res.null, res.alternative
-    # a statistic from an unconverged alternative fit is no test result
+    assay = _load_perfect_assay(args)
+    pois = fit_mle(assay, alpha=args.alpha)
+    nb = fit_negbin(assay, pois=pois)
     report = {
         "command": "lrt",
-        "statistic": res.statistic if nb.converged else None,
-        "p_value": res.p_value if nb.converged else None,
+        "statistic": None,
+        "p_value": None,
         "poisson": {"iupm": pois.iupm, "log_lik": pois.log_lik},
         "negbin": {"iupm": nb.iupm, "gamma": nb.gamma_hat, "log_lik": nb.log_lik},
     }
+    # a statistic from an unconverged alternative fit is no test result
+    if nb.converged:
+        res = lrt_from_loglik(pois.log_lik, nb.log_lik)
+        report.update(statistic=res.statistic, p_value=res.p_value)
     _emit(report, args.output_format, args.output)
     return EXIT_OK if (pois.converged and nb.converged) else EXIT_NOT_CONVERGED
 

@@ -13,7 +13,7 @@ parameters are only identifiable with data from at least two dilution levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +53,8 @@ class NBFit:
 
 @dataclass
 class LrtResult:
-    """The test, and from ``lrt_overdispersion`` the two fits it compares."""
-
     statistic: float
     p_value: float
-    null: FitResult | None = None
-    alternative: NBFit | None = None
 
 
 def nb_zero_prob(lam, gamma: float):
@@ -268,4 +264,4 @@ def lrt_overdispersion(assay: MultiDilutionAssay) -> LrtResult:
     """
     pois = fit_mle(assay)
     nb = fit_negbin(assay, pois=pois)
-    return replace(lrt_from_loglik(pois.log_lik, nb.log_lik), null=pois, alternative=nb)
+    return lrt_from_loglik(pois.log_lik, nb.log_lik)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,20 @@ class TestFileFormats:
             parse_wells_csv(text)
         wa, = parse_wells_csv(text.replace("w1,1.0,0,0,\n", "w2,1.0,0,0,\n", 1))
         assert wa.labels == ("well 'w\\n0' on line 2", "well 'w2' on line 5", "well 'w1' on line 6")
+
+    def test_wells_with_two_bad_rows_name_one_by_the_order_of_checks(self):
+        head = "well,u,w_star,r,z_a\n"
+        cases = [
+            # a later repeated id is found while reading, before any level is checked
+            ("a,1.0,2,0,\nb,1.0,0,0,\na,2.0,0,0,\n", "line 4: well id 'a' repeats the id on line 2"),
+            # within a level, the w_star/r check comes before the z_star check
+            ("a,1.0,1,1,2\nb,1.0,2,0,\n", "well 'b' on line 3: w_star and r must be 0/1 indicators"),
+            # the level of u = 1.0 appears first, so it is checked first
+            ("a,1.0,1,1,1\nb,2.0,2,0,\nc,1.0,2,0,\n", "well 'c' on line 4: w_star and r must be 0/1 indicators"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(AssayDataError, match=f"^{re.escape(message)}$"):
+                parse_wells_csv(head + rows)
 
     def test_summarize_well_assay_matches_reference(self):
         rng = np.random.default_rng(17)
