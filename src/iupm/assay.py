@@ -21,7 +21,8 @@ The estimators consume immutable summary objects:
 Two file formats are supported:
 
 * ``summary-json``: ``{"n": int, "levels": [{"u": f, "M": i, "MN": i,
-  "m": i, "q": f?, "Y": [i...]}]}``
+  "m": i, "q": f?, "Y": [i...]}]}``, checked like the scenario and study
+  documents by :func:`_check`
 * ``wells-csv``: header ``well,u,w_star,r,z_<dvl-id>...`` with one row per
   well; z cells are blank exactly when ``r`` is 0.
 """
@@ -35,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,16 +62,12 @@ class AssayDataError(ValueError):
     """Raised for malformed or structurally impossible assay data."""
 
 
-def _is_number(value) -> bool:
-    """An int or float that is not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_count(name: str, value, minimum: int = 0) -> int:
     if isinstance(value, (bool, np.bool_)):
         raise AssayDataError(f"{name} must be an integer, got {value!r}")
     try:
         ivalue = int(value)
+        float(ivalue)  # past the float range, a count overflows the likelihood
     except (TypeError, ValueError, OverflowError) as exc:
         raise AssayDataError(f"{name} must be an integer, got {value!r}") from exc
     if ivalue != value or ivalue < minimum:
@@ -114,9 +111,7 @@ class DilutionLevelData:
     q: float | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.u) and math.isfinite(self.u) and self.u > 0):
-            raise AssayDataError(f"u must be a positive finite number, got {self.u!r}")
-        object.__setattr__(self, "u", float(self.u))
+        object.__setattr__(self, "u", _check(_U, self.u, "u"))
         object.__setattr__(self, "M", _check_count("M", self.M, minimum=1))
         object.__setattr__(self, "M_N", _check_count("M_N", self.M_N))
         object.__setattr__(self, "m", _check_count("m", self.m))
@@ -124,9 +119,7 @@ class DilutionLevelData:
             self, "Y", tuple(_check_count(f"Y[{i}]", y) for i, y in enumerate(self.Y))
         )
         if self.q is not None:
-            if not (_is_number(self.q) and 0.0 <= self.q <= 1.0):
-                raise AssayDataError(f"q must lie in [0, 1], got {self.q!r}")
-            object.__setattr__(self, "q", float(self.q))
+            object.__setattr__(self, "q", _check(_UNIT, self.q, "q"))
 
     @property
     def M_P(self) -> int:
@@ -232,9 +225,7 @@ class WellAssay:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.u) and math.isfinite(self.u) and self.u > 0):
-            raise AssayDataError(f"u must be a positive finite number, got {self.u!r}")
-        object.__setattr__(self, "u", float(self.u))
+        object.__setattr__(self, "u", _check(_U, self.u, "u"))
         names = ("w_star", "r", "z_star")
         try:
             w, r, z = (np.array(getattr(self, name)) for name in names)
@@ -293,12 +284,8 @@ class ErrorRates:
 
     def __post_init__(self):
         for name in ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise AssayDataError(f"{name} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise AssayDataError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = _check(_Number(), getattr(self, name), name)
+            object.__setattr__(self, name, _check(_UNIT, value, name))
 
     @property
     def perfect(self) -> bool:
@@ -417,33 +404,95 @@ def _load_json(text: str | bytes, what: str = "JSON"):
         raise AssayDataError(f"malformed {what}: {_too_long()}") from None
 
 
+# The kinds of value in a JSON document.  ``default`` is an absent key's value (_REQUIRED:
+# the key must be given); ``must`` says what a value must be, and ``test`` checks it.
+_REQUIRED = object()
+
+
+class _Count(NamedTuple):  # an integer >= minimum, also when written as 2.0
+    minimum: int = 0
+    default: object = _REQUIRED
+
+
+class _Number(NamedTuple):  # a float, not a boolean
+    default: object = _REQUIRED
+    must: str = "be a number"
+    test: Callable[[float], bool] = lambda x: True
+
+
+class _Str(NamedTuple):
+    default: object = _REQUIRED
+    must: str = "be a string"
+    test: Callable[[str], bool] = lambda s: True
+
+
+class _List(NamedTuple):  # ``what`` names the items in messages
+    item: object
+    what: str
+    non_empty: bool = False
+    default: object = _REQUIRED
+
+
+class _Object(NamedTuple):  # each key's kind; None leaves the keys unchecked
+    keys: dict | None
+    default: object = _REQUIRED
+
+
+def _check(kind, value, path: str = ""):
+    """``value`` checked against ``kind``, as plain values with the defaults of absent keys filled in.
+
+    ``path`` names the value in messages, as in ``levels[0].u``.  An object
+    refuses unknown keys; an optional key whose default is None may be null.
+    """
+    if isinstance(kind, _Object):
+        if not isinstance(value, dict):
+            required = ", ".join(key for key, sub in (kind.keys or {}).items() if sub.default is _REQUIRED)
+            raise AssayDataError(f"{path or 'the document'} must be an object{required and ' with '}{required}, got {value!r}")
+        if kind.keys is None:
+            return value
+        where = f"{path}: " if path else ""
+        unknown = [key for key in value if key not in kind.keys]
+        if unknown:
+            raise AssayDataError(f"{where}unknown key {unknown[0]!r}")
+        checked = {}
+        for key, sub in kind.keys.items():
+            if key not in value or (value[key] is None and sub.default is None):
+                if sub.default is _REQUIRED:
+                    raise AssayDataError(f"{where}missing field {key!r}")
+                checked[key] = sub.default
+            else:
+                checked[key] = _check(sub, value[key], f"{path}.{key}" if path else key)
+        return checked
+    if isinstance(kind, _List):
+        if not (isinstance(value, list) and (value or not kind.non_empty)):
+            raise AssayDataError(f"{path} must be a {'non-empty ' * kind.non_empty}list of {kind.what}, got {value!r}")
+        return [_check(kind.item, item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if isinstance(kind, _Count):
+        return _check_count(path, value, kind.minimum)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number and isinstance(kind, _Number) else value
+    except OverflowError:  # an integer past the float range
+        x = None
+    if not (isinstance(x, float if isinstance(kind, _Number) else str) and kind.test(x)):
+        raise AssayDataError(f"{path} must {kind.must}, got {value!r}")
+    return x
+
+
+_U = _Number(must="be a positive finite number", test=lambda u: 0 < u < math.inf)
+_UNIT = _Number(default=None, must="lie in [0, 1]", test=lambda x: 0 <= x <= 1)
+_SUMMARY = _Object({
+    "n": _Count(),
+    "levels": _List(_Object({
+        "u": _U, "M": _Count(1), "MN": _Count(), "m": _Count(), "Y": _List(_Count(), "counts", default=()), "q": _UNIT,
+    }), "{u, M, MN, m} objects", non_empty=True),
+})
+
+
 def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or "n" not in doc or "levels" not in doc:
-        raise AssayDataError('summary-json must be an object with "n" and "levels"')
-    if not isinstance(doc["levels"], list) or not doc["levels"]:
-        raise AssayDataError('summary-json "levels" must be a non-empty list')
-    levels = []
-    for d, lv in enumerate(doc["levels"]):
-        if not isinstance(lv, dict):
-            raise AssayDataError(f"level {d}: must be an object, got {lv!r}")
-        Y = lv.get("Y", [])
-        if not isinstance(Y, list):
-            raise AssayDataError(f"level {d}: Y must be a list of counts, got {Y!r}")
-        try:
-            levels.append(
-                DilutionLevelData(
-                    u=lv["u"],
-                    M=lv["M"],
-                    M_N=lv["MN"],
-                    m=lv["m"],
-                    Y=tuple(Y),
-                    q=lv.get("q"),
-                )
-            )
-        except KeyError as exc:
-            raise AssayDataError(f"level {d}: missing field {exc}") from exc
-    assay = MultiDilutionAssay(tuple(levels), doc["n"])
+    doc = _check(_SUMMARY, _load_json(text))
+    levels = tuple(DilutionLevelData(lv["u"], lv["M"], lv["MN"], lv["m"], lv["Y"], lv["q"]) for lv in doc["levels"])
+    assay = MultiDilutionAssay(levels, doc["n"])
     report = validate(assay)
     if not report.ok:
         raise AssayDataError(str(report))

@@ -195,7 +195,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_lrt(args) -> int:
     assay = _load_perfect_assay(args)
-    pois = fit_mle(assay, alpha=args.alpha)
+    pois = fit_mle(assay)
     nb = fit_negbin(assay, pois=pois)
     report = {
         "command": "lrt",
@@ -252,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["auto", "summary-json", "wells-csv"], default="auto")
         p.add_argument("--output", "-o", default=None, help="write the report here instead of stdout")
         p.add_argument("--output-format", choices=list(formats), default=formats[0])
-        p.add_argument("--alpha", type=float, default=0.05)
 
     fit = sub.add_parser("fit", help="maximum-likelihood IUPM fit")
     add_io(fit)
+    fit.add_argument("--alpha", type=float, default=0.05)
     fit.add_argument("--no-udsa", action="store_true", help="ignore sequencing data")
     fit.add_argument("--bias-correct", action="store_true", help="also report the bias-corrected fit")
     kind = fit.add_mutually_exclusive_group()

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .assay import (
-    AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, _check_count, _is_number, _load_json,
-    restrict_to_detected, summarize_well_assay,
+    AssayDataError, ErrorRates, MultiDilutionAssay, WellAssay, _check, _Count, _List, _load_json, _Number,
+    _Object, _Str, restrict_to_detected, summarize_well_assay,
 )
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
@@ -383,11 +383,25 @@ def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
 
 
 # what scenario_to_json writes, plus the dispersion values of a power scenario
-_SCENARIO_KEYS = (
-    "T", "n_dvl", "allocation", "levels", "model", "gamma", "rates", "reps", "seed", "estimators", "comparator",
-    "gammas",
-)
-_RATE_KEYS = ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa")
+_SCENARIO = _Object({
+    "T": _Number(),
+    "n_dvl": _Count(1),
+    "allocation": _Str(default=SimScenario.allocation),
+    "levels": _List(_Object({"u": _Number(), "M": _Count(1), "q": _Number()}), "{u, M, q} objects", non_empty=True),
+    "model": _Str(default=SimScenario.model),
+    "gamma": _Number(default=SimScenario.gamma),
+    "rates": _Object(dict.fromkeys(("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa"), _Number()), default=None),
+    "reps": _Count(1, default=SimScenario.reps),
+    "seed": _Count(default=SimScenario.seed),
+    "estimators": _List(_Str(), "names", default=None),
+    "comparator": _Str(default=None),
+    "gammas": _List(_Number(must="be a non-negative finite number", test=lambda g: 0 <= g < math.inf),
+                    "non-negative finite numbers", non_empty=True, default=None),
+})
+_NAME = _Str(must="be a non-empty string without commas, quotes or line breaks",
+             test=lambda s: s and not any(c in s for c in ',"\r\n'))
+_STUDY = _Object({"scenarios": _List(_Object(None), "objects", non_empty=True)})
+_STUDY_ENTRY = _Object({"name": _NAME, **_SCENARIO.keys})
 
 
 class StudyScenario(NamedTuple):
@@ -404,81 +418,26 @@ class StudyScenario(NamedTuple):
     gammas: list[float] | None
 
 
-def _load_object(text: str | bytes) -> dict:
-    doc = _load_json(text, "scenario JSON")
-    if not isinstance(doc, dict):
-        raise AssayDataError("a scenario or study document must be a JSON object")
-    return doc
-
-
-def _check_name(label, what: str = "name") -> None:
-    if not (isinstance(label, str) and label and not any(c in label for c in ',"\r\n')):
-        raise AssayDataError(f"{what} must be a non-empty string without commas, quotes or line breaks, got {label!r}")
-
-
-def _check_keys(where: str, obj: dict, known):
-    unknown = [key for key in obj if key not in known]
-    if unknown:
-        raise AssayDataError(f"{where}unknown key {unknown[0]!r}")
-
-
-def _number(name: str, value) -> float:
-    try:
-        if _is_number(value):
-            return float(value)
-    except OverflowError:  # an integer past the float range
-        pass
-    raise AssayDataError(f"{name} must be a number, got {value!r}")
-
-
 def _parse_scenario(doc: dict) -> tuple:
-    """A scenario object as (scenario, estimators, comparator, gammas).
+    """A checked scenario object as (scenario, estimators, comparator, gammas).
 
     A configuration that ``run_study`` or ``lrt_power_study`` would refuse
     is refused here, so a study fails before any of it runs.
     """
-    _check_keys("", doc, _SCENARIO_KEYS)
-    levels, rates = doc.get("levels"), doc.get("rates", {})
-    if not (isinstance(levels, list) and levels and all(isinstance(lv, dict) for lv in levels)):
-        raise AssayDataError(f"levels must be a non-empty list of {{u, M, q}} objects, got {levels!r}")
-    if not isinstance(rates, dict):
-        raise AssayDataError(f"rates must be an object with {', '.join(_RATE_KEYS)}, got {rates!r}")
-    for i, lv in enumerate(levels):
-        _check_keys(f"levels[{i}]: ", lv, ("u", "M", "q"))
-    _check_keys("rates: ", rates, _RATE_KEYS)
-    try:
-        scenario = SimScenario(
-            truth=_number("T", doc["T"]),
-            n_dvl=_check_count("n_dvl", doc["n_dvl"], minimum=1),
-            levels=tuple(
-                SimLevel(
-                    u=_number(f"levels[{i}].u", lv["u"]),
-                    M=_check_count(f"levels[{i}].M", lv["M"], minimum=1),
-                    q=_number(f"levels[{i}].q", lv["q"]),
-                )
-                for i, lv in enumerate(levels)
-            ),
-            allocation=doc.get("allocation", "constant"),
-            model=doc.get("model", "poisson"),
-            gamma=_number("gamma", doc.get("gamma", 0.0)),
-            rates=ErrorRates(**{key: rates[key] for key in _RATE_KEYS}) if "rates" in doc else None,
-            reps=_check_count("reps", doc.get("reps", 1000), minimum=1),
-            seed=_check_count("seed", doc.get("seed", 20230)),
-        )
-    except KeyError as exc:
-        raise AssayDataError(f"missing field {exc}") from exc
-    estimators, comparator, gammas = doc.get("estimators"), doc.get("comparator"), doc.get("gammas")
-    if estimators is not None and not isinstance(estimators, list):
-        raise AssayDataError("estimators must be a list of names")
+    rates = doc["rates"]
+    scenario = SimScenario(
+        truth=doc["T"], n_dvl=doc["n_dvl"], levels=tuple(SimLevel(**lv) for lv in doc["levels"]),
+        allocation=doc["allocation"], model=doc["model"], gamma=doc["gamma"],
+        rates=None if rates is None else ErrorRates(**rates), reps=doc["reps"], seed=doc["seed"],
+    )
+    estimators, comparator, gammas = doc["estimators"], doc["comparator"], doc["gammas"]
     if gammas is None:
         _estimator_names(scenario, _default_estimators(scenario.model) if estimators is None else estimators, comparator)
         return scenario, estimators, comparator, None
-    if not (isinstance(gammas, list) and gammas and all(_is_number(g) and 0 <= g < math.inf for g in gammas)):
-        raise AssayDataError(f"gammas must be a non-empty list of non-negative finite numbers, got {gammas!r}")
     if estimators is not None or comparator is not None:
         raise AssayDataError("a power scenario (gammas) takes no estimators or comparator")
     _check_power_levels(scenario)
-    return scenario, None, None, [float(g) for g in gammas]
+    return scenario, None, None, gammas
 
 
 def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScenario]:
@@ -488,24 +447,20 @@ def study_from_json(text: str | bytes, name: str = "scenario") -> list[StudyScen
     ``name``.  Names must be distinct, and a study holds either power
     scenarios only or metrics scenarios only.
     """
-    doc = _load_object(text)
+    doc = _load_json(text, "scenario JSON")
+    if not isinstance(doc, dict):
+        raise AssayDataError("a scenario or study document must be a JSON object")
     if "scenarios" not in doc:
-        _check_name(name, "a plain scenario document is named after its file, whose stem")
+        _check(_NAME, name, "a plain scenario document is named after its file, whose stem")
         try:
-            return [StudyScenario(name, *_parse_scenario(doc))]
+            return [StudyScenario(name, *_parse_scenario(_check(_SCENARIO, doc)))]
         except ValueError as exc:
             raise AssayDataError(f"bad scenario: {exc}") from exc
-    _check_keys("study: ", doc, ("scenarios",))
-    entries = doc["scenarios"]
-    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
-        raise AssayDataError("study: scenarios must be a non-empty list of objects")
     study = []
-    for i, entry in enumerate(entries):
-        fields = {key: value for key, value in entry.items() if key != "name"}
-        label = entry.get("name")
+    for i, entry in enumerate(_check(_STUDY, doc, "study")["scenarios"]):
         try:
-            _check_name(label)
-            study.append(StudyScenario(label, *_parse_scenario(fields)))
+            fields = _check(_STUDY_ENTRY, entry)
+            study.append(StudyScenario(fields["name"], *_parse_scenario(fields)))
         except ValueError as exc:
             raise AssayDataError(f"bad scenario {i}: {exc}") from exc
     names = [entry.name for entry in study]
@@ -530,12 +485,7 @@ def scenario_to_json(scenario: SimScenario, estimators=None, comparator=None) ->
     if scenario.model == "negbin":
         doc["gamma"] = scenario.gamma
     if scenario.rates is not None:
-        doc["rates"] = {
-            "sens_qvoa": scenario.rates.sens_qvoa,
-            "spec_qvoa": scenario.rates.spec_qvoa,
-            "sens_udsa": scenario.rates.sens_udsa,
-            "spec_udsa": scenario.rates.spec_udsa,
-        }
+        doc["rates"] = asdict(scenario.rates)
     if estimators is not None:
         doc["estimators"] = list(estimators)
     if comparator is not None:

@@ -153,3 +153,18 @@ def test_every_public_function_is_used_by_the_package_or_documented():
         and node.name not in documented
     ]
     assert orphans == []
+
+
+def test_only_assay_reads_json():
+    """Every JSON document is read in ``assay.py``, where ``_check`` walks it:
+    no other module calls ``json.loads`` or ``json.load``, or imports them."""
+    readers = sorted(
+        path.name
+        for path in Path(iupm.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name in ("load", "loads") for alias in node.names))
+    )
+    assert readers == ["assay.py"]

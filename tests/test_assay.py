@@ -84,6 +84,12 @@ class TestConstructors:
             with pytest.raises(AssayDataError, match="u must be a positive finite number"):
                 WellAssay(flag, [1, 0], [0, 0], [[0], [0]])
 
+    def test_integer_u_past_the_float_range_rejected(self):
+        with pytest.raises(AssayDataError, match="^u must be a positive finite number, got 1000"):
+            DilutionLevelData(u=10**400, M=12, M_N=1, m=0)
+        with pytest.raises(AssayDataError, match="^u must be a positive finite number, got 1000"):
+            WellAssay(10**400, [1, 0], [0, 0], [[0], [0]])
+
     def test_misaligned_lineage_columns_rejected(self):
         lv1 = DilutionLevelData(u=1.0, M=12, M_N=6, m=2, Y=(1, 1))
         lv2 = DilutionLevelData(u=0.5, M=12, M_N=6, m=2, Y=(2,))

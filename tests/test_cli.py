@@ -262,12 +262,14 @@ class TestFit:
         "doc, message",
         [
             ({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 2, "Y": [2], "q": "x"}]}, "q must lie"),
-            ({"n": 0, "levels": [5]}, "level 0: must be an object"),
-            ({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 2, "Y": 1}]}, "level 0: Y must be a list of counts"),
+            ({"n": 0, "levels": [5]}, "levels[0] must be an object"),
+            ({"n": 1, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 2, "Y": 1}]}, "levels[0].Y must be a list of counts"),
             ({"n": 0, "levels": [{"u": True, "M": 12, "MN": 6, "m": 0}]}, "u must be a positive finite number"),
             ({"n": 0, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 0, "q": True}]}, "q must lie"),
+            # an integer literal past the float range
+            ({"n": 0, "levels": [{"u": 10**400, "M": 10, "MN": 5, "m": 0}]}, "levels[0].u must be a positive finite number"),
         ],
-        ids=["string-q", "level-not-object", "scalar-Y", "boolean-u", "boolean-q"],
+        ids=["string-q", "level-not-object", "scalar-Y", "boolean-u", "boolean-q", "huge-integer-u"],
     )
     def test_malformed_level_exits_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
@@ -276,6 +278,18 @@ class TestFit:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        # spelled q, the key sets the sequenced fraction that the SE depends on
+        level = {"u": 1, "M": 12, "MN": 4, "m": 4, "Y": [3, 2], "q": 0.8}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"n": 2, "levels": [level]}))
+        code, out, _ = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 0 and round(json.loads(out)["estimate"]["se"], 5) == 0.36292
+        level["Q"] = level.pop("q")
+        path.write_text(json.dumps({"n": 2, "levels": [level]}))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert (code, out, err) == (2, "", "error: levels[0]: unknown key 'Q'\n")
 
     def test_sequenced_level_with_zero_q_exits_2(self, tmp_path, capsys):
         path = tmp_path / "q0.json"
@@ -459,11 +473,14 @@ class TestLrt:
         assert out == ""
         assert err == ALL_POSITIVE_MESSAGE
 
-    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys):
+    def test_alpha_is_not_an_option(self, tmp_path, capsys):
+        # nothing that lrt reports depends on a confidence level
         path = write_subject(tmp_path, "C1")
-        code, _, err = run_cli(capsys, "lrt", "--input", str(path), "--alpha", "1.5")
-        assert code == 2
-        assert err.count("\n") == 1 and "--alpha" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["lrt", "--input", str(path), "--alpha", "0.2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --alpha" in captured.err
 
     def test_reports_statistic_and_fits(self, tmp_path, capsys):
         scn = SimScenario(
@@ -629,10 +646,14 @@ class TestSimulate:
             ({"model": "imperfect", "rates": [1, 2]}, "rates must be an object with sens_qvoa"),
             ({"levels": {"u": 1}}, "levels must be a non-empty list of {u, M, q} objects"),
             ({"gammas": [0.0, 1.0]}, "two dilution levels"),
-            ({"gammas": [-1.0]}, "gammas must be a non-empty list of non-negative finite numbers"),
+            ({"gammas": [-1.0]}, "gammas[0] must be a non-negative finite number"),
             (
                 {"gammas": [0.0], "comparator": "mle-with-udsa", "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
                 "takes no estimators or comparator",
+            ),
+            (
+                {"model": "negbin", "gammas": [10**400], "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
+                "gammas[0] must be a non-negative finite number",
             ),
         ],
         ids=[
@@ -640,7 +661,7 @@ class TestSimulate:
             "boolean-rate", "unidentifiable-rates", "fractional-n_dvl", "fractional-M", "fractional-reps",
             "fractional-seed", "unknown-key", "unknown-level-key", "unknown-rate-key", "name-outside-a-study",
             "boolean-u", "boolean-q", "rates-list", "levels-object", "single-level-power", "negative-gamma",
-            "power-with-comparator",
+            "power-with-comparator", "huge-integer-gamma",
         ],
     )
     def test_unusable_scenario_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):

@@ -2,13 +2,15 @@
 
 Each document starts from a well-formed one of tiny size (M <= 12, reps <= 3)
 and may have one field replaced by a junk value.  Whatever the input, the
-command must end with exit code 0, 2 or 3 and never raise.
+command must end with exit code 0, 2 or 3 and never raise.  A key that no
+JSON format knows, in any object of any format, must end it with exit code 2.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from iupm.cli import main
@@ -66,7 +68,7 @@ def sequenced_wells(draw, n, M):
 
 
 @st.composite
-def summary_documents(draw):
+def summary_documents(draw, mutate=True):
     n = draw(st.integers(0, 3))
     us = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0]), min_size=1, max_size=3, unique=True))
     levels = []
@@ -83,7 +85,8 @@ def summary_documents(draw):
         if draw(st.booleans()):
             level["q"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
         levels.append(level)
-    return json.dumps(_mutate(draw, {"n": n, "levels": levels}))
+    doc = {"n": n, "levels": levels}
+    return json.dumps(_mutate(draw, doc) if mutate else doc)
 
 
 @st.composite
@@ -143,12 +146,13 @@ def scenario_documents(draw):
 
 
 @st.composite
-def study_documents(draw):
+def study_documents(draw, mutate=True):
     """Two named scenarios; now and then their names clash, or power and metrics scenarios mix."""
     power, mixed = draw(st.integers(0, 3)) == 0, draw(st.integers(0, 5)) == 0
     names = ["a", draw(st.sampled_from(["a", "b", "c", "d", "e"]))]
     scenarios = [{"name": nm, **draw(scenario_fields(power=pw))} for nm, pw in zip(names, [power, power != mixed])]
-    _mutate(draw, draw(st.sampled_from(scenarios)))
+    if mutate:
+        _mutate(draw, draw(st.sampled_from(scenarios)))
     for scenario in scenarios:
         _fewer_reps(scenario)
     return json.dumps({"scenarios": scenarios})
@@ -158,13 +162,15 @@ def run(tmp_path, name, text, args):
     path = tmp_path / name
     path.write_text(text)
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([args[0], "--input", str(path), *args[1:]])
     err = err.getvalue()
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1
+    return code, out.getvalue(), err
 
 
 FIT_ARGS = [["fit"], ["fit", "--bias-correct"], ["fit", "--negbin"], ["fit", "--no-udsa", "--bias-correct"], ["lrt"]]
@@ -192,3 +198,43 @@ def test_wells_csv(tmp_path_factory, doc, args):
 @given(doc=st.one_of(scenario_documents(), study_documents()))
 def test_scenario(tmp_path_factory, doc):
     run(tmp_path_factory.mktemp("fuzz"), "scenario.json", doc, ["simulate"])
+
+
+KNOWN_KEYS = {
+    "n", "levels", "u", "M", "MN", "m", "Y", "q", "T", "n_dvl", "allocation", "model", "gamma", "rates",
+    "sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa", "reps", "seed", "estimators", "comparator", "gammas",
+    "scenarios", "name",
+}
+
+
+@st.composite
+def unknown_key_documents(draw, where):
+    """A well-formed document with a key that no format knows in the object ``where`` names."""
+    if where.startswith("summary"):
+        doc = json.loads(draw(summary_documents(mutate=False)))
+        target = doc if where == "summary" else draw(st.sampled_from(doc["levels"]))
+    elif where.startswith("study"):
+        doc = json.loads(draw(study_documents(mutate=False)))
+        # the first entry: a later one is checked only once the ones before it are
+        target = doc if where == "study" else doc["scenarios"][0]
+    else:
+        doc = draw(scenario_fields())
+        doc.setdefault("rates", dict.fromkeys(("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa"), 0.9))
+        _fewer_reps(doc)
+        target = doc if where == "scenario" else doc["rates"] if where == "rates" else draw(st.sampled_from(doc["levels"]))
+    key = draw(st.text(max_size=8).filter(lambda k: k not in KNOWN_KEYS))
+    target[key] = draw(JUNK)
+    return json.dumps(doc), key
+
+
+@pytest.mark.parametrize(
+    "where", ["summary", "summary-level", "scenario", "scenario-level", "rates", "study", "study-entry"]
+)
+@FUZZ
+@given(data=st.data())
+def test_unknown_key_exits_2(tmp_path_factory, where, data):
+    doc, key = data.draw(unknown_key_documents(where))
+    name, args = ("assay.json", ["fit"]) if where.startswith("summary") else ("scenario.json", ["simulate"])
+    code, out, err = run(tmp_path_factory.mktemp("fuzz"), name, doc, args)
+    assert (code, out) == (2, "")
+    assert f"unknown key {key!r}" in err
