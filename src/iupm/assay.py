@@ -62,7 +62,7 @@ class AssayDataError(ValueError):
     """Raised for malformed or structurally impossible assay data."""
 
 
-def _check_count(name: str, value, minimum: int = 0) -> int:
+def _check_count(name: str, value, minimum: int = 0, maximum: int | None = None) -> int:
     if isinstance(value, (bool, np.bool_)):
         raise AssayDataError(f"{name} must be an integer, got {value!r}")
     try:
@@ -72,24 +72,62 @@ def _check_count(name: str, value, minimum: int = 0) -> int:
         raise AssayDataError(f"{name} must be an integer, got {value!r}") from exc
     if ivalue != value or ivalue < minimum:
         raise AssayDataError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and ivalue > maximum:
+        raise AssayDataError(f"{name} must be an integer <= {maximum}, got {value!r}")
     return ivalue
 
 
 class LevelTerms(NamedTuple):
-    """Constants of one level's Poisson likelihood, derived from its counts.
+    """Constants of the Poisson likelihood of D levels, derived from their counts.
 
-    y: Y as floats.  pos / y_pos: the lineages with Y_i > 0 and their counts;
-    all_pos is true when that is every lineage.  neg: M_N + m - Y_i, the
-    complete-data wells negative for lineage i.  unseq: M - M_N - m, the
-    positive wells left unsequenced.
+    Rows are levels and columns lineages; one level has D = 1.  u (D, 1):
+    the dilutions, so that ``u * tau`` is the (D, n) array of per-well rates.
+    y (D, n): Y as floats.  pos: the entries with Y > 0, and y_pos their
+    counts in row-major order; all_pos is true when that is every entry.
+    cuts: each level's slice of y_pos.  neg (D, n): M_N + m - Y, the
+    complete-data wells negative for each lineage.  unseq (D,): M - M_N - m,
+    the positive wells left unsequenced, as floats; unseq_levels: the levels
+    where that is not 0.
     """
 
+    u: np.ndarray
     y: np.ndarray
     pos: np.ndarray
     y_pos: np.ndarray
     all_pos: bool
+    cuts: tuple[slice, ...]
     neg: np.ndarray
-    unseq: int
+    unseq: np.ndarray
+    unseq_levels: tuple[int, ...]
+
+
+def _state_without_terms(self) -> dict:
+    """The pickled state: the fields alone, since the cached terms are rebuilt,
+    read-only, on first use."""
+    return {key: value for key, value in vars(self).items() if key != "terms"}
+
+
+def _likelihood_terms(levels) -> LevelTerms:
+    """The read-only likelihood constants of ``levels``, which share one n."""
+    y = np.array([lv.Y for lv in levels], dtype=float).reshape(len(levels), -1)
+    pos = y > 0
+    ends = np.cumsum(np.count_nonzero(pos, axis=1)).tolist()
+    seq_neg = [float(lv.M_N + lv.m) for lv in levels]
+    unseq = [float(lv.M - lv.M_N - lv.m) for lv in levels]
+    terms = LevelTerms(
+        u=np.array([[lv.u] for lv in levels]),
+        y=y,
+        pos=pos,
+        y_pos=y[pos],
+        all_pos=bool(pos.all()),
+        cuts=tuple(map(slice, [0] + ends[:-1], ends)),
+        neg=np.array(seq_neg)[:, None] - y,
+        unseq=np.array(unseq),
+        unseq_levels=tuple(d for d, x in enumerate(unseq) if x != 0.0),
+    )
+    for a in (terms.u, terms.y, terms.pos, terms.y_pos, terms.neg, terms.unseq):
+        a.flags.writeable = False
+    return terms
 
 
 @dataclass(frozen=True)
@@ -140,21 +178,15 @@ class DilutionLevelData:
 
     @cached_property
     def terms(self) -> LevelTerms:
-        """The likelihood constants, built on first use and kept with the level.
+        """The likelihood constants as one row, built on first use and kept with the level.
 
         The cache lives in the instance ``__dict__``: equality and hashing see
-        only the fields, and the arrays are read-only because every
-        evaluation shares them.
+        only the fields, pickling leaves it out, and the arrays are read-only
+        because every evaluation shares them.
         """
-        y = self.y_array()
-        pos = y > 0
-        seq_neg = self.M_N + self.m
-        terms = LevelTerms(
-            y=y, pos=pos, y_pos=y[pos], all_pos=bool(pos.all()), neg=seq_neg - y, unseq=self.M - seq_neg
-        )
-        for a in (terms.y, terms.pos, terms.y_pos, terms.neg):
-            a.flags.writeable = False
-        return terms
+        return _likelihood_terms((self,))
+
+    __getstate__ = _state_without_terms
 
 
 @dataclass(frozen=True)
@@ -179,6 +211,14 @@ class MultiDilutionAssay:
     @property
     def D(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def terms(self) -> LevelTerms:
+        """The likelihood constants of every level as (D, n) arrays, built
+        and kept like :attr:`DilutionLevelData.terms`."""
+        return _likelihood_terms(self.levels)
+
+    __getstate__ = _state_without_terms
 
     def strip_udsa(self) -> "MultiDilutionAssay":
         """Drop all sequencing information, keeping the well counts only."""
@@ -409,9 +449,10 @@ def _load_json(text: str | bytes, what: str = "JSON"):
 _REQUIRED = object()
 
 
-class _Count(NamedTuple):  # an integer >= minimum, also when written as 2.0
+class _Count(NamedTuple):  # an integer in [minimum, maximum], also when written as 2.0
     minimum: int = 0
     default: object = _REQUIRED
+    maximum: int | None = None
 
 
 class _Number(NamedTuple):  # a float, not a boolean
@@ -468,7 +509,7 @@ def _check(kind, value, path: str = ""):
             raise AssayDataError(f"{path} must be a {'non-empty ' * kind.non_empty}list of {kind.what}, got {value!r}")
         return [_check(kind.item, item, f"{path}[{i}]") for i, item in enumerate(value)]
     if isinstance(kind, _Count):
-        return _check_count(path, value, kind.minimum)
+        return _check_count(path, value, kind.minimum, kind.maximum)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         x = float(value) if number and isinstance(kind, _Number) else value
@@ -481,10 +522,13 @@ def _check(kind, value, path: str = ""):
 
 _U = _Number(must="be a positive finite number", test=lambda u: 0 < u < math.inf)
 _UNIT = _Number(default=None, must="lie in [0, 1]", test=lambda x: 0 <= x <= 1)
+# The expected information sums over a window of about 2 sqrt(380 M) well
+# counts: at most some 1.2 million counts, 10 MB an array, up to this M.
+MAX_WELLS = 10**9
 _SUMMARY = _Object({
     "n": _Count(),
     "levels": _List(_Object({
-        "u": _U, "M": _Count(1), "MN": _Count(), "m": _Count(), "Y": _List(_Count(), "counts", default=()), "q": _UNIT,
+        "u": _U, "M": _Count(1, maximum=MAX_WELLS), "MN": _Count(), "m": _Count(), "Y": _List(_Count(), "counts", default=()), "q": _UNIT,
     }), "{u, M, MN, m} objects", non_empty=True),
 })
 

@@ -240,8 +240,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` each of its subparsers, that
+    reports a usage error as one line, ``iupm ...: error: ...``, and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iupm",
         description="Estimate infectious units per million from limiting dilution assays.",
     )

@@ -274,25 +274,23 @@ def wald_ci(iupm: float, se: float, alpha: float = 0.05) -> tuple[float, float]:
 
 def multi_log_likelihood(tau, assay: MultiDilutionAssay) -> float:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    return sum(poisson.log_likelihood(lv.u * tau, lv) for lv in assay.levels)
+    return poisson.log_likelihood(assay.terms.u * tau, assay)
 
 
 def multi_gradient(tau, assay: MultiDilutionAssay) -> np.ndarray:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.zeros(tau.size)
-    for lv in assay.levels:
-        out += lv.u * poisson.gradient(lv.u * tau, lv)
-    return out
+    u = assay.terms.u
+    # sum(axis=0) adds the levels' rows in level order, onto 0.0
+    return (u * poisson.gradient(u * tau, assay)).sum(axis=0)
 
 
 def observed_information(tau, assay: MultiDilutionAssay) -> np.ndarray:
     """Negated Hessian of the joint log-likelihood (diagnostic alternative
     to the expected information)."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.zeros((tau.size, tau.size))
-    for lv in assay.levels:
-        out -= lv.u * lv.u * poisson.hessian(lv.u * tau, lv)
-    return out
+    u = assay.terms.u
+    # 0.0 - (a_1 + a_2 + ...) is 0.0 - a_1 - a_2 - ... to the bit, and never -0.0
+    return 0.0 - ((u * u)[:, :, None] * poisson.hessian(u * tau, assay)).sum(axis=0)
 
 
 def level_params(assay: MultiDilutionAssay) -> list[tuple[float, int, float]]:
@@ -424,7 +422,7 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     if n == 0 and len(assay.levels) == 1:
         lv = assay.levels[0]
         tau = np.array([poisson.closed_form_no_udsa(lv.M, lv.M_N) / lv.u])
-        iterations, converged = 0, True
+        iterations, converged, log_lik = 0, True, loglik(tau)
     else:
         # A trial step whose rates leave the float range is rejected outright;
         # the solver evaluates the gradient only where the objective is finite.
@@ -435,7 +433,8 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
 
         bfgs = maximize(objective, grad, start)
         res = bfgs if bfgs.converged else newton_maximize(objective, grad_hess, bfgs.x, -math.inf)
-        tau, iterations, converged = np.exp(res.x), bfgs.iterations, res.converged
+        # res.f is the log-likelihood at exp(res.x): the solvers return the value they evaluated there
+        tau, iterations, converged, log_lik = np.exp(res.x), bfgs.iterations, res.converged, res.f
     cov = covariance(information(tau))
     se = math.sqrt(float(cov.sum()))
     iupm = float(tau.sum())
@@ -446,7 +445,7 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
         se_iupm=se,
         ci=wald_ci(iupm, se, alpha),
         alpha=alpha,
-        log_lik=loglik(tau),
+        log_lik=log_lik,
         converged=converged,
         iterations=iterations,
         extreme=ExtremeOutcome.REGULAR,

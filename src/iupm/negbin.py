@@ -6,8 +6,9 @@ eff_i = log(1 + gamma*lam_i)/gamma, that zero probability is exp(-eff_i), so
 the overdispersed likelihood is exactly the Poisson one evaluated at the
 effective rates.  The fit maximizes over log tau jointly with gamma under the
 constraint gamma >= 0 by projected Newton on the analytic Hessian, which
-chains the Poisson gradient and Hessian through eff(lam, gamma); the
-parameters are only identifiable with data from at least two dilution levels.
+chains the Poisson gradient and Hessian of all levels, evaluated in one
+pass, through eff(lam, gamma); the parameters are only identifiable with
+data from at least two dilution levels.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ def nb_zero_prob(lam, gamma: float):
 
 
 # The helpers below set no error state, though gamma * lam can overflow and
-# the ratios then meet inf / inf.  nb_zero_prob, nb_log_likelihood and the two
-# callbacks of fit_negbin each set np.errstate(over="ignore", invalid="ignore")
-# once around all their calls.
+# the ratios then meet inf / inf.  They and the Poisson kernels take the rates
+# of every level at once, as one (D, n) array, so nb_zero_prob,
+# nb_log_likelihood and the two callbacks of fit_negbin each set
+# np.errstate(over="ignore", invalid="ignore") once around one pass over all
+# the levels.
 
 
 def _effective_rate(lam, gamma: float):
@@ -141,48 +144,57 @@ def _nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:
     if gamma < 0:
         return -math.inf
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    total = 0.0
-    for lv in assay.levels:
-        total += poisson.log_likelihood(_effective_rate(lv.u * tau, gamma), lv)
-    return total
+    return poisson.log_likelihood(_effective_rate(assay.terms.u * tau, gamma), assay)
 
 
 def _nb_grad_hess(x, assay: MultiDilutionAssay) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the log-likelihood in x = (log tau, gamma).
 
     Chains the Poisson gradient p and Hessian diag(h) - c 11^T at the
-    effective rates through eff(lam, gamma), lam = u tau, per level.  With
-    a = d eff / d theta = lam / (1 + gamma lam) and b, b2 the gamma
+    effective rates through eff(lam, gamma), lam = u tau, at every level.
+    With a = d eff / d theta = lam / (1 + gamma lam) and b, b2 the gamma
     derivatives of eff, da/dtheta = a - gamma a^2 and da/dgamma = -a^2, so
 
         H_theta,theta = diag(h a^2 + p (a - gamma a^2)) - c a a^T
         H_theta,gamma = a (h b - c sum b) - p a^2
         H_gamma,gamma = h . b^2 - c (sum b)^2 + p . b2
+
+    summed over the levels, whose (D, n) arrays are formed in one pass.  The
+    sums run in level order; in column n and at (n, n) each level adds its
+    own terms and then takes off its c terms, so a short loop over the
+    levels adds those precomputed rows and scalars in turn.
     """
     n = x.size - 1
     tau, gamma = np.exp(x[:n]), float(x[n])
-    g = np.zeros(n + 1)
-    H = np.zeros((n + 1, n + 1))
-    diag = np.zeros(n)
-    for lv in assay.levels:
-        lam = lv.u * tau
-        a = lam / (1.0 + gamma * lam)
-        a2 = a * a
-        b, b2 = _gamma_derivatives(lam, gamma)
-        eff = _effective_rate(lam, gamma)
-        p = poisson.gradient(eff, lv)
-        h, c = poisson.hessian_parts(eff, lv)
-        g[:n] += p * a
-        g[n] += p @ b
-        diag += h * a2 + p * (a - gamma * a2)
-        H[:n, n] += a * (h * b) - p * a2
-        H[n, n] += h @ (b * b) + p @ b2
+    lam = assay.terms.u * tau
+    a = lam / (1.0 + gamma * lam)
+    a2 = a * a
+    b, b2 = _gamma_derivatives(lam, gamma)
+    eff = _effective_rate(lam, gamma)
+    p = poisson.gradient(eff, assay)
+    h, common = poisson.hessian_parts(eff, assay)
+    g = np.empty(n + 1)
+    g[:n] = (p * a).sum(axis=0)
+    pb = np.vecdot(p, b).tolist()
+    column = a * (h * b) - p * a2
+    corner = (np.vecdot(h, b * b) + np.vecdot(p, b2)).tolist()
+    sb = b.sum(axis=1).tolist()
+    with_c = [d for d, c in enumerate(common) if c is not None]
+    a_c = a[with_c]
+    H = np.empty((n + 1, n + 1))
+    # 0.0 - (a_1 + a_2 + ...) is 0.0 - a_1 - a_2 - ... to the bit
+    cs = np.array([common[d] for d in with_c])
+    H[:n, :n] = 0.0 - (cs[:, None, None] * (a_c[:, :, None] * a_c[:, None, :])).sum(axis=0)
+    c_rows = iter(np.array([common[d] * sb[d] for d in with_c])[:, None] * a_c)
+    g[n], H[:n, n], H[n, n] = 0.0, 0.0, 0.0
+    for d, c in enumerate(common):
+        g[n] += pb[d]
+        H[:n, n] += column[d]
+        H[n, n] += corner[d]
         if c is not None:
-            sb = float(b.sum())
-            H[:n, :n] -= c * np.outer(a, a)
-            H[:n, n] -= (c * sb) * a
-            H[n, n] -= c * sb * sb
-    H[np.diag_indices(n)] += diag
+            H[:n, n] -= next(c_rows)
+            H[n, n] -= c * sb[d] * sb[d]
+    H[np.diag_indices(n)] += (h * a2 + p * (a - gamma * a2)).sum(axis=0)
     H[n, :n] = H[:n, n]
     return g, H
 

@@ -1,9 +1,9 @@
-"""Poisson observed-data log-likelihood for one dilution level.
+"""Poisson observed-data log-likelihood of one or several dilution levels.
 
 Rates are per-well means (``lambda``); all dilution scaling to per-million
 rates happens in :mod:`iupm.inference`, keeping one source of truth for the
 math here.  With per-lineage counts Y, negative wells M_N, and m sequenced
-positive wells out of M, the log-likelihood is
+positive wells out of M, one level's log-likelihood is
 
     sum_i [ Y_i log(1 - e^{-lam_i}) - lam_i (M_N + m - Y_i) ]
         + (M - M_N - m) log(1 - e^{-Lam}),      Lam = sum_i lam_i,
@@ -12,20 +12,29 @@ up to an additive constant that does not involve the rates.  Conventions:
 a zero rate with a zero count contributes exactly 0, and a zero rate with a
 positive count sends the value to -inf (never an exception).
 
-The per-level constants (Y as floats, the positive-count mask and counts,
-M_N + m - Y and the unsequenced count) live in
-:attr:`DilutionLevelData.terms <iupm.assay.DilutionLevelData.terms>`, built
-on a level's first evaluation and reused by every later one.
+Each kernel takes the rates of D levels as a (D, n) array together with a
+:class:`~iupm.assay.MultiDilutionAssay`, whose levels sum, or the (n,)
+rates of one :class:`~iupm.assay.DilutionLevelData`.  The constants (Y as
+floats, the positive-count mask and counts, M_N + m - Y and the unsequenced
+counts) live with the assay or level in its
+:attr:`~iupm.assay.MultiDilutionAssay.terms`, built on the first evaluation
+and reused by every later one, and every level is evaluated in one pass
+over those arrays.  Each level's sums are formed as if it were evaluated
+alone and are added in level order, so a level gives the same bits in an
+assay as on its own; only the per-level scalars (the log of the
+unsequenced term and its curvature) go through ``math`` one level at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from enum import Enum
 
 import numpy as np
 
-from .assay import DilutionLevelData, MultiDilutionAssay
+from .assay import DilutionLevelData, LevelTerms, MultiDilutionAssay
 from .special import expm1_ratio, log1mexp, log1mexp_arr
 
 __all__ = [
@@ -40,71 +49,112 @@ __all__ = [
 ]
 
 
+_NO_ERRSTATE = nullcontext()
+
+
 class ExtremeOutcome(Enum):
     REGULAR = "regular"
     ALL_NEGATIVE = "all-negative"
     ALL_POSITIVE_SINGLE_DVL = "all-positive-single-dvl"
 
 
-def _unpack(lam, level: DilutionLevelData):
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    terms = level.terms
-    if lam.shape != terms.y.shape:
-        raise ValueError(f"rate vector has length {lam.size}, level has n={level.n}")
-    return lam, terms
+def _unpack(lam, data: DilutionLevelData | MultiDilutionAssay) -> tuple[np.ndarray, LevelTerms, bool]:
+    """(rates as a (D, n) array, the terms of ``data``, whether lam was one level's (n,) vector)."""
+    lam = np.asarray(lam, dtype=float)
+    terms = data.terms
+    if lam.shape == terms.y.shape:
+        return lam, terms, False
+    if lam.ndim > 1 or terms.y.shape != (1, lam.size):
+        raise ValueError(f"rates of shape {lam.shape} do not fit {terms.y.shape[0]} level(s) of n={data.n}")
+    return lam.reshape(terms.y.shape), terms, True
 
 
-def log_likelihood(lam, level: DilutionLevelData) -> float:
-    lam, c = _unpack(lam, level)
+def log_likelihood(lam, data: DilutionLevelData | MultiDilutionAssay) -> float:
+    """The log-likelihood summed over the levels of ``data`` at the rates lam."""
+    lam, c, _ = _unpack(lam, data)
+    lam_pos = lam.ravel() if c.all_pos else lam[c.pos]
+    dead = None
     # count_nonzero takes a fraction of the time of any() on arrays this short
-    if np.count_nonzero(lam < 0.0):
-        return -math.inf
-    lam_pos = lam if c.all_pos else lam[c.pos]
-    if np.count_nonzero(lam_pos) < lam_pos.size:
-        return -math.inf
-    total = -float(lam @ c.neg)
-    if lam_pos.size:
-        total += float(c.y_pos @ log1mexp_arr(lam_pos))
-    if c.unseq > 0:
-        lam_total = float(lam.sum())
-        if lam_total <= 0.0:
-            return -math.inf
-        total += c.unseq * log1mexp(lam_total)
+    if np.count_nonzero(lam < 0.0) or np.count_nonzero(lam_pos) < lam_pos.size:
+        # A level with a negative rate, or a zero rate at a positive count, is
+        # -inf, and its own terms, which may warn, are never used.
+        dead = ((lam < 0.0) | ((lam == 0.0) & c.pos)).any(axis=1).tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if dead else _NO_ERRSTATE:
+        logs = log1mexp_arr(lam_pos)
+        lam_neg = np.vecdot(lam, c.neg).tolist()
+        lam_totals = lam.sum(axis=1).tolist() if c.unseq_levels else None
+    total = 0.0
+    for d, (cut, unseq) in enumerate(zip(c.cuts, c.unseq.tolist())):
+        if dead is not None and dead[d]:
+            total += -math.inf
+            continue
+        level = -lam_neg[d]
+        if cut.stop > cut.start:
+            level += float(c.y_pos[cut] @ logs[cut])
+        if unseq > 0:
+            if lam_totals[d] <= 0.0:
+                level = -math.inf
+            else:
+                level += unseq * log1mexp(lam_totals[d])
+        total += level
     return total
 
 
-def gradient(lam, level: DilutionLevelData) -> np.ndarray:
-    """d log-likelihood / d lambda_i; +inf components flag a zero rate with counts."""
-    lam, c = _unpack(lam, level)
+def gradient(lam, data: DilutionLevelData | MultiDilutionAssay) -> np.ndarray:
+    """d log-likelihood / d lambda, shaped like lam; +inf components flag a zero rate with counts."""
+    lam, c, one = _unpack(lam, data)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lead = c.y / np.expm1(lam)
         if not c.all_pos:
             lead = np.where(c.pos, lead, 0.0)
         out = lead - c.neg
-        if c.unseq != 0:
-            out = out + c.unseq / np.expm1(float(lam.sum()))
-    return out
+        if c.unseq_levels:
+            common = c.unseq / np.expm1(lam.sum(axis=1))
+            if len(c.unseq_levels) < len(common):
+                # no entry of out is -0.0, so adding 0.0 to a level without the term changes nothing
+                common = np.where(c.unseq != 0.0, common, 0.0)
+            out = out + common[:, None]
+    return out[0] if one else out
 
 
-def hessian(lam, level: DilutionLevelData) -> np.ndarray:
-    """Second derivatives: diagonal per-lineage terms plus a shared rank-one term."""
-    diag, common = hessian_parts(lam, level)
-    H = np.diag(diag)
-    if common is not None:
-        H = H - common
-    return H
+def hessian(lam, data: DilutionLevelData | MultiDilutionAssay) -> np.ndarray:
+    """Second derivatives: per level, diagonal per-lineage terms plus a shared rank-one term.
 
-
-def hessian_parts(lam, level: DilutionLevelData) -> tuple[np.ndarray, float | None]:
-    """(diag, common) with :func:`hessian` = diag(diag) - common * 11^T.
-
-    ``common`` is None when the level has no unsequenced positive wells.
+    (n, n) for one level's rates, and (D, n, n), one matrix per level, for an
+    assay's (D, n) rates.
     """
-    lam, c = _unpack(lam, level)
+    lam, c, one = _unpack(lam, data)
+    diag, common = _hessian_parts(lam, c)
+    D, n = diag.shape
+    H = np.zeros((D, n, n))
+    H.reshape(D, n * n)[:, :: n + 1] = diag
+    if c.unseq_levels:
+        # x - 0.0 is x, so a level without the term subtracts 0.0
+        H -= np.array([0.0 if x is None else x for x in common])[:, None, None]
+    return H[0] if one else H
+
+
+def hessian_parts(lam, data: DilutionLevelData | MultiDilutionAssay):
+    """(diag, common) with :func:`hessian` = diag(diag) - common * 11^T at each level.
+
+    For one level's (n,) rates, diag is (n,) and common a float, or None when
+    the level has no unsequenced positive wells; for an assay's (D, n) rates,
+    diag is (D, n) and common a list of D such entries.
+    """
+    lam, c, one = _unpack(lam, data)
+    diag, common = _hessian_parts(lam, c)
+    return (diag[0], common[0]) if one else (diag, common)
+
+
+def _hessian_parts(lam: np.ndarray, c: LevelTerms) -> tuple[np.ndarray, list[float | None]]:
     diag = np.where(c.pos, expm1_ratio(-c.y, lam, 2), 0.0)
-    if c.unseq == 0:
-        return diag, None
-    return diag, expm1_ratio(c.unseq, float(lam.sum()), 2)
+    if not c.unseq_levels:
+        return diag, [None] * len(c.cuts)
+    common = [
+        expm1_ratio(unseq, lam_total, 2) if unseq != 0.0 else None
+        for unseq, lam_total in zip(c.unseq.tolist(), lam.sum(axis=1).tolist())
+    ]
+    return diag, common
 
 
 def closed_form_no_udsa(M: int, M_N: int) -> float:

@@ -19,6 +19,7 @@ from iupm import (
     validate,
     wells_to_csv,
 )
+from iupm.assay import MAX_WELLS
 from helpers import simulate_wells
 
 
@@ -210,6 +211,13 @@ class TestFileFormats:
         for level in ({"u": 1, "M": 5, "MN": 2, "m": 0, "Y": None}, {"u": 1, "M": 1e400, "MN": 2, "m": 0}):
             with pytest.raises(AssayDataError):
                 parse_summary_json(json.dumps({"n": 0, "levels": [level]}))
+
+    def test_summary_well_count_is_bounded(self):
+        level = {"u": 1.0, "M": MAX_WELLS, "MN": 5, "m": 0}
+        assert parse_summary_json(json.dumps({"n": 0, "levels": [level]})).levels[0].M == MAX_WELLS
+        level["M"] += 1
+        with pytest.raises(AssayDataError, match=r"^levels\[0\]\.M must be an integer <= 1000000000, got "):
+            parse_summary_json(json.dumps({"n": 0, "levels": [level]}))
 
     def test_wells_round_trip(self):
         rng = np.random.default_rng(5)

@@ -268,8 +268,11 @@ class TestFit:
             ({"n": 0, "levels": [{"u": 1.0, "M": 12, "MN": 6, "m": 0, "q": True}]}, "q must lie"),
             # an integer literal past the float range
             ({"n": 0, "levels": [{"u": 10**400, "M": 10, "MN": 5, "m": 0}]}, "levels[0].u must be a positive finite number"),
+            # past the bound, the expected information would need arrays of many GiB
+            ({"n": 1, "levels": [{"u": 1e-16, "M": 10**16, "MN": 5 * 10**15, "m": 1, "Y": [1]}]},
+             "levels[0].M must be an integer <= 1000000000"),
         ],
-        ids=["string-q", "level-not-object", "scalar-Y", "boolean-u", "boolean-q", "huge-integer-u"],
+        ids=["string-q", "level-not-object", "scalar-Y", "boolean-u", "boolean-q", "huge-integer-u", "huge-M"],
     )
     def test_malformed_level_exits_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
@@ -480,7 +483,7 @@ class TestLrt:
             main(["lrt", "--input", str(path), "--alpha", "0.2"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
-        assert "unrecognized arguments: --alpha" in captured.err
+        assert captured.err == "iupm: error: unrecognized arguments: --alpha 0.2\n"
 
     def test_reports_statistic_and_fits(self, tmp_path, capsys):
         scn = SimScenario(
@@ -514,6 +517,32 @@ class TestLrt:
         report = json.loads(out)
         assert report["statistic"] is None and report["p_value"] is None
         assert report["negbin"]["log_lik"] > report["poisson"]["log_lik"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit"], "iupm fit: error: the following arguments are required: --input/-i"),
+        (["fit", "--input", "a.json", "--output-format", "xml"], "iupm fit: error: argument --output-format: invalid choice"),
+        (["lrt", "--input", "a.json", "--alpha", "0.2"], "iupm: error: unrecognized arguments: --alpha 0.2"),
+    ],
+    ids=["no-input", "xml-output", "lrt-alpha"],
+)
+def test_usage_error_is_one_line(capsys, argv, message):
+    # argparse would print the usage block first
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: iupm fit [-h] --input INPUT")
 
 
 def test_python_m_runs_the_cli(tmp_path, capsys):

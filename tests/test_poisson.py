@@ -159,23 +159,107 @@ class TestCachedConstants:
         assert_kernels_match_reference(lam, lv)
 
     def test_cache_is_invisible_to_equality_hash_and_pickle(self):
+        def one_level():
+            return level(20, 5, 8, (4, 0, 6))
+
+        def two_levels():
+            return MultiDilutionAssay((level(20, 5, 8, (4, 0, 6)), level(20, 5, 8, (4, 0, 6), u=0.5)), 3)
+
         lam = np.array([0.2, 0.9, 0.1])
-        cached = level(20, 5, 8, (4, 0, 6))
-        ll, g = log_likelihood(lam, cached), gradient(lam, cached)
-        assert "terms" in vars(cached)
-        fresh = level(20, 5, 8, (4, 0, 6))
-        assert "terms" not in vars(fresh)
-        assert fresh == cached and hash(fresh) == hash(cached)
-        restored = pickle.loads(pickle.dumps(cached))
-        assert restored == cached and hash(restored) == hash(cached)
-        for other in (fresh, restored):
-            assert log_likelihood(lam, other) == ll
-            assert np.array_equal(gradient(lam, other), g)
+        for build, rates in ((one_level, lam), (two_levels, np.array([lam, 0.5 * lam]))):
+            cached = build()
+            ll, g = log_likelihood(rates, cached), gradient(rates, cached)
+            assert "terms" in vars(cached)
+            fresh = build()
+            assert "terms" not in vars(fresh)
+            assert fresh == cached and hash(fresh) == hash(cached)
+            restored = pickle.loads(pickle.dumps(cached))
+            assert "terms" not in vars(restored)
+            assert restored == cached and hash(restored) == hash(cached)
+            for other in (fresh, restored):
+                assert log_likelihood(rates, other) == ll
+                assert np.array_equal(gradient(rates, other), g)
+            assert not restored.terms.y.flags.writeable
 
     def test_shared_constants_are_read_only(self):
-        terms = level(12, 6, 3, (2, 1)).terms
-        for arr in (terms.y, terms.pos, terms.y_pos, terms.neg):
-            assert not arr.flags.writeable
+        lv = level(12, 6, 3, (2, 1))
+        for terms in (lv.terms, MultiDilutionAssay((lv, level(12, 12, 0, (0, 0), u=2.0)), 2).terms):
+            for arr in (terms.u, terms.y, terms.pos, terms.y_pos, terms.neg, terms.unseq):
+                assert not arr.flags.writeable
+
+
+# The stacked kernels against a per-level evaluation of the formula in the
+# poisson docstring, written with math one term at a time.  The two add the
+# same terms in other orders, so they agree to within a few ulp of the
+# largest term: RTOL of the sum of the terms' magnitudes.
+RTOL = 1e-12
+
+
+def formula_level(lam, lv):
+    """(log-likelihood, its magnitude, gradient, gradient magnitudes, Hessian) of one level."""
+    lam = [float(v) for v in lam]
+    neg = [lv.M_N + lv.m - y for y in lv.Y]
+    unseq = lv.M - lv.M_N - lv.m
+    Lam = sum(lam)
+    terms = [-v * k for v, k in zip(lam, neg)]
+    if any(v < 0 for v in lam) or any(v == 0 and y > 0 for v, y in zip(lam, lv.Y)) or (unseq > 0 and Lam <= 0):
+        ll = -math.inf
+    else:
+        terms += [y * math.log(-math.expm1(-v)) for v, y in zip(lam, lv.Y) if y > 0]
+        if unseq > 0:
+            terms.append(unseq * math.log(-math.expm1(-Lam)))
+        ll = math.fsum(terms)
+    if min(lam) <= 0:
+        return ll, sum(map(abs, terms)), None, None, None
+    lead = [y / math.expm1(v) if y > 0 else 0.0 for v, y in zip(lam, lv.Y)]
+    shared = unseq / math.expm1(Lam) if unseq else 0.0
+    grad = np.array([a - k + shared for a, k in zip(lead, neg)])
+    scale = np.array([a + k + abs(shared) for a, k in zip(lead, neg)])
+    curvature = unseq * math.exp(Lam) / math.expm1(Lam) ** 2 if unseq else 0.0
+    hess = np.full((len(lam), len(lam)), -curvature)
+    for i, (v, y) in enumerate(zip(lam, lv.Y)):
+        hess[i, i] -= y * math.exp(v) / math.expm1(v) ** 2
+    return ll, sum(map(abs, terms)), grad, scale, hess
+
+
+@st.composite
+def stacked_assays(draw):
+    """D levels of n lineages, each with zero counts now and then and, at
+    times, every positive well sequenced; and (D, n) rates with at most one
+    zero or negative entry."""
+    D, n = draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    levels = []
+    for d in range(D):
+        M = draw(st.integers(1, 40))
+        M_N = draw(st.integers(0, M))
+        m = M - M_N if draw(st.booleans()) else draw(st.integers(0, M - M_N))
+        Y = draw(st.lists(st.integers(0, m), min_size=n, max_size=n))
+        levels.append(level(M, M_N, m, Y, u=0.5 * (d + 1)))
+    lam = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=D * n, max_size=D * n))).reshape(D, n)
+    edit = draw(st.sampled_from(["none", "zero", "negative"]))
+    if edit != "none":
+        lam[draw(st.integers(0, D - 1)), draw(st.integers(0, n - 1))] = 0.0 if edit == "zero" else -draw(st.floats(1e-300, 1.0))
+    return MultiDilutionAssay(tuple(levels), n), lam
+
+
+class TestStackedKernels:
+    @given(stacked_assays())
+    def test_every_level_matches_the_formula(self, case):
+        assay, lam = case
+        per_level = [formula_level(row, lv) for row, lv in zip(lam, assay.levels)]
+        ll = log_likelihood(lam, assay)
+        want = math.fsum(p[0] for p in per_level)
+        if math.isinf(want):
+            assert ll == want
+        else:
+            assert abs(ll - want) <= RTOL * sum(p[1] for p in per_level)
+        if lam.min() <= 0.0:
+            return
+        g, H = gradient(lam, assay), hessian(lam, assay)
+        assert g.shape == lam.shape and H.shape == lam.shape + lam.shape[1:]
+        for d, (_, _, grad, scale, hess) in enumerate(per_level):
+            assert np.all(np.abs(g[d] - grad) <= RTOL * scale)
+            np.testing.assert_allclose(H[d], hess, rtol=RTOL, atol=0.0)
 
 
 class TestClosedForms:
