@@ -67,7 +67,6 @@ from .poisson import (
     closed_form_full_udsa,
     closed_form_no_udsa,
     gradient,
-    hessian,
     log_likelihood,
 )
 from .simulate import (

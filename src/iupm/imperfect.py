@@ -18,9 +18,9 @@ products S, T0 and P at the last rate vector, which the likelihood and its
 gradient share: the solver asks for the gradient at the point whose
 likelihood it has just taken.  The Hessian is closed form too (see
 ``_level_hessian``).  Rate MLEs are no longer guaranteed positive here, so the
-fit runs the quasi-Newton solver with the lower bound tau >= 0 directly on the
-rate scale, finished where it stops short by projected Newton on the analytic
-Hessian, which at the optimum also gives the observed information.
+fit maximizes directly on the rate scale under the lower bound tau >= 0, with
+the gradient and that Hessian, which at the optimum also gives the observed
+information.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assay import AssayDataError, ErrorRates, WellAssay, summarize_well_assay
-from .inference import FitResult, SingularInformationError, covariance, wald_ci
-from .optimize import maximize, newton_maximize
-from .poisson import ExtremeOutcome
+from .inference import FitResult, SingularInformationError, _fit_result, covariance
+from .optimize import solve
 
 __all__ = [
     "ImperfectModel",
@@ -270,12 +269,12 @@ def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
 def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     """Bounded MLE of the per-million rates from per-well data.
 
-    Bounded BFGS from a pooled start, finished where it stops short by
-    :func:`iupm.optimize.newton_maximize` on the closed-form Hessian.
-    Standard errors use the observed information, the negated closed-form
-    Hessian at the optimum; when some components sit at zero the information
-    is taken on the free coordinates only and the interval is boundary-flagged
-    via ``active_lower``.
+    Maximized by :func:`iupm.optimize.solve` under tau >= 0 from a pooled
+    start, on the closed-form gradient and Hessian.  Standard errors use the
+    observed information, the negated closed-form Hessian at the optimum;
+    when some components sit at zero the information is taken on the free
+    coordinates only and the interval is boundary-flagged via
+    ``active_lower``.
     """
     model.rates.check_identifiable()
     levels = [(wa.u, _Level(wa, model.rates)) for wa in model.assays]
@@ -305,39 +304,21 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
             _level_loglik(u * start, level, strict=True)
         except ImperfectFitError as exc:
             raise ImpossibleDataError(f"level {d}: {exc}") from None
-    lower = np.zeros(n)
-    bfgs = maximize(objective, grad, start, lower)
-    res = bfgs if bfgs.converged else newton_maximize(objective, lambda x: (grad(x), hessian(x)), bfgs.x, lower)
+    res, iterations = solve(objective, lambda x: (grad(x), hessian(x)), start, np.zeros(n), grad)
     tau = res.x
     free = tau > 0.0
     if not free.any():
         raise ImperfectFitError("all rate components ended on the zero boundary")
-    info = -hessian(tau)[np.ix_(free, free)]
     try:
-        cov_free = covariance(info)
+        cov_free = covariance(-hessian(tau)[np.ix_(free, free)])
     except SingularInformationError:
         raise ImperfectFitError(
             "observed information is singular at the optimum"
         ) from None
-    variance = float(cov_free.sum())
-    if not variance > 0.0:
+    if not float(cov_free.sum()) > 0.0:
         raise ImperfectFitError("observed information is not positive definite at the optimum")
-    cov = np.zeros((n, n))
-    cov[np.ix_(free, free)] = cov_free
-    se = math.sqrt(variance)
-    iupm = float(tau.sum())
-    return FitResult(
-        tau_hat=tau,
-        iupm=iupm,
-        covariance=cov,
-        se_iupm=se,
-        ci=wald_ci(iupm, se, alpha),
-        alpha=alpha,
-        log_lik=objective(tau),
-        converged=res.converged,
-        iterations=bfgs.iterations,
-        extreme=ExtremeOutcome.REGULAR,
-        active_lower=tuple(int(i) for i in np.flatnonzero(~free)),
+    return _fit_result(
+        tau, alpha, cov_free, log_lik=res.f, converged=res.converged, iterations=iterations, free=free
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .poisson import ExtremeOutcome, classify_extreme
-from .optimize import maximize, newton_maximize
+from .optimize import solve
 from .special import expm1_ratio, log1mexp, normal_quantile
 
 __all__ = [
@@ -46,7 +46,9 @@ class FitResult:
     ``tau_hat`` has one entry per detected lineage; for a fit without any
     sequencing information it holds the single total-rate parameter, so
     ``iupm == sum(tau_hat)`` either way.  ``bias`` is set by the
-    bias-corrected fit.  ``active_lower`` lists components held at zero by a
+    bias-corrected fit.  ``iterations`` counts the iterations of the first
+    stage of :func:`iupm.optimize.solve`, and is 0 for a closed form or a
+    boundary outcome.  ``active_lower`` lists components held at zero by a
     bounded fit (interval then unreliable near the boundary).
     """
 
@@ -286,11 +288,24 @@ def multi_gradient(tau, assay: MultiDilutionAssay) -> np.ndarray:
 
 def observed_information(tau, assay: MultiDilutionAssay) -> np.ndarray:
     """Negated Hessian of the joint log-likelihood (diagnostic alternative
-    to the expected information)."""
+    to the expected information).
+
+    Level d has Hessian diag(h_d) - c_d 11^T (:func:`iupm.poisson.hessian_parts`,
+    c_d = 0.0 without unsequenced positive wells), so the information has
+    0.0 - sum_d u_d^2 (h_di - c_d) on its diagonal and 0.0 - sum_d u_d^2 (0.0 - c_d)
+    off it.
+    """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     u = assay.terms.u
+    u2 = u * u
+    h, common = poisson.hessian_parts(u * tau, assay)
+    c = np.array([[0.0 if x is None else x] for x in common])
+    # sum(axis=0) adds the levels in order on a (D, n) array with n >= 2 and
+    # pairwise on a (D, 1) one, so the off-diagonal sum is broadcast to (D, n);
     # 0.0 - (a_1 + a_2 + ...) is 0.0 - a_1 - a_2 - ... to the bit, and never -0.0
-    return 0.0 - ((u * u)[:, :, None] * poisson.hessian(u * tau, assay)).sum(axis=0)
+    info = np.full((tau.size, tau.size), 0.0 - np.broadcast_to(u2 * (0.0 - c), h.shape).sum(axis=0)[0])
+    info[np.diag_indices(tau.size)] = 0.0 - (u2 * (h - c)).sum(axis=0)
+    return info
 
 
 def level_params(assay: MultiDilutionAssay) -> list[tuple[float, int, float]]:
@@ -320,7 +335,8 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
 
 
 # Each model of fit_mle is (loglik at the rates, gradient and (gradient, Hessian)
-# in x = log(rates), the x at which BFGS starts, expected information at the rates).
+# in x = log(rates), the x at which the solve step starts, expected information
+# at the rates).
 def _lineage_model(assay: MultiDilutionAssay):
     """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau)."""
     def grad(theta):
@@ -378,12 +394,11 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Maximum-likelihood fit of the per-million rates for one assay.
 
     Regular assays are maximized over the log of the rates, which needs no
-    bounds: BFGS (:func:`iupm.optimize.maximize`), finished where it stops
-    short by Newton (:func:`iupm.optimize.newton_maximize`) on the analytic
+    bounds, by :func:`iupm.optimize.solve` on the analytic gradient and
     Hessian, and the covariance is the inverse expected information at the
     estimate.  With sequencing data the rates are the per-lineage tau; an
     assay without any (n = 0) reduces to the classic one-parameter dilution
-    model for the total rate, which goes through the same solvers and
+    model for the total rate, which goes through the same solve step and
     covariance, and at a single level has the closed form log(M / M_N) / u.
     The two boundary outcomes short-circuit to 0 and +inf with degenerate
     intervals.
@@ -391,62 +406,56 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     extreme = classify_extreme(assay)
     n = assay.n
     if extreme is ExtremeOutcome.ALL_NEGATIVE:
-        return FitResult(
-            tau_hat=np.zeros(n),
-            iupm=0.0,
-            covariance=np.zeros((n, n)),
-            se_iupm=0.0,
-            ci=(0.0, 0.0),
-            alpha=alpha,
-            log_lik=0.0,
-            converged=True,
-            iterations=0,
-            extreme=extreme,
-        )
+        return _fit_result(np.zeros(n), alpha, log_lik=0.0, extreme=extreme)
     if extreme is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
-        return FitResult(
-            tau_hat=np.full(max(n, 1), math.inf),
-            iupm=math.inf,
-            covariance=np.full((max(n, 1),) * 2, math.nan),
-            se_iupm=math.inf,
-            ci=(math.inf, math.inf),
-            alpha=alpha,
-            log_lik=math.nan,
-            converged=True,
-            iterations=0,
-            extreme=extreme,
-        )
+        return _fit_result(np.full(max(n, 1), math.inf), alpha, log_lik=math.nan, extreme=extreme)
     loglik, grad, grad_hess, start, information = (
         _lineage_model(assay) if n else _total_model(assay.levels)
     )
     if n == 0 and len(assay.levels) == 1:
         lv = assay.levels[0]
         tau = np.array([poisson.closed_form_no_udsa(lv.M, lv.M_N) / lv.u])
-        iterations, converged, log_lik = 0, True, loglik(tau)
-    else:
-        # A trial step whose rates leave the float range is rejected outright;
-        # the solver evaluates the gradient only where the objective is finite.
-        def objective(x):
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = loglik(np.exp(x))
-            return value if math.isfinite(value) else -math.inf
+        return _fit_result(tau, alpha, covariance(information(tau)), log_lik=loglik(tau))
+    res, iterations = solve(lambda x: loglik(np.exp(x)), grad_hess, start, -math.inf, grad)
+    tau = np.exp(res.x)
+    return _fit_result(
+        tau, alpha, covariance(information(tau)), log_lik=res.f, converged=res.converged, iterations=iterations
+    )
 
-        bfgs = maximize(objective, grad, start)
-        res = bfgs if bfgs.converged else newton_maximize(objective, grad_hess, bfgs.x, -math.inf)
-        # res.f is the log-likelihood at exp(res.x): the solvers return the value they evaluated there
-        tau, iterations, converged, log_lik = np.exp(res.x), bfgs.iterations, res.converged, res.f
-    cov = covariance(information(tau))
-    se = math.sqrt(float(cov.sum()))
+
+def _fit_result(tau, alpha, cov=None, *, log_lik, converged=True, iterations=0,
+                extreme=ExtremeOutcome.REGULAR, free=None) -> FitResult:
+    """The one place a :class:`FitResult` is built, for every estimator.
+
+    A boundary outcome (``extreme``) reports its total, 0 or +inf, as its SE
+    and at both interval ends, with a zero or NaN covariance.  Otherwise
+    ``cov`` is the covariance of the components ``free`` of ``tau`` (all of
+    them by default); the others sit at zero, with zero rows and columns in
+    the covariance, and are listed in ``active_lower``.  The SE of the total
+    is the square root of the sum of ``cov``.
+    """
     iupm = float(tau.sum())
+    n = tau.size
+    active_lower = ()
+    if extreme is not ExtremeOutcome.REGULAR:
+        cov, se, ci = np.full((n, n), 0.0 if iupm == 0.0 else math.nan), iupm, (iupm, iupm)
+    else:
+        se = math.sqrt(float(cov.sum()))
+        ci = wald_ci(iupm, se, alpha)
+        if free is not None:
+            cov_free, cov = cov, np.zeros((n, n))
+            cov[np.ix_(free, free)] = cov_free
+            active_lower = tuple(int(i) for i in np.flatnonzero(~free))
     return FitResult(
         tau_hat=tau,
         iupm=iupm,
         covariance=cov,
         se_iupm=se,
-        ci=wald_ci(iupm, se, alpha),
+        ci=ci,
         alpha=alpha,
         log_lik=log_lik,
         converged=converged,
         iterations=iterations,
-        extreme=ExtremeOutcome.REGULAR,
+        extreme=extreme,
+        active_lower=active_lower,
     )

@@ -5,10 +5,10 @@ With dispersion gamma >= 0, a well is negative for lineage i with probability
 eff_i = log(1 + gamma*lam_i)/gamma, that zero probability is exp(-eff_i), so
 the overdispersed likelihood is exactly the Poisson one evaluated at the
 effective rates.  The fit maximizes over log tau jointly with gamma under the
-constraint gamma >= 0 by projected Newton on the analytic Hessian, which
-chains the Poisson gradient and Hessian of all levels, evaluated in one
-pass, through eff(lam, gamma); the parameters are only identifiable with
-data from at least two dilution levels.
+constraint gamma >= 0 on the analytic Hessian, which chains the Poisson
+gradient and Hessian of all levels, evaluated in one pass, through
+eff(lam, gamma); the parameters are only identifiable with data from at
+least two dilution levels.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import poisson
 from .assay import MultiDilutionAssay
 from .inference import FitResult, fit_mle
-from .optimize import newton_maximize
+from .optimize import solve
 from .special import chi2_1_upper_tail
 
 __all__ = [
@@ -71,9 +71,9 @@ def nb_zero_prob(lam, gamma: float):
 # The helpers below set no error state, though gamma * lam can overflow and
 # the ratios then meet inf / inf.  They and the Poisson kernels take the rates
 # of every level at once, as one (D, n) array, so nb_zero_prob,
-# nb_log_likelihood and the two callbacks of fit_negbin each set
-# np.errstate(over="ignore", invalid="ignore") once around one pass over all
-# the levels.
+# nb_log_likelihood, the Hessian callback of fit_negbin and the solve step
+# around its objective each set np.errstate(over="ignore", invalid="ignore")
+# once around one pass over all the levels.
 
 
 def _effective_rate(lam, gamma: float):
@@ -202,14 +202,13 @@ def _nb_grad_hess(x, assay: MultiDilutionAssay) -> tuple[np.ndarray, np.ndarray]
 def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> NBFit:
     """Joint MLE of (tau, gamma) with gamma constrained to [0, inf).
 
-    Projected Newton (:func:`iupm.optimize.newton_maximize`) on the analytic
-    gradient and Hessian in (log tau, gamma), started from the Poisson fit
-    with gamma = 0.1.  A gamma that reaches the boundary with an outward
-    score is held there while the rates converge.  ``converged`` is set when
-    the projected gradient meets the solver tolerance within its iteration
-    cap.  ``pois`` is the Poisson fit of ``assay`` when the caller already
-    holds it; it is reused for the start, the boundary check and the
-    gamma = 0 fallback instead of being refitted.
+    :func:`iupm.optimize.solve` on the analytic gradient and Hessian in
+    (log tau, gamma), without a separate gradient callback, started from the
+    Poisson fit with gamma = 0.1.  ``converged`` is set when the projected
+    gradient meets the solver tolerance within its iteration cap.  ``pois``
+    is the Poisson fit of ``assay`` when the caller already holds it; it is
+    reused for the start, the boundary check and the gamma = 0 fallback
+    instead of being refitted.
     """
     if assay.D < 2:
         raise IdentifiabilityError(
@@ -225,16 +224,16 @@ def fit_negbin(assay: MultiDilutionAssay, *, pois: FitResult | None = None) -> N
     theta0 = np.log(np.maximum(pois.tau_hat, 1e-8))
     n = theta0.size
 
-    def objective(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _nb_log_likelihood(np.exp(x[:n]), float(x[n]), assay)
-
     def grad_hess(x):
         with np.errstate(over="ignore", invalid="ignore"):
             return _nb_grad_hess(x, assay)
 
-    lower = np.concatenate([np.full(n, -math.inf), [0.0]])
-    res = newton_maximize(objective, grad_hess, np.concatenate([theta0, [0.1]]), lower)
+    res, _ = solve(
+        lambda x: _nb_log_likelihood(np.exp(x[:n]), float(x[n]), assay),
+        grad_hess,
+        np.concatenate([theta0, [0.1]]),
+        np.concatenate([np.full(n, -math.inf), [0.0]]),
+    )
     if 2.0 * (res.f - pois.log_lik) < STATISTIC_FLOOR:
         # No real gain over the gamma = 0 boundary, where the joint maximum
         # is exactly the Poisson fit.

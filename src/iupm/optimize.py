@@ -1,15 +1,12 @@
 """Maximization under optional lower bounds: BFGS and projected Newton.
 
-:func:`maximize` runs BFGS with a strong-Wolfe line search; given lower bounds
-it projects the gradient and keeps the BFGS matrix on the free components.
-Internally the line search works on the negated objective, so the usual
-strong-Wolfe conditions for minimization apply unchanged.  Bounded BFGS serves
-only the imperfect-assay fit; the Poisson fit runs BFGS without bounds.
-:func:`newton_maximize` is projected Newton on an analytic Hessian under
-lower bounds (Bertsekas 1982).  The negative-binomial fit uses it alone.  Line
-searches stall once objective changes fall below float noise, so every
-Poisson fit, the no-sequencing (n = 0) one included, and the imperfect-assay
-fit finish with it wherever BFGS stops short of the gradient tolerance.
+:func:`solve` is the one solve step of every fit, and its docstring states
+which solver runs when.  :func:`maximize` runs BFGS with a strong-Wolfe line
+search; given lower bounds it projects the gradient and keeps the BFGS matrix
+on the free components.  Internally the line search works on the negated
+objective, so the usual strong-Wolfe conditions for minimization apply
+unchanged.  :func:`newton_maximize` is projected Newton on an analytic
+Hessian under lower bounds (Bertsekas 1982).
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptResult", "newton_maximize", "maximize"]
+__all__ = ["OptResult", "solve"]
 
 MAX_ITER = 10_000
 GRAD_TOL = 1e-8     # infinity norm of the (projected) gradient
@@ -40,6 +37,35 @@ class OptResult:
     iterations: int
     converged: bool
     active_lower: tuple[int, ...] = field(default_factory=tuple)
+
+
+def solve(objective, grad_hess, x0, lower, grad=None) -> tuple[OptResult, int]:
+    """Maximize ``objective`` from x0 under ``lower``: the solve step of every fit.
+
+    The objective is evaluated with overflow and invalid-operation warnings
+    silenced, and a value that is not finite counts as -inf: a trial step
+    whose parameters leave the float range is rejected outright, so the
+    derivatives are evaluated only where the objective is finite.  Given the
+    gradient ``grad``, BFGS (:func:`maximize`) runs first, and where it stops
+    short of the gradient tolerance (line searches stall once objective
+    changes fall below float noise) projected Newton (:func:`newton_maximize`)
+    on ``grad_hess`` finishes from where it stopped.  Without ``grad``
+    projected Newton runs alone from x0.  Returns the result of the last
+    solver run, whose ``f`` is the objective as evaluated at its ``x``, and
+    the iteration count of the first.
+    """
+    def f(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = objective(x)
+        return value if math.isfinite(value) else -math.inf
+
+    if grad is None:
+        res = newton_maximize(f, grad_hess, x0, lower)
+        return res, res.iterations
+    first = maximize(f, grad, x0, lower)
+    if first.converged:
+        return first, first.iterations
+    return newton_maximize(f, grad_hess, first.x, lower), first.iterations
 
 
 def _wolfe(phi, dphi, phi0, g0, c1, c2, amax=math.inf):

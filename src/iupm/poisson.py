@@ -41,7 +41,6 @@ __all__ = [
     "ExtremeOutcome",
     "log_likelihood",
     "gradient",
-    "hessian",
     "hessian_parts",
     "closed_form_no_udsa",
     "closed_form_full_udsa",
@@ -117,44 +116,22 @@ def gradient(lam, data: DilutionLevelData | MultiDilutionAssay) -> np.ndarray:
     return out[0] if one else out
 
 
-def hessian(lam, data: DilutionLevelData | MultiDilutionAssay) -> np.ndarray:
-    """Second derivatives: per level, diagonal per-lineage terms plus a shared rank-one term.
-
-    (n, n) for one level's rates, and (D, n, n), one matrix per level, for an
-    assay's (D, n) rates.
-    """
-    lam, c, one = _unpack(lam, data)
-    diag, common = _hessian_parts(lam, c)
-    D, n = diag.shape
-    H = np.zeros((D, n, n))
-    H.reshape(D, n * n)[:, :: n + 1] = diag
-    if c.unseq_levels:
-        # x - 0.0 is x, so a level without the term subtracts 0.0
-        H -= np.array([0.0 if x is None else x for x in common])[:, None, None]
-    return H[0] if one else H
-
-
 def hessian_parts(lam, data: DilutionLevelData | MultiDilutionAssay):
-    """(diag, common) with :func:`hessian` = diag(diag) - common * 11^T at each level.
+    """(diag, common) with the Hessian diag(diag) - common * 11^T at each level.
 
     For one level's (n,) rates, diag is (n,) and common a float, or None when
     the level has no unsequenced positive wells; for an assay's (D, n) rates,
     diag is (D, n) and common a list of D such entries.
     """
     lam, c, one = _unpack(lam, data)
-    diag, common = _hessian_parts(lam, c)
-    return (diag[0], common[0]) if one else (diag, common)
-
-
-def _hessian_parts(lam: np.ndarray, c: LevelTerms) -> tuple[np.ndarray, list[float | None]]:
     diag = np.where(c.pos, expm1_ratio(-c.y, lam, 2), 0.0)
-    if not c.unseq_levels:
-        return diag, [None] * len(c.cuts)
-    common = [
-        expm1_ratio(unseq, lam_total, 2) if unseq != 0.0 else None
-        for unseq, lam_total in zip(c.unseq.tolist(), lam.sum(axis=1).tolist())
-    ]
-    return diag, common
+    common = [None] * len(c.cuts)
+    if c.unseq_levels:
+        common = [
+            expm1_ratio(unseq, lam_total, 2) if unseq != 0.0 else None
+            for unseq, lam_total in zip(c.unseq.tolist(), lam.sum(axis=1).tolist())
+        ]
+    return (diag[0], common[0]) if one else (diag, common)
 
 
 def closed_form_no_udsa(M: int, M_N: int) -> float:

@@ -78,7 +78,9 @@ def expm1_ratio(c, x, k: int):
     t^k is a float the value is computed as written (math for a scalar x, numpy
     for an array); past that every one of them equals c e^{-x} to double
     precision, which is returned instead, so no term overflows.  A scalar x
-    whose t^k is below the normal floats divides c (k - 1)! by t k times.
+    whose t^k is below the normal floats divides c (k - 1)! by t k times; at
+    x = 0 both branches give c / 0 as IEEE arithmetic does (+-inf, or nan for
+    c = 0) without a warning.
     """
     if np.ndim(x) == 0:
         x = float(x)
@@ -87,6 +89,10 @@ def expm1_ratio(c, x, k: int):
         t = math.expm1(x)
         if t**k >= sys.float_info.min:
             return _expm1_ratio(c, t, k)
+        if t == 0.0:
+            # a Python float raises on c / 0; a numpy one gives the array branch's value
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return _expm1_ratio(c, np.float64(t), k)
         value = c * math.factorial(k - 1)  # t + 1 and t + 2 are exactly 1 and 2
         with np.errstate(over="ignore"):
             for _ in range(k):

@@ -816,6 +816,16 @@ def fd_hessian_of_gradient(g, x, h=1e-6):
     return (H + H.T) / 2.0
 
 
+def dense_hessian(lam, data):
+    """The Poisson Hessian as a dense matrix, diag(h) - c 11^T from
+    ``poisson.hessian_parts``: (n, n) for one level's (n,) rates and
+    (D, n, n), one matrix per level, for an assay's (D, n) rates."""
+    h, common = poisson.hessian_parts(lam, data)
+    if h.ndim == 1:
+        return np.diag(h) - (0.0 if common is None else common)
+    return np.array([np.diag(row) - (0.0 if c is None else c) for row, c in zip(h, common)])
+
+
 def reference_a_blocks(comps):
     """The dense A_k and dI/dtau_k blocks assembled entry by entry from the
     level sums of :func:`iupm.a_matrices`; returns (a_blocks, dI_dtau)."""

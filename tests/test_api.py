@@ -118,6 +118,32 @@ def test_every_solver_function_is_imported_by_the_package():
     assert solvers and [name for name in solvers if name not in imported] == []
 
 
+def _callers(name):
+    """(module file, top-level definition) of every call of ``name`` in the
+    package, by plain name or as an attribute; "<module>" for a call outside
+    any definition."""
+    found = set()
+    for path in Path(iupm.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
+                ):
+                    found.add((path.name, owner))
+    return sorted(found)
+
+
+def test_one_solve_step_and_one_result_assembly():
+    """Every fit goes through ``optimize.solve``, the only caller of the two
+    solvers and the only solver function in ``optimize.__all__``, and every
+    ``FitResult`` is built in one function."""
+    assert _callers("maximize") == [("optimize.py", "solve")]
+    assert _callers("newton_maximize") == [("optimize.py", "solve")]
+    assert [name for name in optimize.__all__ if inspect.isfunction(getattr(optimize, name))] == ["solve"]
+    assert _callers("FitResult") == [("inference.py", "_fit_result")]
+
+
 def test_every_function_is_mentioned_elsewhere_in_the_package():
     """A module-level function whose name appears on no line of the package
     but its own ``def`` is dead code, public or private."""

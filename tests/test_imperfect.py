@@ -23,7 +23,7 @@ from iupm import (
     well_joint_prob,
     well_marginal_prob,
 )
-from iupm import imperfect
+from iupm import imperfect, optimize
 from iupm.imperfect import _Level, _level_gradient, _level_hessian, _level_loglik
 from iupm.inference import covariance
 from iupm.poisson import log_likelihood
@@ -315,7 +315,7 @@ class TestFitImperfect:
         def no_solver(*args, **kwargs):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(imperfect, "maximize", no_solver)
+        monkeypatch.setattr(optimize, "maximize", no_solver)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ImpossibleDataError, match="^level 0: well 1 has probability zero") as info:

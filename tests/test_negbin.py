@@ -19,7 +19,7 @@ from iupm import (
     nb_log_likelihood,
     nb_zero_prob,
 )
-from iupm import negbin, optimize
+from iupm import optimize
 from iupm.negbin import _SERIES_EDGE, _gamma_derivatives, _nb_grad_hess
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
@@ -355,15 +355,18 @@ def assert_matches_former_fit(pois, nb, ref):
 
 @pytest.fixture
 def newton_runs(monkeypatch):
-    """The results of every ``newton_maximize`` call the negbin fit makes."""
+    """The results of every ``newton_maximize`` call the negbin fit makes: the
+    calls bounded below, by gamma >= 0, not the Poisson fits' unbounded ones."""
     runs = []
     real = optimize.newton_maximize
 
     def recorded(*args):
-        runs.append(real(*args))
-        return runs[-1]
+        out = real(*args)
+        if np.isfinite(args[3]).any():
+            runs.append(out)
+        return out
 
-    monkeypatch.setattr(negbin, "newton_maximize", recorded)
+    monkeypatch.setattr(optimize, "newton_maximize", recorded)
     return runs
 
 

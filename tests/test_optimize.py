@@ -3,9 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from iupm import DilutionLevelData, ErrorRates, fit_imperfect, fit_mle
-from iupm import imperfect, inference, optimize
+from iupm import (
+    DilutionLevelData,
+    ErrorRates,
+    ExtremeOutcome,
+    fit_imperfect,
+    fit_mle,
+    fit_negbin,
+    imperfect_log_likelihood,
+    multi_log_likelihood,
+    nb_log_likelihood,
+)
+from iupm import optimize
 from iupm.imperfect import ImperfectModel
+from iupm.inference import _total_model
 from iupm.optimize import maximize, newton_maximize
 from iupm.poisson import closed_form_full_udsa, log_likelihood, gradient
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
@@ -349,8 +360,8 @@ class TestMatchesReference:
             assert outcome(maximize(f, g, x0, lower)) == outcome(reference_maximize_box(f, g, x0, lower))
 
     def test_poisson_theta_objectives(self, monkeypatch):
-        bfgs = spy(monkeypatch, inference, "maximize")
-        newton = spy(monkeypatch, inference, "newton_maximize")
+        bfgs = spy(monkeypatch, optimize, "maximize")
+        newton = spy(monkeypatch, optimize, "newton_maximize")
         finished = 0
         # replicates 75 and 88 (with UDSA) and 286 (without) end BFGS unconverged
         for rep in [*range(40), 75, 88, 286]:
@@ -360,7 +371,7 @@ class TestMatchesReference:
                 newton.clear()
                 fit_mle(assay)
                 assert len(bfgs) == 1
-                (f, g, x0), got = bfgs[0]
+                (f, g, x0, _), got = bfgs[0]
                 assert got == outcome(reference_maximize(f, g, x0))
                 # Newton finishes exactly the fits that BFGS leaves unconverged
                 assert len(newton) == (0 if got[4] else 1)
@@ -390,8 +401,8 @@ class TestMatchesReference:
             assert outcome(res) == outcome(reference_maximize_box(f, g, x0, lower))
 
     def test_bounded_imperfect_objectives(self, monkeypatch):
-        bfgs = spy(monkeypatch, imperfect, "maximize")
-        newton = spy(monkeypatch, imperfect, "newton_maximize")
+        bfgs = spy(monkeypatch, optimize, "maximize")
+        newton = spy(monkeypatch, optimize, "newton_maximize")
         # replicates 10, 16 and 17 end BFGS unconverged
         for rep in [*range(6), 10, 16, 17]:
             draw, _ = _simulate_until_regular(STUDY_IMPERFECT, _rng_for(STUDY_IMPERFECT.seed, rep))
@@ -404,3 +415,38 @@ class TestMatchesReference:
             assert got == outcome(reference_maximize_box(f, g, x0, lower))
         for (_, grad_hess, x, lower), got in newton:
             assert (got[0], got[4]) == former_polish(grad_hess, x, lower)
+
+
+class TestLogLikIsTheLikelihoodAtTheEstimate:
+    """A fit's ``log_lik`` is the value the solve step returned with its last
+    point, not a second evaluation; it equals the model's likelihood
+    evaluated again at the returned estimate, bit for bit."""
+
+    def test_poisson_with_and_without_udsa(self):
+        stripped_fits = 0
+        # Newton finishes replicates 75 and 88 (with UDSA) and 286 (without)
+        for rep in [*range(40), 75, 88, 286]:
+            draw, _ = _simulate_until_regular(STUDY_MULTI, _rng_for(STUDY_MULTI.seed, rep))
+            fit = fit_mle(draw.assay)
+            assert fit.log_lik == multi_log_likelihood(fit.tau_hat, draw.assay)
+            stripped = draw.assay.strip_udsa()
+            fit = fit_mle(stripped)
+            if fit.extreme is ExtremeOutcome.REGULAR:
+                loglik = _total_model(stripped.levels)[0]
+                assert fit.log_lik == loglik(fit.tau_hat)
+                stripped_fits += 1
+        assert stripped_fits >= 30
+
+    def test_imperfect(self):
+        for rep in range(40):
+            draw, _ = _simulate_until_regular(STUDY_IMPERFECT, _rng_for(STUDY_IMPERFECT.seed, rep))
+            fit = fit_imperfect(ImperfectModel(rates=STUDY_IMPERFECT.rates, assays=draw.well_assays))
+            assert fit.log_lik == sum(
+                imperfect_log_likelihood(wa.u * fit.tau_hat, wa, STUDY_IMPERFECT.rates) for wa in draw.well_assays
+            )
+
+    def test_negbin(self):
+        for rep in range(40):
+            draw, _ = _simulate_until_regular(LRT_NEGBIN, _rng_for(LRT_NEGBIN.seed, rep))
+            nb = fit_negbin(draw.assay)
+            assert nb.log_lik == nb_log_likelihood(nb.tau_hat, nb.gamma_hat, draw.assay)

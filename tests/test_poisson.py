@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from iupm import (
     closed_form_no_udsa,
 )
 from iupm.optimize import maximize
-from iupm.poisson import gradient, hessian, log_likelihood
+from iupm.poisson import gradient, hessian_parts, log_likelihood
 from helpers import (
     decimal_log_likelihood,
+    dense_hessian,
     fd_gradient,
     fd_hessian_of_gradient,
     random_level,
@@ -92,7 +94,7 @@ class TestDerivatives:
             lv = random_level(rng)
             lam = rng.uniform(0.05, 1.0, lv.n)
             fd = fd_hessian_of_gradient(lambda v: gradient(v, lv), lam)
-            np.testing.assert_allclose(hessian(lam, lv), fd, rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(dense_hessian(lam, lv), fd, rtol=1e-5, atol=1e-5)
 
     def test_hessian_negative_definite_with_counts_everywhere(self):
         rng = np.random.default_rng(4)
@@ -100,21 +102,33 @@ class TestDerivatives:
         while checked < 200:
             lv = random_level(rng, require_detected=True)
             lam = rng.uniform(0.05, 1.5, lv.n)
-            eigs = np.linalg.eigvalsh(hessian(lam, lv))
+            eigs = np.linalg.eigvalsh(dense_hessian(lam, lv))
             assert np.all(eigs < 0.0)
             checked += 1
 
     def test_hessian_diagonal_at_full_sequencing(self):
         lv = level(10, 4, 6, (5, 3))
-        H = hessian([0.5, 0.4], lv)
+        H = dense_hessian([0.5, 0.4], lv)
         assert H[0, 1] == 0.0 and H[1, 0] == 0.0
+
+    def test_all_zero_rates_with_unsequenced_positive_wells(self):
+        # The unsequenced positive wells need a positive total rate: at zero
+        # rates the log-likelihood is -inf, and the gradient and the Hessian's
+        # common term are +inf, without an exception or a warning.
+        lv = level(12, 6, 3, (2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, g, (_, common) = log_likelihood([0.0, 0.0], lv), gradient([0.0, 0.0], lv), hessian_parts([0.0, 0.0], lv)
+        assert ll == -math.inf
+        assert g.tolist() == [math.inf, math.inf]
+        assert common == math.inf
 
     def test_concavity_on_random_inputs(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             lv = random_level(rng)
             lam = rng.uniform(0.02, 2.0, lv.n)
-            eigs = np.linalg.eigvalsh(hessian(lam, lv))
+            eigs = np.linalg.eigvalsh(dense_hessian(lam, lv))
             assert np.all(eigs <= 1e-10)
 
 
@@ -255,7 +269,7 @@ class TestStackedKernels:
             assert abs(ll - want) <= RTOL * sum(p[1] for p in per_level)
         if lam.min() <= 0.0:
             return
-        g, H = gradient(lam, assay), hessian(lam, assay)
+        g, H = gradient(lam, assay), dense_hessian(lam, assay)
         assert g.shape == lam.shape and H.shape == lam.shape + lam.shape[1:]
         for d, (_, _, grad, scale, hess) in enumerate(per_level):
             assert np.all(np.abs(g[d] - grad) <= RTOL * scale)

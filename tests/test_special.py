@@ -152,6 +152,19 @@ class TestExpm1Ratio:
         assert vector.tolist() == [tiny, math.inf, 0.0]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scalar_and_array_branches_agree_at_zero(self, k):
+        # t = expm1(0) = 0: both branches give c / 0, +-inf or nan, and
+        # neither raises or warns
+        cs = [1.7, -1.7, 0.0]
+        for x in (0.0, -0.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scalar = [expm1_ratio(c, x, k) for c in cs]
+                vector = expm1_ratio(np.array(cs), np.full(len(cs), x), k)
+            assert np.array_equal(scalar, vector, equal_nan=True)
+        assert [expm1_ratio(c, 0.0, k) for c in cs[:2]] == [math.inf, -math.inf]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_past_the_float_range_matches_high_precision(self, k):
         xs = [1.0, 100.0, 236.5, 236.7, 354.8, 355.0, 600.0, 709.7, 709.8, 1040.0]
         with warnings.catch_warnings():
