@@ -110,8 +110,8 @@ class _Level:
             e = np.exp(-lam)
             t0 = self.pz0 * e
             s = t0 + self.pz1 * (1.0 - e)
-            S = s.prod(axis=1)
-            T0 = t0.prod(axis=1)
+            S = np.multiply.reduce(s, axis=1)
+            T0 = np.multiply.reduce(t0, axis=1)
             pw0_T0 = self.pw0 * T0
             P = self.pw1 * (S - T0) + pw0_T0
             self._key, self._products = key, (e, s, S, T0, pw0_T0, P)
@@ -122,8 +122,8 @@ def _leave_one_out_prod(a: np.ndarray) -> np.ndarray:
     """Row-wise products of all columns except each one (exact at zeros)."""
     out = np.empty_like(a)
     out[:, :1] = 1.0
-    np.cumprod(a[:, :-1], axis=1, out=out[:, 1:])
-    out[:, :-1] *= np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    np.multiply.accumulate(a[:, :-1], axis=1, out=out[:, 1:])
+    out[:, :-1] *= np.multiply.accumulate(a[:, :0:-1], axis=1)[:, ::-1]
     return out
 
 
@@ -171,13 +171,13 @@ def _zero_probability(level: _Level, P: np.ndarray, pos: float, neg: float) -> s
 
 def _level_loglik(lam: np.ndarray, level: _Level, strict: bool) -> float:
     *_, P = level.products(lam)
-    pos, neg = _marginals(float(lam.sum()), level.rates)
+    pos, neg = _marginals(float(np.add.reduce(lam)), level.rates)
     reason = _zero_probability(level, P, pos, neg)
     if reason is not None:
         if strict:
             raise ImperfectFitError(reason)
         return -math.inf
-    total = float(np.log(P).sum())
+    total = float(np.add.reduce(np.log(P)))
     for count, prob in ((level.n_unseq_pos, pos), (level.n_unseq_neg, neg)):
         if count:
             total += count * math.log(prob)
@@ -186,7 +186,7 @@ def _level_loglik(lam: np.ndarray, level: _Level, strict: bool) -> float:
 
 def _level_gradient(lam: np.ndarray, level: _Level, strict: bool = False) -> np.ndarray:
     e, s, _, T0, pw0_T0, P = level.products(lam)
-    lam_total = float(lam.sum())
+    lam_total = float(np.add.reduce(lam))
     pos, neg = _marginals(lam_total, level.rates)
     if strict:
         reason = _zero_probability(level, P, pos, neg)
@@ -195,7 +195,7 @@ def _level_gradient(lam: np.ndarray, level: _Level, strict: bool = False) -> np.
     if P.size:
         dS = _leave_one_out_prod(s) * (e * level.dpz)
         dP = level.pw1 * (dS + T0[:, None]) - pw0_T0[:, None]
-        grad = (dP / P[:, None]).sum(axis=0)
+        grad = np.add.reduce(dP / P[:, None], axis=0)
     else:
         grad = np.zeros(level.n)
     gain = (level.rates.sens_qvoa + level.rates.spec_qvoa - 1.0) * math.exp(-lam_total)
@@ -223,7 +223,7 @@ def _level_hessian(lam: np.ndarray, level: _Level) -> np.ndarray:
     c = n_pos (-gain/pos - (gain/pos)^2) + n_neg (gain/neg - (gain/neg)^2).
     """
     e, s, S, T0, pw0_T0, P = level.products(lam)
-    lam_total = float(lam.sum())
+    lam_total = float(np.add.reduce(lam))
     pos, neg = _marginals(lam_total, level.rates)
     if P.size:
         r = e * level.dpz / s
@@ -231,7 +231,7 @@ def _level_hessian(lam: np.ndarray, level: _Level) -> np.ndarray:
         b = (pw0_T0 - level.pw1 * T0) / P
         H = (r * (a * (1.0 - a))[:, None]).T @ r
         v = (a * b) @ r
-        H = 0.5 * (H + H.T) + (v[:, None] + v) + float(b.sum() - b @ b)
+        H = 0.5 * (H + H.T) + (v[:, None] + v) + float(np.add.reduce(b) - b @ b)
         H[np.diag_indices_from(H)] -= a @ (r * r + r)
     else:
         H = np.zeros((level.n, level.n))

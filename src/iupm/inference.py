@@ -253,6 +253,11 @@ def covariance(info) -> np.ndarray:
     )
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def wald_ci(iupm: float, se: float, alpha: float = 0.05) -> tuple[float, float]:
     """Wald interval built on the log scale, so the endpoints stay positive.
 
@@ -261,8 +266,7 @@ def wald_ci(iupm: float, se: float, alpha: float = 0.05) -> tuple[float, float]:
     """
     if se < 0:
         raise ValueError("se must be non-negative")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if iupm == 0.0:
         return (0.0, 0.0)
     if math.isinf(iupm):
@@ -432,8 +436,10 @@ def _fit_result(tau, alpha, cov=None, *, log_lik, converged=True, iterations=0,
     ``cov`` is the covariance of the components ``free`` of ``tau`` (all of
     them by default); the others sit at zero, with zero rows and columns in
     the covariance, and are listed in ``active_lower``.  The SE of the total
-    is the square root of the sum of ``cov``.
+    is the square root of the sum of ``cov``.  ``alpha`` is checked for
+    every outcome, the boundary ones included.
     """
+    _check_alpha(alpha)
     iupm = float(tau.sum())
     n = tau.size
     active_lower = ()

@@ -27,6 +27,7 @@ NEWTON_MAX_ITER = 100   # iteration cap of newton_maximize
 NEWTON_HALVINGS = 40    # step halvings before newton_maximize gives up on a direction
 EPS_ACTIVE = 1e-3       # widest gap to a bound that newton_maximize treats as on it
 FLAT = 1e-12            # relative objective change below float noise
+MEMO_SIZE = 128         # points whose objective values solve remembers, the latest evaluated
 
 
 @dataclass
@@ -53,11 +54,29 @@ def solve(objective, grad_hess, x0, lower, grad=None) -> tuple[OptResult, int]:
     projected Newton runs alone from x0.  Returns the result of the last
     solver run, whose ``f`` is the objective as evaluated at its ``x``, and
     the iteration count of the first.
+
+    Each point is evaluated at most once while it is among the last
+    ``MEMO_SIZE`` points evaluated.  The solvers come back to points they
+    have already evaluated (a zoom bracket that collapses below float
+    resolution, the noise-floor step retrying the unit step, Newton starting
+    where BFGS stopped), so the values at those points are kept, keyed on the
+    exact bytes of x, the oldest dropped to make room: the memo does not grow
+    with the iteration count, and it is dropped with the call.
     """
+    memo: dict[bytes, float] = {}
+
     def f(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = objective(x)
-        return value if math.isfinite(value) else -math.inf
+        key = x.tobytes()
+        value = memo.get(key)
+        if value is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = objective(x)
+            if not math.isfinite(value):
+                value = -math.inf
+            if len(memo) == MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = value
+        return value
 
     if grad is None:
         res = newton_maximize(f, grad_hess, x0, lower)
@@ -132,8 +151,9 @@ def _bfgs_update(H, s, y):
     sy = float(s @ y)
     Hy = H @ y
     yHy = float(y @ Hy)
-    H += ((sy + yHy) / sy**2) * np.outer(s, s)
-    H -= (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+    H += ((sy + yHy) / sy**2) * (s[:, None] * s)
+    t = Hy[:, None] * s
+    H -= (t + t.T) / sy
     return H
 
 
@@ -141,8 +161,12 @@ def _vector(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=float))
 
 
-def _inf_norm(v) -> float:
-    return float(np.abs(v).max()) if np.size(v) else 0.0
+def _inf_norm(v: np.ndarray) -> float:
+    return float(np.maximum.reduce(np.abs(v), initial=0.0))
+
+
+def _finite(v: np.ndarray) -> bool:
+    return bool(np.logical_and.reduce(np.isfinite(v), axis=None))
 
 
 class _Bounds:
@@ -155,11 +179,14 @@ class _Bounds:
         self.lo = lo
         self.finite = np.isfinite(lo)
         self.tol = 1e-12 * np.maximum(1.0, np.abs(np.where(self.finite, lo, 0.0)))
+        self.edge = lo + self.tol
 
-    def project(self, x, g) -> tuple[np.ndarray, np.ndarray]:
-        """(g with the outward components on a bound zeroed, the on-bound mask)."""
-        at = self.finite & (x <= self.lo + self.tol)
-        return np.where(at & (g <= 0.0), 0.0, g), at
+    def project(self, x, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g with the outward components on a bound zeroed, the on-bound
+        mask, the mask of those outward components)."""
+        at = self.finite & (x <= self.edge)
+        outward = at & (g <= 0.0)
+        return np.where(outward, 0.0, g), at, outward
 
     def snap(self, x) -> np.ndarray:
         return np.where(self.finite & (x - self.lo <= self.tol), self.lo, x)
@@ -196,28 +223,44 @@ def newton_maximize(f, grad_hess, x0, lower) -> OptResult:
     if np.any(x < lo):
         raise ValueError("infeasible starting point: need x0 >= lower")
     bounded = np.isfinite(lo)
+    any_bound = bool(bounded.any())
+
+    def projected_norm(x, g):
+        # max(lo - x, g) is g itself where every lo is -inf
+        return _inf_norm(np.maximum(lo - x, g) if any_bound else g)
+
     fx = float(f(x))
     if not math.isfinite(fx):
         raise ValueError("objective is not finite at the starting point")
     g, H = grad_hess(x)
-    norm = _inf_norm(np.maximum(lo - x, g)) if _finite(g, H) else math.nan
+    norm = projected_norm(x, g) if _finite(g) and _finite(H) else math.nan
     iters = 0
     while norm > GRAD_TOL and iters < NEWTON_MAX_ITER:
         active = bounded & (x - lo <= min(EPS_ACTIVE, norm)) & (g <= 0.0)
-        free = ~active
-        d = np.where(active, g, 0.0)
-        d[free] = _newton_direction(H[np.ix_(free, free)], g[free])
-        slope = float(g[free] @ d[free])
+        some_active = bool(active.any())
+        if some_active:
+            free = ~active
+            d = np.where(active, g, 0.0)
+            d[free] = _newton_direction(H[np.ix_(free, free)], g[free])
+            slope = float(g[free] @ d[free])
+        else:
+            d = _newton_direction(H, g)
+            slope = float(g @ d)
         step = 1.0
         for _ in range(NEWTON_HALVINGS):
-            x_new = np.maximum(x + step * d, lo)
+            x_new = x + step * d
+            if any_bound:
+                x_new = np.maximum(x_new, lo)
             f_new = float(f(x_new))
             if math.isfinite(f_new):
-                armijo = f_new - fx >= ARMIJO * (step * slope + float(g[active] @ (x_new - x)[active]))
+                gain = step * slope
+                if some_active:
+                    gain += float(g[active] @ (x_new - x)[active])
+                armijo = f_new - fx >= ARMIJO * gain
                 if armijo or abs(f_new - fx) <= FLAT * (abs(fx) + 1.0):
                     g_new, H_new = grad_hess(x_new)
-                    norm_new = _inf_norm(np.maximum(lo - x_new, g_new))
-                    if _finite(g_new, H_new) and (armijo or norm_new < norm):
+                    norm_new = projected_norm(x_new, g_new)
+                    if _finite(g_new) and _finite(H_new) and (armijo or norm_new < norm):
                         break
             step *= 0.5
         else:
@@ -232,10 +275,6 @@ def newton_maximize(f, grad_hess, x0, lower) -> OptResult:
         converged=norm <= GRAD_TOL,
         active_lower=tuple(int(i) for i in np.flatnonzero(bounded & (x <= lo))),
     )
-
-
-def _finite(g, H) -> bool:
-    return bool(np.all(np.isfinite(g)) and np.all(np.isfinite(H)))
 
 
 def _newton_direction(H, g) -> np.ndarray:
@@ -280,46 +319,58 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
         x = bounds.snap(x)
     fx = float(f(x))
     gx = _vector(g(x))
-    if not math.isfinite(fx) or not np.all(np.isfinite(gx)):
+    if not math.isfinite(fx) or not _finite(gx):
         raise ValueError("objective or gradient is not finite at the starting point")
     H = np.eye(x.size)
-    prev_free = None
+    # The BFGS matrix lives on the free components, None when all are free;
+    # it restarts whenever the set of outward components on a bound changes.
+    free, prev_outward = None, None
     iters = 0
     while iters < MAX_ITER:
         pg = gx
         if bounds is not None:
-            pg, at_bound = bounds.project(x, gx)
+            pg, at_bound, outward = bounds.project(x, gx)
         if _inf_norm(pg) <= GRAD_TOL:
             break
         amax = math.inf
         with np.errstate(over="ignore"):  # a gradient near the float limit gives inf slopes
             if bounds is None:
                 d = H @ gx
-                if float(d @ gx) <= 0.0:
+                slope = float(gx @ d)
+                if slope <= 0.0:
                     H = np.eye(x.size)
                     d = gx.copy()
+                    slope = float(gx @ d)
             else:
-                free = ~(at_bound & (gx <= 0.0))
-                key = free.tobytes()
-                if key != prev_free:
-                    H = np.eye(int(free.sum()))
-                    prev_free = key
-                d = _feasible(H @ gx[free], free, at_bound)
-                if float(d @ gx) <= 0.0:
+                key = outward.tobytes()
+                if key != prev_outward:
+                    free = ~outward if outward.any() else None
+                    H = np.eye(x.size if free is None else int(free.sum()))
+                    prev_outward = key
+                gf = gx if free is None else gx[free]
+                d = _feasible(H @ gf, free, at_bound)
+                slope = float(gx @ d)
+                if slope <= 0.0:
                     H = np.eye(H.shape[0])
-                    d = _feasible(gx[free], free, at_bound)
+                    d = _feasible(gf, free, at_bound)
+                    slope = float(gx @ d)
                 moving_down = (d < 0.0) & bounds.finite
-                if np.any(moving_down):
-                    amax = float(np.min((bounds.lo[moving_down] - x[moving_down]) / d[moving_down]))
+                if moving_down.any():
+                    amax = float(np.minimum.reduce((bounds.lo[moving_down] - x[moving_down]) / d[moving_down]))
                     amax = max(amax, 0.0)
-            slope = float(gx @ d)
+        trial = [None, None]  # the last step tried and its point
         cache: dict = {}
 
+        def point(a):
+            if a != trial[0]:
+                trial[0], trial[1] = a, x + a * d
+            return trial[1]
+
         def phi(a):
-            return -float(f(x + a * d))
+            return -float(f(point(a)))
 
         def dphi(a):
-            ga = _vector(g(x + a * d))
+            ga = _vector(g(point(a)))
             cache["grad"] = (a, ga)
             return -float(ga @ d)
 
@@ -328,15 +379,15 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
         if noise_step:
             # Objective differences are at float-noise level; keep the full
             # quasi-Newton step if it still shrinks the gradient.
-            a, phi_a, g_step = _noise_floor_step(f, g, x, d, fx, gx, amax=amax)
+            a, phi_a, g_step = _noise_floor_step(f, g, point, fx, gx, amax=amax)
             if a <= 0.0:
                 break
             cache["grad"] = (a, g_step)
-        x_new = x + a * d
+        x_new = point(a)
         hit_wall = False
         if bounds is not None:
             x_step, x_new = x_new, bounds.snap(x_new)
-            hit_wall = bool(np.any((x_new == bounds.lo) & (x > bounds.lo)))
+            hit_wall = bool(((x_new == bounds.lo) & (x > bounds.lo)).any())
             if noise_step and not np.array_equal(x_new, x_step):
                 cache.clear()  # the step's gradient was taken before the snap
         if hit_wall:
@@ -351,9 +402,10 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
         s = x_new - x
         if not hit_wall:
             sf, yf = s, gx - g_new  # gradient difference of the negated objective
-            if bounds is not None:
+            if free is not None:
                 sf, yf = sf[free], yf[free]
-            if float(sf @ yf) > 1e-12 * (np.linalg.norm(sf) * np.linalg.norm(yf) + 1e-300):
+            # sqrt(v.v) is np.linalg.norm(v), bit for bit
+            if float(sf @ yf) > 1e-12 * (math.sqrt(sf.dot(sf)) * math.sqrt(yf.dot(yf)) + 1e-300):
                 H = _bfgs_update(H, sf, yf)
             else:
                 H = np.eye(sf.size)  # curvature lost near machine precision
@@ -366,7 +418,7 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
             break
     pg, active_lower = gx, ()
     if bounds is not None:
-        pg, at_bound = bounds.project(x, gx)
+        pg, at_bound, _ = bounds.project(x, gx)
         active_lower = tuple(int(i) for i in np.flatnonzero(at_bound))
     grad_norm = _inf_norm(pg)
     return OptResult(
@@ -380,27 +432,31 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
 
 
 def _feasible(df, free, at_bound) -> np.ndarray:
-    """The full-length direction with df on the free components, never into a wall."""
+    """The full-length direction with df on the free components (on all of
+    them when ``free`` is None), never into a wall."""
+    if free is None:
+        return np.where(at_bound & (df < 0.0), 0.0, df)
     d = np.zeros(free.size)
     d[free] = df
     d[at_bound & (d < 0.0)] = 0.0
     return d
 
 
-def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
+def _noise_floor_step(f, g, point, fx, gx, amax=1.0):
     """Last-resort unit step for when the line search cannot measure progress.
 
     Near the optimum the objective change along d drops below float noise and
     Armijo comparisons become meaningless; the quasi-Newton step is then
     essentially a Newton step, so accept it when it reduces the gradient norm
-    without measurably hurting the objective.
+    without measurably hurting the objective.  ``point(a)`` is the trial
+    point at step a along d.
     """
     a = min(1.0, amax)
-    x_try = x + a * d
+    x_try = point(a)
     f_try = float(f(x_try))
     if not math.isfinite(f_try) or f_try < fx - 1e-10 * (abs(fx) + 1.0):
         return 0.0, -fx, gx
     g_try = _vector(g(x_try))
-    if not np.all(np.isfinite(g_try)) or _inf_norm(g_try) >= _inf_norm(gx):
+    if not _finite(g_try) or _inf_norm(g_try) >= _inf_norm(gx):
         return 0.0, -fx, gx
     return a, -f_try, g_try

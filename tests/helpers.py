@@ -17,11 +17,13 @@
   ``reference_observed_information``, ``reference_fit_imperfect``,
   ``reference_newton_polish``, ``reference_newton_polish_total``,
   ``reference_fit_total_only``, ``negbin_objectives``, ``nb_gradient`` and
-  ``reference_fit_negbin``.  They reuse the package's line search, BFGS
-  update, noise-floor step, ``maximize``, ``observed_information``,
-  ``_initial_tau`` and negbin kernels, so they pin solver paths, not values;
-  they go once every fit runs one Newton solver and its tests check the
-  optimum itself.
+  ``reference_fit_negbin``.  They reuse the package's line search,
+  ``maximize``, ``observed_information``, ``_initial_tau`` and negbin
+  kernels, so they pin solver paths, not values; they go once every fit runs
+  one Newton solver and its tests check the optimum itself.  The BFGS
+  update, the infinity norm and the noise-floor step are their own copies,
+  as first written, so the package's rewritten forms are checked against
+  them rather than shared.
 """
 
 import itertools
@@ -63,9 +65,6 @@ from iupm.negbin import (
 )
 from iupm.optimize import (
     OptResult,
-    _bfgs_update,
-    _inf_norm,
-    _noise_floor_step,
     _wolfe,
     maximize,
 )
@@ -339,14 +338,42 @@ def reference_sum_scales(Lambda: float, M: int, q: float) -> tuple[float, float,
 
 # The solver layer as it stood with two BFGS loops and three Newton polishers:
 # the oracle that the merged ``maximize`` must match bit for bit, and that the
-# Newton finish of each fit must match where it runs.  The line search,
-# noise-floor step and BFGS update they call are shared with the library and
-# unchanged.
+# Newton finish of each fit must match where it runs.  The line search they
+# call is shared with the library and unchanged; the BFGS update, infinity
+# norm and noise-floor step below are copies of the library's as first written.
 REF_MAX_ITER = 10_000
 REF_GRAD_TOL = 1e-8
 REF_STEP_TOL = 1e-10
 REF_ARMIJO = 1e-4
 REF_CURVATURE = 0.9
+
+
+def _bfgs_update(H, s, y):
+    """Inverse-Hessian BFGS update (minimization convention, s'y > 0)."""
+    sy = float(s @ y)
+    Hy = H @ y
+    yHy = float(y @ Hy)
+    H += ((sy + yHy) / sy**2) * np.outer(s, s)
+    H -= (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+    return H
+
+
+def _inf_norm(v) -> float:
+    return float(np.abs(v).max()) if np.size(v) else 0.0
+
+
+def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
+    """Unit step along d, kept when it shrinks the gradient norm without
+    measurably lowering the objective; (0, -fx, gx) when it does not."""
+    a = min(1.0, amax)
+    x_try = x + a * d
+    f_try = float(f(x_try))
+    if not math.isfinite(f_try) or f_try < fx - 1e-10 * (abs(fx) + 1.0):
+        return 0.0, -fx, gx
+    g_try = np.atleast_1d(np.asarray(g(x_try), dtype=float))
+    if not np.all(np.isfinite(g_try)) or _inf_norm(g_try) >= _inf_norm(gx):
+        return 0.0, -fx, gx
+    return a, -f_try, g_try
 
 
 def reference_maximize(f, g, x0, callback=None) -> OptResult:

@@ -7,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from iupm import (
     DilutionLevelData,
+    ErrorRates,
     ExtremeOutcome,
+    ImperfectModel,
     MultiDilutionAssay,
     SingularInformationError,
+    WellAssay,
     classify_extreme,
     closed_form_full_udsa,
     covariance,
     fisher_information,
     fisher_information_multi,
+    fit_imperfect,
     fit_mle,
     multi_gradient,
     multi_log_likelihood,
@@ -504,6 +508,22 @@ class TestFitMle:
         assert fit.extreme is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL
         assert fit.iupm == math.inf
         assert fit.ci == (math.inf, math.inf)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, math.nan])
+    @pytest.mark.parametrize("outcome", ["regular", "all-negative", "all-positive", "n0-closed-form", "imperfect"])
+    def test_every_outcome_refuses_alpha_outside_unit_interval(self, outcome, alpha):
+        wells = WellAssay(1.0, [1, 1, 1, 0, 0, 1], [1, 1, 1, 0, 0, 1], [[1, 0], [0, 1], [1, 1], [0, 0], [0, 0], [1, 0]])
+        fits = {
+            "regular": lambda: fit_mle(MultiDilutionAssay((DilutionLevelData(1.0, 6, 3, 2, (1,)),), 1), alpha),
+            "all-negative": lambda: fit_mle(MultiDilutionAssay((DilutionLevelData(1.0, 6, 6, 0, (0,)),), 1), alpha),
+            "all-positive": lambda: fit_mle(MultiDilutionAssay((DilutionLevelData(1.0, 6, 0, 6, (6,)),), 1), alpha),
+            "n0-closed-form": lambda: fit_mle(MultiDilutionAssay((DilutionLevelData(1.0, 12, 5, 0, ()),), 0), alpha),
+            "imperfect": lambda: fit_imperfect(
+                ImperfectModel(rates=ErrorRates(0.9, 0.9, 0.9, 0.9), assays=(wells,)), alpha=alpha
+            ),
+        }
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            fits[outcome]()
 
     def test_q_zero_everywhere_equals_total_only_model(self):
         # sequencing columns empty at every level: identical to the classic fit

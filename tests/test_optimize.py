@@ -14,7 +14,7 @@ from iupm import (
     multi_log_likelihood,
     nb_log_likelihood,
 )
-from iupm import optimize
+from iupm import imperfect, inference, optimize
 from iupm.imperfect import ImperfectModel
 from iupm.inference import _total_model
 from iupm.optimize import maximize, newton_maximize
@@ -415,6 +415,37 @@ class TestMatchesReference:
             assert got == outcome(reference_maximize_box(f, g, x0, lower))
         for (_, grad_hess, x, lower), got in newton:
             assert (got[0], got[4]) == former_polish(grad_hess, x, lower)
+
+
+def test_solve_evaluates_each_point_once(monkeypatch):
+    """Within the last ``MEMO_SIZE`` points a solve evaluated, no point's
+    bytes reach the objective a fit hands to the solve step twice."""
+    solves = []
+    real = optimize.solve
+
+    def recorded(objective, *args):
+        points = []
+        solves.append(points)
+
+        def spied(x):
+            points.append(x.tobytes())
+            return objective(x)
+
+        return real(spied, *args)
+
+    for module in (inference, imperfect):
+        monkeypatch.setattr(module, "solve", recorded)
+    for rep in range(40):
+        draw, _ = _simulate_until_regular(STUDY_MULTI, _rng_for(STUDY_MULTI.seed, rep))
+        fit_mle(draw.assay)
+        fit_mle(draw.assay.strip_udsa())
+    for rep in range(20):
+        draw, _ = _simulate_until_regular(STUDY_IMPERFECT, _rng_for(STUDY_IMPERFECT.seed, rep))
+        fit_imperfect(ImperfectModel(rates=STUDY_IMPERFECT.rates, assays=draw.well_assays))
+    assert len(solves) == 100
+    for points in solves:
+        for i, key in enumerate(points):
+            assert key not in points[max(0, i - optimize.MEMO_SIZE):i]
 
 
 class TestLogLikIsTheLikelihoodAtTheEstimate:

@@ -20,6 +20,7 @@ STUDIES = ROOT / "data" / "studies"
 METRICS_HEADER = "scenario,estimator,truth,n_used,discarded,bias,ase,ese,cp,re"
 
 CASES = {"fit_subjects.py": ([], "subject mle ci bc-mle ci")}
+DIGEST = "output_digest.py"  # prints digests, not a table
 
 STUDY_HEADERS = {
     "single_dilution.json": METRICS_HEADER,
@@ -30,7 +31,7 @@ STUDY_HEADERS = {
 
 
 def test_every_script_is_covered():
-    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(CASES)
+    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted([*CASES, DIGEST])
 
 
 @pytest.mark.parametrize("script", sorted(CASES))
@@ -46,6 +47,24 @@ def test_script_runs_on_smallest_grid(script):
     lines = proc.stdout.splitlines()
     assert " ".join(lines[0].split()) == header
     assert len(lines) >= 2
+
+
+def test_output_digest_repeats():
+    """Two runs of the digest on the smallest workload print the same line."""
+    def run():
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / DIGEST), "--workload", "fit-large-m", "--seeds", "0"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    first = run()
+    name, digest = first.split()
+    assert name == "fit-large-m" and len(digest) == 64
+    assert run() == first
 
 
 def test_every_study_is_covered():
