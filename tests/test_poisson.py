@@ -209,6 +209,13 @@ class TestCachedConstants:
 RTOL = 1e-12
 
 
+def log_1m_exp(x):
+    """log(1 - e^{-x}) for x > 0, accurate to a few ulp on both sides of log 2:
+    past it log(-expm1(-x)) takes the log of a number near 1 and loses the
+    low bits of a small result, so log1p(-exp(-x)) is used there instead."""
+    return math.log(-math.expm1(-x)) if x < math.log(2.0) else math.log1p(-math.exp(-x))
+
+
 def formula_level(lam, lv):
     """(log-likelihood, its magnitude, gradient, gradient magnitudes, Hessian) of one level."""
     lam = [float(v) for v in lam]
@@ -219,9 +226,9 @@ def formula_level(lam, lv):
     if any(v < 0 for v in lam) or any(v == 0 and y > 0 for v, y in zip(lam, lv.Y)) or (unseq > 0 and Lam <= 0):
         ll = -math.inf
     else:
-        terms += [y * math.log(-math.expm1(-v)) for v, y in zip(lam, lv.Y) if y > 0]
+        terms += [y * log_1m_exp(v) for v, y in zip(lam, lv.Y) if y > 0]
         if unseq > 0:
-            terms.append(unseq * math.log(-math.expm1(-Lam)))
+            terms.append(unseq * log_1m_exp(Lam))
         ll = math.fsum(terms)
     if min(lam) <= 0:
         return ll, sum(map(abs, terms)), None, None, None
