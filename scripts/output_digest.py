@@ -4,10 +4,14 @@ For each workload of ``perfbench/workloads.py`` this runs the warm-up op and
 the reference ops at each seed, flattens every output as the benchmark does
 (the captured LRT statistics and p-values included) and hashes the float-hex
 form of every number.  Two checkouts that print the same lines produced the
-same outputs, bit for bit.  It only reads ``perfbench/``.
+same outputs, bit for bit.  ``--dump PATH`` also writes the values that
+were hashed as one JSON document, ``{workload: {op key: flattened
+output}}``, so that two checkouts whose digests differ can be compared
+within a tolerance.  It only reads ``perfbench/``.
 
     python3 scripts/output_digest.py                                   # seeds 0 1 3 7
     python3 scripts/output_digest.py --workload fit-large-m --seeds 0
+    python3 scripts/output_digest.py --dump outputs.json
 """
 
 from __future__ import annotations
@@ -38,9 +42,11 @@ def hexed(value):
     return value
 
 
-def digest(name: str, seeds: list[int]) -> str:
+def digest(name: str, seeds: list[int]) -> tuple[str, dict]:
+    """(the SHA-256 of the workload's outputs, those outputs keyed by op)."""
     wl = workloads.WORKLOADS[name]()
     sha = hashlib.sha256()
+    outputs = {}
     with tempfile.TemporaryDirectory() as work_dir:
         wl.prepare(Path(work_dir))
         seen = set()
@@ -54,7 +60,8 @@ def digest(name: str, seeds: list[int]) -> str:
             if wl.captures:
                 flat["captured"] = wl.flatten_captured(dict(tracer.results))
             sha.update(json.dumps([op.key, hexed(flat)]).encode())
-    return sha.hexdigest()
+            outputs[op.key] = flat
+    return sha.hexdigest(), outputs
 
 
 def main(argv=None) -> int:
@@ -62,9 +69,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), action="append",
                         help="a workload to digest; repeat for several (default: all)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 3, 7])
+    parser.add_argument("--dump", type=Path, metavar="PATH", help="also write the hashed values here as JSON")
     args = parser.parse_args(argv)
+    dumped = {}
     for name in args.workload or workloads.WORKLOADS:
-        print(f"{name} {digest(name, args.seeds)}", flush=True)
+        sha, dumped[name] = digest(name, args.seeds)
+        print(f"{name} {sha}", flush=True)
+    if args.dump:
+        args.dump.write_text(json.dumps(dumped, indent=1), encoding="utf-8")
     return 0
 
 

@@ -46,10 +46,13 @@ class FitResult:
     ``tau_hat`` has one entry per detected lineage; for a fit without any
     sequencing information it holds the single total-rate parameter, so
     ``iupm == sum(tau_hat)`` either way.  ``bias`` is set by the
-    bias-corrected fit.  ``iterations`` counts the iterations of the first
-    stage of :func:`iupm.optimize.solve`, and is 0 for a closed form or a
-    boundary outcome.  ``active_lower`` lists components held at zero by a
-    bounded fit (interval then unreliable near the boundary).
+    bias-corrected fit.  For a Poisson fit of one level, ``iterations``
+    counts the outer steps of the root in the total rate
+    (:func:`iupm.poisson.one_level_mle`) and ``converged`` means that its
+    bracket closed; for every other fit they come from the first stage of
+    :func:`iupm.optimize.solve`.  ``iterations`` is 0 for a closed form or
+    a boundary outcome.  ``active_lower`` lists components held at zero by
+    a bounded fit (interval then unreliable near the boundary).
     """
 
     tau_hat: np.ndarray
@@ -149,7 +152,10 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     its log C(M, k) come from the lgamma table, so the sums are those of a
     pass over every count with lgamma to the bit; above that the row comes
     from Stirling's series (:func:`_log_binom_row`) and the dot products add
-    the same nonzero terms in other groupings.  Only the four sums are
+    the same nonzero terms in other groupings.  When every positive well is
+    sequenced (q = 1) no pass is made: the sums are Em = M p, F = M,
+    dEm = M s and dF = 0, so the off-diagonal of the information and the
+    mixed third derivatives vanish exactly.  Only the four sums are
     memoized, so the bias term reuses the pass that the information of the
     same fit made at the same rates; the window's arrays are dropped with
     the call.
@@ -160,6 +166,8 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
         return 0.0, 0.0, 0.0, 0.0
     s = math.exp(-Lambda)
     p = -math.expm1(-Lambda)
+    if q == 1.0:
+        return M * p, float(M), M * s, 0.0
     r = s / p
     lo, hi = _nonzero_window(M, s)
     k = np.arange(lo, hi + 1, dtype=float)
@@ -339,8 +347,8 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
 
 
 # Each model of fit_mle is (loglik at the rates, gradient and (gradient, Hessian)
-# in x = log(rates), the x at which the solve step starts, expected information
-# at the rates).
+# in x = log(rates), a function giving the x at which the solve step starts,
+# expected information at the rates); only a fit of several levels solves.
 def _lineage_model(assay: MultiDilutionAssay):
     """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau)."""
     def grad(theta):
@@ -355,7 +363,7 @@ def _lineage_model(assay: MultiDilutionAssay):
         return g, tau[:, None] * H * tau[None, :] + np.diag(g)
 
     information = partial(fisher_information_multi, levels=level_params(assay))
-    return partial(multi_log_likelihood, assay=assay), grad, grad_hess, _initial_theta(assay), information
+    return partial(multi_log_likelihood, assay=assay), grad, grad_hess, partial(_initial_theta, assay), information
 
 
 def _total_model(levels):
@@ -389,23 +397,28 @@ def _total_model(levels):
         T = float(tau[0])
         return np.array([[sum(expm1_ratio(lv.u * lv.u * lv.M, lv.u * T, 1) for lv in levels)]])
 
-    seeds = [math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M]
-    T0 = float(np.mean(seeds)) if seeds else 0.5
-    return loglik, grad, grad_hess, np.array([math.log(T0)]), information
+    def start():
+        seeds = [math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M]
+        return np.array([math.log(float(np.mean(seeds)) if seeds else 0.5)])
+
+    return loglik, grad, grad_hess, start, information
 
 
 def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     """Maximum-likelihood fit of the per-million rates for one assay.
 
-    Regular assays are maximized over the log of the rates, which needs no
-    bounds, by :func:`iupm.optimize.solve` on the analytic gradient and
-    Hessian, and the covariance is the inverse expected information at the
-    estimate.  With sequencing data the rates are the per-lineage tau; an
-    assay without any (n = 0) reduces to the classic one-parameter dilution
-    model for the total rate, which goes through the same solve step and
-    covariance, and at a single level has the closed form log(M / M_N) / u.
-    The two boundary outcomes short-circuit to 0 and +inf with degenerate
-    intervals.
+    With sequencing data the rates are the per-lineage tau; an assay
+    without any (n = 0) reduces to the classic one-parameter dilution model
+    for the total rate.  A regular assay of one level is fitted in per-well
+    rates by :func:`iupm.poisson.one_level_mle`, a scalar root in the total
+    rate (a closed form when n = 0 or when every positive well was
+    sequenced), and divided by u; ``iterations`` then counts the root's
+    outer steps and ``converged`` means that its bracket closed.  An assay
+    of several levels is maximized over the log of the rates, which needs
+    no bounds, by :func:`iupm.optimize.solve` on the analytic gradient and
+    Hessian.  Either way the covariance is the inverse expected information
+    at the estimate.  The two boundary outcomes short-circuit to 0 and +inf
+    with degenerate intervals.
     """
     extreme = classify_extreme(assay)
     n = assay.n
@@ -416,11 +429,14 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     loglik, grad, grad_hess, start, information = (
         _lineage_model(assay) if n else _total_model(assay.levels)
     )
-    if n == 0 and len(assay.levels) == 1:
+    if len(assay.levels) == 1:
         lv = assay.levels[0]
-        tau = np.array([poisson.closed_form_no_udsa(lv.M, lv.M_N) / lv.u])
-        return _fit_result(tau, alpha, covariance(information(tau)), log_lik=loglik(tau))
-    res, iterations = solve(lambda x: loglik(np.exp(x)), grad_hess, start, -math.inf, grad)
+        lam, converged, iterations = poisson.one_level_mle(lv)
+        tau = lam / lv.u
+        return _fit_result(
+            tau, alpha, covariance(information(tau)), log_lik=loglik(tau), converged=converged, iterations=iterations
+        )
+    res, iterations = solve(lambda x: loglik(np.exp(x)), grad_hess, start(), -math.inf, grad)
     tau = np.exp(res.x)
     return _fit_result(
         tau, alpha, covariance(information(tau)), log_lik=res.f, converged=res.converged, iterations=iterations

@@ -44,6 +44,7 @@ __all__ = [
     "hessian_parts",
     "closed_form_no_udsa",
     "closed_form_full_udsa",
+    "one_level_mle",
     "classify_extreme",
 ]
 
@@ -149,13 +150,92 @@ def closed_form_no_udsa(M: int, M_N: int) -> float:
 def closed_form_full_udsa(M: int, Y) -> np.ndarray:
     """Per-lineage MLEs when every positive well was sequenced: -log(1 - Y_i/M).
 
-    A component with Y_i = M is the divergent extreme and comes back +inf.
+    They are formed as log1p(Y_i / (M - Y_i)), which keeps its precision
+    where Y_i is close to M.  A component with Y_i = M is the divergent
+    extreme and comes back +inf.
     """
     Y = np.atleast_1d(np.asarray(Y, dtype=float))
     if np.any(Y < 0) or np.any(Y > M):
         raise ValueError("need 0 <= Y_i <= M")
     with np.errstate(divide="ignore"):
-        return -np.log1p(-Y / M)
+        return np.log1p(Y / (M - Y))
+
+
+ROOT_ULPS = 4  # the root in the total rate is bracketed to this many ulps
+MAX_ROOT_STEPS = 100
+
+
+def one_level_mle(level: DilutionLevelData) -> tuple[np.ndarray, bool, int]:
+    """The MLE of one regular level in per-well rates, as (rates, converged, steps).
+
+    Setting the score of lineage i to zero gives its rate in closed form for
+    a given total rate Lam,
+
+        lam_i(Lam) = log1p(Y_i / (b_i - C(Lam))),   b_i = M_N + m - Y_i,   C(Lam) = U / (e^Lam - 1),
+
+    with U = M - M_N - m the unsequenced positive wells, so the fit is the
+    root of h(Lam) = F(Lam) - Lam, F = sum_i lam_i, on (log1p(U / min_i b_i), inf),
+    where the rate of the lineage with the least b_i diverges.  Each lam_i
+    falls as Lam rises, so h' < -1: the root is unique and lies between any
+    Lam and F(Lam), which brackets it at every step.  Since every lam_i lies
+    between its C = 0 value log1p(Y_i / b_i) and the total, the root is at
+    least max(sum_i log1p(Y_i / b_i), max_i log1p((U + Y_i) / b_i)), where
+    the search starts.
+
+    Each step is a Newton step on Lam / F(Lam) - 1, which has the same root.
+    Near the divergence lam_i grows like 1 / (b_i - C), and there that
+    function is close to linear in Lam where h is not: a Newton step on h
+    from the left only about doubles the distance from the divergence.  A
+    step below two ulps is lengthened to two ulps, and a step that leaves
+    the bracket is replaced by bisection (Brent 1973, *Algorithms for
+    Minimization without Derivatives*).  Once the bracket has closed to
+    ``ROOT_ULPS`` ulps, the rates take one last Newton step on h to first
+    order, lam_i + lam_i' h / (1 - F'), so that they sum to the point they
+    belong to even where some lam_i changes far faster than Lam.
+    ``converged`` says the bracket closed within ``MAX_ROOT_STEPS`` steps,
+    and steps counts the evaluations of F.
+
+    Without unsequenced positive wells (U = 0) the rates are
+    :func:`closed_form_full_udsa`, and without lineages (n = 0) the one
+    rate is the total :func:`closed_form_no_udsa`, with no root to find.
+    """
+    M, M_N, m = level.M, level.M_N, level.m
+    if level.n == 0:
+        return np.array([closed_form_no_udsa(M, M_N)]), True, 0
+    U = M - M_N - m
+    if U == 0:
+        return closed_form_full_udsa(M, level.Y), True, 0
+    Y = level.y_array()
+    b = (M_N + m) - Y
+    lo = max(float(np.log1p(Y / b).sum()), float(np.log1p((U + Y) / b).max()))
+    hi = math.inf
+    x = lo
+    converged = False
+    for step in range(1, MAX_ROOT_STEPS + 1):
+        C = U / math.expm1(x)
+        r = b - C
+        lam = np.log1p(Y / r)
+        falls = C * (1.0 + C / U) * (Y / (r * (r + Y)))  # -d lam_i / dLam
+        total, fall = float(lam.sum()), float(falls.sum())
+        if total > x:
+            fresh = total < hi
+            lo, hi = x, min(hi, total)
+        elif total < x:
+            fresh = total > lo
+            lo, hi = max(lo, total), x
+        if total == x or hi - lo <= ROOT_ULPS * math.ulp(hi):
+            converged = True
+            break
+        dx = (total - x) * total / (total + x * fall)
+        if abs(dx) < 2.0 * math.ulp(x):
+            dx = math.copysign(2.0 * math.ulp(x), dx)
+        # Every point evaluated so far is a bracket end or outside the bracket.
+        # A step may also end on the end F(x) that it has just set, which is
+        # the root where F is flat.
+        x_new = x + dx
+        x = x_new if lo < x_new < hi or fresh and x_new == total else 0.5 * (lo + hi)
+    lam -= falls * ((total - x) / (1.0 + fall))
+    return lam, converged, step
 
 
 def classify_extreme(assay: MultiDilutionAssay) -> ExtremeOutcome:

@@ -4,7 +4,7 @@
   they check: ``decimal_log_likelihood``, the 40-digit ``exact_*`` sums and
   log-factorials, ``enumerate_expectations``, ``brute_force_joint_prob``,
   ``decimal_level_hessian``, ``direct_nb_log_likelihood``,
-  ``myers_mle_bisect``, the central differences ``fd_gradient`` and
+  ``myers_mle_bisect``, ``decimal_one_level_rates``, the central differences ``fd_gradient`` and
   ``fd_hessian_of_gradient``, and the well generator ``simulate_wells``.
 * Kernels as first written, which the package's kernels must match bit for
   bit: ``reference_log_likelihood``, ``reference_gradient``, the full-row
@@ -1177,3 +1177,31 @@ def myers_mle_bisect(levels, lo=1e-10, hi=200.0) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def decimal_one_level_rates(level, digits=50) -> list[float]:
+    """The per-well MLE of one level with unsequenced positive wells (U > 0)
+    and lineages, by bisection in ``digits``-digit decimals on
+    h(Lam) = sum_i log(1 + Y_i / (b_i - C(Lam))) - Lam, b_i = M_N + m - Y_i,
+    C(Lam) = U / (e^Lam - 1).  The root lies above log(1 + (U + Y_i) / b_i)
+    for every i and below the sum of the rates there."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one = Decimal(1)
+        U = Decimal(level.M - level.M_N - level.m)
+        Y = [Decimal(y) for y in level.Y]
+        b = [Decimal(level.M_N + level.m - y) for y in level.Y]
+
+        def rates(Lam):
+            C = U / (Lam.exp() - one)
+            return [(one + y / (bi - C)).ln() for y, bi in zip(Y, b)]
+
+        lo = max((one + (U + y) / bi).ln() for y, bi in zip(Y, b))
+        hi = sum(rates(lo), Decimal(0))
+        while hi - lo > Decimal(10) ** (5 - digits) * hi:
+            mid = (lo + hi) / 2
+            if sum(rates(mid), Decimal(0)) > mid:
+                lo = mid
+            else:
+                hi = mid
+        return [float(v) for v in rates((lo + hi) / 2)]

@@ -19,13 +19,15 @@ from helpers import random_regular_assay, reference_a_blocks, reference_bias_ter
 
 class TestThirdDerivativeExpectations:
     def test_full_sequencing_closed_form(self):
-        # with every positive well sequenced the mixed entries vanish and the
+        # with every positive well sequenced the mixed entries and the
+        # derivative of the off-diagonal information vanish exactly, and the
         # diagonal reduces to M (e^lam + 1) / (e^lam - 1)^2
-        M, lam = 12, 0.5
-        *_, common, diag = _information_derivative(np.array([lam]), M, 1.0)
-        assert common == pytest.approx(0.0, abs=1e-10)
+        lam = 0.5
         t = math.expm1(lam)
-        assert diag[0] == pytest.approx(M * (t + 2.0) / (t * t), rel=1e-10)
+        for M in (12, 380, 200_000):
+            d_common, _, _, common, diag = _information_derivative(np.array([lam]), M, 1.0)
+            assert d_common == common == 0.0
+            assert diag[0] == pytest.approx(M * (t + 2.0) / (t * t), rel=1e-10)
 
     def test_exchangeable_rates(self):
         *_, diag = _information_derivative(np.array([0.2, 0.2, 0.2]), 18, 0.5)

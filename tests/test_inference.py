@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iupm import (
     DilutionLevelData,
@@ -35,6 +35,7 @@ from iupm.inference import (
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from iupm.special import expm1_ratio, log1mexp, log_binom, nint
 from helpers import (
+    decimal_one_level_rates,
     enumerate_expectations,
     exact_binomial_sums,
     exact_log_binom,
@@ -139,11 +140,14 @@ def scalar_expected_y(lam, Lam, M, q):
 def assert_sums_near_exact(Lam, M, q, which=(0, 1, 2, 3)):
     """Each of the chosen (Em, F, dEm, dF) lies within 2 ulp of log M!, times
     its absolute-term scale, of the 40-digit sums over the window: the error
-    that a float log C(M, k) row within about 2 ulp of log M! allows."""
+    that a float log C(M, k) row within about 2 ulp of log M! allows.  Below
+    M = 3, where log M! < 1, the ulp is that of 1.0: the exact sums' own
+    rounding of their weights and products (the closed forms of q = 1 are
+    checked there)."""
     lo, hi = _nonzero_window(M, math.exp(-Lam))
     sums, exact = _binomial_sums(Lam, M, q), exact_binomial_sums(Lam, M, q, lo, hi)
     scales = reference_sum_scales(Lam, M, q)
-    ulp = math.ulp(math.lgamma(M + 1))
+    ulp = math.ulp(max(math.lgamma(M + 1), 1.0))
     for i in which:
         assert abs(sums[i] - exact[i]) <= 2.0 * ulp * scales[i], (Lam, q, i)
 
@@ -156,7 +160,12 @@ class TestVectorizedExpectations:
         for Lam in (0.01, 0.3, math.log(2.0), 1.7, 6.0):
             lam = np.array([0.2, 0.5, 0.3]) * Lam
             if M <= 380:
-                assert expected_m(Lam, M, q) == scalar_expected_m(Lam, M, q)
+                if q == 1.0:
+                    # no pass is made: Em is M p, near the exact sum
+                    assert expected_m(Lam, M, q) == M * -math.expm1(-Lam)
+                    assert_sums_near_exact(Lam, M, q, [0, 1])
+                else:
+                    assert expected_m(Lam, M, q) == scalar_expected_m(Lam, M, q)
                 np.testing.assert_allclose(
                     expected_y(lam, Lam, M, q), scalar_expected_y(lam, Lam, M, q), rtol=1e-13, atol=0.0
                 )
@@ -183,10 +192,15 @@ class TestNonzeroWindow:
     def test_bit_identical_to_full_row(self, M):
         # above M = 380 the window is shorter than the row, the dot products
         # group the same terms differently and the row comes from Stirling's
-        # series, so the sums are checked against exact arithmetic instead
+        # series, so the sums are checked against exact arithmetic instead;
+        # at q = 1 no pass is made, and the closed forms are checked the same way
         for Lam in WINDOW_LAMBDA:
             for q in WINDOW_Q:
-                if M <= 380:
+                if q == 1.0:
+                    p, s = -math.expm1(-Lam), math.exp(-Lam)
+                    assert _binomial_sums(Lam, M, q) == (M * p, M, M * s, 0.0), Lam
+                    assert_sums_near_exact(Lam, M, q)
+                elif M <= 380:
                     assert _binomial_sums(Lam, M, q) == reference_binomial_sums(Lam, M, q), (Lam, q)
                 else:
                     assert_sums_near_exact(Lam, M, q)
@@ -279,11 +293,12 @@ class TestLogFactorials:
 
 class TestFisherInformation:
     def test_full_sequencing_diagonal_form(self):
-        info = fisher_information(np.array([0.3, 0.3]), 24, 1.0)
-        expected = 24.0 / math.expm1(0.3)
-        np.testing.assert_allclose(np.diag(info), expected, rtol=1e-12)
-        off = info[0, 1]
-        assert abs(off) < 1e-10
+        # the q = 1 sums are closed forms, so the off-diagonal is exactly 0
+        for M in (24, 380, 200_000):
+            info = fisher_information(np.array([0.3, 0.3]), M, 1.0)
+            expected = M / math.expm1(0.3)
+            np.testing.assert_allclose(np.diag(info), expected, rtol=1e-12)
+            assert info[0, 1] == info[1, 0] == 0.0
 
     def test_exchangeable_rates_give_exchangeable_information(self):
         info = fisher_information(np.array([0.25, 0.25, 0.25]), 18, 0.5)
@@ -559,6 +574,67 @@ class TestFitMle:
     def test_level_params_use_recorded_or_derived_q(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=3, Y=(3,))
         assert level_params(MultiDilutionAssay((lv,), 1)) == [(1.0, 12, 0.5)]
+
+
+@st.composite
+def one_level_assays(draw):
+    """A regular one-level assay: M from 1 to 2e5 spread over its decades, n
+    from 1 to 12, a sequenced fraction q in [0, 1] of the positive wells (at
+    least one), and u from 1e-3 to 1e3.  Lineage i is in at least its share
+    of the m sequenced wells, so every sequenced well carries a lineage."""
+    M = max(1, round(10.0 ** draw(st.floats(0.0, math.log10(2e5)))))
+    M_N = draw(st.integers(0, M - 1))
+    M_P = M - M_N
+    m = min(M_P, max(1, round(draw(st.floats(0.0, 1.0)) * M_P)))
+    n = draw(st.integers(1, 12))
+    Y = tuple(
+        min(m, max(1, m // n + (i < m % n), round(draw(st.floats(0.0, 1.0)) * m))) for i in range(n)
+    )
+    u = 10.0 ** draw(st.floats(-3.0, 3.0))
+    assay = MultiDilutionAssay((DilutionLevelData(u=u, M=M, M_N=M_N, m=m, Y=Y),), n)
+    assume(classify_extreme(assay) is ExtremeOutcome.REGULAR)
+    return assay
+
+
+def small_one_level_assays(rng, count):
+    """``count`` regular one-level assays with M < 60, n <= 6 and unsequenced positive wells."""
+    assays = []
+    while len(assays) < count:
+        M = int(rng.integers(2, 60))
+        M_N = int(rng.integers(0, M))
+        m = int(rng.integers(1, M - M_N + 1))
+        n = int(rng.integers(1, 7))
+        Y = tuple(int(min(m, max(1, m // n + (i < m % n), rng.integers(0, m + 1)))) for i in range(n))
+        u = float(10.0 ** rng.uniform(-2.0, 2.0))
+        assay = MultiDilutionAssay((DilutionLevelData(u=u, M=M, M_N=M_N, m=m, Y=Y),), n)
+        if M - M_N - m > 0 and classify_extreme(assay) is ExtremeOutcome.REGULAR:
+            assays.append(assay)
+    return assays
+
+
+class TestOneLevelOptimum:
+    """A one-level fit is the optimum itself, not a solver's stopping point."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(one_level_assays())
+    def test_scaled_score_vanishes(self, assay):
+        # tau_i dl/dtau_i = lam_i [Y_i / (e^lam_i - 1) - b_i + U / (e^Lam - 1)], with
+        # b_i = M_N + m - Y_i: at most 1e-12 of the sum of its terms' sizes
+        lv = assay.levels[0]
+        fit = fit_mle(assay)
+        assert fit.converged and fit.iterations <= 12
+        lam = lv.u * fit.tau_hat
+        Y = lv.y_array()
+        first, b = Y / np.expm1(lam), (lv.M_N + lv.m) - Y
+        common = (lv.M - lv.M_N - lv.m) / math.expm1(float(lam.sum()))
+        score = lam * (first - b + common)
+        assert np.all(np.abs(score) <= 1e-12 * lam * (first + b + common))
+
+    def test_matches_decimal_bisection(self):
+        for assay in small_one_level_assays(np.random.default_rng(2606), 20):
+            lv = assay.levels[0]
+            expected = np.array(decimal_one_level_rates(lv)) / lv.u
+            np.testing.assert_allclose(fit_mle(assay).tau_hat, expected, rtol=1e-13, atol=0.0)
 
 
 def random_total_only_assay(rng):

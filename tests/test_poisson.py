@@ -15,9 +15,11 @@ from iupm import (
     closed_form_no_udsa,
 )
 from iupm.optimize import maximize
-from iupm.poisson import gradient, hessian_parts, log_likelihood
+from iupm.inference import fit_mle
+from iupm.poisson import gradient, hessian_parts, log_likelihood, one_level_mle
 from helpers import (
     decimal_log_likelihood,
+    decimal_one_level_rates,
     dense_hessian,
     fd_gradient,
     fd_hessian_of_gradient,
@@ -305,6 +307,49 @@ class TestClosedForms:
     def test_full_sequencing_divergent_component(self):
         out = closed_form_full_udsa(4, (4,))
         assert out[0] == math.inf
+
+
+class TestOneLevelMle:
+    """The paths of the one-level root in the total rate."""
+
+    @pytest.mark.parametrize(
+        "M, M_N, Y, u",
+        [(12, 7, (3, 2), 1.0), (40, 0, (39, 25, 1), 0.25), (100_000, 1, (99_999,), 1e3), (9, 4, (5,), 2e-3)],
+    )
+    def test_full_sequencing_is_the_closed_form_to_the_bit(self, M, M_N, Y, u):
+        lv = level(M, M_N, M - M_N, Y, u)
+        lam, converged, steps = one_level_mle(lv)
+        assert (lam.tobytes(), converged, steps) == (closed_form_full_udsa(M, Y).tobytes(), True, 0)
+        fit = fit_mle(MultiDilutionAssay((lv,), len(Y)))
+        assert fit.tau_hat.tobytes() == (closed_form_full_udsa(M, Y) / u).tobytes()
+        assert (fit.converged, fit.iterations) == (True, 0)
+
+    def test_no_lineages_is_the_total_closed_form(self):
+        lam, converged, steps = one_level_mle(level(24, 8, 0, ()))
+        assert (lam.tolist(), converged, steps) == ([closed_form_no_udsa(24, 8)], True, 0)
+
+    @pytest.mark.parametrize(
+        "M, M_N, m, Y",
+        [
+            (10, 0, 4, (3, 2)),  # no negative well, 2 unsequenced positive ones
+            (200_000, 0, 3, (2, 2)),
+            (200_000, 0, 12, (11,) + (1,) * 11),
+            (200_000, 1, 2, (2, 1)),  # b_1 - C is 2e-5 of b_1 at the root
+            (100_000, 1, 5, (5, 1, 1)),  # and 8e-5 here
+        ],
+    )
+    def test_matches_decimal_bisection(self, M, M_N, m, Y):
+        lv = level(M, M_N, m, Y)
+        lam, converged, steps = one_level_mle(lv)
+        assert converged and steps <= 12
+        np.testing.assert_allclose(lam, decimal_one_level_rates(lv), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("M, M_N, m", [(1000, 1, 10), (37, 5, 4), (200_000, 3, 150)])
+    def test_one_lineage_is_the_rate_without_sequencing(self, M, M_N, m):
+        # the lineage is in every sequenced well, so its rate is the total log(M / M_N)
+        lam, converged, steps = one_level_mle(level(M, M_N, m, (m,)))
+        assert converged and steps <= 2
+        assert abs(lam[0] - closed_form_no_udsa(M, M_N)) <= math.ulp(lam[0])
 
 
 class TestClassifyExtreme:

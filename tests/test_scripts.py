@@ -2,6 +2,7 @@
 data/studies/ parses and runs its first scenario through ``iupm simulate``."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -65,6 +66,34 @@ def test_output_digest_repeats():
     name, digest = first.split()
     assert name == "fit-large-m" and len(digest) == 64
     assert run() == first
+
+
+def test_output_digest_dump_hashes_to_its_line(tmp_path):
+    """``--dump`` writes the values that the printed digest hashes."""
+    dump = tmp_path / "outputs.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / DIGEST), "--workload", "fit-large-m", "--seeds", "0", "--dump", str(dump)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    name, digest = proc.stdout.split()
+
+    def hexed(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, list):
+            return [hexed(v) for v in value]
+        return {key: hexed(v) for key, v in value.items()} if isinstance(value, dict) else value
+
+    outputs = json.loads(dump.read_text())
+    assert list(outputs) == [name] and len(outputs[name]) >= 2
+    sha = hashlib.sha256()
+    for key, flat in outputs[name].items():
+        assert isinstance(flat["estimate.iupm"], float)
+        sha.update(json.dumps([key, hexed(flat)]).encode())
+    assert sha.hexdigest() == digest
 
 
 def test_every_study_is_covered():
