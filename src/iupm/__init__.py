@@ -14,7 +14,6 @@ from .assay import (
     DilutionLevelData,
     ErrorRates,
     MultiDilutionAssay,
-    ValidationReport,
     WellAssay,
     parse_summary_json,
     parse_wells_csv,
@@ -28,7 +27,6 @@ from .bias import (
     a_matrices,
     bias_correct,
     bias_term,
-    fit_bc_mle,
 )
 from .imperfect import (
     ImperfectFitError,

@@ -34,7 +34,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -47,7 +47,6 @@ __all__ = [
     "MultiDilutionAssay",
     "WellAssay",
     "ErrorRates",
-    "ValidationReport",
     "validate",
     "summarize_well_assay",
     "restrict_to_detected",
@@ -99,12 +98,6 @@ class LevelTerms(NamedTuple):
     neg: np.ndarray
     unseq: np.ndarray
     unseq_levels: tuple[int, ...]
-
-
-def _state_without_terms(self) -> dict:
-    """The pickled state: the fields alone, since the cached terms are rebuilt,
-    read-only, on first use."""
-    return {key: value for key, value in vars(self).items() if key != "terms"}
 
 
 def _likelihood_terms(levels) -> LevelTerms:
@@ -176,18 +169,6 @@ class DilutionLevelData:
     def y_array(self) -> np.ndarray:
         return np.asarray(self.Y, dtype=float)
 
-    @cached_property
-    def terms(self) -> LevelTerms:
-        """The likelihood constants as one row, built on first use and kept with the level.
-
-        The cache lives in the instance ``__dict__``: equality and hashing see
-        only the fields, pickling leaves it out, and the arrays are read-only
-        because every evaluation shares them.
-        """
-        return _likelihood_terms((self,))
-
-    __getstate__ = _state_without_terms
-
 
 @dataclass(frozen=True)
 class MultiDilutionAssay:
@@ -214,11 +195,19 @@ class MultiDilutionAssay:
 
     @cached_property
     def terms(self) -> LevelTerms:
-        """The likelihood constants of every level as (D, n) arrays, built
-        and kept like :attr:`DilutionLevelData.terms`."""
+        """The likelihood constants of every level as (D, n) arrays, built on
+        first use and kept with the assay.
+
+        The cache lives in the instance ``__dict__``: equality and hashing see
+        only the fields, pickling leaves it out, and the arrays are read-only
+        because every evaluation shares them.
+        """
         return _likelihood_terms(self.levels)
 
-    __getstate__ = _state_without_terms
+    def __getstate__(self) -> dict:
+        """The pickled state: the fields alone, since the cached terms are
+        rebuilt, read-only, on first use."""
+        return {key: value for key, value in vars(self).items() if key != "terms"}
 
     def strip_udsa(self) -> "MultiDilutionAssay":
         """Drop all sequencing information, keeping the well counts only."""
@@ -339,55 +328,48 @@ class ErrorRates:
             raise AssayDataError("UDSA sensitivity + specificity must exceed 1 for an identifiable fit")
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "; ".join(self.violations)
+def _never_detected(assay: MultiDilutionAssay) -> list[str]:
+    """One message for each lineage that no sequenced well of any level detects."""
+    return [
+        f"lineage {i}: never detected (sum of Y across levels is 0)"
+        for i, counts in enumerate(zip(*(lv.Y for lv in assay.levels)))
+        if not any(counts)
+    ]
 
 
-def validate(assay: MultiDilutionAssay) -> ValidationReport:
-    """Report-style check of the relational invariants of an assay.
+def validate(assay: MultiDilutionAssay) -> None:
+    """Check the relational invariants of an assay.
 
     Constructors already reject impossible shapes and negative counts; this
-    checks the cross-field constraints and returns them all at once rather
-    than raising on the first.
+    checks the cross-field constraints and raises one AssayDataError that
+    lists every violation, joined by "; ", rather than stopping at the first.
     """
-    report = ValidationReport()
+    violations = []
     for d, lv in enumerate(assay.levels):
         tag = f"level {d}"
         if lv.M_N > lv.M:
-            report.violations.append(f"{tag}: M_N > M ({lv.M_N} > {lv.M})")
+            violations.append(f"{tag}: M_N > M ({lv.M_N} > {lv.M})")
             continue
         if lv.m > lv.M_P:
-            report.violations.append(f"{tag}: m > M_P ({lv.m} > {lv.M_P})")
+            violations.append(f"{tag}: m > M_P ({lv.m} > {lv.M_P})")
         for i, y in enumerate(lv.Y):
             if y > lv.m:
-                report.violations.append(f"{tag}: Y[{i}] > m ({y} > {lv.m})")
+                violations.append(f"{tag}: Y[{i}] > m ({y} > {lv.m})")
         if lv.m > 0 and sum(lv.Y) < lv.m:
-            report.violations.append(
+            violations.append(
                 f"{tag}: sum(Y) < m ({sum(lv.Y)} < {lv.m}); every sequenced positive well "
                 "must carry at least one lineage"
             )
         if lv.m == 0 and any(lv.Y):
-            report.violations.append(f"{tag}: nonzero Y with m = 0")
+            violations.append(f"{tag}: nonzero Y with m = 0")
         if lv.q == 0.0 and lv.m > 0:
-            report.violations.append(f"{tag}: q = 0 but m = {lv.m} wells were sequenced")
+            violations.append(f"{tag}: q = 0 but m = {lv.m} wells were sequenced")
     us = [lv.u for lv in assay.levels]
     if len(set(us)) != len(us):
-        report.violations.append("dilution levels u must be distinct")
-    if assay.n > 0:
-        pooled = assay.pooled_y()
-        for i in np.flatnonzero(pooled < 1):
-            report.violations.append(
-                f"lineage {int(i)}: never detected (sum of Y across levels is 0)"
-            )
-    return report
+        violations.append("dilution levels u must be distinct")
+    violations += _never_detected(assay)
+    if violations:
+        raise AssayDataError("; ".join(violations))
 
 
 def summarize_well_assay(wa: WellAssay, q: float | None = None) -> DilutionLevelData:
@@ -537,9 +519,7 @@ def parse_summary_json(text: str | bytes) -> MultiDilutionAssay:
     doc = _check(_SUMMARY, _load_json(text))
     levels = tuple(DilutionLevelData(lv["u"], lv["M"], lv["MN"], lv["m"], lv["Y"], lv["q"]) for lv in doc["levels"])
     assay = MultiDilutionAssay(levels, doc["n"])
-    report = validate(assay)
-    if not report.ok:
-        raise AssayDataError(str(report))
+    validate(assay)
     return assay
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assay import MultiDilutionAssay
-from .inference import FitResult, SingularInformationError, _information_derivative, fit_mle, level_params, wald_ci
+from .inference import FitResult, SingularInformationError, _information_derivative, level_params, wald_ci
 from .poisson import ExtremeOutcome
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "a_matrices",
     "bias_term",
     "bias_correct",
-    "fit_bc_mle",
 ]
 
 
@@ -115,12 +114,3 @@ def bias_correct(fit: FitResult, assay: MultiDilutionAssay) -> FitResult:
         bias=b,
         clamped=clamped,
     )
-
-
-def fit_bc_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
-    """Bias-corrected MLE: :func:`bias_correct` applied to a new :func:`fit_mle`.
-
-    A caller that already holds the Poisson fit of ``assay`` should pass it to
-    :func:`bias_correct` instead, which reuses it.
-    """
-    return bias_correct(fit_mle(assay, alpha), assay)

@@ -130,26 +130,28 @@ def _load_perfect_assay(args) -> MultiDilutionAssay:
     else:
         wells = restrict_to_detected(parse_wells_csv(text))
         assay = MultiDilutionAssay(tuple(map(summarize_well_assay, wells)), wells[0].n)
-        report = validate(assay)
-        if not report.ok:
-            raise AssayDataError(str(report))
+        validate(assay)
     return assay
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_fit(args) -> int:
+    rates = {name: getattr(args, name) for name in ("sens_qvoa", "spec_qvoa", "sens_udsa", "spec_udsa")}
+    given = [name for name, rate in rates.items() if rate is not None]
+    # an option that the chosen fit would ignore is refused, not dropped
+    if args.bias_correct and (args.negbin or args.imperfect):
+        raise AssayDataError(f"--bias-correct applies to the Poisson fit, not {'--negbin' if args.negbin else '--imperfect'}")
+    if args.no_udsa and args.imperfect:
+        raise AssayDataError("--no-udsa does not apply to the --imperfect fit, which needs the sequencing data")
+    if given and not args.imperfect:
+        raise AssayDataError(f"error rates ({', '.join(map(_flag, given))}) apply only to the --imperfect fit")
     if args.imperfect:
-        rates = {
-            "sens_qvoa": args.sens_qvoa,
-            "spec_qvoa": args.spec_qvoa,
-            "sens_udsa": args.sens_udsa,
-            "spec_udsa": args.spec_udsa,
-        }
-        missing = [k for k, v in rates.items() if v is None]
+        missing = [name for name in rates if name not in given]
         if missing:
-            raise AssayDataError(
-                "--imperfect needs all four error rates; missing "
-                + ", ".join("--" + k.replace("_", "-") for k in missing)
-            )
+            raise AssayDataError("--imperfect needs all four error rates; missing " + ", ".join(map(_flag, missing)))
         fmt = _detect_format(args.input, args.format)
         if fmt != "wells-csv":
             raise AssayDataError("--imperfect needs per-well input (wells-csv)")

@@ -184,14 +184,10 @@ def _level_loglik(lam: np.ndarray, level: _Level, strict: bool) -> float:
     return total
 
 
-def _level_gradient(lam: np.ndarray, level: _Level, strict: bool = False) -> np.ndarray:
+def _level_gradient(lam: np.ndarray, level: _Level) -> np.ndarray:
     e, s, _, T0, pw0_T0, P = level.products(lam)
     lam_total = float(np.add.reduce(lam))
     pos, neg = _marginals(lam_total, level.rates)
-    if strict:
-        reason = _zero_probability(level, P, pos, neg)
-        if reason is not None:
-            raise ImperfectFitError(reason)
     if P.size:
         dS = _leave_one_out_prod(s) * (e * level.dpz)
         dP = level.pw1 * (dS + T0[:, None]) - pw0_T0[:, None]
@@ -263,7 +259,9 @@ def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size != wa.n:
         raise ValueError(f"rate vector has length {lam.size}, assay has n={wa.n}")
-    return _level_gradient(lam, _Level(wa, rates), strict=True)
+    level = _Level(wa, rates)
+    _level_loglik(lam, level, strict=True)  # raises for the data, on the products the gradient reuses
+    return _level_gradient(lam, level)
 
 
 def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:

@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import poisson
-from .assay import MultiDilutionAssay
+from .assay import AssayDataError, MultiDilutionAssay, _never_detected
 from .poisson import ExtremeOutcome, classify_extreme
 from .optimize import solve
 from .special import expm1_ratio, log1mexp, normal_quantile
@@ -418,7 +418,9 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     no bounds, by :func:`iupm.optimize.solve` on the analytic gradient and
     Hessian.  Either way the covariance is the inverse expected information
     at the estimate.  The two boundary outcomes short-circuit to 0 and +inf
-    with degenerate intervals.
+    with degenerate intervals.  Otherwise a lineage that no level detects has
+    no finite MLE of its log-rate and raises AssayDataError, as
+    :func:`iupm.assay.validate` does.
     """
     extreme = classify_extreme(assay)
     n = assay.n
@@ -426,6 +428,9 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
         return _fit_result(np.zeros(n), alpha, log_lik=0.0, extreme=extreme)
     if extreme is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
         return _fit_result(np.full(max(n, 1), math.inf), alpha, log_lik=math.nan, extreme=extreme)
+    undetected = _never_detected(assay)
+    if undetected:
+        raise AssayDataError("; ".join(undetected))
     loglik, grad, grad_hess, start, information = (
         _lineage_model(assay) if n else _total_model(assay.levels)
     )

@@ -12,7 +12,7 @@ Hessian under lower bounds (Bertsekas 1982).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class OptResult:
     grad_norm: float
     iterations: int
     converged: bool
-    active_lower: tuple[int, ...] = field(default_factory=tuple)
 
 
 def solve(objective, grad_hess, x0, lower, grad=None) -> tuple[OptResult, int]:
@@ -273,7 +272,6 @@ def newton_maximize(f, grad_hess, x0, lower) -> OptResult:
         grad_norm=norm,
         iterations=iters,
         converged=norm <= GRAD_TOL,
-        active_lower=tuple(int(i) for i in np.flatnonzero(bounded & (x <= lo))),
     )
 
 
@@ -291,16 +289,15 @@ def _newton_direction(H, g) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, g))
 
 
-def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
+def maximize(f, g, x0, lower) -> OptResult:
     """Maximize a smooth function with BFGS, optionally under lower bounds.
 
     Parameters
     ----------
     f, g : callables returning the objective value and gradient.
     x0 : starting point; f and g must be finite there.
-    lower : optional componentwise lower bounds; ``-inf`` leaves a component
+    lower : componentwise lower bounds; ``-inf`` leaves a component
         unconstrained.
-    callback : optional, called as ``callback(x, fx)`` after each accepted step.
 
     With bounds this is gradient projection with BFGS updates on the free set.
     Convergence is declared on the projected gradient: components held at
@@ -310,7 +307,7 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
     general it is a stationary point.
     """
     x = _vector(x0).copy()
-    lo = np.broadcast_to(np.asarray(-math.inf if lower is None else lower, dtype=float), x.shape)
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
     if np.any(x < lo):
         raise ValueError("infeasible starting point: need x0 >= lower")
     # Without a finite bound the projection bookkeeping is skipped entirely.
@@ -412,14 +409,9 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
         rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
         x, fx, gx = x_new, f_new, g_new
         iters += 1
-        if callback is not None:
-            callback(x.copy(), fx)
         if rel_step <= STEP_TOL and not hit_wall:
             break
-    pg, active_lower = gx, ()
-    if bounds is not None:
-        pg, at_bound, _ = bounds.project(x, gx)
-        active_lower = tuple(int(i) for i in np.flatnonzero(at_bound))
+    pg = gx if bounds is None else bounds.project(x, gx)[0]
     grad_norm = _inf_norm(pg)
     return OptResult(
         x=x,
@@ -427,7 +419,6 @@ def maximize(f, g, x0, lower=None, callback=None) -> OptResult:
         grad_norm=grad_norm,
         iterations=iters,
         converged=grad_norm <= GRAD_TOL,
-        active_lower=active_lower,
     )
 
 

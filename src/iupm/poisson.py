@@ -12,16 +12,16 @@ up to an additive constant that does not involve the rates.  Conventions:
 a zero rate with a zero count contributes exactly 0, and a zero rate with a
 positive count sends the value to -inf (never an exception).
 
-Each kernel takes the rates of D levels as a (D, n) array together with a
-:class:`~iupm.assay.MultiDilutionAssay`, whose levels sum, or the (n,)
-rates of one :class:`~iupm.assay.DilutionLevelData`.  The constants (Y as
-floats, the positive-count mask and counts, M_N + m - Y and the unsequenced
-counts) live with the assay or level in its
+Each kernel takes the rates of the D levels of a
+:class:`~iupm.assay.MultiDilutionAssay` as a (D, n) array, one row per
+level, and sums the levels.  The constants (Y as floats, the
+positive-count mask and counts, M_N + m - Y and the unsequenced counts)
+live with the assay in its
 :attr:`~iupm.assay.MultiDilutionAssay.terms`, built on the first evaluation
 and reused by every later one, and every level is evaluated in one pass
 over those arrays.  Each level's sums are formed as if it were evaluated
-alone and are added in level order, so a level gives the same bits in an
-assay as on its own; only the per-level scalars (the log of the
+alone and are added in level order, so a level gives the same bits among
+others as in an assay of its own; only the per-level scalars (the log of the
 unsequenced term and its curvature) go through ``math`` one level at a
 time.
 """
@@ -58,20 +58,18 @@ class ExtremeOutcome(Enum):
     ALL_POSITIVE_SINGLE_DVL = "all-positive-single-dvl"
 
 
-def _unpack(lam, data: DilutionLevelData | MultiDilutionAssay) -> tuple[np.ndarray, LevelTerms, bool]:
-    """(rates as a (D, n) array, the terms of ``data``, whether lam was one level's (n,) vector)."""
+def _unpack(lam, assay: MultiDilutionAssay) -> tuple[np.ndarray, LevelTerms]:
+    """(rates as a (D, n) array, the terms of ``assay``)."""
     lam = np.asarray(lam, dtype=float)
-    terms = data.terms
-    if lam.shape == terms.y.shape:
-        return lam, terms, False
-    if lam.ndim > 1 or terms.y.shape != (1, lam.size):
-        raise ValueError(f"rates of shape {lam.shape} do not fit {terms.y.shape[0]} level(s) of n={data.n}")
-    return lam.reshape(terms.y.shape), terms, True
+    terms = assay.terms
+    if lam.shape != terms.y.shape:
+        raise ValueError(f"rates of shape {lam.shape} do not fit {terms.y.shape[0]} level(s) of n={assay.n}")
+    return lam, terms
 
 
-def log_likelihood(lam, data: DilutionLevelData | MultiDilutionAssay) -> float:
-    """The log-likelihood summed over the levels of ``data`` at the rates lam."""
-    lam, c, _ = _unpack(lam, data)
+def log_likelihood(lam, assay: MultiDilutionAssay) -> float:
+    """The log-likelihood summed over the levels of ``assay`` at the (D, n) rates lam."""
+    lam, c = _unpack(lam, assay)
     lam_pos = lam.ravel() if c.all_pos else lam[c.pos]
     dead = None
     # count_nonzero takes a fraction of the time of any() on arrays this short
@@ -100,9 +98,9 @@ def log_likelihood(lam, data: DilutionLevelData | MultiDilutionAssay) -> float:
     return total
 
 
-def gradient(lam, data: DilutionLevelData | MultiDilutionAssay) -> np.ndarray:
-    """d log-likelihood / d lambda, shaped like lam; +inf components flag a zero rate with counts."""
-    lam, c, one = _unpack(lam, data)
+def gradient(lam, assay: MultiDilutionAssay) -> np.ndarray:
+    """d log-likelihood / d lambda as a (D, n) array; +inf components flag a zero rate with counts."""
+    lam, c = _unpack(lam, assay)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lead = c.y / np.expm1(lam)
         if not c.all_pos:
@@ -114,17 +112,16 @@ def gradient(lam, data: DilutionLevelData | MultiDilutionAssay) -> np.ndarray:
                 # no entry of out is -0.0, so adding 0.0 to a level without the term changes nothing
                 common = np.where(c.unseq != 0.0, common, 0.0)
             out = out + common[:, None]
-    return out[0] if one else out
+    return out
 
 
-def hessian_parts(lam, data: DilutionLevelData | MultiDilutionAssay):
-    """(diag, common) with the Hessian diag(diag) - common * 11^T at each level.
+def hessian_parts(lam, assay: MultiDilutionAssay):
+    """(diag, common) with the Hessian diag(diag[d]) - common[d] * 11^T at each level d.
 
-    For one level's (n,) rates, diag is (n,) and common a float, or None when
-    the level has no unsequenced positive wells; for an assay's (D, n) rates,
-    diag is (D, n) and common a list of D such entries.
+    diag is a (D, n) array and common a list of D floats, each None when its
+    level has no unsequenced positive wells.
     """
-    lam, c, one = _unpack(lam, data)
+    lam, c = _unpack(lam, assay)
     diag = np.where(c.pos, expm1_ratio(-c.y, lam, 2), 0.0)
     common = [None] * len(c.cuts)
     if c.unseq_levels:
@@ -132,7 +129,7 @@ def hessian_parts(lam, data: DilutionLevelData | MultiDilutionAssay):
             expm1_ratio(unseq, lam_total, 2) if unseq != 0.0 else None
             for unseq, lam_total in zip(c.unseq.tolist(), lam.sum(axis=1).tolist())
         ]
-    return (diag[0], common[0]) if one else (diag, common)
+    return diag, common
 
 
 def closed_form_no_udsa(M: int, M_N: int) -> float:

@@ -138,6 +138,8 @@ class SimMetrics:
 def allocate_rates(truth: float, n_dvl: int, allocation: str) -> np.ndarray:
     if truth <= 0:
         raise ValueError("truth must be positive")
+    if n_dvl < 1:
+        raise ValueError(f"n_dvl must be at least 1, got {n_dvl}")
     if allocation == "constant":
         return np.full(n_dvl, truth / n_dvl)
     if allocation == "non-constant":

@@ -376,7 +376,7 @@ def _noise_floor_step(f, g, x, d, fx, gx, amax=1.0):
     return a, -f_try, g_try
 
 
-def reference_maximize(f, g, x0, callback=None) -> OptResult:
+def reference_maximize(f, g, x0) -> OptResult:
     """Unconstrained BFGS."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     n = x.size
@@ -426,17 +426,15 @@ def reference_maximize(f, g, x0, callback=None) -> OptResult:
         rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
         x, fx, gx = x_new, f_new, g_new
         iters += 1
-        if callback is not None:
-            callback(x.copy(), fx)
         converged = np.all(np.isfinite(gx)) and _inf_norm(gx) <= REF_GRAD_TOL
         if not converged and rel_step <= REF_STEP_TOL:
             break
     return OptResult(
-        x=x, f=fx, grad_norm=_inf_norm(gx), iterations=iters, converged=bool(converged), active_lower=()
+        x=x, f=fx, grad_norm=_inf_norm(gx), iterations=iters, converged=bool(converged)
     )
 
 
-def reference_maximize_box(f, g, x0, lower, callback=None) -> OptResult:
+def reference_maximize_box(f, g, x0, lower) -> OptResult:
     """Gradient projection with BFGS updates on the free set."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     lo = np.broadcast_to(np.asarray(lower, dtype=float), x.shape).copy()
@@ -524,8 +522,6 @@ def reference_maximize_box(f, g, x0, lower, callback=None) -> OptResult:
         rel_step = _inf_norm(s) / max(1.0, _inf_norm(x_new))
         x, fx, gx = x_new, f_new, g_new
         iters += 1
-        if callback is not None:
-            callback(x.copy(), fx)
         if rel_step <= REF_STEP_TOL and not hit_wall:
             at_bound = np.isfinite(lo) & (x <= lo + bound_tol)
             pg = np.where(at_bound & (gx <= 0.0), 0.0, gx)
@@ -539,7 +535,6 @@ def reference_maximize_box(f, g, x0, lower, callback=None) -> OptResult:
         grad_norm=_inf_norm(pg),
         iterations=iters,
         converged=bool(converged or _inf_norm(pg) <= REF_GRAD_TOL),
-        active_lower=tuple(int(i) for i in np.flatnonzero(at_bound)),
     )
 
 
@@ -799,7 +794,7 @@ def reference_fit_total_only(assay, alpha=0.05):
             math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M
         ]
         T0 = float(np.mean(seeds)) if seeds else 0.5
-        res = maximize(objective, grad, np.array([math.log(T0)]))
+        res = maximize(objective, grad, np.array([math.log(T0)]), -math.inf)
         T = float(np.exp(res.x[0]))
         T, polished, steps = reference_newton_polish_total(T, levels)
         iterations, converged = res.iterations, res.converged or polished
@@ -843,14 +838,32 @@ def fd_hessian_of_gradient(g, x, h=1e-6):
     return (H + H.T) / 2.0
 
 
-def dense_hessian(lam, data):
-    """The Poisson Hessian as a dense matrix, diag(h) - c 11^T from
-    ``poisson.hessian_parts``: (n, n) for one level's (n,) rates and
-    (D, n, n), one matrix per level, for an assay's (D, n) rates."""
-    h, common = poisson.hessian_parts(lam, data)
-    if h.ndim == 1:
-        return np.diag(h) - (0.0 if common is None else common)
+def dense_hessian(lam, assay):
+    """The Poisson Hessian of each level of ``assay`` at the (D, n) rates lam
+    as a dense matrix, diag(h) - c 11^T from ``poisson.hessian_parts``: a
+    (D, n, n) array."""
+    h, common = poisson.hessian_parts(lam, assay)
     return np.array([np.diag(row) - (0.0 if c is None else c) for row, c in zip(h, common)])
+
+
+def one_level(level) -> MultiDilutionAssay:
+    """One level as an assay of its own, the form the Poisson kernels take."""
+    return MultiDilutionAssay((level,), level.n)
+
+
+def level_log_likelihood(lam, level) -> float:
+    """The Poisson log-likelihood of one level at its (n,) rates."""
+    return poisson.log_likelihood(np.reshape(lam, (1, -1)), one_level(level))
+
+
+def level_gradient(lam, level) -> np.ndarray:
+    """The Poisson gradient of one level at its (n,) rates, as an (n,) array."""
+    return poisson.gradient(np.reshape(lam, (1, -1)), one_level(level))[0]
+
+
+def level_hessian(lam, level) -> np.ndarray:
+    """The dense (n, n) Poisson Hessian of one level at its (n,) rates."""
+    return dense_hessian(np.reshape(lam, (1, -1)), one_level(level))[0]
 
 
 def reference_a_blocks(comps):
@@ -1111,7 +1124,7 @@ def nb_gradient(tau, gamma: float, assay: MultiDilutionAssay) -> tuple[np.ndarra
     for lv in assay.levels:
         lam = lv.u * tau
         eff = _effective_rate(lam, gamma)
-        pg = poisson.gradient(eff, lv)
+        pg = level_gradient(eff, lv)
         g_tau += lv.u * pg / (1.0 + gamma * lam)
         g_gamma += float(pg @ _gamma_derivatives(lam, gamma)[0])
     return g_tau, g_gamma

@@ -30,7 +30,6 @@ from iupm.bias import a_matrices, bias_term
 from iupm.imperfect import imperfect_gradient, imperfect_log_likelihood
 from iupm.inference import covariance, fisher_information_multi
 from iupm.optimize import maximize
-from iupm.poisson import gradient, log_likelihood
 from iupm.simulate import (
     BC_MLE_WITH_UDSA,
     IMPERFECT_MLE,
@@ -42,9 +41,11 @@ from iupm.simulate import (
 )
 from helpers import (
     brute_force_joint_prob,
-    dense_hessian,
     fd_gradient,
     fd_hessian_of_gradient,
+    level_gradient,
+    level_hessian,
+    level_log_likelihood,
     load_subjects,
     random_level,
     subject_assay,
@@ -136,15 +137,15 @@ def test_criterion_03_derivative_oracles():
     for _ in range(200):
         lv = random_level(rng)
         lam = rng.uniform(0.05, 1.2, lv.n)
-        fd = fd_gradient(lambda v: log_likelihood(v, lv), lam)
-        ana = gradient(lam, lv)
+        fd = fd_gradient(lambda v: level_log_likelihood(v, lv), lam)
+        ana = level_gradient(lam, lv)
         scale = np.maximum(1.0, np.abs(ana))
         assert np.max(np.abs(ana - fd) / scale) <= 1e-6
     for _ in range(200):
         lv = random_level(rng)
         lam = rng.uniform(0.05, 1.2, lv.n)
-        fd = fd_hessian_of_gradient(lambda v: gradient(v, lv), lam)
-        ana = dense_hessian(lam, lv)
+        fd = fd_hessian_of_gradient(lambda v: level_gradient(v, lv), lam)
+        ana = level_hessian(lam, lv)
         scale = np.maximum(1.0, np.abs(ana))
         assert np.max(np.abs(ana - fd) / scale) <= 1e-5
     rates = ErrorRates(0.9, 0.88, 0.86, 0.93)
@@ -454,14 +455,14 @@ def test_criterion_09_undetected_lineage_theorem():
             u=1.0, M=lv.M, M_N=lv.M_N, m=lv.m, Y=tuple(lv.Y) + (0,)
         )
         base = maximize(
-            lambda lam: log_likelihood(lam, lv),
-            lambda lam: gradient(lam, lv),
+            lambda lam: level_log_likelihood(lam, lv),
+            lambda lam: level_gradient(lam, lv),
             np.full(lv.n, 0.2),
             np.zeros(lv.n),
         )
         res = maximize(
-            lambda lam: log_likelihood(lam, augmented),
-            lambda lam: gradient(lam, augmented),
+            lambda lam: level_log_likelihood(lam, augmented),
+            lambda lam: level_gradient(lam, augmented),
             np.full(lv.n + 1, 0.2),
             np.zeros(lv.n + 1),
         )

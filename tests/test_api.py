@@ -144,6 +144,16 @@ def test_one_solve_step_and_one_result_assembly():
     assert _callers("FitResult") == [("inference.py", "_fit_result")]
 
 
+def test_one_route_to_each_result():
+    """The two solvers take every argument from ``solve``: no parameter has
+    a default that only a test would change.  The Poisson likelihood
+    constants are built for an assay alone, whose kernels take (D, n) rates."""
+    for solver in (optimize.maximize, optimize.newton_maximize):
+        parameters = inspect.signature(solver).parameters.values()
+        assert [p.name for p in parameters if p.default is not p.empty] == []
+    assert _callers("_likelihood_terms") == [("assay.py", "MultiDilutionAssay")]
+
+
 def test_every_function_is_mentioned_elsewhere_in_the_package():
     """A module-level function whose name appears on no line of the package
     but its own ``def`` is dead code, public or private."""

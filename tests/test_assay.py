@@ -43,28 +43,32 @@ def detected_assay(wells):
 class TestValidate:
     def test_clean_assay_is_ok(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=3, Y=(2, 1, 1))
-        assert validate(make_assay([lv], 3)).ok
+        assert validate(make_assay([lv], 3)) is None
 
     def test_m_exceeding_positives_reported(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=10, m=4, Y=(4,))
-        report = validate(make_assay([lv], 1))
-        assert not report.ok
-        assert any("m > M_P" in v for v in report.violations)
+        with pytest.raises(AssayDataError, match=r"^level 0: m > M_P \(4 > 2\)$"):
+            validate(make_assay([lv], 1))
 
     def test_sequenced_wells_without_lineages_reported(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=2, Y=(1, 0))
-        report = validate(make_assay([lv], 2))
-        assert any("sum(Y) < m" in v for v in report.violations)
+        # every violation is named, joined by "; "
+        with pytest.raises(AssayDataError) as exc:
+            validate(make_assay([lv], 2))
+        assert str(exc.value) == (
+            "level 0: sum(Y) < m (1 < 2); every sequenced positive well must carry at least one lineage; "
+            "lineage 1: never detected (sum of Y across levels is 0)"
+        )
 
     def test_duplicate_dilutions_reported(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=0, Y=())
-        report = validate(make_assay([lv, lv], 0))
-        assert any("distinct" in v for v in report.violations)
+        with pytest.raises(AssayDataError, match="^dilution levels u must be distinct$"):
+            validate(make_assay([lv, lv], 0))
 
     def test_undetected_lineage_reported(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=2, Y=(2, 0))
-        report = validate(make_assay([lv], 2))
-        assert any("never detected" in v for v in report.violations)
+        with pytest.raises(AssayDataError, match=r"^lineage 1: never detected \(sum of Y across levels is 0\)$"):
+            validate(make_assay([lv], 2))
 
 
 class TestConstructors:
@@ -184,8 +188,7 @@ class TestSummarizeWells:
         rng = np.random.default_rng(seed)
         n, M = int(rng.integers(1, 5)), int(rng.integers(6, 40))
         wa = simulated_well_assay(rng, M, rng.uniform(0.05, 0.6, n))
-        report = validate(detected_assay([wa]))
-        assert report.ok, str(report)
+        validate(detected_assay([wa]))
         # construction guarantees of the perfect-assay convention
         level = summarize_well_assay(wa)
         assert sum(level.Y) >= level.m
@@ -328,7 +331,7 @@ class TestRestrictToDetected:
         assert assay.n == 2
         assert assay.levels[0].Y == (2, 1)
         assert assay.levels[1].Y == (1, 0)
-        assert validate(assay).ok
+        validate(assay)
 
     def test_levels_must_share_the_lineage_columns(self):
         with pytest.raises(AssayDataError, match="at least one dilution level"):

@@ -8,13 +8,18 @@ from iupm import (
     MultiDilutionAssay,
     a_matrices,
     bias_term,
+    bias_correct,
     fisher_information_multi,
-    fit_bc_mle,
     fit_mle,
 )
 from iupm.inference import _information_derivative, covariance, level_params
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import random_regular_assay, reference_a_blocks, reference_bias_term
+
+
+def fit_bc(assay):
+    """The bias-corrected MLE of ``assay``."""
+    return bias_correct(fit_mle(assay), assay)
 
 
 class TestThirdDerivativeExpectations:
@@ -123,7 +128,7 @@ class TestBiasTerm:
         # with M=12, M_N=6 the fit is log 2 and the correction is exactly
         # (e^L - 1) / (2 M) = 1/24
         lv = DilutionLevelData(u=1.0, M=12, M_N=6, m=0, Y=(), q=0.0)
-        bc = fit_bc_mle(MultiDilutionAssay((lv,), 0))
+        bc = fit_bc(MultiDilutionAssay((lv,), 0))
         assert bc.bias[0] == pytest.approx(1.0 / 24.0, rel=1e-6)
         assert bc.iupm == pytest.approx(math.log(2.0) - 1.0 / 24.0, rel=1e-6)
 
@@ -168,7 +173,7 @@ class TestBiasTerm:
             M = int(rng.integers(8, 40))
             M_N = int(rng.integers(1, M))
             lv = DilutionLevelData(u=1.0, M=M, M_N=M_N, m=0, Y=(), q=0.0)
-            bc = fit_bc_mle(MultiDilutionAssay((lv,), 0))
+            bc = fit_bc(MultiDilutionAssay((lv,), 0))
             if M_N < M:
                 assert bc.bias[0] > 0.0
 
@@ -220,7 +225,7 @@ class TestFitBcMle:
                     truth=1.0, n_dvl=6, levels=(SimLevel(1.0, M, 1.0),), reps=1, seed=900 + rep
                 )
                 draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, 0))
-                bc = fit_bc_mle(draw.assay)
+                bc = fit_bc(draw.assay)
                 corrections[M] = np.linalg.norm(bc.bias)
             smaller += corrections[32] < corrections[12]
         assert smaller >= 54  # at least 90%
@@ -232,20 +237,20 @@ class TestFitBcMle:
         unit = MultiDilutionAssay(
             (DilutionLevelData(u=1.0, M=lv.M, M_N=lv.M_N, m=lv.m, Y=lv.Y, q=lv.q),), 3
         )
-        bc = fit_bc_mle(unit)
+        bc = fit_bc(unit)
         # same data expressed at dilution 2: per-million estimates halve,
         # and the corrected totals track the same transformation
         scaled = MultiDilutionAssay(
             (DilutionLevelData(u=2.0, M=lv.M, M_N=lv.M_N, m=lv.m, Y=lv.Y, q=lv.q),), 3
         )
-        bc_scaled = fit_bc_mle(scaled)
+        bc_scaled = fit_bc(scaled)
         assert 2.0 * bc_scaled.iupm == pytest.approx(bc.iupm, abs=1e-6)
 
     def test_clamping_never_leaves_negative_rates(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             assay = random_regular_assay(rng, D=1, n=4, M=12)
-            bc = fit_bc_mle(assay)
+            bc = fit_bc(assay)
             assert np.all(bc.tau_hat >= 0.0)
             if bc.clamped:
                 assert np.any(bc.tau_hat == 0.0)
@@ -255,7 +260,7 @@ class TestFitBcMle:
         rng = np.random.default_rng(15)
         assay = random_regular_assay(rng, D=2, n=3)
         plain = fit_mle(assay)
-        bc = fit_bc_mle(assay)
+        bc = fit_bc(assay)
         assert bc.se_iupm == plain.se_iupm  # covariance kept from the MLE
         lo, hi = bc.ci
         assert lo < bc.iupm < hi
@@ -265,5 +270,5 @@ class TestFitBcMle:
 
     def test_extreme_outcomes_pass_through(self):
         lv = DilutionLevelData(u=1.0, M=12, M_N=12, m=0, Y=())
-        bc = fit_bc_mle(MultiDilutionAssay((lv,), 0))
+        bc = fit_bc(MultiDilutionAssay((lv,), 0))
         assert bc.iupm == 0.0 and bc.bias is None

@@ -11,6 +11,7 @@ import pytest
 
 from iupm import (
     DilutionLevelData,
+    ErrorRates,
     MultiDilutionAssay,
     closed_form_full_udsa,
     covariance,
@@ -32,6 +33,8 @@ IMPOSSIBLE_WELLS = (
     "0,1.0,1,1,1\n1,1.0,1,1,0\n2,1.0,0,0,\n3,1.0,1,0,\n"
     "4,1.0,0,0,\n5,1.0,1,1,1\n6,1.0,0,0,\n7,1.0,1,0,\n"
 )
+
+RATE_FLAGS = ["--sens-qvoa", "0.9", "--spec-qvoa", "0.9", "--sens-udsa", "0.9", "--spec-udsa", "0.9"]
 
 
 def run_cli(capsys, *args):
@@ -183,6 +186,32 @@ class TestFit:
         assert code == 0
         report = json.loads(out)
         assert report["bias_corrected"]["iupm"] < report["estimate"]["iupm"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--negbin", "--bias-correct"], "--bias-correct applies to the Poisson fit, not --negbin"),
+            (["--imperfect", *RATE_FLAGS, "--bias-correct"], "--bias-correct applies to the Poisson fit, not --imperfect"),
+            (["--imperfect", *RATE_FLAGS, "--no-udsa"],
+             "--no-udsa does not apply to the --imperfect fit, which needs the sequencing data"),
+            (["--sens-qvoa", "0.9"], "error rates (--sens-qvoa) apply only to the --imperfect fit"),
+            (["--negbin", "--spec-qvoa", "0.9", "--spec-udsa", "0.9"],
+             "error rates (--spec-qvoa, --spec-udsa) apply only to the --imperfect fit"),
+            (RATE_FLAGS, "error rates (--sens-qvoa, --spec-qvoa, --sens-udsa, --spec-udsa) apply only to the --imperfect fit"),
+        ],
+        ids=["negbin-bias-correct", "imperfect-bias-correct", "imperfect-no-udsa", "one-rate", "negbin-rates", "all-rates"],
+    )
+    def test_option_the_fit_would_ignore_exits_2(self, tmp_path, capsys, flags, message):
+        # each of these inputs fits: only the flags are refused
+        scn = SimScenario(
+            truth=1.0, n_dvl=3, levels=(SimLevel(0.5, 16, 1.0), SimLevel(1.0, 16, 1.0)),
+            model="imperfect", rates=ErrorRates(1, 1, 1, 1), reps=1, seed=2,
+        )
+        draw, _ = _simulate_until_regular(scn, _rng_for(2, 0))
+        path = tmp_path / "wells.csv"
+        path.write_text(wells_to_csv(draw.well_assays))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

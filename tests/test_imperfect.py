@@ -26,7 +26,6 @@ from iupm import (
 from iupm import imperfect, optimize
 from iupm.imperfect import _Level, _level_gradient, _level_hessian, _level_loglik
 from iupm.inference import covariance
-from iupm.poisson import log_likelihood
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
     ReferenceTables,
@@ -34,6 +33,7 @@ from helpers import (
     decimal_level_hessian,
     fd_gradient,
     fd_hessian_of_gradient,
+    level_log_likelihood,
     reference_fit_imperfect,
     reference_level_gradient,
     reference_level_loglik,
@@ -123,7 +123,7 @@ class TestLogLikelihood:
         wa = draw.well_assays[0]
         lam = np.array([0.25, 0.4, 0.1])
         assert imperfect_log_likelihood(lam, wa, PERFECT) == pytest.approx(
-            log_likelihood(lam, draw.assay.levels[0]), abs=1e-10
+            level_log_likelihood(lam, draw.assay.levels[0]), abs=1e-10
         )
 
     def test_matches_per_well_enumeration(self):

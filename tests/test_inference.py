@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iupm import (
+    AssayDataError,
     DilutionLevelData,
     ErrorRates,
     ExtremeOutcome,
@@ -523,6 +524,18 @@ class TestFitMle:
         assert fit.extreme is ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL
         assert fit.iupm == math.inf
         assert fit.ci == (math.inf, math.inf)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[(1.0, 10, 5, 3, (3, 0))], [(1.0, 10, 5, 3, (3, 0)), (0.5, 12, 8, 2, (2, 0))]],
+        ids=["one-level", "two-levels"],
+    )
+    def test_never_detected_lineage_is_refused(self, levels):
+        # its log-rate has no finite maximum: one level used to fail in the
+        # information, two to return a "converged" rate near 1e-9
+        assay = MultiDilutionAssay(tuple(DilutionLevelData(*lv) for lv in levels), 2)
+        with pytest.raises(AssayDataError, match=r"^lineage 1: never detected \(sum of Y across levels is 0\)$"):
+            fit_mle(assay)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, math.nan])
     @pytest.mark.parametrize("outcome", ["regular", "all-negative", "all-positive", "n0-closed-form", "imperfect"])

@@ -61,6 +61,12 @@ class TestAllocateRates:
         expected = [1 / 12] * 3 + [1 / 4] * 3
         np.testing.assert_allclose(allocate_rates(1.0, 6, "non-constant"), expected)
 
+    @pytest.mark.parametrize("allocation", ["constant", "non-constant"])
+    @pytest.mark.parametrize("n_dvl", [0, -2])
+    def test_fewer_than_one_lineage_is_refused(self, n_dvl, allocation):
+        with pytest.raises(ValueError, match=f"^n_dvl must be at least 1, got {n_dvl}$"):
+            allocate_rates(1.0, n_dvl, allocation)
+
     @given(
         st.floats(min_value=0.05, max_value=10.0),
         st.integers(min_value=1, max_value=30),
@@ -109,7 +115,7 @@ class TestSimulateLevel:
     def test_generated_assays_validate(self, seed):
         scn = small_scenario(seed=seed % (2**31), levels=(SimLevel(0.5, 8, 0.5), SimLevel(1.0, 12, 1.0)))
         draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, 0))
-        assert validate(draw.assay).ok
+        validate(draw.assay)
         assert classify_extreme(draw.assay) is not ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL
 
     def test_imperfect_generation_returns_wells(self):
@@ -330,12 +336,12 @@ class TestRunStudy:
         res, reps = run_study(
             scn, estimators=[MLE_WITHOUT_UDSA, BC_MLE_WITHOUT_UDSA], keep_replicates=True
         )
-        from iupm import fit_bc_mle, fit_mle
+        from iupm import bias_correct, fit_mle
 
         draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, 3))
         stripped = draw.assay.strip_udsa()
         assert reps[MLE_WITHOUT_UDSA][0, 3] == pytest.approx(fit_mle(stripped).iupm)
-        assert reps[BC_MLE_WITHOUT_UDSA][0, 3] == pytest.approx(fit_bc_mle(stripped).iupm)
+        assert reps[BC_MLE_WITHOUT_UDSA][0, 3] == pytest.approx(bias_correct(fit_mle(stripped), stripped).iupm)
 
 
 class TestLrtPowerStudy:

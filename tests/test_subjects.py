@@ -9,7 +9,7 @@ the others.
 
 import pytest
 
-from iupm import fit_bc_mle, fit_mle
+from iupm import bias_correct, fit_mle
 from helpers import load_subjects, subject_assay
 
 PUBLISHED = {
@@ -49,7 +49,7 @@ def test_point_estimates_match_published_table(name):
     assay = subject_assay(load_subjects()[name])
     mle_p, bc_p = PUBLISHED[name]
     fit = fit_mle(assay)
-    bc = fit_bc_mle(assay)
+    bc = bias_correct(fit, assay)
     assert round(fit.iupm, 2) == mle_p
     assert round(bc.iupm, 2) == bc_p
     assert bc.iupm <= fit.iupm  # the correction removes upward small-sample bias
