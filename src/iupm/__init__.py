@@ -42,7 +42,6 @@ from .inference import (
     FitResult,
     SingularInformationError,
     covariance,
-    fisher_information,
     fisher_information_multi,
     fit_mle,
     multi_gradient,

@@ -316,10 +316,6 @@ class ErrorRates:
             value = _check(_Number(), getattr(self, name), name)
             object.__setattr__(self, name, _check(_UNIT, value, name))
 
-    @property
-    def perfect(self) -> bool:
-        return self.sens_qvoa == self.spec_qvoa == self.sens_udsa == self.spec_udsa == 1.0
-
     def check_identifiable(self):
         """Fits require sens + spec > 1 for both assays."""
         if self.sens_qvoa + self.spec_qvoa <= 1.0:

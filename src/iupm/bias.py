@@ -7,7 +7,9 @@ the bias order from O(1/M) to O(1/M^2) while leaving the asymptotic
 covariance unchanged.  Both ingredients are closed forms: a level's
 information depends on its rates through t_i = e^{lam_i} - 1 and through
 binomial sums over the total rate, whose derivatives come from the same pass
-over the well counts as the sums themselves.
+over the well counts as the sums themselves.  :func:`a_matrices` is the one
+place that derivative is formed, as
+:func:`iupm.inference.fisher_information_multi` is for the information.
 
 Sign convention: A_k = -dI/dtau_k - (1/2) E[d^3 l / dtau dtau' dtau_k].
 On the one-parameter no-sequencing model this yields the correction
@@ -28,13 +30,15 @@ inner = sum_k A_k Sigma e_k needs no block:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assay import MultiDilutionAssay
-from .inference import FitResult, SingularInformationError, _information_derivative, level_params, wald_ci
+from .inference import FitResult, SingularInformationError, _binomial_sums, level_params, wald_ci
 from .poisson import ExtremeOutcome
+from .special import expm1_ratio
 
 __all__ = [
     "BiasComponents",
@@ -46,8 +50,14 @@ __all__ = [
 
 @dataclass
 class BiasComponents:
-    """The level sums, each scaled by u^3, that make up every A block; the
-    fields follow the order of :func:`iupm.inference._information_derivative`."""
+    """The level sums, each scaled by u^3, that make up every A block.
+
+    A level's information c + delta_ij F / t_i (t_i = e^{lam_i} - 1) depends on
+    the rates through t_i and through Lam = sum_i lam_i (c, and F of
+    :func:`iupm.inference._binomial_sums`), so dI_ij / dlam_k = d_common +
+    delta_ij d_diag_i - delta_ij delta_ik d_self_i.  The mixed third
+    derivatives share one value, which vanishes when q = 1.
+    """
 
     d_common: float          # the constant of every dI/dtau_k
     d_diag: np.ndarray       # the diagonal of every dI/dtau_k
@@ -59,22 +69,32 @@ class BiasComponents:
 def a_matrices(tau, levels) -> BiasComponents:
     """The A-block ingredients for per-million rates over (u, M, q) levels.
 
-    Both dI/dtau and the third-derivative expectations are closed forms
-    (:func:`iupm.inference._information_derivative`), each level scaled by
-    u^3 from its per-well rates u * tau.  No block is built; :func:`bias_term`
-    contracts the sums directly.  Sums past the float range raise
-    SingularInformationError.
+    Closed forms from the binomial sums of the information, with the levels'
+    per-well rates u * tau as one (D, n) array, each level scaled by u^3 and
+    added in order.  No block is built: :func:`bias_term` contracts the sums.
+    Sums past the float range raise SingularInformationError.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    totals = [0.0, np.zeros(tau.size), np.zeros(tau.size), 0.0, np.zeros(tau.size)]
-    for u, M, q in levels:
-        terms = _information_derivative(u * tau, M, q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.float64(u) ** 3
-            totals = [total + scale * term for total, term in zip(totals, terms)]
-    if not all(np.isfinite(total).all() for total in totals):
+    lam = np.array([level[0] for level in levels], dtype=float)[:, None] * tau
+    if (lam <= 0.0).any():
+        raise ValueError("the information derivative requires strictly positive rates")
+    scalars = np.empty((lam.shape[0], 4))  # per level: d_common, third_common, F, dF
+    for d, ((_, M, q), Lam) in enumerate(zip(levels, lam.sum(axis=1).tolist())):
+        Em, F, dEm, dF = _binomial_sums(Lam, M, q)
+        third_common = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 3)
+        d_common = expm1_ratio(M * math.exp(-Lam) - dEm, Lam, 2) - third_common
+        scalars[d] = d_common, third_common, F, dF
+    d_common, third_common, F, dF = scalars.T[:, :, None]  # (D, 1) columns
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at a vanishing level is NaN
+        terms = np.concatenate((d_common, third_common, expm1_ratio(dF, lam, 1), expm1_ratio(F, lam, 2),
+                                expm1_ratio(-np.expm1(-lam) * F, lam, 3) + third_common), axis=1)
+        # u^3 as a scalar power each: an array power may round differently
+        scale = np.array([np.float64(level[0]) ** 3 for level in levels])[:, None]
+        sums = (scale * terms).sum(axis=0)
+    if not np.isfinite(sums).all():
         raise SingularInformationError("the derivative of the information matrix leaves the float range")
-    return BiasComponents(*totals)
+    d_diag, d_self, third_diag = sums[2:].reshape(3, -1)
+    return BiasComponents(sums[0], d_diag, d_self, sums[1], third_diag)
 
 
 def bias_term(cov: np.ndarray, comps: BiasComponents) -> np.ndarray:

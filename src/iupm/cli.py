@@ -1,8 +1,8 @@
 """Command-line front end: ``iupm fit``, ``iupm lrt``, ``iupm simulate``.
 
 Exit codes: 0 success (including boundary outcomes, which are flagged in the
-report), 2 unusable input (parse or validation failure, bad configuration),
-3 fit did not converge.
+report), 2 unusable input (parse or validation failure, bad configuration,
+arrays too large to allocate), 3 fit did not converge.
 """
 
 from __future__ import annotations
@@ -146,6 +146,9 @@ def _cmd_fit(args) -> int:
         raise AssayDataError(f"--bias-correct applies to the Poisson fit, not {'--negbin' if args.negbin else '--imperfect'}")
     if args.no_udsa and args.imperfect:
         raise AssayDataError("--no-udsa does not apply to the --imperfect fit, which needs the sequencing data")
+    if args.alpha is not None and args.negbin:
+        raise AssayDataError("--alpha does not apply to the --negbin fit, whose report has no interval")
+    alpha = 0.05 if args.alpha is None else args.alpha
     if given and not args.imperfect:
         raise AssayDataError(f"error rates ({', '.join(map(_flag, given))}) apply only to the --imperfect fit")
     if args.imperfect:
@@ -157,7 +160,7 @@ def _cmd_fit(args) -> int:
             raise AssayDataError("--imperfect needs per-well input (wells-csv)")
         assays = parse_wells_csv(_read_input(args.input))
         model = ImperfectModel(rates=ErrorRates(**rates), assays=tuple(assays))
-        fit = fit_imperfect(model, alpha=args.alpha)
+        fit = fit_imperfect(model, alpha=alpha)
         report = {"command": "fit", "model": "imperfect", "n": model.n, "estimate": _fit_payload(fit)}
         _emit(report, args.output_format, args.output)
         return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
@@ -181,7 +184,7 @@ def _cmd_fit(args) -> int:
         }
         _emit(report, args.output_format, args.output)
         return EXIT_OK if nb.converged else EXIT_NOT_CONVERGED
-    fit = fit_mle(assay, alpha=args.alpha)
+    fit = fit_mle(assay, alpha=alpha)
     report = {"command": "fit", "model": "poisson", "n": assay.n, "estimate": _fit_payload(fit)}
     ok = fit.converged
     if args.bias_correct:
@@ -265,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="maximum-likelihood IUPM fit")
     add_io(fit)
-    fit.add_argument("--alpha", type=float, default=0.05)
+    fit.add_argument("--alpha", type=float, default=None,
+                     help="one minus the confidence of the interval, 0.05 by default (not with --negbin)")
     fit.add_argument("--no-udsa", action="store_true", help="ignore sequencing data")
     fit.add_argument("--bias-correct", action="store_true", help="also report the bias-corrected fit")
     kind = fit.add_mutually_exclusive_group()
@@ -295,14 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    alpha = getattr(args, "alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not 0.0 < alpha < 1.0:
         print(f"error: --alpha must lie in (0, 1), got {alpha}", file=sys.stderr)
         return EXIT_BAD_INPUT
     handlers = {"fit": _cmd_fit, "lrt": _cmd_lrt, "simulate": _cmd_simulate}
     try:
         return handlers[args.command](args)
-    except (AssayDataError, IdentifiabilityError, OSError, UnicodeDecodeError) as exc:
+    # a MemoryError is numpy refusing an array, such as a study's draws at M = 10**15
+    except (AssayDataError, IdentifiabilityError, MemoryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ImperfectFitError, SingularInformationError) as exc:

@@ -3,7 +3,9 @@
 Estimation works on per-million rates tau; a level at dilution u contributes
 through the per-well rates ``lam = u * tau``.  Standard errors come from the
 expected Fisher information, which needs the design fraction q of positive
-wells sequenced at each level (recovered as m / M_P when not recorded).
+wells sequenced at each level (recovered as m / M_P when not recorded); it
+is formed in :func:`fisher_information_multi` alone, and its derivative in
+:func:`iupm.bias.a_matrices` alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .special import expm1_ratio, log1mexp, normal_quantile
 __all__ = [
     "SingularInformationError",
     "FitResult",
-    "fisher_information",
     "fisher_information_multi",
     "covariance",
     "wald_ci",
@@ -181,67 +182,33 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
-def fisher_information(lam, M: int, q: float) -> np.ndarray:
-    """Expected information for the per-well rates at one dilution level.
-
-    Diagonal: E(Y_i) e^{lam_i} / (e^{lam_i}-1)^2 plus a common term; every
-    off-diagonal entry equals the common term, which is driven by the
-    expected number of unsequenced positive wells.  With E(Y_i) =
-    (1 - e^{-lam_i}) F the first part is F / (e^{lam_i} - 1), which is how
-    it is formed: no square underflows at tiny rates.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam <= 0):
-        raise ValueError("fisher_information requires strictly positive rates")
-    Lam = float(lam.sum())
-    Em, F, _, _ = _binomial_sums(Lam, M, q)
-    common = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 2)
-    diag = expm1_ratio(F, lam, 1) + common
-    matrix = np.full((lam.size, lam.size), common)
-    np.fill_diagonal(matrix, diag)
-    return matrix
-
-
-def _information_derivative(lam, M: int, q: float):
-    """Closed-form lam-derivatives of :func:`fisher_information` and the
-    expected third derivatives of the log-likelihood at one level.
-
-    The information is I_ij = c + delta_ij F / t_i with t_i = e^{lam_i} - 1
-    and c = (M p - Em) (t + 1) / t^2, where t = e^Lam - 1, p = 1 - e^{-Lam}
-    and Em, F are the sums of :func:`_binomial_sums`; c, Em and F depend on
-    the rates through Lam = sum_i lam_i only.  Hence
-
-        dI_ij / dlam_k = d_common + delta_ij d_diag_i - delta_ij delta_ik d_self_i
-
-    with d_common = dc/dLam, d_diag = F' / t_i and d_self = F (t_i + 1) / t_i^2.
-    Every mixed third derivative shares the value third_common, and the pure
-    ones are third_diag; third_common vanishes when every positive well is
-    sequenced (q = 1), the same cancellation as the off-diagonal of the
-    information.  Returns (d_common, d_diag, d_self, third_common, third_diag),
-    all from one pass over the well counts.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam <= 0):
-        raise ValueError("the information derivative requires strictly positive rates")
-    Lam = float(lam.sum())
-    Em, F, dEm, dF = _binomial_sums(Lam, M, q)
-    third_common = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 3)
-    d_common = expm1_ratio(M * math.exp(-Lam) - dEm, Lam, 2) - third_common
-    third_diag = expm1_ratio(-np.expm1(-lam) * F, lam, 3) + third_common
-    return d_common, expm1_ratio(dF, lam, 1), expm1_ratio(F, lam, 2), third_common, third_diag
-
-
 def fisher_information_multi(tau, levels) -> np.ndarray:
-    """Expected information for per-million rates over several levels.
+    """Expected information for per-million rates over (u, M, q) design levels.
 
-    ``levels`` is a sequence of (u, M, q) design triples; each contributes
-    u^2 times its per-well information evaluated at u * tau.
+    A level adds u^2 times its information at the per-well rates lam = u tau
+    (one (D, n) array): a term c driven by the unsequenced positive wells in
+    every entry, plus E(Y_i) e^{lam_i} / (e^{lam_i} - 1)^2 = F / (e^{lam_i} - 1)
+    on the diagonal, so formed that no square underflows.  The levels are
+    added in order and the matrix is built once.  With n = 0 the total rate
+    is one pseudo-lineage, and a level adds u^2 M / (e^{uT} - 1).
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    total = np.zeros((tau.size, tau.size))
-    for u, M, q in levels:
-        total += u * u * fisher_information(u * tau, M, q)
-    return total
+    u = np.array([level[0] for level in levels], dtype=float)
+    lam = u[:, None] * tau
+    if (lam <= 0.0).any():
+        raise ValueError("the expected information requires strictly positive rates")
+    # column 0 holds each level's common term c, the others its diagonal F / t_i + c
+    terms = np.empty((u.size, tau.size + 1))
+    F = np.empty((u.size, 1))
+    for d, ((_, M, q), Lam) in enumerate(zip(levels, lam.sum(axis=1).tolist())):
+        Em, F[d, 0], _, _ = _binomial_sums(Lam, M, q)
+        terms[d, 0] = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 2)
+    terms[:, 1:] = expm1_ratio(F, lam, 1) + terms[:, :1]
+    with np.errstate(over="ignore", invalid="ignore"):  # u * u overflows past u = 1e154
+        sums = (terms * (u * u)[:, None]).sum(axis=0)
+    info = np.full((tau.size, tau.size), sums[0])
+    np.fill_diagonal(info, sums[1:])
+    return info
 
 
 COND_LIMIT = 1e12  # condition number above which an information matrix is refused
@@ -347,8 +314,8 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
 
 
 # Each model of fit_mle is (loglik at the rates, gradient and (gradient, Hessian)
-# in x = log(rates), a function giving the x at which the solve step starts,
-# expected information at the rates); only a fit of several levels solves.
+# in x = log(rates), a function giving the x at which the solve step starts);
+# only a fit of several levels solves.
 def _lineage_model(assay: MultiDilutionAssay):
     """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau)."""
     def grad(theta):
@@ -362,16 +329,12 @@ def _lineage_model(assay: MultiDilutionAssay):
         H = -observed_information(tau, assay)
         return g, tau[:, None] * H * tau[None, :] + np.diag(g)
 
-    information = partial(fisher_information_multi, levels=level_params(assay))
-    return partial(multi_log_likelihood, assay=assay), grad, grad_hess, partial(_initial_theta, assay), information
+    return partial(multi_log_likelihood, assay=assay), grad, grad_hess, partial(_initial_theta, assay)
 
 
 def _total_model(levels):
-    """The total rate T of an assay without sequencing data (n = 0), in phi = log(T).
-
-    This is the classic one-parameter dilution model; its information is the
-    closed form sum_d u_d^2 M_d / (e^{u_d T} - 1).
-    """
+    """The total rate T of an assay without sequencing data (n = 0), in
+    phi = log(T): the classic one-parameter dilution model."""
     def loglik(tau):
         T, total = float(tau[0]), 0.0
         for lv in levels:
@@ -393,15 +356,11 @@ def _total_model(levels):
         d2T = -sum(expm1_ratio(lv.u * lv.u * (lv.M - lv.M_N), lv.u * T, 2) for lv in levels)
         return g, np.array([[T * T * d2T + g[0]]])
 
-    def information(tau):
-        T = float(tau[0])
-        return np.array([[sum(expm1_ratio(lv.u * lv.u * lv.M, lv.u * T, 1) for lv in levels)]])
-
     def start():
         seeds = [math.log(lv.M / lv.M_N) / lv.u for lv in levels if 0 < lv.M_N < lv.M]
         return np.array([math.log(float(np.mean(seeds)) if seeds else 0.5)])
 
-    return loglik, grad, grad_hess, start, information
+    return loglik, grad, grad_hess, start
 
 
 def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
@@ -416,11 +375,11 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     outer steps and ``converged`` means that its bracket closed.  An assay
     of several levels is maximized over the log of the rates, which needs
     no bounds, by :func:`iupm.optimize.solve` on the analytic gradient and
-    Hessian.  Either way the covariance is the inverse expected information
-    at the estimate.  The two boundary outcomes short-circuit to 0 and +inf
-    with degenerate intervals.  Otherwise a lineage that no level detects has
-    no finite MLE of its log-rate and raises AssayDataError, as
-    :func:`iupm.assay.validate` does.
+    Hessian.  Either way, and for n = 0 too, the covariance is the inverse of
+    :func:`fisher_information_multi` at the estimate.  The two boundary
+    outcomes short-circuit to 0 and +inf with degenerate intervals.
+    Otherwise a lineage that no level detects has no finite MLE of its
+    log-rate and raises AssayDataError, as :func:`iupm.assay.validate` does.
     """
     extreme = classify_extreme(assay)
     n = assay.n
@@ -431,21 +390,17 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     undetected = _never_detected(assay)
     if undetected:
         raise AssayDataError("; ".join(undetected))
-    loglik, grad, grad_hess, start, information = (
-        _lineage_model(assay) if n else _total_model(assay.levels)
-    )
+    loglik, grad, grad_hess, start = _lineage_model(assay) if n else _total_model(assay.levels)
     if len(assay.levels) == 1:
         lv = assay.levels[0]
         lam, converged, iterations = poisson.one_level_mle(lv)
         tau = lam / lv.u
-        return _fit_result(
-            tau, alpha, covariance(information(tau)), log_lik=loglik(tau), converged=converged, iterations=iterations
-        )
-    res, iterations = solve(lambda x: loglik(np.exp(x)), grad_hess, start(), -math.inf, grad)
-    tau = np.exp(res.x)
-    return _fit_result(
-        tau, alpha, covariance(information(tau)), log_lik=res.f, converged=res.converged, iterations=iterations
-    )
+        log_lik = loglik(tau)
+    else:
+        res, iterations = solve(lambda x: loglik(np.exp(x)), grad_hess, start(), -math.inf, grad)
+        tau, log_lik, converged = np.exp(res.x), res.f, res.converged
+    cov = covariance(fisher_information_multi(tau, level_params(assay)))
+    return _fit_result(tau, alpha, cov, log_lik=log_lik, converged=converged, iterations=iterations)
 
 
 def _fit_result(tau, alpha, cov=None, *, log_lik, converged=True, iterations=0,

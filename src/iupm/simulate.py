@@ -87,7 +87,8 @@ class SimScenario:
 
     truth is the total rate per million; it is split over n_dvl underlying
     lineages either evenly ("constant") or with the second half three times
-    the first ("non-constant", even n_dvl only).
+    the first ("non-constant", even n_dvl only).  ``rates`` (imperfect model)
+    and a nonzero ``gamma`` (negbin model) are refused for any other model.
     """
 
     truth: float
@@ -116,6 +117,10 @@ class SimScenario:
             raise ValueError("the imperfect model needs error rates")
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be non-negative and finite")
+        if self.rates is not None and self.model != "imperfect":
+            raise ValueError(f"error rates apply only to the imperfect model, not {self.model!r}")
+        if self.gamma != 0.0 and self.model != "negbin":
+            raise ValueError(f"a nonzero gamma applies only to the negbin model, not {self.model!r}")
         if not self.levels:
             raise ValueError("at least one dilution level is required")
         if not 0 <= self.seed < 2**63:
@@ -203,10 +208,13 @@ class SimDraw:
     well_assays: tuple[WellAssay, ...] | None = None
 
 
-def _simulate_until_regular(scenario: SimScenario, rng, max_attempts: int = 10_000):
+_MAX_ATTEMPTS = 10_000  # divergent draws in a row after which a scenario is refused
+
+
+def _simulate_until_regular(scenario: SimScenario, rng):
     """Draw an assay, rejecting the divergent all-positive/single-lineage case."""
     tau = allocate_rates(scenario.truth, scenario.n_dvl, scenario.allocation)
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         wells = restrict_to_detected([
             simulate_level(tau, lv.u, lv.M, lv.q, rng, model=scenario.model, gamma=scenario.gamma, rates=scenario.rates)
             for lv in scenario.levels
@@ -215,7 +223,7 @@ def _simulate_until_regular(scenario: SimScenario, rng, max_attempts: int = 10_0
         draw = SimDraw(MultiDilutionAssay(levels, wells[0].n), tuple(wells) if scenario.model == "imperfect" else None)
         if classify_extreme(draw.assay) is not ExtremeOutcome.ALL_POSITIVE_SINGLE_DVL:
             return draw, attempt
-    raise AssayDataError(f"scenario produced {max_attempts} divergent assays in a row; refusing to loop forever")
+    raise AssayDataError(f"scenario produced {_MAX_ATTEMPTS} divergent assays in a row; refusing to loop forever")
 
 
 def _usable(fit: FitResult | None):
@@ -299,6 +307,13 @@ def _check_power_levels(scenario: SimScenario):
         raise IdentifiabilityError("the overdispersed fit needs at least two dilution levels")
 
 
+def _check_power_scenario(scenario: SimScenario):
+    _check_power_levels(scenario)
+    if scenario.model == "imperfect" or scenario.gamma != 0.0:
+        raise ValueError("a power scenario draws from the negbin model at each of its gammas: "
+                         "it takes neither the imperfect model nor a gamma")
+
+
 def run_study(
     scenario: SimScenario,
     estimators=None,
@@ -354,10 +369,11 @@ def run_study(
 def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
     """Empirical rejection rate of the overdispersion LRT per dispersion value.
 
-    A single-level scenario raises before any replicate is drawn, since no
-    replicate could be tested.
+    Each value's replicates are drawn from the negbin model at that gamma.
+    A scenario that no replicate could test (one level), or whose model or
+    gamma the draws would ignore, raises before any replicate is drawn.
     """
-    _check_power_levels(scenario)
+    _check_power_scenario(scenario)
     rows = []
     for gamma in gammas:
         scn = replace(scenario, model="negbin", gamma=float(gamma))
@@ -438,7 +454,7 @@ def _parse_scenario(doc: dict) -> tuple:
         return scenario, estimators, comparator, None
     if estimators is not None or comparator is not None:
         raise AssayDataError("a power scenario (gammas) takes no estimators or comparator")
-    _check_power_levels(scenario)
+    _check_power_scenario(scenario)
     return scenario, None, None, gammas
 
 

@@ -154,6 +154,12 @@ def test_one_route_to_each_result():
     assert _callers("_likelihood_terms") == [("assay.py", "MultiDilutionAssay")]
 
 
+def test_one_expected_information_and_one_derivative():
+    """The binomial sums behind the Poisson expected information are read in
+    two places only: the information and its derivative."""
+    assert _callers("_binomial_sums") == [("bias.py", "a_matrices"), ("inference.py", "fisher_information_multi")]
+
+
 def test_every_function_is_mentioned_elsewhere_in_the_package():
     """A module-level function whose name appears on no line of the package
     but its own ``def`` is dead code, public or private."""
@@ -167,6 +173,27 @@ def test_every_function_is_mentioned_elsewhere_in_the_package():
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not any(node.name in words for key, words in lines.items() if key != (path, node.lineno))
+    ]
+    assert dead == []
+
+
+def test_every_method_is_read_by_the_package():
+    """The same check for the methods and properties of package classes,
+    which are only reached as attributes: a name that no module of the
+    package reads (``_uses``) is dead code.  Dunder methods, and overrides
+    of an inherited method, are called by Python or by the base class."""
+    trees = {name: ast.parse(Path(importlib.import_module(name).__file__).read_text()) for name in MODULES}
+    used = Counter(attr for tree in trees.values() for attr in _uses(tree))
+    dead = [
+        f"{name}.{node.name}.{item.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("__")
+        and not any(hasattr(base, item.name) for base in getattr(importlib.import_module(name), node.name).__mro__[1:])
+        and used[item.name] == 0
     ]
     assert dead == []
 

@@ -12,7 +12,7 @@ from iupm import (
     fisher_information_multi,
     fit_mle,
 )
-from iupm.inference import _information_derivative, covariance, level_params
+from iupm.inference import covariance, level_params
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import random_regular_assay, reference_a_blocks, reference_bias_term
 
@@ -30,12 +30,12 @@ class TestThirdDerivativeExpectations:
         lam = 0.5
         t = math.expm1(lam)
         for M in (12, 380, 200_000):
-            d_common, _, _, common, diag = _information_derivative(np.array([lam]), M, 1.0)
-            assert d_common == common == 0.0
-            assert diag[0] == pytest.approx(M * (t + 2.0) / (t * t), rel=1e-10)
+            comps = a_matrices(np.array([lam]), [(1.0, M, 1.0)])
+            assert comps.d_common == comps.third_common == 0.0
+            assert comps.third_diag[0] == pytest.approx(M * (t + 2.0) / (t * t), rel=1e-10)
 
     def test_exchangeable_rates(self):
-        *_, diag = _information_derivative(np.array([0.2, 0.2, 0.2]), 18, 0.5)
+        diag = a_matrices(np.array([0.2, 0.2, 0.2]), [(1.0, 18, 0.5)]).third_diag
         assert np.ptp(diag) < 1e-12
 
     def test_matches_monte_carlo_average(self):
@@ -62,7 +62,8 @@ class TestThirdDerivativeExpectations:
         unseq = W.sum(axis=1) - m  # positive wells left unsequenced
         common_term = unseq * (tL + 1.0) * (tL + 2.0) / tL**3
         diag_draws = Y[:, 0] * (t0 + 1.0) * (t0 + 2.0) / t0**3 + common_term
-        *_, common, diag = _information_derivative(lam, M, q)
+        comps = a_matrices(lam, [(1.0, M, q)])
+        common, diag = comps.third_common, comps.third_diag
         for draws, target in ((diag_draws, diag[0]), (common_term, common)):
             mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(reps)
             assert abs(mc - target) <= 4.0 * se, (mc, target, se)

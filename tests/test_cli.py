@@ -15,7 +15,7 @@ from iupm import (
     MultiDilutionAssay,
     closed_form_full_udsa,
     covariance,
-    fisher_information,
+    fisher_information_multi,
     to_summary_json,
     wells_to_csv,
 )
@@ -34,6 +34,7 @@ IMPOSSIBLE_WELLS = (
     "4,1.0,0,0,\n5,1.0,1,1,1\n6,1.0,0,0,\n7,1.0,1,0,\n"
 )
 
+RATES = {"sens_qvoa": 0.9, "spec_qvoa": 0.9, "sens_udsa": 0.9, "spec_udsa": 0.9}
 RATE_FLAGS = ["--sens-qvoa", "0.9", "--spec-qvoa", "0.9", "--sens-udsa", "0.9", "--spec-udsa", "0.9"]
 
 
@@ -198,8 +199,11 @@ class TestFit:
             (["--negbin", "--spec-qvoa", "0.9", "--spec-udsa", "0.9"],
              "error rates (--spec-qvoa, --spec-udsa) apply only to the --imperfect fit"),
             (RATE_FLAGS, "error rates (--sens-qvoa, --spec-qvoa, --sens-udsa, --spec-udsa) apply only to the --imperfect fit"),
+            (["--negbin", "--alpha", "0.2"], "--alpha does not apply to the --negbin fit, whose report has no interval"),
+            (["--negbin", "--alpha", "0.05"], "--alpha does not apply to the --negbin fit, whose report has no interval"),
         ],
-        ids=["negbin-bias-correct", "imperfect-bias-correct", "imperfect-no-udsa", "one-rate", "negbin-rates", "all-rates"],
+        ids=["negbin-bias-correct", "imperfect-bias-correct", "imperfect-no-udsa", "one-rate", "negbin-rates", "all-rates",
+             "negbin-alpha", "negbin-default-alpha"],
     )
     def test_option_the_fit_would_ignore_exits_2(self, tmp_path, capsys, flags, message):
         # each of these inputs fits: only the flags are refused
@@ -423,7 +427,7 @@ def test_vanishing_level_leaves_the_information_of_the_others(tmp_path, capsys):
     assert code == 0
     estimate = json.loads(out)["estimate"]
     tau = np.array(estimate["tau"])
-    assert estimate["se"] == math.sqrt(covariance(fisher_information(tau, 8, 4 / 6)).sum())
+    assert estimate["se"] == math.sqrt(covariance(fisher_information_multi(tau, [(1.0, 8, 4 / 6)])).sum())
     # the bias term scales each level's sums by u^3: the first level's sums
     # overflow, and u^3 = 0 times them is NaN
     code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
@@ -713,13 +717,28 @@ class TestSimulate:
                 {"model": "negbin", "gammas": [10**400], "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
                 "gammas[0] must be a non-negative finite number",
             ),
+            ({"gamma": 3.0}, "a nonzero gamma applies only to the negbin model, not 'poisson'"),
+            ({"rates": RATES}, "error rates apply only to the imperfect model, not 'poisson'"),
+            (
+                {"model": "negbin", "gamma": 1.0, "rates": RATES, "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
+                "error rates apply only to the imperfect model, not 'negbin'",
+            ),
+            (
+                {"model": "imperfect", "rates": RATES, "gammas": [0.0, 1.0], "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
+                "a power scenario draws from the negbin model at each of its gammas: it takes neither",
+            ),
+            (
+                {"model": "negbin", "gamma": 2.0, "gammas": [1.0], "levels": [{"u": 1.0, "M": 6, "q": 1.0}] * 2},
+                "a power scenario draws from the negbin model at each of its gammas: it takes neither",
+            ),
         ],
         ids=[
             "unknown-comparator", "imperfect-on-poisson", "odd-non-constant", "single-level-negbin",
             "boolean-rate", "unidentifiable-rates", "fractional-n_dvl", "fractional-M", "fractional-reps",
             "fractional-seed", "unknown-key", "unknown-level-key", "unknown-rate-key", "name-outside-a-study",
             "boolean-u", "boolean-q", "rates-list", "levels-object", "single-level-power", "negative-gamma",
-            "power-with-comparator", "huge-integer-gamma",
+            "power-with-comparator", "huge-integer-gamma", "gamma-on-poisson", "rates-on-poisson",
+            "rates-on-negbin", "imperfect-power", "power-with-gamma",
         ],
     )
     def test_unusable_scenario_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):
@@ -732,6 +751,18 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"levels": [{"u": 1.0, "M": 10**15, "q": 1.0}]}, {"n_dvl": 10**15}, {"reps": 10**15}],
+        ids=["M", "n_dvl", "reps"],
+    )
+    def test_draw_arrays_that_cannot_be_allocated_exit_2(self, tmp_path, capsys, overrides):
+        # numpy refuses an array of 10^15 entries or more before it allocates any of it
+        path = self.write_scenario(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
 
     def write_study(self, tmp_path, *scenarios, **extra):
         base = json.loads(self.write_scenario(tmp_path).read_text())

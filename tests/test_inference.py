@@ -17,7 +17,6 @@ from iupm import (
     classify_extreme,
     closed_form_full_udsa,
     covariance,
-    fisher_information,
     fisher_information_multi,
     fit_imperfect,
     fit_mle,
@@ -296,26 +295,26 @@ class TestFisherInformation:
     def test_full_sequencing_diagonal_form(self):
         # the q = 1 sums are closed forms, so the off-diagonal is exactly 0
         for M in (24, 380, 200_000):
-            info = fisher_information(np.array([0.3, 0.3]), M, 1.0)
+            info = fisher_information_multi(np.array([0.3, 0.3]), [(1.0, M, 1.0)])
             expected = M / math.expm1(0.3)
             np.testing.assert_allclose(np.diag(info), expected, rtol=1e-12)
             assert info[0, 1] == info[1, 0] == 0.0
 
     def test_exchangeable_rates_give_exchangeable_information(self):
-        info = fisher_information(np.array([0.25, 0.25, 0.25]), 18, 0.5)
+        info = fisher_information_multi(np.array([0.25, 0.25, 0.25]), [(1.0, 18, 0.5)])
         d = np.diag(info)
         assert d[0] == pytest.approx(d[1], rel=1e-12) == pytest.approx(d[2], rel=1e-12)
         off = info[~np.eye(3, dtype=bool)]
         assert np.ptp(off) < 1e-14
 
     def test_single_lineage_no_sequencing(self):
-        info = fisher_information(np.array([0.7]), 12, 0.0)
+        info = fisher_information_multi(np.array([0.7]), [(1.0, 12, 0.0)])
         assert info[0, 0] == pytest.approx(12.0 / math.expm1(0.7), rel=1e-12)
 
     def test_no_sequencing_information_at_small_rates(self):
         # M p - Em is formed as M (1 - e^-Lam) without cancellation as Lam -> 0
         for Lam in np.geomspace(1e-8, 5.0, 200):
-            info = fisher_information(np.array([Lam]), 24, 0.0)[0, 0]
+            info = fisher_information_multi(np.array([Lam]), [(1.0, 24, 0.0)])[0, 0]
             assert info == pytest.approx(24.0 / math.expm1(Lam), rel=1e-15, abs=0.0), Lam
 
     def test_matches_enumerated_expectations(self):
@@ -331,13 +330,21 @@ class TestFisherInformation:
         diag = ey * (t + 1) / t**2 + common
         expected = np.full((2, 2), common)
         np.fill_diagonal(expected, diag)
-        np.testing.assert_allclose(fisher_information(lam, M, q), expected, rtol=1e-10)
+        np.testing.assert_allclose(fisher_information_multi(lam, [(1.0, M, q)]), expected, rtol=1e-10)
 
     def test_multi_reduces_to_single(self):
+        # one level at dilution u is u^2 times the per-well information at u tau,
+        # F / t_i + c on the diagonal and c off it
         tau = np.array([0.2, 0.4])
-        single = fisher_information(tau, 20, 0.75)
-        multi = fisher_information_multi(tau, [(1.0, 20, 0.75)])
-        np.testing.assert_allclose(multi, single, rtol=1e-14)
+        for u in (0.5, 1.0, 2.0):
+            lam = u * tau
+            Lam = float(lam.sum())
+            Em, F, _, _ = _binomial_sums(Lam, 20, 0.75)
+            common = expm1_ratio(20 * -math.expm1(-Lam) - Em, Lam, 2)
+            single = np.full((2, 2), common)
+            np.fill_diagonal(single, F / np.expm1(lam) + common)
+            multi = fisher_information_multi(tau, [(u, 20, 0.75)])
+            np.testing.assert_allclose(multi, u * u * single, rtol=1e-14)
 
     def test_identical_levels_double_the_information(self):
         tau = np.array([0.2, 0.4])

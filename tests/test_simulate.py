@@ -401,6 +401,25 @@ class TestLrtPowerStudy:
         with pytest.raises(IdentifiabilityError, match="two dilution levels"):
             lrt_power_study(small_scenario(reps=5, model="negbin"), [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"model": "imperfect", "rates": ErrorRates(0.9, 0.9, 0.9, 0.9)}, "it takes neither the imperfect model"),
+            ({"model": "negbin", "gamma": 2.0}, "nor a gamma"),
+        ],
+        ids=["imperfect-model", "own-gamma"],
+    )
+    def test_field_the_draws_would_ignore_is_refused_before_any_draw(self, monkeypatch, overrides, message):
+        from iupm import lrt_power_study
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr("iupm.simulate._simulate_until_regular", draw)
+        scn = small_scenario(reps=5, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)), **overrides)
+        with pytest.raises(ValueError, match=message):
+            lrt_power_study(scn, [0.0, 1.0])
+
 
 class TestScenarioIO:
     def test_round_trip(self):
@@ -457,6 +476,22 @@ class TestScenarioIO:
         assert per_rep.splitlines()[0] == "rep,estimator,estimate,se,lower,upper"
         assert len(per_rep.splitlines()) == 1 + metrics[MLE_WITH_UDSA].n_used
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"gamma": 3.0}, "gamma applies only to the negbin model, not 'poisson'"),
+            ({"model": "imperfect", "rates": ErrorRates(0.9, 0.9, 0.9, 0.9), "gamma": 3.0},
+             "gamma applies only to the negbin model, not 'imperfect'"),
+            ({"rates": ErrorRates(0.9, 0.9, 0.9, 0.9)}, "rates apply only to the imperfect model, not 'poisson'"),
+            ({"model": "negbin", "gamma": 1.0, "rates": ErrorRates(1, 1, 1, 1)},
+             "rates apply only to the imperfect model, not 'negbin'"),
+        ],
+        ids=["gamma-poisson", "gamma-imperfect", "rates-poisson", "rates-negbin"],
+    )
+    def test_field_the_model_would_ignore_is_refused(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_scenario(**overrides)
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             SimScenario(truth=0.0, n_dvl=2, levels=(SimLevel(1.0, 5, 1.0),))
@@ -474,8 +509,9 @@ class TestScenarioIO:
             with pytest.raises(ValueError):
                 SimLevel(u, M, q)
 
-    def test_divergent_scenario_is_bad_input(self):
+    def test_divergent_scenario_is_bad_input(self, monkeypatch):
         # One lineage at rate 50 per well fills every well: each draw is divergent.
+        monkeypatch.setattr("iupm.simulate._MAX_ATTEMPTS", 5)
         scn = SimScenario(truth=50.0, n_dvl=1, levels=(SimLevel(1.0, 3, 1.0),), reps=1)
         with pytest.raises(AssayDataError, match="5 divergent"):
-            _simulate_until_regular(scn, _rng_for(0, 0), max_attempts=5)
+            _simulate_until_regular(scn, _rng_for(0, 0))
