@@ -39,7 +39,7 @@ def main():
     for name, record in subjects.items():
         assay = subject_assay(record)
         fit = fit_mle(assay, alpha=args.alpha)
-        bc = bias_correct(fit, assay)
+        bc = bias_correct(fit)
         print(
             f"{name:<8} {fit.iupm:6.2f} ({fit.ci[0]:5.2f}, {fit.ci[1]:5.2f})   "
             f"{bc.iupm:6.2f} ({bc.ci[0]:5.2f}, {bc.ci[1]:5.2f})"

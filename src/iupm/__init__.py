@@ -40,6 +40,7 @@ from .imperfect import (
 )
 from .inference import (
     FitResult,
+    LevelPass,
     SingularInformationError,
     covariance,
     fisher_information_multi,

@@ -188,7 +188,7 @@ def _cmd_fit(args) -> int:
     report = {"command": "fit", "model": "poisson", "n": assay.n, "estimate": _fit_payload(fit)}
     ok = fit.converged
     if args.bias_correct:
-        bc = bias_correct(fit, assay)
+        bc = bias_correct(fit)
         payload = _fit_payload(bc)
         payload["bias"] = [float(b) for b in bc.bias] if bc.bias is not None else None
         payload["clamped"] = bc.clamped

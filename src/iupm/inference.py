@@ -3,16 +3,16 @@
 Estimation works on per-million rates tau; a level at dilution u contributes
 through the per-well rates ``lam = u * tau``.  Standard errors come from the
 expected Fisher information, which needs the design fraction q of positive
-wells sequenced at each level (recovered as m / M_P when not recorded); it
-is formed in :func:`fisher_information_multi` alone, and its derivative in
-:func:`iupm.bias.a_matrices` alone.
+wells sequenced at each level (recovered as m / M_P when not recorded); the
+information is formed in :func:`fisher_information_multi` alone and its
+derivative in :func:`iupm.bias.a_matrices` alone, from one :class:`LevelPass`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .special import expm1_ratio, log1mexp, normal_quantile
 __all__ = [
     "SingularInformationError",
     "FitResult",
+    "LevelPass",
     "fisher_information_multi",
     "covariance",
     "wald_ci",
@@ -54,6 +55,7 @@ class FitResult:
     :func:`iupm.optimize.solve`.  ``iterations`` is 0 for a closed form or
     a boundary outcome.  ``active_lower`` lists components held at zero by
     a bounded fit (interval then unreliable near the boundary).
+    ``level_pass`` keeps the :class:`LevelPass` of a regular :func:`fit_mle` fit.
     """
 
     tau_hat: np.ndarray
@@ -69,6 +71,7 @@ class FitResult:
     bias: np.ndarray | None = None
     clamped: int = 0
     active_lower: tuple[int, ...] = field(default_factory=tuple)
+    level_pass: LevelPass | None = None
 
 
 _TABLE_MAX = 380  # log n! is tabulated up to here: every count of a level with M <= 380
@@ -137,7 +140,6 @@ def _nonzero_window(M: int, s: float) -> tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=8)
 def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float, float]:
     """(Em, F, dEm/dLambda, dF/dLambda) from one pass over the well counts.
 
@@ -156,10 +158,8 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     the same nonzero terms in other groupings.  When every positive well is
     sequenced (q = 1) no pass is made: the sums are Em = M p, F = M,
     dEm = M s and dF = 0, so the off-diagonal of the information and the
-    mixed third derivatives vanish exactly.  Only the four sums are
-    memoized, so the bias term reuses the pass that the information of the
-    same fit made at the same rates; the window's arrays are dropped with
-    the call.
+    mixed third derivatives vanish exactly.  Nothing is memoized: a fit
+    keeps the sums of its one :class:`LevelPass`.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -182,8 +182,23 @@ def _binomial_sums(Lambda: float, M: int, q: float) -> tuple[float, float, float
     return Em, Em / p, dEm, (dEm - r * Em) / p
 
 
-def fisher_information_multi(tau, levels) -> np.ndarray:
-    """Expected information for per-million rates over (u, M, q) design levels.
+class LevelPass:
+    """One pass over the binomial sums of (u, M, q) ``levels`` at per-million
+    rates tau: the dilutions ``u``, the (D, n) per-well rates ``lam`` = u tau,
+    each level's total rate ``Lam`` and its (Em, F, dEm, dF) in ``sums``."""
+
+    def __init__(self, tau, levels):
+        self.levels = list(levels)
+        self.u = np.array([level[0] for level in self.levels], dtype=float)
+        self.lam = self.u[:, None] * np.atleast_1d(np.asarray(tau, dtype=float))
+        if (self.lam <= 0.0).any():
+            raise ValueError("the expected information requires strictly positive rates")
+        self.Lam = self.lam.sum(axis=1).tolist()
+        self.sums = [_binomial_sums(L, M, q) for (_, M, q), L in zip(self.levels, self.Lam)]
+
+
+def fisher_information_multi(passed: LevelPass) -> np.ndarray:
+    """Expected information for per-million rates from their :class:`LevelPass`.
 
     A level adds u^2 times its information at the per-well rates lam = u tau
     (one (D, n) array): a term c driven by the unsequenced positive wells in
@@ -192,21 +207,16 @@ def fisher_information_multi(tau, levels) -> np.ndarray:
     added in order and the matrix is built once.  With n = 0 the total rate
     is one pseudo-lineage, and a level adds u^2 M / (e^{uT} - 1).
     """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    u = np.array([level[0] for level in levels], dtype=float)
-    lam = u[:, None] * tau
-    if (lam <= 0.0).any():
-        raise ValueError("the expected information requires strictly positive rates")
+    u, n = passed.u, passed.lam.shape[1]
     # column 0 holds each level's common term c, the others its diagonal F / t_i + c
-    terms = np.empty((u.size, tau.size + 1))
-    F = np.empty((u.size, 1))
-    for d, ((_, M, q), Lam) in enumerate(zip(levels, lam.sum(axis=1).tolist())):
-        Em, F[d, 0], _, _ = _binomial_sums(Lam, M, q)
+    terms = np.empty((u.size, n + 1))
+    for d, ((_, M, _), Lam, (Em, *_)) in enumerate(zip(passed.levels, passed.Lam, passed.sums)):
         terms[d, 0] = expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 2)
-    terms[:, 1:] = expm1_ratio(F, lam, 1) + terms[:, :1]
+    F = np.array([[F_d] for _, F_d, _, _ in passed.sums])
+    terms[:, 1:] = expm1_ratio(F, passed.lam, 1) + terms[:, :1]
     with np.errstate(over="ignore", invalid="ignore"):  # u * u overflows past u = 1e154
         sums = (terms * (u * u)[:, None]).sum(axis=0)
-    info = np.full((tau.size, tau.size), sums[0])
+    info = np.full((n, n), sums[0])
     np.fill_diagonal(info, sums[1:])
     return info
 
@@ -376,10 +386,11 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     of several levels is maximized over the log of the rates, which needs
     no bounds, by :func:`iupm.optimize.solve` on the analytic gradient and
     Hessian.  Either way, and for n = 0 too, the covariance is the inverse of
-    :func:`fisher_information_multi` at the estimate.  The two boundary
-    outcomes short-circuit to 0 and +inf with degenerate intervals.
-    Otherwise a lineage that no level detects has no finite MLE of its
-    log-rate and raises AssayDataError, as :func:`iupm.assay.validate` does.
+    :func:`fisher_information_multi` of a :class:`LevelPass` at the estimate,
+    which the result keeps.  The two boundary outcomes short-circuit to 0
+    and +inf with degenerate intervals.  Otherwise a lineage that no level
+    detects has no finite MLE of its log-rate and raises AssayDataError, as
+    :func:`iupm.assay.validate` does.
     """
     extreme = classify_extreme(assay)
     n = assay.n
@@ -399,12 +410,14 @@ def fit_mle(assay: MultiDilutionAssay, alpha: float = 0.05) -> FitResult:
     else:
         res, iterations = solve(lambda x: loglik(np.exp(x)), grad_hess, start(), -math.inf, grad)
         tau, log_lik, converged = np.exp(res.x), res.f, res.converged
-    cov = covariance(fisher_information_multi(tau, level_params(assay)))
-    return _fit_result(tau, alpha, cov, log_lik=log_lik, converged=converged, iterations=iterations)
+    passed = LevelPass(tau, level_params(assay))
+    cov = covariance(fisher_information_multi(passed))
+    return _fit_result(tau, alpha, cov, log_lik=log_lik, converged=converged, iterations=iterations,
+                       level_pass=passed)
 
 
 def _fit_result(tau, alpha, cov=None, *, log_lik, converged=True, iterations=0,
-                extreme=ExtremeOutcome.REGULAR, free=None) -> FitResult:
+                extreme=ExtremeOutcome.REGULAR, free=None, level_pass=None) -> FitResult:
     """The one place a :class:`FitResult` is built, for every estimator.
 
     A boundary outcome (``extreme``) reports its total, 0 or +inf, as its SE
@@ -440,4 +453,5 @@ def _fit_result(tau, alpha, cov=None, *, log_lik, converged=True, iterations=0,
         iterations=iterations,
         extreme=extreme,
         active_lower=active_lower,
+        level_pass=level_pass,
     )

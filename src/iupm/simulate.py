@@ -270,7 +270,7 @@ def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fi
         if fit is None:
             return None
         if name in _BIAS_CORRECTED:
-            return _usable(bias_correct(fit, assay))
+            return _usable(bias_correct(fit))
         if name == NB_MLE:
             nb = fit_negbin(assay, pois=fit)
             return (nb.iupm, math.nan, math.nan, math.nan) if nb.converged else None

@@ -868,7 +868,9 @@ def level_hessian(lam, level) -> np.ndarray:
 
 def reference_a_blocks(comps):
     """The dense A_k and dI/dtau_k blocks assembled entry by entry from the
-    level sums of :func:`iupm.a_matrices`; returns (a_blocks, dI_dtau)."""
+    level sums of :func:`iupm.a_matrices`, times the s^3 that they are
+    divided by; returns (a_blocks, dI_dtau)."""
+    s3 = comps.scale ** 3
     n = comps.d_diag.size
     dI_shared = np.full((n, n), comps.d_common) + np.diag(comps.d_diag)
     dI = []
@@ -878,8 +880,8 @@ def reference_a_blocks(comps):
         dI_k[k, k] -= comps.d_self[k]
         third_block = np.full((n, n), comps.third_common)
         third_block[k, k] = comps.third_diag[k]
-        dI.append(dI_k)
-        blocks.append(-dI_k - 0.5 * third_block)
+        dI.append(s3 * dI_k)
+        blocks.append(s3 * (-dI_k - 0.5 * third_block))
     return blocks, dI
 
 

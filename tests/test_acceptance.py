@@ -28,7 +28,7 @@ from iupm import (
 )
 from iupm.bias import a_matrices, bias_term
 from iupm.imperfect import imperfect_gradient, imperfect_log_likelihood
-from iupm.inference import covariance, fisher_information_multi
+from iupm.inference import LevelPass, covariance, fisher_information_multi
 from iupm.optimize import maximize
 from iupm.simulate import (
     BC_MLE_WITH_UDSA,
@@ -293,8 +293,8 @@ def _mc_conditional_bias(reps=100_000, seed=606):
 
 
 def test_criterion_06a_correction_term_closed_form():
-    comps = a_matrices(np.array([1.0]), [(1.0, 12, 0.0)])
-    cov = covariance(fisher_information_multi(np.array([1.0]), [(1.0, 12, 0.0)]))
+    comps = a_matrices(LevelPass(np.array([1.0]), [(1.0, 12, 0.0)]))
+    cov = covariance(fisher_information_multi(LevelPass(np.array([1.0]), [(1.0, 12, 0.0)])))
     b = bias_term(cov, comps)[0]
     assert abs(b - FIRST_ORDER_BIAS) / FIRST_ORDER_BIAS <= 0.05
     report("6a", f"correction term {b:.6f} vs (e-1)/24 = {FIRST_ORDER_BIAS:.6f}")

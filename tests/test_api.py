@@ -155,9 +155,28 @@ def test_one_route_to_each_result():
 
 
 def test_one_expected_information_and_one_derivative():
-    """The binomial sums behind the Poisson expected information are read in
-    two places only: the information and its derivative."""
-    assert _callers("_binomial_sums") == [("bias.py", "a_matrices"), ("inference.py", "fisher_information_multi")]
+    """The binomial sums behind the Poisson expected information are made in
+    one place, the pass that the information and its derivative both read."""
+    assert _callers("_binomial_sums") == [("inference.py", "LevelPass")]
+
+
+def test_no_module_level_function_is_cached():
+    """No module-level function keeps results across calls (``functools.cache``
+    or ``lru_cache``): a fit hands what it computed to the next step itself.
+    A cache built inside one call, such as the one of
+    ``simulate._apply_estimators``, is dropped with that call."""
+    def cache_name(decorator):
+        node = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    cached = [
+        f"{path.name}:{node.name}"
+        for path in sorted(Path(iupm.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(cache_name(d) in ("cache", "lru_cache") for d in node.decorator_list)
+    ]
+    assert cached == []
 
 
 def test_every_function_is_mentioned_elsewhere_in_the_package():

@@ -5,11 +5,17 @@ import pytest
 
 from iupm import (
     DilutionLevelData,
+    ErrorRates,
+    ExtremeOutcome,
+    ImperfectModel,
+    LevelPass,
     MultiDilutionAssay,
+    WellAssay,
     a_matrices,
     bias_term,
     bias_correct,
     fisher_information_multi,
+    fit_imperfect,
     fit_mle,
 )
 from iupm.inference import covariance, level_params
@@ -19,7 +25,7 @@ from helpers import random_regular_assay, reference_a_blocks, reference_bias_ter
 
 def fit_bc(assay):
     """The bias-corrected MLE of ``assay``."""
-    return bias_correct(fit_mle(assay), assay)
+    return bias_correct(fit_mle(assay))
 
 
 class TestThirdDerivativeExpectations:
@@ -30,12 +36,12 @@ class TestThirdDerivativeExpectations:
         lam = 0.5
         t = math.expm1(lam)
         for M in (12, 380, 200_000):
-            comps = a_matrices(np.array([lam]), [(1.0, M, 1.0)])
+            comps = a_matrices(LevelPass(np.array([lam]), [(1.0, M, 1.0)]))
             assert comps.d_common == comps.third_common == 0.0
             assert comps.third_diag[0] == pytest.approx(M * (t + 2.0) / (t * t), rel=1e-10)
 
     def test_exchangeable_rates(self):
-        diag = a_matrices(np.array([0.2, 0.2, 0.2]), [(1.0, 18, 0.5)]).third_diag
+        diag = a_matrices(LevelPass(np.array([0.2, 0.2, 0.2]), [(1.0, 18, 0.5)])).third_diag
         assert np.ptp(diag) < 1e-12
 
     def test_matches_monte_carlo_average(self):
@@ -62,7 +68,7 @@ class TestThirdDerivativeExpectations:
         unseq = W.sum(axis=1) - m  # positive wells left unsequenced
         common_term = unseq * (tL + 1.0) * (tL + 2.0) / tL**3
         diag_draws = Y[:, 0] * (t0 + 1.0) * (t0 + 2.0) / t0**3 + common_term
-        comps = a_matrices(lam, [(1.0, M, q)])
+        comps = a_matrices(LevelPass(lam, [(1.0, M, q)]))
         common, diag = comps.third_common, comps.third_diag
         for draws, target in ((diag_draws, diag[0]), (common_term, common)):
             mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(reps)
@@ -74,20 +80,20 @@ class TestAMatrices:
         # d info/d rate = -M e^L / (e^L - 1)^2 and E[l'''] = M (e^L + 1) /
         # (e^L - 1)^2 combine to the kernel M / (2 (e^L - 1))
         M, Lam = 12, 1.0
-        comps = a_matrices(np.array([Lam]), [(1.0, M, 0.0)])
+        comps = a_matrices(LevelPass(np.array([Lam]), [(1.0, M, 0.0)]))
         kernel = reference_a_blocks(comps)[0][0][0, 0]
         assert kernel == pytest.approx(M / (2.0 * math.expm1(Lam)), rel=1e-4)
 
     def test_numeric_information_derivative_matches_symbolic(self):
         # full sequencing: diagonal entries are M / (e^lam - 1)
         lam = np.array([0.4])
-        comps = a_matrices(lam, [(1.0, 12, 1.0)])
+        comps = a_matrices(LevelPass(lam, [(1.0, 12, 1.0)]))
         symbolic = -12.0 * math.exp(0.4) / math.expm1(0.4) ** 2
         assert reference_a_blocks(comps)[1][0][0, 0] == pytest.approx(symbolic, rel=1e-5)
 
     def test_exchangeable_blocks_are_permutations(self):
         tau = np.array([0.3, 0.3])
-        comps = a_matrices(tau, [(1.0, 20, 0.5)])
+        comps = a_matrices(LevelPass(tau, [(1.0, 20, 0.5)]))
         A0, A1 = reference_a_blocks(comps)[0]
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(A1, P @ A0 @ P, rtol=1e-6, atol=1e-8)
@@ -102,7 +108,7 @@ def central_difference_dI(tau, levels):
         hi[k] += h
         lo[k] -= h
         blocks.append(
-            (fisher_information_multi(hi, levels) - fisher_information_multi(lo, levels))
+            (fisher_information_multi(LevelPass(hi, levels)) - fisher_information_multi(LevelPass(lo, levels)))
             / (2.0 * h)
         )
     return blocks
@@ -119,7 +125,7 @@ class TestClosedFormInformationDerivative:
         ],
     )
     def test_matches_central_difference(self, tau, levels):
-        closed = reference_a_blocks(a_matrices(tau, levels))[1]
+        closed = reference_a_blocks(a_matrices(LevelPass(tau, levels)))[1]
         for k, numeric in enumerate(central_difference_dI(tau, levels)):
             np.testing.assert_allclose(closed[k], numeric, rtol=1e-6)
 
@@ -141,13 +147,13 @@ class TestBiasTerm:
         for u in (0.5, 1.0, 2.0):
             for x in np.geomspace(1e-8, 5.0, 100):
                 cov = np.array([[math.expm1(x) / (u * u * M)]])
-                bias = bias_term(cov, a_matrices(np.array([x / u]), [(u, M, 0.0)]))[0]
+                bias = bias_term(cov, a_matrices(LevelPass(np.array([x / u]), [(u, M, 0.0)])))[0]
                 closed = math.expm1(x) / (2.0 * u * M)
                 assert bias == pytest.approx(closed, rel=2e-15 / x, abs=0.0), (u, x)
 
     def test_vanishes_as_information_grows(self):
         tau = np.array([0.4, 0.3])
-        comps = a_matrices(tau, [(1.0, 24, 1.0)])
+        comps = a_matrices(LevelPass(tau, [(1.0, 24, 1.0)]))
         cov = np.linalg.inv(np.diag([50.0, 60.0]))
         small = bias_term(cov / 1e6, comps)
         assert np.max(np.abs(small)) < 1e-6
@@ -158,8 +164,8 @@ class TestBiasTerm:
         for _ in range(50):
             tau = rng.uniform(0.1, 0.5, 3)
             for M, store in ((16, []), (32, [])):
-                comps = a_matrices(tau, [(1.0, M, 1.0)])
-                cov = covariance(fisher_information_multi(tau, [(1.0, M, 1.0)]))
+                comps = a_matrices(LevelPass(tau, [(1.0, M, 1.0)]))
+                cov = covariance(fisher_information_multi(LevelPass(tau, [(1.0, M, 1.0)])))
                 store.append(np.linalg.norm(bias_term(cov, comps)))
                 if M == 16:
                     b16 = store[0]
@@ -199,7 +205,7 @@ def test_bias_term_matches_block_contraction(design):
     for rep in range(ORACLE_REPS):
         draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, rep))
         fit = fit_mle(draw.assay)
-        comps = a_matrices(fit.tau_hat, level_params(draw.assay))
+        comps = a_matrices(fit.level_pass)
         expected = reference_bias_term(fit.covariance, reference_a_blocks(comps)[0])
         np.testing.assert_allclose(bias_term(fit.covariance, comps), expected, rtol=1e-13, atol=0.0)
 
@@ -273,3 +279,45 @@ class TestFitBcMle:
         lv = DilutionLevelData(u=1.0, M=12, M_N=12, m=0, Y=())
         bc = fit_bc(MultiDilutionAssay((lv,), 0))
         assert bc.iupm == 0.0 and bc.bias is None
+
+
+NO_SUMS = "bias_correct takes a Poisson fit of fit_mle, and this fit has no binomial sums"
+
+
+def imperfect_fit(rate_at_zero):
+    """A converged regular imperfect fit of a ``study-imperfect``-like draw,
+    or of one level whose second lineage is never detected and sits at 0."""
+    rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
+    if rate_at_zero:
+        w = np.array([1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1])
+        z = np.zeros((w.size, 2), dtype=int)
+        z[:, 0] = w * np.arange(w.size) % 2
+        assays = (WellAssay(1.0, w, w, z),)
+    else:
+        scn = SimScenario(truth=1.0, n_dvl=6, levels=(SimLevel(1.0, 32, 1.0),), model="imperfect",
+                          rates=rates, reps=1, seed=5)
+        assays = _simulate_until_regular(scn, _rng_for(scn.seed, 0))[0].well_assays
+    fit = fit_imperfect(ImperfectModel(rates=rates, assays=assays))
+    assert fit.converged and fit.extreme is ExtremeOutcome.REGULAR and fit.level_pass is None
+    assert (0.0 in fit.tau_hat) == rate_at_zero
+    return fit
+
+
+class TestBiasCorrectNeedsTheSumsOfAFit:
+    @pytest.mark.parametrize("rate_at_zero", [False, True])
+    def test_refuses_an_imperfect_fit(self, rate_at_zero):
+        with pytest.raises(ValueError, match=NO_SUMS):
+            bias_correct(imperfect_fit(rate_at_zero))
+
+    def test_refuses_to_correct_twice(self):
+        bc = fit_bc(random_regular_assay(np.random.default_rng(15), D=2, n=3))
+        assert bc.bias is not None and bc.level_pass is None
+        with pytest.raises(ValueError, match=NO_SUMS):
+            bias_correct(bc)
+
+    def test_the_fit_keeps_the_pass_of_its_estimate(self):
+        assay = random_regular_assay(np.random.default_rng(16), D=3, n=4)
+        fit = fit_mle(assay)
+        fresh = LevelPass(fit.tau_hat, level_params(assay))
+        assert fit.level_pass.sums == fresh.sums
+        np.testing.assert_array_equal(fisher_information_multi(fit.level_pass), fisher_information_multi(fresh))

@@ -12,6 +12,7 @@ import pytest
 from iupm import (
     DilutionLevelData,
     ErrorRates,
+    LevelPass,
     MultiDilutionAssay,
     closed_form_full_udsa,
     covariance,
@@ -403,17 +404,21 @@ def test_degenerate_information_exits_3_with_one_line(tmp_path, capsys, flags, d
     assert err.count("\n") == 1 and err.startswith(f"error: information matrix of size {size} is singular")
 
 
-def test_bias_term_past_the_float_range_exits_3_with_one_line(tmp_path, capsys):
-    # u^3 passes the float range, though the fit itself is finite
-    path = tmp_path / "huge_u.json"
-    path.write_text(json.dumps({"n": 0, "levels": [{"u": 1e150, "M": 10, "MN": 5, "m": 0},
-                                                   {"u": 2e150, "M": 8, "MN": 2, "m": 0}]}))
-    code, out, _ = run_cli(capsys, "fit", "--input", str(path))
-    assert code == 0 and math.isfinite(json.loads(out)["estimate"]["se"])
-    code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
-    assert code == 3
-    assert out == ""
-    assert err == "error: the derivative of the information matrix leaves the float range\n"
+@pytest.mark.parametrize("k", [1e150, 3.0, 1e-150])
+def test_bias_term_scales_with_the_dilutions(tmp_path, capsys, k):
+    # rates and their bias scale as 1/u: scaling every u by k leaves k * bias
+    # where it is at k = 1, though k^3 passes the float range
+    def bias(factor):
+        path = tmp_path / f"u_{factor}.json"
+        path.write_text(json.dumps({"n": 0, "levels": [{"u": factor, "M": 10, "MN": 5, "m": 0},
+                                                       {"u": 2 * factor, "M": 8, "MN": 2, "m": 0}]}))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
+        assert code == 0 and err == ""
+        return json.loads(out)["bias_corrected"]["bias"][0]
+
+    unit = bias(1.0)
+    assert unit > 0.0
+    assert k * bias(k) == pytest.approx(unit, rel=3e-14, abs=0.0)
 
 
 def test_vanishing_level_leaves_the_information_of_the_others(tmp_path, capsys):
@@ -427,9 +432,9 @@ def test_vanishing_level_leaves_the_information_of_the_others(tmp_path, capsys):
     assert code == 0
     estimate = json.loads(out)["estimate"]
     tau = np.array(estimate["tau"])
-    assert estimate["se"] == math.sqrt(covariance(fisher_information_multi(tau, [(1.0, 8, 4 / 6)])).sum())
-    # the bias term scales each level's sums by u^3: the first level's sums
-    # overflow, and u^3 = 0 times them is NaN
+    assert estimate["se"] == math.sqrt(covariance(fisher_information_multi(LevelPass(tau, [(1.0, 8, 4 / 6)]))).sum())
+    # the bias term scales each level's sums by (u / s)^3 with s = 1: the
+    # first level's sums overflow, and (u / s)^3 = 0 times them is NaN
     code, out, err = run_cli(capsys, "fit", "--input", str(path), "--bias-correct")
     assert code == 3
     assert out == ""

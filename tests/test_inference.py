@@ -11,6 +11,7 @@ from iupm import (
     ErrorRates,
     ExtremeOutcome,
     ImperfectModel,
+    LevelPass,
     MultiDilutionAssay,
     SingularInformationError,
     WellAssay,
@@ -253,7 +254,7 @@ class TestNonzeroWindow:
             return lgamma(x)
 
         monkeypatch.setattr(math, "lgamma", counting_lgamma)
-        _binomial_sums.__wrapped__(1.0, 200_000, 0.5)
+        _binomial_sums(1.0, 200_000, 0.5)
         assert len(calls) <= 1
 
 
@@ -295,26 +296,26 @@ class TestFisherInformation:
     def test_full_sequencing_diagonal_form(self):
         # the q = 1 sums are closed forms, so the off-diagonal is exactly 0
         for M in (24, 380, 200_000):
-            info = fisher_information_multi(np.array([0.3, 0.3]), [(1.0, M, 1.0)])
+            info = fisher_information_multi(LevelPass(np.array([0.3, 0.3]), [(1.0, M, 1.0)]))
             expected = M / math.expm1(0.3)
             np.testing.assert_allclose(np.diag(info), expected, rtol=1e-12)
             assert info[0, 1] == info[1, 0] == 0.0
 
     def test_exchangeable_rates_give_exchangeable_information(self):
-        info = fisher_information_multi(np.array([0.25, 0.25, 0.25]), [(1.0, 18, 0.5)])
+        info = fisher_information_multi(LevelPass(np.array([0.25, 0.25, 0.25]), [(1.0, 18, 0.5)]))
         d = np.diag(info)
         assert d[0] == pytest.approx(d[1], rel=1e-12) == pytest.approx(d[2], rel=1e-12)
         off = info[~np.eye(3, dtype=bool)]
         assert np.ptp(off) < 1e-14
 
     def test_single_lineage_no_sequencing(self):
-        info = fisher_information_multi(np.array([0.7]), [(1.0, 12, 0.0)])
+        info = fisher_information_multi(LevelPass(np.array([0.7]), [(1.0, 12, 0.0)]))
         assert info[0, 0] == pytest.approx(12.0 / math.expm1(0.7), rel=1e-12)
 
     def test_no_sequencing_information_at_small_rates(self):
         # M p - Em is formed as M (1 - e^-Lam) without cancellation as Lam -> 0
         for Lam in np.geomspace(1e-8, 5.0, 200):
-            info = fisher_information_multi(np.array([Lam]), [(1.0, 24, 0.0)])[0, 0]
+            info = fisher_information_multi(LevelPass(np.array([Lam]), [(1.0, 24, 0.0)]))[0, 0]
             assert info == pytest.approx(24.0 / math.expm1(Lam), rel=1e-15, abs=0.0), Lam
 
     def test_matches_enumerated_expectations(self):
@@ -330,7 +331,7 @@ class TestFisherInformation:
         diag = ey * (t + 1) / t**2 + common
         expected = np.full((2, 2), common)
         np.fill_diagonal(expected, diag)
-        np.testing.assert_allclose(fisher_information_multi(lam, [(1.0, M, q)]), expected, rtol=1e-10)
+        np.testing.assert_allclose(fisher_information_multi(LevelPass(lam, [(1.0, M, q)])), expected, rtol=1e-10)
 
     def test_multi_reduces_to_single(self):
         # one level at dilution u is u^2 times the per-well information at u tau,
@@ -343,13 +344,13 @@ class TestFisherInformation:
             common = expm1_ratio(20 * -math.expm1(-Lam) - Em, Lam, 2)
             single = np.full((2, 2), common)
             np.fill_diagonal(single, F / np.expm1(lam) + common)
-            multi = fisher_information_multi(tau, [(u, 20, 0.75)])
+            multi = fisher_information_multi(LevelPass(tau, [(u, 20, 0.75)]))
             np.testing.assert_allclose(multi, u * u * single, rtol=1e-14)
 
     def test_identical_levels_double_the_information(self):
         tau = np.array([0.2, 0.4])
-        one = fisher_information_multi(tau, [(1.0, 20, 0.75)])
-        two = fisher_information_multi(tau, [(1.0, 20, 0.75), (1.0, 20, 0.75)])
+        one = fisher_information_multi(LevelPass(tau, [(1.0, 20, 0.75)]))
+        two = fisher_information_multi(LevelPass(tau, [(1.0, 20, 0.75), (1.0, 20, 0.75)]))
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-14)
 
     def test_multi_matches_per_level_enumeration(self):
@@ -367,7 +368,7 @@ class TestFisherInformation:
             np.fill_diagonal(block, ey * (t + 1) / t**2 + common)
             expected += u * u * block
         np.testing.assert_allclose(
-            fisher_information_multi(tau, levels), expected, rtol=1e-10
+            fisher_information_multi(LevelPass(tau, levels)), expected, rtol=1e-10
         )
 
 
@@ -387,7 +388,7 @@ class TestFisherInformation:
                 Lam = float(u * tau.sum())
                 Em = _binomial_sums(Lam, M, q)[0]
                 common += u * u * expm1_ratio(M * -math.expm1(-Lam) - Em, Lam, 2)
-            off = fisher_information_multi(tau, levels)[~np.eye(n, dtype=bool)]
+            off = fisher_information_multi(LevelPass(tau, levels))[~np.eye(n, dtype=bool)]
             assert np.all(off == common)
 
 

@@ -93,6 +93,27 @@ class TestCallCounts:
         assert len(fit_calls) == 1
 
 
+class TestOnePassPerLevel:
+    def test_bias_corrected_fit_of_nine_levels_passes_over_each_once(self, monkeypatch):
+        # nine levels of M > 380 and q = 0.5 each need a windowed pass; the
+        # bias correction reads the sums that the fit kept, however many
+        # levels there are (a cache of eight would make 9 + 9 passes)
+        levels = tuple(SimLevel(1.0, 400 + 10 * d, 0.5) for d in range(9))
+        scn = SimScenario(truth=1.0, n_dvl=3, levels=levels, reps=1, seed=9)
+        assay = _simulate_until_regular(scn, _rng_for(scn.seed, 0))[0].assay
+        rows = []
+        original = iupm.inference._log_binom_row
+
+        def counted(M, lo, hi):
+            rows.append(M)
+            return original(M, lo, hi)
+
+        monkeypatch.setattr(iupm.inference, "_log_binom_row", counted)
+        bc = bias_correct(fit_mle(assay))
+        assert bc.bias is not None
+        assert sorted(rows) == [lv.M for lv in levels]
+
+
 class TestReuseIsExact:
     @pytest.mark.parametrize("kind", ["sequenced", "stripped", "boundary"])
     @pytest.mark.parametrize("alpha", [0.05, 0.2])
@@ -100,7 +121,7 @@ class TestReuseIsExact:
         assay = boundary_assay() if kind == "boundary" else sequenced_assay()
         if kind == "stripped":
             assay = assay.strip_udsa()
-        reused = bias_correct(fit_mle(assay, alpha=alpha), assay)
+        reused = bias_correct(fit_mle(assay, alpha=alpha))
         assert reused.alpha == alpha
         if kind != "boundary":
             assert reused.bias is not None

@@ -341,7 +341,7 @@ class TestRunStudy:
         draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, 3))
         stripped = draw.assay.strip_udsa()
         assert reps[MLE_WITHOUT_UDSA][0, 3] == pytest.approx(fit_mle(stripped).iupm)
-        assert reps[BC_MLE_WITHOUT_UDSA][0, 3] == pytest.approx(bias_correct(fit_mle(stripped), stripped).iupm)
+        assert reps[BC_MLE_WITHOUT_UDSA][0, 3] == pytest.approx(bias_correct(fit_mle(stripped)).iupm)
 
 
 class TestLrtPowerStudy:

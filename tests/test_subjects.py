@@ -49,7 +49,7 @@ def test_point_estimates_match_published_table(name):
     assay = subject_assay(load_subjects()[name])
     mle_p, bc_p = PUBLISHED[name]
     fit = fit_mle(assay)
-    bc = bias_correct(fit, assay)
+    bc = bias_correct(fit)
     assert round(fit.iupm, 2) == mle_p
     assert round(bc.iupm, 2) == bc_p
     assert bc.iupm <= fit.iupm  # the correction removes upward small-sample bias
