@@ -33,10 +33,6 @@ from .imperfect import (
     ImperfectModel,
     ImpossibleDataError,
     fit_imperfect,
-    imperfect_gradient,
-    imperfect_log_likelihood,
-    well_joint_prob,
-    well_marginal_prob,
 )
 from .inference import (
     FitResult,
@@ -45,8 +41,6 @@ from .inference import (
     covariance,
     fisher_information_multi,
     fit_mle,
-    multi_gradient,
-    multi_log_likelihood,
     wald_ci,
 )
 from .negbin import (
@@ -56,8 +50,6 @@ from .negbin import (
     fit_negbin,
     lrt_from_loglik,
     lrt_overdispersion,
-    nb_log_likelihood,
-    nb_zero_prob,
 )
 from .poisson import (
     ExtremeOutcome,
@@ -85,6 +77,6 @@ from .simulate import (
     simulate_level,
     study_from_json,
 )
-from .special import chi2_1_upper_tail, log_binom, log1mexp, nint, normal_quantile
+from .special import chi2_1_upper_tail, log1mexp, nint, normal_quantile
 
 __version__ = "0.1.0"

@@ -38,10 +38,6 @@ __all__ = [
     "ImperfectModel",
     "ImperfectFitError",
     "ImpossibleDataError",
-    "well_joint_prob",
-    "well_marginal_prob",
-    "imperfect_log_likelihood",
-    "imperfect_gradient",
     "fit_imperfect",
 ]
 
@@ -134,30 +130,6 @@ def _marginals(lam_total: float, rates: ErrorRates) -> tuple[float, float]:
     return pos, neg
 
 
-def well_joint_prob(lam, w_star: int, z_star, rates: ErrorRates) -> float:
-    """P(W* = w_star, Z* = z_star) for one sequenced well."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    z = np.atleast_1d(np.asarray(z_star, dtype=float))
-    if z.shape != lam.shape:
-        raise ValueError("z_star must have one entry per lineage")
-    e = np.exp(-lam)
-    pz1 = np.where(z == 1.0, rates.sens_udsa, 1.0 - rates.sens_udsa)
-    pz0 = np.where(z == 1.0, 1.0 - rates.spec_udsa, rates.spec_udsa)
-    S = float(np.prod(pz0 * e + pz1 * (1.0 - e)))
-    T0 = float(np.prod(pz0 * e))
-    pw1 = rates.sens_qvoa if w_star == 1 else 1.0 - rates.sens_qvoa
-    pw0 = 1.0 - rates.spec_qvoa if w_star == 1 else rates.spec_qvoa
-    return pw1 * (S - T0) + pw0 * T0
-
-
-def well_marginal_prob(lam, w_star: int, rates: ErrorRates) -> float:
-    """P(W* = w_star) for an unsequenced well; depends on the rates only
-    through their total."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    pos, neg = _marginals(float(lam.sum()), rates)
-    return pos if w_star == 1 else neg
-
-
 def _zero_probability(level: _Level, P: np.ndarray, pos: float, neg: float) -> str | None:
     """Why the data are impossible at this point, or None when they are not."""
     # fmin skips NaN, so this is any(P <= 0) in one reduction.
@@ -169,13 +141,10 @@ def _zero_probability(level: _Level, P: np.ndarray, pos: float, neg: float) -> s
     return None
 
 
-def _level_loglik(lam: np.ndarray, level: _Level, strict: bool) -> float:
+def _level_loglik(lam: np.ndarray, level: _Level) -> float:
     *_, P = level.products(lam)
     pos, neg = _marginals(float(np.add.reduce(lam)), level.rates)
-    reason = _zero_probability(level, P, pos, neg)
-    if reason is not None:
-        if strict:
-            raise ImperfectFitError(reason)
+    if _zero_probability(level, P, pos, neg) is not None:
         return -math.inf
     total = float(np.add.reduce(np.log(P)))
     for count, prob in ((level.n_unseq_pos, pos), (level.n_unseq_neg, neg)):
@@ -241,29 +210,6 @@ def _level_hessian(lam: np.ndarray, level: _Level) -> np.ndarray:
     return H
 
 
-def imperfect_log_likelihood(lam, wa: WellAssay, rates: ErrorRates) -> float:
-    """Observed-data log-likelihood of one level's per-well readings.
-
-    A data/rate combination that is impossible under the model (some well
-    with probability exactly zero) raises, naming the well.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size != wa.n:
-        raise ValueError(f"rate vector has length {lam.size}, assay has n={wa.n}")
-    return _level_loglik(lam, _Level(wa, rates), strict=True)
-
-
-def imperfect_gradient(lam, wa: WellAssay, rates: ErrorRates) -> np.ndarray:
-    """Gradient of ``imperfect_log_likelihood`` in the level's rates; raises
-    as it does where some well has probability zero."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size != wa.n:
-        raise ValueError(f"rate vector has length {lam.size}, assay has n={wa.n}")
-    level = _Level(wa, rates)
-    _level_loglik(lam, level, strict=True)  # raises for the data, on the products the gradient reuses
-    return _level_gradient(lam, level)
-
-
 def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     """Bounded MLE of the per-million rates from per-well data.
 
@@ -281,7 +227,7 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
         raise AssayDataError("the imperfect fit needs at least one lineage column")
 
     def objective(tau):
-        return sum(_level_loglik(u * tau, level, strict=False) for u, level in levels)
+        return sum(_level_loglik(u * tau, level) for u, level in levels)
 
     def grad(tau):
         out = np.zeros(n)
@@ -298,10 +244,11 @@ def fit_imperfect(model: ImperfectModel, alpha: float = 0.05) -> FitResult:
     # A well has probability zero at every interior point or at none: check one.
     start = _initial_tau(model)
     for d, (u, level) in enumerate(levels):
-        try:
-            _level_loglik(u * start, level, strict=True)
-        except ImperfectFitError as exc:
-            raise ImpossibleDataError(f"level {d}: {exc}") from None
+        lam = u * start
+        *_, P = level.products(lam)
+        reason = _zero_probability(level, P, *_marginals(float(np.add.reduce(lam)), level.rates))
+        if reason is not None:
+            raise ImpossibleDataError(f"level {d}: {reason}")
     res, iterations = solve(objective, lambda x: (grad(x), hessian(x)), start, np.zeros(n), grad)
     tau = res.x
     free = tau > 0.0

@@ -29,9 +29,6 @@ __all__ = [
     "fisher_information_multi",
     "covariance",
     "wald_ci",
-    "multi_log_likelihood",
-    "multi_gradient",
-    "observed_information",
     "level_params",
     "fit_mle",
 ]
@@ -111,13 +108,14 @@ def _log_binom_row(M: int, lo: int, hi: int) -> np.ndarray:
 
     log M! comes from ``math.lgamma`` and the two index ranges from
     :func:`_log_factorials`; for M <= 380 every entry therefore equals
-    :func:`iupm.special.log_binom` to the bit, and above that it stays within
-    about 2 ulp of log M! of the exact value, as an lgamma row does.  A
-    cumulative log-sum would be cheaper but drifts (about 4e-10 relative at
-    M = 200 000).  No row is cached.  A row of M <= 380 is two slices of the
-    table; a row of a large M (about 1 ms and 140 KB at M = 200 000) is
-    rarely asked for twice, since every new M or window misses, and a cached
-    one outlives the draw that made it and holds the heap up.
+    ``lgamma(M + 1) - lgamma(k + 1) - lgamma(M - k + 1)`` to the bit, and
+    above that it stays within about 2 ulp of log M! of the exact value, as
+    an lgamma row does.  A cumulative log-sum would be cheaper but drifts
+    (about 4e-10 relative at M = 200 000).  No row is cached.  A row of
+    M <= 380 is two slices of the table; a row of a large M (about 1 ms and
+    140 KB at M = 200 000) is rarely asked for twice, since every new M or
+    window misses, and a cached one outlives the draw that made it and holds
+    the heap up.
     """
     lg_k = _log_factorials(lo, hi)
     lg_rest = _log_factorials(M - hi, M - lo)
@@ -263,40 +261,6 @@ def wald_ci(iupm: float, se: float, alpha: float = 0.05) -> tuple[float, float]:
     return (iupm * math.exp(-half) if half < 700.0 else 0.0, upper)
 
 
-def multi_log_likelihood(tau, assay: MultiDilutionAssay) -> float:
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    return poisson.log_likelihood(assay.terms.u * tau, assay)
-
-
-def multi_gradient(tau, assay: MultiDilutionAssay) -> np.ndarray:
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    u = assay.terms.u
-    # sum(axis=0) adds the levels' rows in level order, onto 0.0
-    return (u * poisson.gradient(u * tau, assay)).sum(axis=0)
-
-
-def observed_information(tau, assay: MultiDilutionAssay) -> np.ndarray:
-    """Negated Hessian of the joint log-likelihood (diagnostic alternative
-    to the expected information).
-
-    Level d has Hessian diag(h_d) - c_d 11^T (:func:`iupm.poisson.hessian_parts`,
-    c_d = 0.0 without unsequenced positive wells), so the information has
-    0.0 - sum_d u_d^2 (h_di - c_d) on its diagonal and 0.0 - sum_d u_d^2 (0.0 - c_d)
-    off it.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    u = assay.terms.u
-    u2 = u * u
-    h, common = poisson.hessian_parts(u * tau, assay)
-    c = np.array([[0.0 if x is None else x] for x in common])
-    # sum(axis=0) adds the levels in order on a (D, n) array with n >= 2 and
-    # pairwise on a (D, 1) one, so the off-diagonal sum is broadcast to (D, n);
-    # 0.0 - (a_1 + a_2 + ...) is 0.0 - a_1 - a_2 - ... to the bit, and never -0.0
-    info = np.full((tau.size, tau.size), 0.0 - np.broadcast_to(u2 * (0.0 - c), h.shape).sum(axis=0)[0])
-    info[np.diag_indices(tau.size)] = 0.0 - (u2 * (h - c)).sum(axis=0)
-    return info
-
-
 def level_params(assay: MultiDilutionAssay) -> list[tuple[float, int, float]]:
     """(u, M, q) design triples used by the expected-information formulas."""
     return [(lv.u, lv.M, lv.q_effective) for lv in assay.levels]
@@ -327,19 +291,40 @@ def _initial_theta(assay: MultiDilutionAssay) -> np.ndarray:
 # in x = log(rates), a function giving the x at which the solve step starts);
 # only a fit of several levels solves.
 def _lineage_model(assay: MultiDilutionAssay):
-    """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau)."""
+    """The per-lineage rates tau of an assay with n >= 1, in theta = log(tau).
+
+    Level d enters at its per-well rates u_d tau.  Its Hessian there is
+    diag(h_d) - c_d 11^T (:func:`iupm.poisson.hessian_parts`, c_d = 0.0
+    without unsequenced positive wells), so the information, the negated
+    Hessian in tau, has 0.0 - sum_d u_d^2 (h_di - c_d) on its diagonal and
+    0.0 - sum_d u_d^2 (0.0 - c_d) off it.
+    """
+    u = assay.terms.u
+
+    def loglik(tau):
+        return poisson.log_likelihood(u * tau, assay)
+
     def grad(theta):
         tau = np.exp(theta)
-        return tau * multi_gradient(tau, assay)
+        # sum(axis=0) adds the levels' rows in level order, onto 0.0
+        return tau * (u * poisson.gradient(u * tau, assay)).sum(axis=0)
 
     def grad_hess(theta):
         # d^2 l / d theta^2 = diag(tau) H diag(tau) + diag(theta-gradient)
         g = grad(theta)
         tau = np.exp(theta)
-        H = -observed_information(tau, assay)
+        u2 = u * u
+        h, common = poisson.hessian_parts(u * tau, assay)
+        c = np.array([[0.0 if x is None else x] for x in common])
+        # sum(axis=0) adds the levels in order on a (D, n) array with n >= 2 and
+        # pairwise on a (D, 1) one, so the off-diagonal sum is broadcast to (D, n);
+        # 0.0 - (a_1 + a_2 + ...) is 0.0 - a_1 - a_2 - ... to the bit, and never -0.0
+        info = np.full((tau.size, tau.size), 0.0 - np.broadcast_to(u2 * (0.0 - c), h.shape).sum(axis=0)[0])
+        info[np.diag_indices(tau.size)] = 0.0 - (u2 * (h - c)).sum(axis=0)
+        H = -info
         return g, tau[:, None] * H * tau[None, :] + np.diag(g)
 
-    return partial(multi_log_likelihood, assay=assay), grad, grad_hess, partial(_initial_theta, assay)
+    return loglik, grad, grad_hess, partial(_initial_theta, assay)
 
 
 def _total_model(levels):

@@ -28,8 +28,6 @@ __all__ = [
     "NBFit",
     "LrtResult",
     "IdentifiabilityError",
-    "nb_zero_prob",
-    "nb_log_likelihood",
     "fit_negbin",
     "lrt_from_loglik",
     "lrt_overdispersion",
@@ -58,22 +56,12 @@ class LrtResult:
     p_value: float
 
 
-def nb_zero_prob(lam, gamma: float):
-    """P(count = 0) under mean lam and dispersion gamma; e^{-lam} at gamma = 0."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    lam = np.asarray(lam, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-_effective_rate(lam, gamma))
-    return float(out) if out.ndim == 0 else out
-
-
 # The helpers below set no error state, though gamma * lam can overflow and
 # the ratios then meet inf / inf.  They and the Poisson kernels take the rates
-# of every level at once, as one (D, n) array, so nb_zero_prob,
-# nb_log_likelihood, the Hessian callback of fit_negbin and the solve step
-# around its objective each set np.errstate(over="ignore", invalid="ignore")
-# once around one pass over all the levels.
+# of every level at once, as one (D, n) array, so the Hessian callback of
+# fit_negbin and the solve step around its objective each set
+# np.errstate(over="ignore", invalid="ignore") once around one pass over all
+# the levels.
 
 
 def _effective_rate(lam, gamma: float):
@@ -131,13 +119,6 @@ def _gamma_derivatives(lam, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     if n_small:
         return np.where(small, series1, d1), np.where(small, series2, d2)
     return d1, d2
-
-
-def nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:
-    """Joint log-likelihood over all dilution levels, same additive constant
-    convention as the Poisson form (the two agree exactly at gamma = 0)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _nb_log_likelihood(tau, gamma, assay)
 
 
 def _nb_log_likelihood(tau, gamma: float, assay: MultiDilutionAssay) -> float:

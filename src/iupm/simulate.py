@@ -81,6 +81,21 @@ class SimLevel:
             raise ValueError(f"a level needs u > 0 finite, M >= 1 and q in [0, 1], got {self}")
 
 
+def _check_model(model: str, gamma: float, rates: ErrorRates | None) -> None:
+    """The rules on a model and its parameters that a scenario and
+    :func:`simulate_level` share."""
+    if model not in ("poisson", "negbin", "imperfect"):
+        raise ValueError(f"unknown model {model!r}")
+    if model == "imperfect" and rates is None:
+        raise ValueError("the imperfect model needs error rates")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be non-negative and finite")
+    if rates is not None and model != "imperfect":
+        raise ValueError(f"error rates apply only to the imperfect model, not {model!r}")
+    if gamma != 0.0 and model != "negbin":
+        raise ValueError(f"a nonzero gamma applies only to the negbin model, not {model!r}")
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """One simulation configuration.
@@ -111,16 +126,7 @@ class SimScenario:
             raise ValueError(f"unknown allocation {self.allocation!r}")
         if self.allocation == "non-constant" and self.n_dvl % 2:
             raise ValueError("non-constant allocation needs an even number of lineages")
-        if self.model not in ("poisson", "negbin", "imperfect"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "imperfect" and self.rates is None:
-            raise ValueError("the imperfect model needs error rates")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be non-negative and finite")
-        if self.rates is not None and self.model != "imperfect":
-            raise ValueError(f"error rates apply only to the imperfect model, not {self.model!r}")
-        if self.gamma != 0.0 and self.model != "negbin":
-            raise ValueError(f"a nonzero gamma applies only to the negbin model, not {self.model!r}")
+        _check_model(self.model, self.gamma, self.rates)
         if not self.levels:
             raise ValueError("at least one dilution level is required")
         if not 0 <= self.seed < 2**63:
@@ -168,8 +174,10 @@ def simulate_level(tau, u, M, q, rng, model="poisson", gamma=0.0, rates=None):
     Returns the level's WellAssay; under the imperfect model it holds the
     error-prone readings.  The sequenced subset is a uniform draw without
     replacement among the (observed-)positive wells of size nearest-integer
-    q times their count.
+    q times their count.  The model, gamma and rates follow the rules of
+    :class:`SimScenario`.
     """
+    _check_model(model, gamma, rates)
     tau = np.asarray(tau, dtype=float)
     lam = u * tau
     n = lam.size

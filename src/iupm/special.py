@@ -15,7 +15,6 @@ __all__ = [
     "nint",
     "log1mexp",
     "log1mexp_arr",
-    "log_binom",
     "expm1_ratio",
     "chi2_1_upper_tail",
     "normal_quantile",
@@ -110,13 +109,6 @@ def _expm1_ratio(c, t, k: int):
     if k == 2:
         return c * (t + 1.0) / (t * t)
     return c * (t + 1.0) * (t + 2.0) / t**3
-
-
-def log_binom(M: int, k: int) -> float:
-    """log of the binomial coefficient C(M, k) via log-gamma."""
-    if k < 0 or k > M:
-        raise ValueError(f"log_binom requires 0 <= k <= M, got k={k}, M={M}")
-    return math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
 
 
 def chi2_1_upper_tail(s: float) -> float:

@@ -7,8 +7,8 @@
   ``myers_mle_bisect``, ``decimal_one_level_rates``, the central differences ``fd_gradient`` and
   ``fd_hessian_of_gradient``, and the well generator ``simulate_wells``.
 * Kernels as first written, which the package's kernels must match bit for
-  bit: ``reference_log_likelihood``, ``reference_gradient``, the full-row
-  ``reference_binomial_*`` sums, ``ReferenceTables`` with the
+  bit: ``reference_log_likelihood``, ``reference_gradient``, ``log_binom``,
+  the full-row ``reference_binomial_*`` sums, ``ReferenceTables`` with the
   ``reference_level_*`` imperfect kernels, and ``reference_a_blocks`` with
   ``reference_bias_term`` (built on the package's own ``a_matrices`` sums).
 * Deleted solvers and fits, which pin the bits of the BFGS fits that remain:
@@ -18,7 +18,7 @@
   ``reference_newton_polish``, ``reference_newton_polish_total``,
   ``reference_fit_total_only``, ``negbin_objectives``, ``nb_gradient`` and
   ``reference_fit_negbin``.  They reuse the package's line search,
-  ``maximize``, ``observed_information``, ``_initial_tau`` and negbin
+  ``maximize``, the Poisson ``_lineage_model``, ``_initial_tau`` and negbin
   kernels, so they pin solver paths, not values; they go once every fit runs
   one Newton solver and its tests check the optimum itself.  The BFGS
   update, the infinity norm and the noise-floor step are their own copies,
@@ -50,9 +50,8 @@ from iupm.imperfect import ImpossibleDataError, _initial_tau
 from iupm.inference import (
     FitResult,
     SingularInformationError,
+    _lineage_model,
     covariance,
-    multi_gradient,
-    observed_information,
     wald_ci,
 )
 from iupm import poisson
@@ -256,6 +255,13 @@ def _exact_binomial_half_row(M: int) -> tuple[Decimal, ...]:
         for k in range(M // 2):
             row.append(row[-1] * (M - k) / (k + 1))
     return tuple(row)
+
+
+def log_binom(M: int, k: int) -> float:
+    """log of the binomial coefficient C(M, k) via log-gamma."""
+    if k < 0 or k > M:
+        raise ValueError(f"log_binom requires 0 <= k <= M, got k={k}, M={M}")
+    return math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
 
 
 def exact_log_binom(M: int, k: int) -> float:
@@ -637,7 +643,7 @@ def reference_fit_imperfect(model, alpha=0.05) -> FitResult:
         raise AssayDataError("the imperfect fit needs at least one lineage column")
 
     def objective(tau):
-        return sum(imperfect._level_loglik(u * tau, level, strict=False) for u, level in levels)
+        return sum(imperfect._level_loglik(u * tau, level) for u, level in levels)
 
     def grad(tau):
         out = np.zeros(n)
@@ -647,10 +653,11 @@ def reference_fit_imperfect(model, alpha=0.05) -> FitResult:
 
     start = _initial_tau(model)
     for d, (u, level) in enumerate(levels):
-        try:
-            imperfect._level_loglik(u * start, level, strict=True)
-        except ImperfectFitError as exc:
-            raise ImpossibleDataError(f"level {d}: {exc}") from None
+        lam = u * start
+        *_, P = level.products(lam)
+        reason = imperfect._zero_probability(level, P, *imperfect._marginals(float(lam.sum()), level.rates))
+        if reason is not None:
+            raise ImpossibleDataError(f"level {d}: {reason}")
     lower = np.zeros(n)
     res = maximize(objective, grad, start, lower)
     tau, polished = reference_hessian_polish(grad, reference_fd_hessian(grad, lower), res.x, lower)
@@ -691,20 +698,14 @@ def reference_newton_polish(theta, assay, tol=1e-8, max_steps=10):
     """Newton refinement of the Poisson fit in theta = log(tau), on the
     analytic theta-Hessian, keeping the best point seen."""
     theta = theta.copy()
-
-    def theta_grad(th):
-        tau = np.exp(th)
-        return tau * multi_gradient(tau, assay)
-
+    _, theta_grad, grad_hess, _ = _lineage_model(assay)
     g = theta_grad(theta)
     best = (theta.copy(), float(np.max(np.abs(g))))
     for _ in range(max_steps):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol:
             return theta, True
-        tau = np.exp(theta)
-        H = -observed_information(tau, assay)
-        H = tau[:, None] * H * tau[None, :] + np.diag(g)
+        _, H = grad_hess(theta)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:

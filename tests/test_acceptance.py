@@ -7,6 +7,7 @@ remainder and a rounding artifact in a published table), and each is paired
 with a passing check capturing the same intent.
 """
 
+import itertools
 import math
 import time
 
@@ -19,15 +20,15 @@ from iupm import (
     MultiDilutionAssay,
     SimLevel,
     SimScenario,
+    WellAssay,
     closed_form_full_udsa,
     fit_mle,
     lrt_from_loglik,
     lrt_power_study,
     run_study,
-    well_joint_prob,
 )
 from iupm.bias import a_matrices, bias_term
-from iupm.imperfect import imperfect_gradient, imperfect_log_likelihood
+from iupm.imperfect import _Level, _level_gradient, _level_loglik, _marginals
 from iupm.inference import LevelPass, covariance, fisher_information_multi
 from iupm.optimize import maximize
 from iupm.simulate import (
@@ -165,8 +166,8 @@ def test_criterion_03_derivative_oracles():
         draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, 0))
         wa = draw.well_assays[0]
         lam = rng.uniform(0.05, 0.9, wa.n)
-        ana = imperfect_gradient(lam, wa, rates)
-        fd = fd_gradient(lambda v: imperfect_log_likelihood(v, wa, rates), lam)
+        ana = _level_gradient(lam, _Level(wa, rates))
+        fd = fd_gradient(lambda v: _level_loglik(v, _Level(wa, rates)), lam)
         scale = np.maximum(1.0, np.abs(ana))
         assert np.max(np.abs(ana - fd) / scale) <= 1e-6
         done += 1
@@ -391,8 +392,13 @@ def test_criterion_08a_factorized_probability_is_exact():
         rates = ErrorRates(*rng.uniform(0.55, 1.0, 4))
         w_star = int(rng.integers(0, 2))
         z_star = tuple(int(v) for v in rng.integers(0, 2, n))
-        a = well_joint_prob(lam, w_star, z_star, rates)
-        b = brute_force_joint_prob(lam, w_star, z_star, rates)
+        if w_star:
+            a = _Level(WellAssay(1.0, [1], [1], [z_star]), rates).products(lam)[-1][0]
+            b = brute_force_joint_prob(lam, 1, z_star, rates)
+        else:
+            # a QVOA-negative well is never sequenced: it has the marginal probability
+            a = _marginals(float(lam.sum()), rates)[1]
+            b = sum(brute_force_joint_prob(lam, 0, zs, rates) for zs in itertools.product((0, 1), repeat=n))
         assert abs(a - b) <= 1e-12
     report("8a", "factorized well probability equals 2^n enumeration (n <= 3)")
 

@@ -1,8 +1,8 @@
 """Every public name a module declares is defined: `from iupm.<module> import *`
 fails on a stale ``__all__`` entry, which a plain import does not catch.  And
 every private name the package defines, and every solver function, is used by
-the package itself, and every public function is used by it or documented in
-README: code that only the tests call belongs with the tests."""
+the package itself, and every public function is used by it or listed under
+README's "Library API": code that only the tests call belongs with the tests."""
 
 import ast
 import importlib
@@ -218,23 +218,25 @@ def test_every_method_is_read_by_the_package():
 
 
 def test_every_public_function_is_used_by_the_package_or_documented():
-    """A public module-level function that no module of the package uses
-    (``__init__``'s re-exports and ``__all__`` do not count) is library API
-    only when README names it."""
+    """The bullet list under README's "## Library API" names exactly the
+    public module-level functions that no module of the package uses
+    (``__init__``'s re-exports and ``__all__`` do not count): such a function
+    is library API only when that list names it, and the list names no
+    function that the package uses or that is gone."""
     package = Path(iupm.__file__).parent
     trees = {path: ast.parse(path.read_text()) for path in package.glob("*.py")}
     used = Counter(name for path, tree in trees.items() if path.name != "__init__.py" for name in _uses(tree))
-    documented = set(re.findall(r"\w+", (package.parents[1] / "README.md").read_text()))
-    orphans = [
-        f"{path.name}:{node.name}"
-        for path, tree in sorted(trees.items())
+    orphans = sorted(
+        node.name
+        for tree in trees.values()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
         and used[node.name] == 0
-        and node.name not in documented
-    ]
-    assert orphans == []
+    )
+    readme = (package.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\* `(\w+)\(", section, flags=re.M)) == orphans
 
 
 def test_only_assay_reads_json():

@@ -16,15 +16,18 @@ from iupm import (
     WellAssay,
     fit_imperfect,
     fit_mle,
-    imperfect_gradient,
-    imperfect_log_likelihood,
     restrict_to_detected,
     summarize_well_assay,
-    well_joint_prob,
-    well_marginal_prob,
 )
 from iupm import imperfect, optimize
-from iupm.imperfect import _Level, _level_gradient, _level_hessian, _level_loglik
+from iupm.imperfect import (
+    _Level,
+    _level_gradient,
+    _level_hessian,
+    _level_loglik,
+    _marginals,
+    _zero_probability,
+)
 from iupm.inference import covariance
 from iupm.simulate import SimLevel, SimScenario, _rng_for, _simulate_until_regular
 from helpers import (
@@ -61,60 +64,69 @@ def draw_well_assay(seed, M=16, n=3, rates=PERFECT, q=0.75, lam=None):
     return draw
 
 
+def joint_prob(lam, z_star, rates):
+    """P(W* = 1, Z* = z_star) of one sequenced well, as the fit's products give it."""
+    level = _Level(WellAssay(1.0, [1], [1], [z_star]), rates)
+    return float(level.products(np.asarray(lam, dtype=float))[-1][0])
+
+
+def impossibility(lam, wa, rates):
+    """What ``_zero_probability`` reports at lam: the reason the data are
+    impossible there, or None."""
+    level = _Level(wa, rates)
+    *_, P = level.products(lam)
+    return _zero_probability(level, P, *_marginals(float(np.add.reduce(lam)), rates))
+
+
 class TestWellJointProb:
     def test_perfect_rates_reduce_to_lineage_product(self):
-        value = well_joint_prob([0.2, 0.3], 1, (1, 0), PERFECT)
+        value = joint_prob([0.2, 0.3], (1, 0), PERFECT)
         assert value == pytest.approx((1 - math.exp(-0.2)) * math.exp(-0.3), rel=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=3),
-        st.integers(min_value=0, max_value=1),
         rates_strategy(),
         st.data(),
     )
-    def test_matches_brute_force_enumeration(self, n, w_star, rates, data):
+    def test_matches_brute_force_enumeration(self, n, rates, data):
+        # only QVOA-positive wells are sequenced; a well's QVOA reading alone
+        # has the marginal probability, the enumeration summed over Z*
         lam = np.array([data.draw(st.floats(min_value=0.0, max_value=3.0)) for _ in range(n)])
         z_star = tuple(data.draw(st.integers(min_value=0, max_value=1)) for _ in range(n))
-        ours = well_joint_prob(lam, w_star, z_star, rates)
-        brute = brute_force_joint_prob(lam, w_star, z_star, rates)
-        assert ours == pytest.approx(brute, abs=1e-12)
+        brute = brute_force_joint_prob(lam, 1, z_star, rates)
+        assert joint_prob(lam, z_star, rates) == pytest.approx(brute, abs=1e-12)
+        for w_star, ours in zip((1, 0), _marginals(float(lam.sum()), rates)):
+            brute = sum(brute_force_joint_prob(lam, w_star, zs, rates) for zs in itertools.product((0, 1), repeat=n))
+            assert ours == pytest.approx(brute, abs=1e-12)
 
     def test_zero_rates_leave_only_the_false_positive_channel(self):
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         lam = np.zeros(2)
-        value = well_joint_prob(lam, 1, (1, 0), rates)
+        value = joint_prob(lam, (1, 0), rates)
         expected = (1 - rates.spec_qvoa) * (1 - rates.spec_udsa) * rates.spec_udsa
         assert value == pytest.approx(expected, rel=1e-12)
 
     @given(rates_strategy(), st.data())
     def test_outcomes_sum_to_one(self, rates, data):
+        # every reading of a sequenced positive well, and the negative well
         n = data.draw(st.integers(min_value=1, max_value=3))
         lam = np.array([data.draw(st.floats(min_value=0.0, max_value=2.0)) for _ in range(n)])
-        total = sum(
-            well_joint_prob(lam, w, zs, rates)
-            for w in (0, 1)
-            for zs in itertools.product((0, 1), repeat=n)
-        )
+        total = sum(joint_prob(lam, zs, rates) for zs in itertools.product((0, 1), repeat=n))
+        total += _marginals(float(lam.sum()), rates)[1]
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 class TestWellMarginalProb:
     def test_perfect_rates(self):
-        lam = np.array([0.4, 0.3])
-        assert well_marginal_prob(lam, 1, PERFECT) == pytest.approx(
-            1 - math.exp(-0.7), rel=1e-12
-        )
+        assert _marginals(0.4 + 0.3, PERFECT)[0] == pytest.approx(1 - math.exp(-0.7), rel=1e-12)
 
     def test_mixture_value(self):
         rates = ErrorRates(0.9, 0.9, 1.0, 1.0)
-        lam = np.array([math.log(2.0)])
-        assert well_marginal_prob(lam, 1, rates) == pytest.approx(0.5, rel=1e-12)
+        assert _marginals(math.log(2.0), rates)[0] == pytest.approx(0.5, rel=1e-12)
 
     @given(rates_strategy(), st.floats(min_value=0.0, max_value=4.0))
     def test_complement(self, rates, total):
-        lam = np.array([total])
-        s = well_marginal_prob(lam, 0, rates) + well_marginal_prob(lam, 1, rates)
-        assert s == pytest.approx(1.0, abs=1e-12)
+        assert sum(_marginals(total, rates)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLogLikelihood:
@@ -122,7 +134,7 @@ class TestLogLikelihood:
         draw = draw_well_assay(seed=3, M=18, n=3)
         wa = draw.well_assays[0]
         lam = np.array([0.25, 0.4, 0.1])
-        assert imperfect_log_likelihood(lam, wa, PERFECT) == pytest.approx(
+        assert _level_loglik(lam, _Level(wa, PERFECT)) == pytest.approx(
             level_log_likelihood(lam, draw.assay.levels[0]), abs=1e-10
         )
 
@@ -143,13 +155,13 @@ class TestLogLikelihood:
                         for zs in itertools.product((0, 1), repeat=2)
                     )
                     expected += math.log(pos)
-            assert imperfect_log_likelihood(lam, wa, rates) == pytest.approx(expected, rel=1e-10)
+            assert _level_loglik(lam, _Level(wa, rates)) == pytest.approx(expected, rel=1e-10)
 
     def test_unsequenced_wells_depend_only_on_the_total(self):
         wa = WellAssay(1.0, [1, 0, 1, 1, 0], np.zeros(5), np.zeros((5, 2)))
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
-        a = imperfect_log_likelihood(np.array([0.6, 0.2]), wa, rates)
-        b = imperfect_log_likelihood(np.array([0.1, 0.7]), wa, rates)
+        a = _level_loglik(np.array([0.6, 0.2]), _Level(wa, rates))
+        b = _level_loglik(np.array([0.1, 0.7]), _Level(wa, rates))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_well_order_invariance(self):
@@ -158,16 +170,17 @@ class TestLogLikelihood:
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         lam = np.array([0.3, 0.5])
         shuffled = WellAssay(wa.u, wa.w_star[::-1], wa.r[::-1], wa.z_star[::-1])
-        assert imperfect_log_likelihood(lam, wa, rates) == pytest.approx(
-            imperfect_log_likelihood(lam, shuffled, rates), rel=1e-12
+        assert _level_loglik(lam, _Level(wa, rates)) == pytest.approx(
+            _level_loglik(lam, _Level(shuffled, rates)), rel=1e-12
         )
 
     def test_impossible_well_is_reported_with_index(self):
         # perfect rates cannot produce a sequenced positive well with an
         # all-zero lineage row
         wa = WellAssay(1.0, [1], [1], [[0, 0]])
-        with pytest.raises(Exception, match="well 0"):
-            imperfect_log_likelihood(np.array([0.3, 0.3]), wa, PERFECT)
+        assert _level_loglik(np.array([0.3, 0.3]), _Level(wa, PERFECT)) == -math.inf
+        with pytest.raises(ImpossibleDataError, match="^level 0: well 0 has probability zero"):
+            fit_imperfect(ImperfectModel(rates=PERFECT, assays=(wa,)))
 
     def test_cost_scales_linearly_not_exponentially(self):
         # n = 60 lineages would be ~1e18 enumeration terms; the factorized
@@ -181,8 +194,9 @@ class TestLogLikelihood:
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
         start = time.perf_counter()
         for _ in range(20):
-            imperfect_log_likelihood(lam, wa, rates)
-            imperfect_gradient(lam, wa, rates)
+            level = _Level(wa, rates)
+            _level_loglik(lam, level)
+            _level_gradient(lam, level)
         assert time.perf_counter() - start < 1.0
 
 
@@ -194,15 +208,15 @@ class TestGradient:
         wa = draw.well_assays[0]
         for _ in range(20):
             lam = rng.uniform(0.05, 0.8, 4)
-            ana = imperfect_gradient(lam, wa, rates)
-            fd = fd_gradient(lambda v: imperfect_log_likelihood(v, wa, rates), lam)
+            ana = _level_gradient(lam, _Level(wa, rates))
+            fd = fd_gradient(lambda v: _level_loglik(v, _Level(wa, rates)), lam)
             np.testing.assert_allclose(ana, fd, rtol=1e-6, atol=1e-6)
 
     def test_zero_gradient_at_perfect_model_mle(self):
         draw = draw_well_assay(seed=30, M=24, n=3, q=1.0)
         wa = draw.well_assays[0]
         fit = fit_mle(draw.assay)
-        grad = imperfect_gradient(fit.tau_hat, wa, PERFECT)
+        grad = _level_gradient(fit.tau_hat, _Level(wa, PERFECT))
         assert np.max(np.abs(grad)) < 1e-6
 
     @pytest.mark.parametrize(
@@ -213,18 +227,19 @@ class TestGradient:
         ],
         ids=["sequenced", "unsequenced"],
     )
-    def test_impossible_point_raises_like_the_likelihood(self, r, z_star, lam, message):
+    def test_impossible_point_is_minus_inf_with_its_reason(self, r, z_star, lam, message):
         # perfect rates cannot give a positive reading where the rates are zero
         wa = WellAssay(1.0, [0, 1], [0, r], [[0, 0], z_star])
+        lam = np.array(lam)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ImperfectFitError, match=message):
-                imperfect_gradient(np.array(lam), wa, PERFECT)
+            assert _level_loglik(lam, _Level(wa, PERFECT)) == -math.inf
+            assert impossibility(lam, wa, PERFECT).startswith(message)
 
     def test_exchangeable_lineages_share_the_gradient(self):
         wa = WellAssay(1.0, [1, 1, 0], [1, 0, 0], [[1, 1], [0, 0], [0, 0]])
         rates = ErrorRates(0.9, 0.9, 0.9, 0.9)
-        g = imperfect_gradient(np.array([0.4, 0.4]), wa, rates)
+        g = _level_gradient(np.array([0.4, 0.4]), _Level(wa, rates))
         assert g[0] == pytest.approx(g[1], rel=1e-12)
 
 
@@ -378,18 +393,17 @@ def random_lam(rng, n):
 
 
 def assert_level_matches_reference(lam, wa, rates):
-    """The kernel's likelihood and gradient, strict and not, through a fresh
-    level and through one whose products were just computed, against the
-    kernel as first written."""
+    """The kernel's likelihood, the reason it gives for impossible data, and
+    its gradient through a fresh level and through one whose products were
+    just computed, against the kernel as first written."""
     tables = ReferenceTables(wa)
-    for strict in (False, True):
-        try:
-            expected = reference_level_loglik(lam, tables, rates, strict)
-        except ImperfectFitError as exc:
-            with pytest.raises(ImperfectFitError, match=f"^{exc}$"):
-                _level_loglik(lam, _Level(wa, rates), strict)
-        else:
-            assert _level_loglik(lam, _Level(wa, rates), strict) == expected
+    assert _level_loglik(lam, _Level(wa, rates)) == reference_level_loglik(lam, tables, rates, strict=False)
+    try:
+        reference_level_loglik(lam, tables, rates, strict=True)
+    except ImperfectFitError as exc:
+        assert impossibility(lam, wa, rates) == str(exc)
+    else:
+        assert impossibility(lam, wa, rates) is None
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
             expected = reference_level_gradient(lam, tables, rates)
@@ -398,7 +412,7 @@ def assert_level_matches_reference(lam, wa, rates):
                 _level_gradient(lam, _Level(wa, rates))
             return
         level = _Level(wa, rates)
-        _level_loglik(lam, level, strict=False)
+        _level_loglik(lam, level)
         shared = _level_gradient(lam, level)
         fresh = _level_gradient(lam, _Level(wa, rates))
     assert np.array_equal(shared, expected, equal_nan=True)
@@ -477,7 +491,7 @@ class TestMatchesReference:
                 patch.setattr(imperfect, "_Level", ReferenceLevel)
                 patch.setattr(
                     imperfect, "_level_loglik",
-                    lambda lam, level, strict: reference_level_loglik(lam, level.tables, level.rates, strict),
+                    lambda lam, level: reference_level_loglik(lam, level.tables, level.rates, strict=False),
                 )
                 patch.setattr(
                     imperfect, "_level_gradient",
@@ -499,26 +513,26 @@ class TestSharedProducts:
         level = _Level(self.wa, self.rates)
         x1 = np.array([0.1, 0.2, 0.3, 0.4])
         x2 = np.array([0.5, 0.1, 0.2, 0.3])
-        _level_loglik(x1, level, strict=True)
+        _level_loglik(x1, level)
         assert np.array_equal(_level_gradient(x2, level), _level_gradient(x2, _Level(self.wa, self.rates)))
-        assert _level_loglik(x1, level, strict=True) == _level_loglik(x1, _Level(self.wa, self.rates), True)
+        assert _level_loglik(x1, level) == _level_loglik(x1, _Level(self.wa, self.rates))
 
     def test_mutating_the_callers_array_is_not_stale(self):
         level = _Level(self.wa, self.rates)
         lam = np.array([0.1, 0.2, 0.3, 0.4])
-        _level_loglik(lam, level, strict=True)
+        _level_loglik(lam, level)
         lam[2] = 0.9
         fresh = _Level(self.wa, self.rates)
         assert np.array_equal(_level_gradient(lam, level), _level_gradient(lam, fresh))
-        assert _level_loglik(lam, level, strict=True) == _level_loglik(lam, fresh, strict=True)
+        assert _level_loglik(lam, level) == _level_loglik(lam, fresh)
 
     def test_levels_of_one_model_keep_their_own_products(self):
         other = draw_well_assay(seed=15, M=12, n=4, rates=self.rates, q=1.0).well_assays[0]
         model = ImperfectModel(rates=self.rates, assays=(self.wa, WellAssay(2.0, other.w_star, other.r, other.z_star)))
         first, second = (_Level(wa, self.rates) for wa in model.assays)
         lam = np.array([0.1, 0.2, 0.3, 0.4])
-        _level_loglik(lam, first, strict=True)
-        _level_loglik(lam, second, strict=True)
+        _level_loglik(lam, first)
+        _level_loglik(lam, second)
         for level, wa in ((first, self.wa), (second, other)):
             expected = reference_level_gradient(lam, ReferenceTables(wa), self.rates)
             assert np.array_equal(_level_gradient(lam, level), expected)
@@ -534,7 +548,7 @@ class TestSharedProducts:
         monkeypatch.setattr(np, "exp", counting_exp)
         level = _Level(self.wa, self.rates)
         lam = np.array([0.1, 0.2, 0.3, 0.4])
-        _level_loglik(lam, level, strict=True)
+        _level_loglik(lam, level)
         assert len(calls) == 1
         _level_gradient(lam.copy(), level)
         assert len(calls) == 1
@@ -588,11 +602,10 @@ class TestHessian:
     def test_edge_cases(self, w_star, r, z_star, lam, rates):
         wa = WellAssay(1.0, w_star, r, z_star)
         lam = np.array(lam)
-        if not math.isfinite(_level_loglik(lam, _Level(wa, rates), strict=False)):
+        if not math.isfinite(_level_loglik(lam, _Level(wa, rates))):
             # Outside the Hessian's domain; the fit rejects such data before
             # the solver, so no second derivative is ever asked for here.
-            with pytest.raises(ImperfectFitError, match="probability zero"):
-                _level_loglik(lam, _Level(wa, rates), strict=True)
+            assert "probability zero" in impossibility(lam, wa, rates)
             return
         assert_matches_exact(checked_hessian(lam, wa, rates), decimal_level_hessian(lam, wa, rates))
 

@@ -126,6 +126,23 @@ class TestSimulateLevel:
         # q = 1: every observed-positive well is sequenced
         assert np.array_equal(wells.r, wells.w_star)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"model": "bogus"}, "^unknown model 'bogus'$"),
+            ({"model": "imperfect"}, "^the imperfect model needs error rates$"),
+            ({"model": "negbin", "gamma": -1.0}, "^gamma must be non-negative and finite$"),
+            ({"rates": ErrorRates(0.9, 0.9, 0.9, 0.9)}, "^error rates apply only to the imperfect model, not 'poisson'$"),
+            ({"gamma": 3.0}, "^a nonzero gamma applies only to the negbin model, not 'poisson'$"),
+        ],
+        ids=["unknown-model", "imperfect-without-rates", "negative-gamma", "rates-poisson", "gamma-poisson"],
+    )
+    def test_refuses_what_a_scenario_refuses(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SimScenario(truth=1.0, n_dvl=2, levels=(SimLevel(1.0, 10, 0.5),), **kwargs)
+        with pytest.raises(ValueError, match=message):
+            simulate_level(np.full(2, 0.5), 1.0, 10, 0.5, _rng_for(0, 0), **kwargs)
+
     def test_restrict_well_assay_keeps_or_drops_columns(self):
         wa = WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
         assert restrict_to_detected([wa]) == [WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 1], [0, 0], [0, 0]])]
@@ -229,7 +246,9 @@ class TestMatchesRecordReference:
         for seed in range(60):
             model = ("poisson", "negbin", "imperfect")[seed % 3]
             q = (0.0, 0.5, 1.0)[seed // 3 % 3]
-            kwargs = dict(model=model, gamma=2.0 if model == "negbin" else 0.0, rates=rates)
+            kwargs = dict(
+                model=model, gamma=2.0 if model == "negbin" else 0.0, rates=rates if model == "imperfect" else None
+            )
             rng = _rng_for(seed, 0)
             wa = simulate_level(tau, 1.0, 12, q, rng, **kwargs)
             digests.append(_digest(wa.w_star, wa.r, wa.z_star, _counts(summarize_well_assay(wa, q)), rng.random(4)))

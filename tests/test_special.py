@@ -11,10 +11,10 @@ from iupm.special import (
     expm1_ratio,
     log1mexp,
     log1mexp_arr,
-    log_binom,
     nint,
     normal_quantile,
 )
+from helpers import log_binom
 
 
 class TestNint:
