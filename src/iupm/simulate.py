@@ -1,4 +1,5 @@
-"""Monte Carlo study harness: data generation, estimator loops, and metrics.
+"""Monte Carlo study harness: data generation, one replicate loop for every
+study (``_replicates``), and metrics.
 
 Replicates use counter-based substreams keyed by (seed, replicate index), so
 reruns of a scenario are bit-identical.  Generated assays that hit the
@@ -23,7 +24,7 @@ from .assay import (
 )
 from .bias import bias_correct
 from .imperfect import ImperfectFitError, ImperfectModel, fit_imperfect
-from .inference import FitResult, SingularInformationError, fit_mle
+from .inference import FitResult, SingularInformationError, _check_alpha, fit_mle
 from .negbin import IdentifiabilityError, fit_negbin, lrt_overdispersion
 from .poisson import ExtremeOutcome, classify_extreme
 from .special import nint
@@ -68,6 +69,7 @@ _ALL_ESTIMATORS = {
     IMPERFECT_MLE,
     PERFECT_ASSUMED_MLE,
 }
+_LRT = "lrt"  # a power study's one estimator, whose estimate is the LRT p-value
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,9 @@ class SimLevel:
     q: float
 
     def __post_init__(self):
-        if not (0 < self.u < math.inf and self.M >= 1 and 0 <= self.q <= 1):
-            raise ValueError(f"a level needs u > 0 finite, M >= 1 and q in [0, 1], got {self}")
+        whole = isinstance(self.M, (int, np.integer)) and not isinstance(self.M, bool)
+        if not (whole and 0 < self.u < math.inf and self.M >= 1 and 0 <= self.q <= 1):
+            raise ValueError(f"a level needs u > 0 finite, an integer M >= 1 and q in [0, 1], got {self}")
 
 
 def _check_model(model: str, gamma: float, rates: ErrorRates | None) -> None:
@@ -174,9 +177,10 @@ def simulate_level(tau, u, M, q, rng, model="poisson", gamma=0.0, rates=None):
     Returns the level's WellAssay; under the imperfect model it holds the
     error-prone readings.  The sequenced subset is a uniform draw without
     replacement among the (observed-)positive wells of size nearest-integer
-    q times their count.  The model, gamma and rates follow the rules of
-    :class:`SimScenario`.
+    q times their count.  (u, M, q) follow the rules of :class:`SimLevel`,
+    and the model, gamma and rates those of :class:`SimScenario`.
     """
+    SimLevel(u, M, q)
     _check_model(model, gamma, rates)
     tau = np.asarray(tau, dtype=float)
     lam = u * tau
@@ -250,23 +254,32 @@ _WITHOUT_UDSA = (MLE_WITHOUT_UDSA, BC_MLE_WITHOUT_UDSA)
 _BIAS_CORRECTED = (BC_MLE_WITH_UDSA, BC_MLE_WITHOUT_UDSA)
 
 
-def _apply_estimators(names, scenario: SimScenario, draw: SimDraw) -> dict:
-    """Each estimator's (estimate, se, lower, upper) on one replicate; None excludes it.
+def _replicates(scenario: SimScenario, names) -> tuple[dict[str, np.ndarray], int]:
+    """Each estimator's (estimate, se, lower, upper) per replicate, NaN where
+    excluded, and the number of divergent draws discarded.
 
-    The assay and its strip_udsa() copy are each fitted by Poisson MLE at most
-    once, and every estimator built on that fit shares it.  A
-    SingularInformationError from a shared fit excludes all of them.
+    A replicate's assay and its strip_udsa() copy are each fitted by Poisson
+    MLE at most once, and every estimator built on that fit shares it.
     """
+    columns = {nm: np.full((4, scenario.reps), np.nan) for nm in names}
+    discarded = 0
+    for rep in range(scenario.reps):
+        draw, n_discarded = _simulate_until_regular(scenario, _rng_for(scenario.seed, rep))
+        discarded += n_discarded
 
-    @cache
-    def poisson_fit(without_udsa: bool):
-        assay = draw.assay.strip_udsa() if without_udsa else draw.assay
-        try:
-            return assay, fit_mle(assay)
-        except SingularInformationError:
-            return assay, None
+        @cache
+        def poisson_fit(without_udsa: bool):
+            assay = draw.assay.strip_udsa() if without_udsa else draw.assay
+            try:
+                return assay, fit_mle(assay)
+            except SingularInformationError:
+                return assay, None
 
-    return {nm: _apply_estimator(nm, scenario, draw, poisson_fit) for nm in names}
+        for nm in names:
+            out = _apply_estimator(nm, scenario, draw, poisson_fit)
+            if out is not None:
+                columns[nm][:, rep] = out
+    return columns, discarded
 
 
 def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fit):
@@ -274,6 +287,8 @@ def _apply_estimator(name: str, scenario: SimScenario, draw: SimDraw, poisson_fi
         if name == IMPERFECT_MLE:
             model = ImperfectModel(rates=scenario.rates, assays=draw.well_assays)
             return _usable(fit_imperfect(model)) if model.n else None  # n = 0: no lineage detected
+        if name == _LRT:  # before poisson_fit: the LRT makes its own Poisson fit
+            return lrt_overdispersion(draw.assay).p_value, math.nan, math.nan, math.nan
         assay, fit = poisson_fit(name in _WITHOUT_UDSA)
         if fit is None:
             return None
@@ -338,16 +353,7 @@ def run_study(
     """
     estimators = list(estimators) if estimators is not None else _default_estimators(scenario.model)
     names = _estimator_names(scenario, estimators, comparator)
-    reps = scenario.reps
-    columns = {nm: np.full((4, reps), np.nan) for nm in names}
-    total_discarded = 0
-    for rep in range(reps):
-        draw, n_discarded = _simulate_until_regular(scenario, _rng_for(scenario.seed, rep))
-        total_discarded += n_discarded
-        for nm, out in _apply_estimators(names, scenario, draw).items():
-            if out is not None:
-                columns[nm][:, rep] = out
-
+    columns, discarded = _replicates(scenario, names)
     T = scenario.truth
 
     def summarize(nm: str) -> SimMetrics:
@@ -361,7 +367,7 @@ def run_study(
         ci_ok = used & ~np.isnan(lo)
         cp = float(((lo[ci_ok] <= T) & (T <= hi[ci_ok])).mean()) if ci_ok.any() else None
         return SimMetrics(bias=bias, ase=ase, ese=ese, cp=cp, re=None,
-                          discarded=total_discarded, n_used=n_used)
+                          discarded=discarded, n_used=n_used)
 
     metrics = {nm: summarize(nm) for nm in estimators}
     if comparator is not None:
@@ -377,30 +383,23 @@ def run_study(
 def lrt_power_study(scenario: SimScenario, gammas, alpha: float = 0.05):
     """Empirical rejection rate of the overdispersion LRT per dispersion value.
 
-    Each value's replicates are drawn from the negbin model at that gamma.
-    A scenario that no replicate could test (one level), or whose model or
-    gamma the draws would ignore, raises before any replicate is drawn.
+    Each value's replicates are drawn from the negbin model at that gamma and
+    run through the replicate loop of :func:`run_study`, with the LRT p-value
+    as the one estimator.  ``reps`` counts the replicates whose LRT could be
+    computed; ``power`` is the share of them with a p-value at most ``alpha``.
+    A bad alpha or gamma, one level, or a model or gamma the draws would
+    ignore raises before any replicate is drawn.
     """
     _check_power_scenario(scenario)
+    _check_alpha(alpha)
+    scenarios = [replace(scenario, model="negbin", gamma=float(gamma)) for gamma in gammas]  # each checked first
     rows = []
-    for gamma in gammas:
-        scn = replace(scenario, model="negbin", gamma=float(gamma))
-        reject = np.full(scn.reps, np.nan)
-        for rep in range(scn.reps):
-            draw, _ = _simulate_until_regular(scn, _rng_for(scn.seed, rep))
-            try:
-                res = lrt_overdispersion(draw.assay)
-            except (SingularInformationError, IdentifiabilityError):
-                continue
-            reject[rep] = 1.0 if res.p_value <= alpha else 0.0
-        used = ~np.isnan(reject)
-        rows.append(
-            {
-                "gamma": float(gamma),
-                "power": float(reject[used].mean()) if used.any() else math.nan,
-                "reps": int(used.sum()),
-            }
-        )
+    for scn in scenarios:
+        columns, _ = _replicates(scn, [_LRT])
+        p_value = columns[_LRT][0]
+        used = ~np.isnan(p_value)
+        power = float((p_value[used] <= alpha).mean()) if used.any() else math.nan
+        rows.append({"gamma": scn.gamma, "power": power, "reps": int(used.sum())})
     return rows
 
 
@@ -434,7 +433,8 @@ class StudyScenario(NamedTuple):
     """One named scenario of a study document.
 
     With ``gammas`` it is a power scenario, run by ``lrt_power_study`` at
-    alpha 0.05; without, ``run_study`` summarizes ``estimators``.
+    alpha 0.05; without, ``run_study`` summarizes ``estimators``.  Both run
+    the same replicate loop.
     """
 
     name: str

@@ -160,11 +160,18 @@ def test_one_expected_information_and_one_derivative():
     assert _callers("_binomial_sums") == [("inference.py", "LevelPass")]
 
 
+def test_one_replicate_loop():
+    """Every study draws its replicates in one loop, and a power study's LRT
+    runs there as an estimator, one ``lrt_overdispersion`` call a replicate."""
+    assert _callers("_simulate_until_regular") == [("simulate.py", "_replicates")]
+    assert _callers("lrt_overdispersion") == [("simulate.py", "_apply_estimator")]
+
+
 def test_no_module_level_function_is_cached():
     """No module-level function keeps results across calls (``functools.cache``
     or ``lru_cache``): a fit hands what it computed to the next step itself.
     A cache built inside one call, such as the one of
-    ``simulate._apply_estimators``, is dropped with that call."""
+    ``simulate._replicates``, is dropped with that call."""
     def cache_name(decorator):
         node = decorator.func if isinstance(decorator, ast.Call) else decorator
         return getattr(node, "id", None) or getattr(node, "attr", None)

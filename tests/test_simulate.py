@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ from iupm.simulate import (
     NB_MLE,
     PERFECT_ASSUMED_MLE,
     SimDraw,
-    _apply_estimators,
     _rng_for,
     _simulate_until_regular,
+    lrt_power_study,
     metrics_csv,
     replicates_csv,
     run_study,
@@ -78,6 +79,11 @@ class TestAllocateRates:
                 allocate_rates(truth, n, allocation)
             return
         assert allocate_rates(truth, n, allocation).sum() == pytest.approx(truth, abs=1e-12)
+
+
+def _bad_level(u, M, q):
+    return "^" + re.escape(f"a level needs u > 0 finite, an integer M >= 1 and q in [0, 1], "
+                           f"got SimLevel(u={u!r}, M={M!r}, q={q!r})") + "$"
 
 
 class TestSimulateLevel:
@@ -127,21 +133,27 @@ class TestSimulateLevel:
         assert np.array_equal(wells.r, wells.w_star)
 
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "level, kwargs, message",
         [
-            ({"model": "bogus"}, "^unknown model 'bogus'$"),
-            ({"model": "imperfect"}, "^the imperfect model needs error rates$"),
-            ({"model": "negbin", "gamma": -1.0}, "^gamma must be non-negative and finite$"),
-            ({"rates": ErrorRates(0.9, 0.9, 0.9, 0.9)}, "^error rates apply only to the imperfect model, not 'poisson'$"),
-            ({"gamma": 3.0}, "^a nonzero gamma applies only to the negbin model, not 'poisson'$"),
+            ((1.0, 10, 0.5), {"model": "bogus"}, "^unknown model 'bogus'$"),
+            ((1.0, 10, 0.5), {"model": "imperfect"}, "^the imperfect model needs error rates$"),
+            ((1.0, 10, 0.5), {"model": "negbin", "gamma": -1.0}, "^gamma must be non-negative and finite$"),
+            ((1.0, 10, 0.5), {"rates": ErrorRates(0.9, 0.9, 0.9, 0.9)},
+             "^error rates apply only to the imperfect model, not 'poisson'$"),
+            ((1.0, 10, 0.5), {"gamma": 3.0}, "^a nonzero gamma applies only to the negbin model, not 'poisson'$"),
+            ((1.0, 10.5, 0.5), {}, _bad_level(1.0, 10.5, 0.5)),
+            ((1.0, True, 0.5), {}, _bad_level(1.0, True, 0.5)),
+            ((1.0, 10, 1.5), {}, _bad_level(1.0, 10, 1.5)),
+            ((1.0, 10, -0.5), {}, _bad_level(1.0, 10, -0.5)),
         ],
-        ids=["unknown-model", "imperfect-without-rates", "negative-gamma", "rates-poisson", "gamma-poisson"],
+        ids=["unknown-model", "imperfect-without-rates", "negative-gamma", "rates-poisson", "gamma-poisson",
+             "fractional-M", "boolean-M", "q-above-one", "negative-q"],
     )
-    def test_refuses_what_a_scenario_refuses(self, kwargs, message):
+    def test_refuses_what_a_scenario_refuses(self, level, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            SimScenario(truth=1.0, n_dvl=2, levels=(SimLevel(1.0, 10, 0.5),), **kwargs)
+            SimScenario(truth=1.0, n_dvl=2, levels=(SimLevel(*level),), **kwargs)
         with pytest.raises(ValueError, match=message):
-            simulate_level(np.full(2, 0.5), 1.0, 10, 0.5, _rng_for(0, 0), **kwargs)
+            simulate_level(np.full(2, 0.5), *level, _rng_for(0, 0), **kwargs)
 
     def test_restrict_well_assay_keeps_or_drops_columns(self):
         wa = WellAssay(2.0, [1, 1, 0], [1, 0, 0], [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
@@ -342,13 +354,15 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(small_scenario(), estimators=["imperfect-mle"])
 
-    def test_impossible_imperfect_replicate_is_excluded(self):
+    def test_impossible_imperfect_replicate_is_excluded(self, monkeypatch):
         # under these rates the sequenced QVOA-positive well 1 with z* = 0
         # cannot occur; the fit rejects the data and the study drops it
-        scn = small_scenario(model="imperfect", rates=ErrorRates(1.0, 1.0, 1.0, 0.8))
+        scn = small_scenario(model="imperfect", rates=ErrorRates(1.0, 1.0, 1.0, 0.8), reps=1)
         wa = WellAssay(1.0, [1, 1, 0, 1], [1, 1, 0, 0], [[1], [0], [0], [0]])
         draw = SimDraw(assay=MultiDilutionAssay((summarize_well_assay(wa),), 1), well_assays=(wa,))
-        assert _apply_estimators([IMPERFECT_MLE, PERFECT_ASSUMED_MLE], scn, draw)[IMPERFECT_MLE] is None
+        monkeypatch.setattr("iupm.simulate._simulate_until_regular", lambda scenario, rng: (draw, 0))
+        res, reps = run_study(scn, estimators=[IMPERFECT_MLE, PERFECT_ASSUMED_MLE], keep_replicates=True)
+        assert res[IMPERFECT_MLE].n_used == 0 and np.isnan(reps[IMPERFECT_MLE]).all()
 
     def test_without_udsa_pair_matches_direct_fits(self):
         scn = small_scenario(reps=15, levels=(SimLevel(0.5, 14, 0.5), SimLevel(1.0, 20, 1.0)))
@@ -363,10 +377,17 @@ class TestRunStudy:
         assert reps[BC_MLE_WITHOUT_UDSA][0, 3] == pytest.approx(bias_correct(fit_mle(stripped)).iupm)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail on any replicate draw, for arguments refused before the first."""
+    def draw(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("iupm.simulate._simulate_until_regular", draw)
+
+
 class TestLrtPowerStudy:
     def test_rejection_rate_rises_with_dispersion(self):
-        from iupm import lrt_power_study
-
         scn = SimScenario(
             truth=1.0,
             n_dvl=12,
@@ -381,7 +402,7 @@ class TestLrtPowerStudy:
         assert rows[0]["power"] <= 0.12  # near the nominal level under the null
 
     def test_drops_only_unfittable_replicates(self, monkeypatch):
-        from iupm import IdentifiabilityError, SingularInformationError, lrt_power_study
+        from iupm import IdentifiabilityError, SingularInformationError
 
         scn = small_scenario(reps=6, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)))
         seen = []
@@ -400,8 +421,6 @@ class TestLrtPowerStudy:
         assert rows == [{"gamma": 1.0, "power": 0.0, "reps": 2}]
 
     def test_other_errors_propagate(self, monkeypatch):
-        from iupm import lrt_power_study
-
         def lrt(assay):
             raise ValueError("a bug, not a data problem")
 
@@ -410,13 +429,9 @@ class TestLrtPowerStudy:
         with pytest.raises(ValueError, match="a bug"):
             lrt_power_study(scn, [1.0])
 
-    def test_single_level_scenario_rejected_before_any_draw(self, monkeypatch):
-        from iupm import IdentifiabilityError, lrt_power_study
+    def test_single_level_scenario_rejected_before_any_draw(self, no_draws):
+        from iupm import IdentifiabilityError
 
-        def draw(*args, **kwargs):
-            raise AssertionError("a replicate was drawn")
-
-        monkeypatch.setattr("iupm.simulate._simulate_until_regular", draw)
         with pytest.raises(IdentifiabilityError, match="two dilution levels"):
             lrt_power_study(small_scenario(reps=5, model="negbin"), [0.0, 1.0])
 
@@ -428,16 +443,36 @@ class TestLrtPowerStudy:
         ],
         ids=["imperfect-model", "own-gamma"],
     )
-    def test_field_the_draws_would_ignore_is_refused_before_any_draw(self, monkeypatch, overrides, message):
-        from iupm import lrt_power_study
-
-        def draw(*args, **kwargs):
-            raise AssertionError("a replicate was drawn")
-
-        monkeypatch.setattr("iupm.simulate._simulate_until_regular", draw)
+    def test_field_the_draws_would_ignore_is_refused_before_any_draw(self, no_draws, overrides, message):
         scn = small_scenario(reps=5, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)), **overrides)
         with pytest.raises(ValueError, match=message):
             lrt_power_study(scn, [0.0, 1.0])
+
+    @pytest.mark.parametrize("alpha", [1.5, -1.0, 0.0, 1.0, math.nan])
+    def test_alpha_outside_the_unit_interval_is_refused_before_any_draw(self, no_draws, alpha):
+        scn = small_scenario(reps=5, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)))
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            lrt_power_study(scn, [0.0, 1.0], alpha=alpha)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_gamma_is_refused_before_any_draw(self, no_draws, bad):
+        # the good gamma comes first: its study must not run either
+        scn = small_scenario(reps=5, levels=(SimLevel(0.5, 12, 0.5), SimLevel(1.0, 12, 1.0)))
+        with pytest.raises(ValueError, match="^gamma must be non-negative and finite$"):
+            lrt_power_study(scn, [0.0, bad])
+
+    def test_rows_are_pinned(self):
+        # Exact rows (the repr of each float).  Replicate 3 at gamma 0 and
+        # replicates 1, 9, 10 and 13 at gamma 4 detect no lineage and are
+        # excluded.  The negbin fit does not converge on 3 counted replicates
+        # at gamma 0 and 6 at gamma 4; their statistics count, and alpha 0.5
+        # rejects all nine.
+        scn = SimScenario(truth=0.3, n_dvl=3, levels=(SimLevel(0.5, 6, 0.5), SimLevel(1.0, 8, 1.0)),
+                          model="negbin", reps=16, seed=3)
+        assert lrt_power_study(scn, [0.0, 4.0], alpha=0.5) == [
+            {"gamma": 0.0, "power": 0.3333333333333333, "reps": 15},
+            {"gamma": 4.0, "power": 0.5833333333333334, "reps": 12},
+        ]
 
 
 class TestScenarioIO:
